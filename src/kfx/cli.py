@@ -3,7 +3,9 @@
 Subcommands: compute, family, formula, search, verify, conjecture.
 stdout carries only the machine/tabular payload; diagnostics go to
 stderr. Exit codes: 0 ok, 1 mismatch verdict, 2 usage/parse error,
-3 invalid parameters or input graph, 4 enumeration cap exceeded.
+3 invalid parameters or input graph, 4 enumeration cap exceeded,
+5 internal error (any other exception, such as RecursionError or
+MemoryError; reported as one `error: internal: <Type>: <message>` line).
 """
 from __future__ import annotations
 
@@ -45,6 +47,7 @@ EXIT_MISMATCH = 1
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_CAP = 4
+EXIT_INTERNAL = 5
 
 
 def rational_str(value: Fraction | int) -> str:
@@ -345,6 +348,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except Exception as exc:  # keep exit 1 for mismatch verdicts only
+        message = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

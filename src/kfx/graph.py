@@ -7,7 +7,6 @@ precondition of individual operations, not an invariant of the container.
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import GraphParseError, NotConnectedError
@@ -16,7 +15,7 @@ from .errors import GraphParseError, NotConnectedError
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "__dict__")
+    __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -33,30 +32,19 @@ class Graph:
             seen.add(e)
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
+        nbr: list[list[int]] = [[] for _ in range(n)]
+        for u, v in self.edges:
+            nbr[u].append(v)
+            nbr[v].append(u)
+        # edges are sorted, so every neighbour list comes out sorted
+        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, nbr))
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    @cached_property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        nbr: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbr[u].append(v)
-            nbr[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbr)
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._edge_set
-
-    @cached_property
-    def _edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
 
     def is_connected(self) -> bool:
         if self.n == 1:

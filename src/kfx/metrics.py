@@ -7,7 +7,11 @@ Two independent engines compute effective resistances:
   Bareiss elimination);
 * the *structural* engine works on trees and unicyclic graphs only, by
   cut-vertex decomposition: tree distances in series with the two
-  parallel cycle arcs.
+  parallel cycle arcs. Its Kf is one O(n) pass that gives every hanging
+  tree its (size, root depth sum, Wiener index), then one O(l) sum over
+  the cycle (`kf_from_stats`); the same sum serves enumerated shape
+  tuples (`kf_from_shapes`). `resistance_structural` answers single
+  pairs, and `kf_vertex` and `resistance_table` are built from it.
 
 Everything is exact: resistances are `fractions.Fraction`, distances are
 plain ints. No floating point anywhere.
@@ -18,8 +22,14 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import EngineMismatchError, NotConnectedError
-from .graph import Graph, is_tree, is_unicyclic, wiener
-from .unicyclic import UnicyclicRepr, decompose_unicyclic, shape_stats
+from .graph import Graph, is_tree, is_unicyclic
+from .unicyclic import (
+    UnicyclicRepr,
+    decompose_unicyclic,
+    orient,
+    shape_stats,
+    tree_stats,
+)
 
 __all__ = [
     "det_bareiss",
@@ -30,6 +40,7 @@ __all__ = [
     "kf_vertex",
     "kf_decomposition",
     "kf_from_shapes",
+    "kf_from_stats",
     "PairTable",
     "resistance_table",
 ]
@@ -137,16 +148,12 @@ def kirchhoff_index(g: Graph | UnicyclicRepr, engine: str = "auto") -> Fraction:
     if isinstance(g, UnicyclicRepr):
         if engine == "oracle":
             return kirchhoff_index(g.to_graph()[0], "oracle")
-        verts = g.vertices
-        return sum(
-            (resistance_structural(g, a, b) for a, b in combinations(verts, 2)),
-            Fraction(0),
-        )
+        return kf_decomposition(g)
     if engine in ("auto", "structural"):
         if is_tree(g):
-            return Fraction(wiener(g))
+            return Fraction(tree_stats(orient(g.adj, 0, [False] * g.n)[1])[2])
         if is_unicyclic(g):
-            return kirchhoff_index(decompose_unicyclic(g), "structural")
+            return kf_decomposition(decompose_unicyclic(g))
         if engine == "structural":
             raise EngineMismatchError("structural engine needs a tree or unicyclic graph")
     g.require_connected()
@@ -185,30 +192,35 @@ def kf_vertex(g: Graph | UnicyclicRepr, v: int, engine: str = "auto") -> Fractio
     return Fraction(total, trees)
 
 
+def kf_from_stats(l: int, stats) -> Fraction:
+    """Kirchhoff index of a unicyclic graph from the (size s_i, root depth
+    sum D_i, Wiener index W_i) of the tree at each of its l cycle positions.
+
+    Kf = sum_i [W_i + (n - s_i) D_i] + sum_{i<j} s_i s_j d (l - d) / l
+    with d = j - i. Since d (l - d) = l d - d^2, the cross term is O(l)
+    from prefix sums of s_i, i s_i and i^2 s_i over i < j.
+    """
+    n = sum(s for s, _, _ in stats)
+    int_part = cross = 0
+    a = b = c = 0  # sum of s_i, i s_i, i^2 s_i over i < j
+    for j, (s, depth_sum, wien) in enumerate(stats):
+        int_part += wien + (n - s) * depth_sum
+        cross += s * (l * (j * a - b) - (j * j * a - 2 * j * b + c))
+        a += s
+        b += j * s
+        c += j * j * s
+    return Fraction(int_part * l + cross, l)
+
+
 def kf_from_shapes(l: int, shapes) -> Fraction:
     """Kirchhoff index of the unicyclic graph given by an l-tuple of
-    rooted-tree shapes, via the cycle/tree decomposition formula.
-
-    Kf = sum_i W(T_i)
-       + sum_{i<j} [ |T_j| W_root(T_i) + |T_i| W_root(T_j)
-                     + |T_i||T_j| d(i,j)(l-d(i,j))/l ].
-    """
-    stats = [shape_stats(s) for s in shapes]
-    int_part = sum(w for _, _, w in stats)
-    cyc_num = 0
-    for i in range(l):
-        si, di, _ = stats[i]
-        for j in range(i + 1, l):
-            sj, dj, _ = stats[j]
-            int_part += sj * di + si * dj
-            d = j - i
-            cyc_num += si * sj * d * (l - d)
-    return Fraction(int_part * l + cyc_num, l)
+    rooted-tree shapes."""
+    return kf_from_stats(l, [shape_stats(s) for s in shapes])
 
 
 def kf_decomposition(u: UnicyclicRepr) -> Fraction:
-    """Evaluate the decomposition formula term-by-term on a representation."""
-    return kf_from_shapes(u.l, u.shapes)
+    """Kirchhoff index of a representation from its cycle/tree decomposition."""
+    return kf_from_stats(u.l, [tree_stats(p) for p in u.tree_parents])
 
 
 class PairTable:

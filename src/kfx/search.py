@@ -213,8 +213,11 @@ def random_unicyclic(n: int, rng: random.Random) -> Graph:
 # ---------------------------------------------------------------------------
 # size estimation, for the enumerate-vs-formula-only decision
 
-def _rooted_tree_counts(n: int) -> list[int]:
-    """r[k] = number of rooted trees on k vertices (r[0] = 0)."""
+def _rooted_tree_counts(n: int, cap: int | None = None) -> list[int]:
+    """r[k] = number of rooted trees on k vertices (r[0] = 0).
+
+    With `cap`, returns r[0..k] as soon as some r[k] exceeds it.
+    """
     r = [0] * (n + 1)
     if n >= 1:
         r[1] = 1
@@ -224,6 +227,8 @@ def _rooted_tree_counts(n: int) -> list[int]:
             s = sum(d * r[d] for d in range(1, k + 1) if k % d == 0)
             total += s * r[m - k]
         r[m] = total // (m - 1)
+        if cap is not None and r[m] > cap:
+            return r[: m + 1]
     return r
 
 
@@ -233,8 +238,15 @@ def estimated_tuple_count(n: int, l_max: int | None = None, cap: int | None = No
     Sums the coefficient of z^n in R(z)^l over cycle lengths l, where R
     generates rooted trees by size. Stops early once `cap` is exceeded.
     """
-    r = _rooted_tree_counts(n)
     top = n if l_max is None else min(l_max, n)
+    if cap is not None and top >= 3:
+        # r[k] does not decrease with k, and the triangles with trees of
+        # sizes (n-2, 1, 1) alone give r[n-2] tuples: an r[k] past the cap
+        # at some k <= n-2 settles the answer without the O(n^3) count
+        r = _rooted_tree_counts(n - 2, cap)
+        if r[-1] > cap:
+            return r[-1]
+    r = _rooted_tree_counts(n)
     conv = [0] * (n + 1)
     conv[0] = 1
     total = 0

@@ -5,6 +5,13 @@ entries are the shapes of the root's subtrees, sorted by their encoded
 byte string. `()` is a single vertex. Shapes double as dictionary keys
 throughout the enumeration machinery.
 
+Labeled trees (the hanging trees of an input graph, or a whole input
+tree) never become shapes. `orient` turns one into a parents-first list of
+parent positions, and `tree_stats` and `tree_code` fold that list bottom-up
+into the same statistics and codes that `shape_stats` and `shape_code`
+give the corresponding shape. No step recurses, so tree depth is not
+limited by the interpreter stack.
+
 Canonical codes are ASCII byte strings: equal codes iff isomorphic
 (within the tree / unicyclic class handled), totally ordered, stable
 across runs.
@@ -12,10 +19,10 @@ across runs.
 from __future__ import annotations
 
 from collections import deque
-from functools import cache, cached_property
-from typing import Iterator, Sequence
+from functools import cache
+from typing import Sequence
 
-from .errors import NotConnectedError, NotUnicyclicError
+from .errors import NotUnicyclicError
 from .graph import Graph
 
 Shape = tuple  # recursive: tuple of child Shapes
@@ -39,21 +46,22 @@ def canon_shape(children: Sequence[Shape]) -> Shape:
 _stats_cache: dict[Shape, tuple[int, int, int]] = {}
 
 
+def _merge(size: int, depth_sum: int, wien: int, cs: int, cd: int, cw: int):
+    """(size, depth sum, Wiener) after hanging a subtree (cs, cd, cw) below
+    the root; every new pair's path runs through the root."""
+    below = cd + cs  # distances from this root into the subtree
+    return size + cs, depth_sum + below, wien + cw + below * size + cs * depth_sum
+
+
 def shape_stats(shape: Shape) -> tuple[int, int, int]:
     """(size, sum of depths from root, Wiener index) of the rooted tree."""
     cached = _stats_cache.get(shape)
-    if cached is not None:
-        return cached
-    size, depth_sum, wien = 1, 0, 0
-    # pairs through the root: merge subtrees one at a time
-    for child in shape:
-        cs, cd, cw = shape_stats(child)
-        below = cd + cs  # distances from this root into the subtree
-        wien += cw + below + below * (size - 1) + cs * depth_sum
-        depth_sum += below
-        size += cs
-    _stats_cache[shape] = (size, depth_sum, wien)
-    return (size, depth_sum, wien)
+    if cached is None:
+        cached = (1, 0, 0)
+        for child in shape:
+            cached = _merge(*cached, *shape_stats(child))
+        _stats_cache[shape] = cached
+    return cached
 
 
 def shape_size(shape: Shape) -> int:
@@ -109,15 +117,59 @@ def rooted_shapes(n: int) -> tuple[Shape, ...]:
     return tuple(out)
 
 
+def orient(
+    adj: Sequence[Sequence[int]], root: int, seen: list[bool]
+) -> tuple[list[int], list[int]]:
+    """Orient the tree around `root` away from it, breadth first.
+
+    Descent stops at vertices already marked in `seen`; every vertex
+    reached is marked. Returns the vertices in parents-first order and, for
+    each position, the position of its parent (-1 for the root).
+    """
+    seen[root] = True
+    order = [root]
+    parent = [-1]
+    for k, v in enumerate(order):
+        for w in adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                order.append(w)
+                parent.append(k)
+    return order, parent
+
+
+def tree_stats(parent: Sequence[int]) -> tuple[int, int, int]:
+    """`shape_stats` of the tree given by parent positions, parents first."""
+    stats = [(1, 0, 0)] * len(parent)
+    for k in range(len(parent) - 1, 0, -1):
+        p = parent[k]
+        stats[p] = _merge(*stats[p], *stats[k])
+    return stats[0]
+
+
+def tree_code(parent: Sequence[int]) -> bytes:
+    """`shape_code` of the tree given by parent positions, parents first
+    (AHU: a vertex's code wraps its children's codes in sorted order)."""
+    kids: list[list[bytes]] = [[] for _ in parent]
+    for k in range(len(parent) - 1, 0, -1):
+        codes = kids[k]
+        codes.sort()
+        kids[parent[k]].append(b"(" + b"".join(codes) + b")")
+    codes = kids[0]
+    codes.sort()
+    return b"(" + b"".join(codes) + b")"
+
+
 class UnicyclicRepr:
     """A unicyclic graph as its cycle plus one rooted tree per cycle vertex.
 
     Vertex labels are arbitrary integers (whatever the source graph used);
     `to_graph` relabels to the standard numbering: cycle vertices 0..l-1 in
-    cycle order, then tree vertices in preorder per tree.
+    cycle order, then tree vertices in preorder per tree. `tree_parents[i]`
+    holds, for the preorder `tree_nodes[i]`, each vertex's parent position.
     """
 
-    def __init__(self, cycle: Sequence[int], children: dict[int, tuple[int, ...]]):
+    def __init__(self, cycle: Sequence[int], children: dict[int, Sequence[int]]):
         if len(cycle) < 3:
             raise ValueError("cycle length must be >= 3")
         self.l = len(cycle)
@@ -127,26 +179,32 @@ class UnicyclicRepr:
         depth: dict[int, int] = {}
         tree_index: dict[int, int] = {}
         tree_nodes: list[tuple[int, ...]] = []
+        tree_parents: list[tuple[int, ...]] = []
         seen: set[int] = set()
         for i, root in enumerate(self.cycle):
             nodes = []
-            stack = [(root, 0)]
+            positions = []
+            stack = [(root, 0, -1)]
             while stack:
-                v, d = stack.pop()
+                v, d, p = stack.pop()
                 if v in seen:
                     raise ValueError("trees are not vertex-disjoint")
                 seen.add(v)
+                k = len(nodes)
                 nodes.append(v)
+                positions.append(p)
                 depth[v] = d
                 tree_index[v] = i
                 for c in reversed(children.get(v, ())):
                     parent[c] = v
-                    stack.append((c, d + 1))
+                    stack.append((c, d + 1, k))
             tree_nodes.append(tuple(nodes))
+            tree_parents.append(tuple(positions))
         self.parent = parent
         self.depth = depth
         self.tree_index = tree_index
         self.tree_nodes = tuple(tree_nodes)
+        self.tree_parents = tuple(tree_parents)
         self.n = len(seen)
 
     @property
@@ -178,13 +236,6 @@ class UnicyclicRepr:
             b = self.parent[b]
             dist += 2
         return dist
-
-    @cached_property
-    def shapes(self) -> tuple[Shape, ...]:
-        def build(v: int) -> Shape:
-            return canon_shape([build(c) for c in self.children.get(v, ())])
-
-        return tuple(build(root) for root in self.cycle)
 
     def to_graph(self) -> tuple[Graph, dict[int, int]]:
         """Reassemble with standard numbering; returns (graph, old->new map)."""
@@ -235,18 +286,13 @@ def decompose_unicyclic(g: Graph) -> UnicyclicRepr:
             break
         prev = cycle[-1]
         cycle.append(nxt)
-    # BFS each hanging tree away from the cycle
-    children: dict[int, tuple[int, ...]] = {}
-    visited = set(cycle)
+    # orient each hanging tree away from the cycle; the other cycle
+    # vertices are already marked, so descent never crosses the cycle
+    children: dict[int, list[int]] = {}
     for root in cycle:
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            kids = tuple(sorted(w for w in g.adj[v] if w not in visited and not on_cycle[w]))
-            if kids:
-                children[v] = kids
-                visited.update(kids)
-                queue.extend(kids)
+        order, parent = orient(g.adj, root, on_cycle)
+        for k in range(1, len(order)):
+            children.setdefault(order[parent[k]], []).append(order[k])
     return UnicyclicRepr(cycle, children)
 
 
@@ -292,18 +338,8 @@ def canonical_code_from_shapes(l: int, shapes: Sequence[Shape]) -> bytes:
 def canonical_code(u: UnicyclicRepr) -> bytes:
     """Isomorphism-invariant code: minimal over tree relabelings and the
     2l dihedral symmetries of the cycle."""
-    return canonical_code_from_shapes(u.l, u.shapes)
-
-
-def rooted_shape_of(g: Graph, root: int, blocked: int = -1) -> Shape:
-    """Shape of the tree `g` rooted at `root`; `blocked` halts descent."""
-
-    def build(v: int, parent: int) -> Shape:
-        return canon_shape(
-            [build(w, v) for w in g.adj[v] if w != parent and w != blocked]
-        )
-
-    return build(root, -1)
+    codes = [tree_code(p) for p in u.tree_parents]
+    return b"%d:" % u.l + b"".join(dihedral_min(codes))
 
 
 def tree_centers(g: Graph) -> list[int]:
@@ -332,14 +368,12 @@ def tree_canonical_code(g: Graph) -> bytes:
         raise ValueError("not a tree")
     g.require_connected()
     centers = tree_centers(g)
+    seen = [False] * g.n
     if len(centers) == 1:
-        return b"T1:" + shape_code(rooted_shape_of(g, centers[0]))
+        return b"T1:" + tree_code(orient(g.adj, centers[0], seen)[1])
     a, b = centers
-    ca = shape_code(rooted_shape_of(g, a, blocked=b))
-    cb = shape_code(rooted_shape_of(g, b, blocked=a))
+    seen[b] = True  # split the tree at its central edge
+    ca = tree_code(orient(g.adj, a, seen)[1])
+    cb = tree_code(orient(g.adj, b, seen)[1])
     lo, hi = sorted([ca, cb])
     return b"T2:" + lo + hi
-
-
-def iter_tree_vertices(u: UnicyclicRepr, i: int) -> Iterator[int]:
-    yield from u.tree_nodes[i]

@@ -195,3 +195,16 @@ def test_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0].split(",")[0] == "formula"
     assert "44/3" in lines[1]
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(args):
+        raise RecursionError("maximum recursion depth exceeded\nwhile calling")
+
+    monkeypatch.setattr("kfx.cli.cmd_compute", broken)
+    code, out, err = run(capsys, "compute", "--input", "-")
+    assert code == 5
+    assert out == ""
+    assert err.splitlines() == [
+        "error: internal: RecursionError: maximum recursion depth exceeded while calling"
+    ]

@@ -156,3 +156,22 @@ def test_pair_table_contract():
     assert table.get(2, 0) == table.get(0, 2) == 1
     with pytest.raises(KeyError):
         table.get(1, 1)
+
+
+def test_cycle_sum_matches_pairwise_sum_at_large_l():
+    rng = random.Random(60)
+    shapes = [(60, 120), (60, 60), (3, 120)]
+    shapes += [(l, rng.randrange(l, 121)) for l in (rng.randrange(3, 61) for _ in range(12))]
+    for l, n in shapes:
+        # l-cycle, then each further vertex hangs off a random earlier one
+        edges = [(i, (i + 1) % l) for i in range(l)]
+        edges += [(v, rng.randrange(v)) for v in range(l, n)]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = Graph(n, edges).relabel(perm)
+        u = decompose_unicyclic(g)
+        assert u.l == l
+        pairwise = sum(
+            (resistance_structural(u, a, b) for a, b in combinations(range(n), 2)), F(0)
+        )
+        assert kf_decomposition(u) == pairwise == kirchhoff_index(g)

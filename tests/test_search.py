@@ -175,3 +175,11 @@ def test_engine_equivalence_suite_small():
     assert result["violations"] == []
     assert result["graphs"] == sum(UNICYCLIC_COUNTS[n] for n in (3, 4, 5, 6)) + 5
     assert result["seed"] == 123
+
+
+def test_estimated_tuple_count_early_exit_keeps_cap_decisions():
+    for n in range(1, 30):
+        for l_max in (None, 2, 3, 5):
+            full = estimated_tuple_count(n, l_max)
+            for cap in (0, 10, 10**3, 10**6):
+                assert (estimated_tuple_count(n, l_max, cap) > cap) == (full > cap)
