@@ -134,7 +134,7 @@ def cmd_compute(args) -> int:
     record.update(_value_fields(args, "kf", kf))
     record["wiener"] = wiener(g)
     if args.vertex is not None:
-        record.update(_value_fields(args, f"kf_v{args.vertex}", kf_vertex(g, args.vertex)))
+        record.update(_value_fields(args, f"kf_v{args.vertex}", kf_vertex(g, args.vertex, args.engine)))
     _emit_record(args, record, list(record))
     return EXIT_OK
 

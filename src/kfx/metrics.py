@@ -2,9 +2,10 @@
 
 Two independent engines compute effective resistances:
 
-* the *oracle* engine works on any connected graph, through integer
-  determinants of Laplacian minors (matrix-tree counts, fraction-free
-  Bareiss elimination);
+* the *oracle* engine works on any connected graph: one fraction-free
+  (Bareiss) elimination of the grounded Laplacian gives the spanning-tree
+  count and the adjugate, whose entries give every resistance, so `kfx
+  compute --engine oracle` serves connected graphs of a few hundred vertices;
 * the *structural* engine works on trees and unicyclic graphs only, by
   cut-vertex decomposition: tree distances in series with the two
   parallel cycle arcs. Its Kf is one O(n) pass that gives every hanging
@@ -46,16 +47,18 @@ __all__ = [
 ]
 
 
-def det_bareiss(rows: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free elimination.
+def det_bareiss(rows: list[list[int]], alongside: list[list[int]] | None = None) -> int:
+    """Determinant of a square integer matrix M by fraction-free elimination.
 
-    All intermediate quantities stay integral; divisions are exact.
+    All intermediate quantities stay integral; divisions are exact. Rows in
+    `alongside` (one per row of M) go through the same Gauss-Jordan steps
+    in place and end as adj(M) B, B being their value on entry (unspecified
+    if det M = 0); B = I gives the adjugate. `rows` is not modified.
     """
-    a = [row[:] for row in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    n = len(rows)
+    a = [row + extra for row, extra in zip(rows, alongside or [[]] * n)]
+    sign = prev = 1
+    for k in range(n):
         if a[k][k] == 0:
             for r in range(k + 1, n):
                 if a[r][k] != 0:
@@ -65,54 +68,71 @@ def det_bareiss(rows: list[list[int]]) -> int:
             else:
                 return 0
         pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
-            row_i[k] = 0
+        tail = a[k][k + 1:]
+        for i, row in enumerate(a):
+            if i != k:
+                c = row[k]
+                row[k + 1:] = [(pivot * x - c * y) // prev for x, y in zip(row[k + 1:], tail)]
+                row[k] = 0
         prev = pivot
-    return sign * a[-1][-1] if n else 1
+    for extra, row in zip(alongside or (), a):
+        extra[:] = [sign * x for x in row[n:]]
+    return sign * prev
 
 
-def _laplacian(g: Graph) -> list[list[int]]:
+def _grounded_laplacian(g: Graph) -> list[list[int]]:
+    """The Laplacian of g without vertex 0's row and column."""
     lap = [[0] * g.n for _ in range(g.n)]
     for u, v in g.edges:
         lap[u][v] -= 1
         lap[v][u] -= 1
         lap[u][u] += 1
         lap[v][v] += 1
-    return lap
-
-
-def _minor(mat: list[list[int]], drop: tuple[int, ...]) -> list[list[int]]:
-    keep = [i for i in range(len(mat)) if i not in drop]
-    return [[mat[i][j] for j in keep] for i in keep]
+    return [row[1:] for row in lap[1:]]
 
 
 def spanning_tree_count(g: Graph) -> int:
     """Matrix-tree theorem: determinant of any principal Laplacian minor."""
-    if g.n == 1:
-        return 1
-    return det_bareiss(_minor(_laplacian(g), (0,)))
+    return det_bareiss(_grounded_laplacian(g))
+
+
+def _grounded_adjugate(g: Graph | UnicyclicRepr):
+    """(tau, A, at): tau = det L0 counts the spanning trees of g (L0 is its
+    Laplacian without vertex 0) and A = tau L0^-1 gets a zero row and column
+    back at vertex 0. A[a][b] counts the 2-tree spanning forests with 0 in one
+    tree and a, b in the other, so R(a, b) = (A[a][a] + A[b][b] - 2 A[a][b]) / tau
+    (all-minors matrix-tree theorem). `at` maps each vertex of g to its index."""
+    g, at = g.to_graph() if isinstance(g, UnicyclicRepr) else (g, range(g.n))
+    adj = [[int(i == j) for j in range(g.n - 1)] for i in range(g.n - 1)]
+    tau = det_bareiss(_grounded_laplacian(g), adj)
+    if tau == 0:
+        raise NotConnectedError(f"graph on {g.n} vertices is not connected")
+    return tau, [[0] * g.n] + [[0, *row] for row in adj], at
+
+
+def _pick_engine(g: Graph | UnicyclicRepr, engine: str) -> str:
+    """Validate `engine`; name the one that answers for g: tree, unicyclic, oracle."""
+    if engine not in ("auto", "oracle", "structural"):
+        raise ValueError(f"unknown engine {engine!r}")
+    if engine != "oracle":
+        if isinstance(g, UnicyclicRepr) or is_unicyclic(g):
+            return "unicyclic"
+        if is_tree(g):
+            return "tree"
+        if engine == "structural":
+            raise EngineMismatchError("structural engine needs a tree or unicyclic graph")
+    return "oracle"
 
 
 def resistance_oracle(g: Graph, a: int, b: int) -> Fraction:
-    """Effective resistance between a and b with unit resistors per edge.
-
-    Equals (spanning 2-forests separating a and b) / (spanning trees),
-    both obtained as Laplacian minor determinants.
-    """
+    """Effective resistance between a and b with unit resistors per edge:
+    (spanning 2-forests separating a and b) / (spanning trees)."""
     if a == b:
         raise ValueError("resistance requires two distinct vertices")
     if not (0 <= a < g.n and 0 <= b < g.n):
         raise ValueError("vertex out of range")
-    lap = _laplacian(g)
-    trees = det_bareiss(_minor(lap, (a,)))
-    if trees == 0:
-        raise NotConnectedError("graph has no spanning tree")
-    return Fraction(det_bareiss(_minor(lap, (a, b))), trees)
+    tau, adj, _ = _grounded_adjugate(g)
+    return Fraction(adj[a][a] + adj[b][b] - 2 * adj[a][b], tau)
 
 
 def resistance_structural(u: UnicyclicRepr, a: int, b: int) -> Fraction:
@@ -143,53 +163,29 @@ def kirchhoff_index(g: Graph | UnicyclicRepr, engine: str = "auto") -> Fraction:
     engine: "oracle" (any connected graph), "structural" (trees and
     unicyclic graphs), or "auto" (structural where applicable).
     """
-    if engine not in ("auto", "oracle", "structural"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if isinstance(g, UnicyclicRepr):
-        if engine == "oracle":
-            return kirchhoff_index(g.to_graph()[0], "oracle")
-        return kf_decomposition(g)
-    if engine in ("auto", "structural"):
-        if is_tree(g):
-            return Fraction(tree_stats(orient(g.adj, 0, [False] * g.n)[1])[2])
-        if is_unicyclic(g):
-            return kf_decomposition(decompose_unicyclic(g))
-        if engine == "structural":
-            raise EngineMismatchError("structural engine needs a tree or unicyclic graph")
-    g.require_connected()
-    lap = _laplacian(g)
-    trees = det_bareiss(_minor(lap, (0,)))
-    total = 0
-    for a, b in combinations(range(g.n), 2):
-        total_pair = det_bareiss(_minor(lap, (a, b)))
-        total += total_pair
-    return Fraction(total, trees)
+    how = _pick_engine(g, engine)
+    if how == "tree":
+        return Fraction(tree_stats(orient(g.adj, 0, [False] * g.n)[1])[2])
+    if how == "unicyclic":
+        return kf_decomposition(_as_repr(g))
+    tau, adj, _ = _grounded_adjugate(g)  # Kf = (n tr A - 1'A1) / tau
+    return Fraction(sum(len(adj) * row[i] - sum(row) for i, row in enumerate(adj)), tau)
 
 
 def kf_vertex(g: Graph | UnicyclicRepr, v: int, engine: str = "auto") -> Fraction:
     """Transmission of v: sum of resistances from v to every other vertex."""
-    if isinstance(g, UnicyclicRepr):
-        if v not in g.tree_index:
-            raise ValueError(f"vertex {v} not in graph")
-        return sum(
-            (resistance_structural(g, v, w) for w in g.vertices if w != v),
-            Fraction(0),
-        )
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
-    if engine in ("auto", "structural"):
-        if is_tree(g):
-            return Fraction(sum(g.bfs_distances(v)))
-        if is_unicyclic(g):
-            u = _as_repr(g)
-            return kf_vertex(u, v)
-        if engine == "structural":
-            raise EngineMismatchError("structural engine needs a tree or unicyclic graph")
-    g.require_connected()
-    lap = _laplacian(g)
-    trees = det_bareiss(_minor(lap, (0,)))
-    total = sum(det_bareiss(_minor(lap, (v, w))) for w in range(g.n) if w != v)
-    return Fraction(total, trees)
+    if v not in (g.tree_index if isinstance(g, UnicyclicRepr) else range(g.n)):
+        raise ValueError(f"vertex {v} not in graph")
+    how = _pick_engine(g, engine)
+    if how == "tree":
+        return Fraction(sum(g.bfs_distances(v)))
+    if how == "unicyclic":
+        u = _as_repr(g)
+        return sum((resistance_structural(u, v, w) for w in u.vertices if w != v), Fraction(0))
+    tau, adj, at = _grounded_adjugate(g)
+    v = at[v]
+    trace = sum(row[i] for i, row in enumerate(adj))
+    return Fraction(len(adj) * adj[v][v] + trace - 2 * sum(adj[v]), tau)
 
 
 def kf_from_stats(l: int, stats) -> Fraction:
@@ -245,21 +241,21 @@ class PairTable:
 
 
 def resistance_table(g: Graph | UnicyclicRepr, engine: str = "auto") -> PairTable:
-    if isinstance(g, UnicyclicRepr) or engine == "structural" or (
-        engine == "auto" and is_unicyclic(g)
-    ):
+    """Resistance of every vertex pair, by the engine `kirchhoff_index` uses."""
+    how = _pick_engine(g, engine)
+    if how == "tree":
+        dist = [g.bfs_distances(a) for a in range(g.n)]
+        pairs = combinations(range(g.n), 2)
+        return PairTable(range(g.n), {(a, b): Fraction(dist[a][b]) for a, b in pairs})
+    if how == "unicyclic":
         u = _as_repr(g)
-        verts = u.vertices
-        values = {
-            (min(a, b), max(a, b)): resistance_structural(u, a, b)
-            for a, b in combinations(verts, 2)
-        }
-        return PairTable(sorted(verts), values)
-    g.require_connected()
-    lap = _laplacian(g)
-    trees = det_bareiss(_minor(lap, (0,)))
-    values = {
-        (a, b): Fraction(det_bareiss(_minor(lap, (a, b))), trees)
-        for a, b in combinations(range(g.n), 2)
-    }
-    return PairTable(range(g.n), values)
+        verts = sorted(u.vertices)
+        pairs = combinations(verts, 2)
+        return PairTable(verts, {(a, b): resistance_structural(u, a, b) for a, b in pairs})
+    tau, adj, at = _grounded_adjugate(g)
+    verts = sorted(at)
+    values = {}
+    for a, b in combinations(verts, 2):
+        i, j = at[a], at[b]
+        values[(a, b)] = Fraction(adj[i][i] + adj[j][j] - 2 * adj[i][j], tau)
+    return PairTable(verts, values)

@@ -594,7 +594,7 @@ def engine_equivalence_suite(n_max: int, samples: int, seed: int) -> dict:
     decomposition-formula Kf vs the pairwise sum; exhaustive over all
     classes up to n_max plus seeded random unicyclic graphs at n = 9..12.
     All comparisons are exact."""
-    from .metrics import kf_decomposition, resistance_oracle, resistance_structural
+    from .metrics import kf_decomposition, resistance_structural, resistance_table
 
     checked_pairs = 0
     graphs = 0
@@ -606,8 +606,7 @@ def engine_equivalence_suite(n_max: int, samples: int, seed: int) -> dict:
         u = decompose_unicyclic(g)
         total = Fraction(0)
         ok = True
-        for a, b in combinations(sorted(u.tree_index), 2):
-            ro = resistance_oracle(g, a, b)
+        for (a, b), ro in resistance_table(g, "oracle").pairs():
             checked_pairs += 1
             if resistance_structural(u, a, b) != ro:
                 ok = False

@@ -208,3 +208,18 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err.splitlines() == [
         "error: internal: RecursionError: maximum recursion depth exceeded while calling"
     ]
+
+
+def test_compute_vertex_uses_requested_engine(capsys, tmp_path, monkeypatch):
+    def structural_engine_called(g):
+        raise AssertionError("structural engine used for --engine oracle")
+
+    monkeypatch.setattr("kfx.metrics.decompose_unicyclic", structural_engine_called)
+    path = tmp_path / "c5.edges"
+    path.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
+    code, out, err = run(
+        capsys, "compute", "--input", str(path), "--engine", "oracle", "--vertex", "0",
+        "--format", "json",
+    )
+    assert code == 0, err
+    assert json.loads(out)["kf_v0"] == "4/1"

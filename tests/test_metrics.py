@@ -18,7 +18,7 @@ from kfx.metrics import (
     spanning_tree_count,
 )
 from kfx.search import enumerate_unicyclic, random_unicyclic, tree_classes
-from kfx.unicyclic import decompose_unicyclic
+from kfx.unicyclic import UnicyclicRepr, decompose_unicyclic
 
 F = Fraction
 
@@ -175,3 +175,121 @@ def test_cycle_sum_matches_pairwise_sum_at_large_l():
             (resistance_structural(u, a, b) for a, b in combinations(range(n), 2)), F(0)
         )
         assert kf_decomposition(u) == pairwise == kirchhoff_index(g)
+
+
+def laplacian_minor(g, drop):
+    """Laplacian of g without the rows and columns of the vertices in drop."""
+    keep = [v for v in range(g.n) if v not in drop]
+    return [
+        [g.degree(i) if i == j else -int(j in g.adj[i]) for j in keep] for i in keep
+    ]
+
+
+def matrix_tree_resistance(g, a, b):
+    """Reference definition: R(a, b) = det L(a,b) / det L(a), spanning
+    2-forests separating a and b over spanning trees."""
+    return F(det_bareiss(laplacian_minor(g, (a, b))), det_bareiss(laplacian_minor(g, (a,))))
+
+
+def random_connected(n, rng):
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randrange(2 * n)):
+        a, b = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+        if a != b:
+            edges.add((a, b))
+    return Graph(n, sorted(edges))
+
+
+def test_oracle_entry_points_match_matrix_tree_definition():
+    rng = random.Random(3)
+    sizes = [1, 2, 2] + [rng.randrange(3, 11) for _ in range(37)]
+    for n in sizes:
+        g = random_connected(n, rng)
+        ref = {(a, b): matrix_tree_resistance(g, a, b) for a, b in combinations(range(n), 2)}
+        table = resistance_table(g, "oracle")
+        assert dict(table.pairs()) == ref
+        for (a, b), r in ref.items():
+            assert resistance_oracle(g, a, b) == resistance_oracle(g, b, a) == r
+        assert kirchhoff_index(g, "oracle") == sum(ref.values(), F(0))
+        for v in range(n):
+            row = [r for pair, r in ref.items() if v in pair]
+            assert kf_vertex(g, v, "oracle") == sum(row, F(0))
+
+
+def test_each_oracle_entry_point_runs_one_elimination(monkeypatch):
+    import kfx.metrics
+
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return det_bareiss(*args)
+
+    monkeypatch.setattr(kfx.metrics, "det_bareiss", counting)
+    k5 = Graph(5, list(combinations(range(5), 2)))
+    for fn in (
+        lambda: kirchhoff_index(k5, "oracle"),
+        lambda: kf_vertex(k5, 2, "oracle"),
+        lambda: resistance_table(k5, "oracle"),
+        lambda: resistance_oracle(k5, 1, 3),
+    ):
+        calls.clear()
+        fn()
+        assert calls == [4]
+
+
+def test_oracle_beyond_per_pair_sizes():
+    k40 = Graph(40, list(combinations(range(40), 2)))
+    assert kirchhoff_index(k40, "oracle") == 39
+    assert kf_vertex(k40, 7, "oracle") == F(39, 20)
+    g = random_unicyclic(150, random.Random(150))
+    oracle = resistance_table(g, "oracle")
+    structural = resistance_table(g, "structural")
+    assert len(oracle) == 150 * 149 // 2
+    assert dict(oracle.pairs()) == dict(structural.pairs())
+
+
+def test_oracle_entry_points_reject_disconnected():
+    g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+    for fn in (
+        lambda: kirchhoff_index(g, "oracle"),
+        lambda: kirchhoff_index(g),
+        lambda: kf_vertex(g, 0, "oracle"),
+        lambda: resistance_table(g, "oracle"),
+        lambda: resistance_oracle(g, 0, 1),
+    ):
+        with pytest.raises(NotConnectedError):
+            fn()
+
+
+def test_engine_names_are_validated_and_honoured(monkeypatch):
+    import kfx.metrics
+
+    c5 = make_cycle(5)
+    # labels other than 0..n-1: a triangle with a two-vertex tail at 10
+    u = UnicyclicRepr((10, 20, 30), {10: [40], 40: [50]})
+    for g in (c5, u, make_path(4)):
+        with pytest.raises(ValueError):
+            kirchhoff_index(g, "bogus")
+        with pytest.raises(ValueError):
+            kf_vertex(g, 0 if g is not u else 10, "bogus")
+        with pytest.raises(ValueError):
+            resistance_table(g, "bogus")
+    expected_kf = kirchhoff_index(u)
+    expected_v = kf_vertex(u, 50)
+    expected_table = dict(resistance_table(u).pairs())
+
+    def structural_engine_called(*args):
+        raise AssertionError("structural engine used for engine='oracle'")
+
+    for name in ("decompose_unicyclic", "resistance_structural", "kf_decomposition"):
+        monkeypatch.setattr(kfx.metrics, name, structural_engine_called)
+    assert kirchhoff_index(u, "oracle") == expected_kf == F(44, 3)
+    assert kf_vertex(u, 50, "oracle") == expected_v
+    assert dict(resistance_table(u, "oracle").pairs()) == expected_table
+    assert kf_vertex(c5, 0, "oracle") == 4
+    # trees have a structural table of plain distances
+    path = make_path(4)
+    assert resistance_table(path, "structural").get(0, 3) == 3
+    with pytest.raises(EngineMismatchError):
+        resistance_table(Graph(4, list(combinations(range(4), 2))), "structural")
