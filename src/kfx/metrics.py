@@ -10,8 +10,9 @@ Two independent engines compute effective resistances:
   cut-vertex decomposition: tree distances in series with the two
   parallel cycle arcs. Its Kf is one O(n) pass that gives every hanging
   tree its (size, root depth sum, Wiener index), then one O(l) sum over
-  the cycle (`kf_from_stats`); the same sum serves enumerated shape
-  tuples (`kf_from_shapes`). `resistance_structural` answers single
+  the cycle (`kf_from_stats`); the same sum serves enumerated tuples of
+  shape codes (`kf_from_shapes`), whose tree numbers the shape catalog
+  already holds. `resistance_structural` answers single
   pairs, and `kf_vertex` and `resistance_table` are built from it.
 
 Everything is exact: resistances are `fractions.Fraction`, distances are
@@ -22,13 +23,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import EngineMismatchError, NotConnectedError
+from .errors import EngineMismatchError, NotConnectedError, ParameterError
 from .graph import Graph, is_tree, is_unicyclic
 from .unicyclic import (
     UnicyclicRepr,
     decompose_unicyclic,
     orient,
-    shape_stats,
+    shape_record,
     tree_stats,
 )
 
@@ -175,7 +176,7 @@ def kirchhoff_index(g: Graph | UnicyclicRepr, engine: str = "auto") -> Fraction:
 def kf_vertex(g: Graph | UnicyclicRepr, v: int, engine: str = "auto") -> Fraction:
     """Transmission of v: sum of resistances from v to every other vertex."""
     if v not in (g.tree_index if isinstance(g, UnicyclicRepr) else range(g.n)):
-        raise ValueError(f"vertex {v} not in graph")
+        raise ParameterError(f"vertex {v} not in graph")
     how = _pick_engine(g, engine)
     if how == "tree":
         return Fraction(sum(g.bfs_distances(v)))
@@ -210,8 +211,8 @@ def kf_from_stats(l: int, stats) -> Fraction:
 
 def kf_from_shapes(l: int, shapes) -> Fraction:
     """Kirchhoff index of the unicyclic graph given by an l-tuple of
-    rooted-tree shapes."""
-    return kf_from_stats(l, [shape_stats(s) for s in shapes])
+    rooted-tree shapes, from their catalog records."""
+    return kf_from_stats(l, [shape_record(s)[:3] for s in shapes])
 
 
 def kf_decomposition(u: UnicyclicRepr) -> Fraction:

@@ -2,11 +2,11 @@
 extremal verification and conjecture-probing machinery built on it.
 
 Enumeration works directly in decomposition space: for each cycle length
-l, every l-tuple of rooted-tree shapes with sizes summing to n is
-assembled and deduplicated by canonical code. The space partitions into
-independent work units by (l, size composition), which is also the
-multiprocessing boundary; merged results are deterministic regardless of
-worker count.
+l, every l-tuple of rooted-tree shapes (AHU codes from the shape catalog)
+with sizes summing to n is assembled and deduplicated by canonical code.
+The space partitions into independent work units by (l, size
+composition), which is also the multiprocessing boundary; merged results
+are deterministic regardless of worker count.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from multiprocessing import Pool
+from typing import Iterable
 
 from .errors import CapExceededError, ParameterError
 from .families import make_p3_extremal, make_p_family_member, make_t_n_delta
@@ -33,11 +34,11 @@ from .unicyclic import (
     UnicyclicRepr,
     canonical_code,
     canonical_code_from_shapes,
+    code_parents,
     decompose_unicyclic,
     path_shape,
     rooted_shapes,
-    shape_degrees,
-    shape_size,
+    shape_record,
     tree_canonical_code,
     unicyclic_from_shapes,
 )
@@ -60,36 +61,33 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _admissible_shapes(size: int, delta: int | None) -> tuple[Shape, ...]:
-    """Rooted shapes usable as a hanging tree under a max-degree bound.
+def _hanging_degree(shape: Shape) -> int:
+    """Largest graph degree in a hanging tree: its root sits on the cycle,
+    so the root's degree is its child count + 2."""
+    _, _, _, root, inner = shape_record(shape)
+    return max(root + 2, inner)
 
-    The root sits on the cycle, so its graph degree is child count + 2.
-    """
+
+def _admissible_shapes(size: int, delta: int | None) -> Iterable[Shape]:
+    """Rooted shapes usable as a hanging tree under a max-degree bound."""
     shapes = rooted_shapes(size)
     if delta is None:
         return shapes
-    return tuple(
-        s
-        for s in shapes
-        if (d := shape_degrees(s))[0] + 2 <= delta and d[1] <= delta
-    )
-
-
-def _tuple_max_degree(shapes: tuple[Shape, ...]) -> int:
-    best = 2
-    for s in shapes:
-        root, inner = shape_degrees(s)
-        best = max(best, root + 2, inner)
-    return best
+    return tuple(s for s in shapes if _hanging_degree(s) <= delta)
 
 
 def _unit_classes(args) -> ClassMap:
     """All isomorphism classes arising from one (n, l, composition) unit."""
     l, comp, delta, exact = args
     pools = [_admissible_shapes(size, delta) for size in comp]
+    hubs = None
+    if delta is not None and exact:
+        # every admissible tree has degree <= delta, so a tuple's max degree
+        # is exactly delta iff one of its trees reaches it
+        hubs = {s for pool in pools for s in pool if _hanging_degree(s) == delta}
     found: ClassMap = {}
     for shapes in product(*pools):
-        if delta is not None and exact and _tuple_max_degree(shapes) != delta:
+        if hubs is not None and hubs.isdisjoint(shapes):
             continue
         code = canonical_code_from_shapes(l, shapes)
         if code not in found:
@@ -149,16 +147,8 @@ def enumerate_unicyclic(
 
 def shape_to_tree(shape: Shape) -> Graph:
     """Tree graph for a rooted shape, preorder numbering with root 0."""
-    edges = []
-    counter = 1
-    stack = [(0, shape)]
-    while stack:
-        v, s = stack.pop()
-        for child in s:
-            edges.append((v, counter))
-            stack.append((counter, child))
-            counter += 1
-    return Graph(counter, edges)
+    parent = code_parents(shape)
+    return Graph(len(parent), [(parent[k], k) for k in range(1, len(parent))])
 
 
 def tree_classes(n: int, delta: int | None = None, exact: bool = True) -> dict[bytes, Graph]:
@@ -166,9 +156,8 @@ def tree_classes(n: int, delta: int | None = None, exact: bool = True) -> dict[b
     if n < 1:
         return {}
     found: dict[bytes, Graph] = {}
-    for shape in rooted_shapes(n):
-        root, inner = shape_degrees(shape)
-        deg = max(len(shape), inner)
+    for shape, (_, _, _, root, inner) in rooted_shapes(n).items():
+        deg = max(root, inner)
         if delta is not None and (deg != delta if exact else deg > delta):
             continue
         g = shape_to_tree(shape)
@@ -454,15 +443,11 @@ def probe_conjecture(
 # ---------------------------------------------------------------------------
 # lemma property suite
 
-def _hub_candidates(shapes: tuple[Shape, ...]) -> list[int]:
-    """Indices of trees containing a vertex of overall maximum degree."""
-    overall = _tuple_max_degree(shapes)
-    out = []
-    for i, s in enumerate(shapes):
-        root, inner = shape_degrees(s)
-        if max(root + 2, inner) == overall:
-            out.append(i)
-    return out
+def _hub_candidates(degrees: list[int]) -> list[int]:
+    """Indices of the trees, given their `_hanging_degree`s, that contain a
+    vertex of overall maximum degree."""
+    overall = max(degrees)
+    return [i for i, d in enumerate(degrees) if d == overall]
 
 
 def check_lemma_properties(
@@ -478,16 +463,21 @@ def check_lemma_properties(
     """
     report: dict = {}
 
-    # path replacement of non-hub trees never decreases Kf
+    # path replacement of non-hub trees never decreases Kf; each n is
+    # enumerated once, and its classes' Kf are kept by (max degree, l)
     checked = 0
     violations: list[str] = []
     non_strict = 0
+    kf_by_n: dict[int, dict[tuple[int, int], dict[bytes, Fraction]]] = {}
     for n in range(4, n_max + 1):
+        groups = kf_by_n[n] = {}
         for code, (l, shapes) in unicyclic_classes(n, cap=cap, workers=workers).items():
             kf = kf_from_shapes(l, shapes)
-            for h in _hub_candidates(shapes):
+            degrees = [_hanging_degree(s) for s in shapes]
+            groups.setdefault((max(degrees), l), {})[code] = kf
+            for h in _hub_candidates(degrees):
                 replaced = tuple(
-                    s if i == h else path_shape(shape_size(s)) for i, s in enumerate(shapes)
+                    s if i == h else path_shape(len(s) // 2) for i, s in enumerate(shapes)
                 )
                 changed = replaced != shapes
                 kf2 = kf_from_shapes(l, replaced)
@@ -509,7 +499,7 @@ def check_lemma_properties(
     for n in range(4, n_max + 1):
         for delta in range(3, n):
             for l in range(3, n - delta + 3):
-                classes = unicyclic_classes(n, delta, l_filter=l, cap=cap, workers=workers)
+                classes = kf_by_n[n].get((delta, l))
                 if not classes:
                     continue
                 members = set()
@@ -521,12 +511,8 @@ def check_lemma_properties(
                     members.add(canonical_code(decompose_unicyclic(g)))
                 if not members:
                     continue
-                best = max(kf_from_shapes(cl, cs) for cl, cs in classes.values())
-                argmax = {
-                    code
-                    for code, (cl, cs) in classes.items()
-                    if kf_from_shapes(cl, cs) == best
-                }
+                best = max(classes.values())
+                argmax = {code for code, kf in classes.items() if kf == best}
                 checked += 1
                 if not argmax <= members:
                     violations.append(f"n={n} l={l} delta={delta}")

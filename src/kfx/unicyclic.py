@@ -1,16 +1,19 @@
 """Unicyclic decomposition, rooted-tree shapes, and canonical codes.
 
-A *shape* is the label-free form of a rooted tree: a nested tuple whose
-entries are the shapes of the root's subtrees, sorted by their encoded
-byte string. `()` is a single vertex. Shapes double as dictionary keys
-throughout the enumeration machinery.
+A *shape* is the label-free form of a rooted tree, held as its AHU code
+(Aho, Hopcroft & Ullman): a vertex is "(" + its children's codes in
+sorted order + ")", so `b"()"` is a single vertex and a code on k vertices
+is 2k bytes long. `rooted_shapes(k)` is the catalog of all shapes on k
+vertices; it computes each shape's numbers once, as the shape is built,
+and the enumeration reads them from there (`shape_record`).
 
 Labeled trees (the hanging trees of an input graph, or a whole input
-tree) never become shapes. `orient` turns one into a parents-first list of
-parent positions, and `tree_stats` and `tree_code` fold that list bottom-up
-into the same statistics and codes that `shape_stats` and `shape_code`
-give the corresponding shape. No step recurses, so tree depth is not
-limited by the interpreter stack.
+tree) never enter the catalog. `orient` turns one into a parents-first
+list of parent positions, and `tree_stats` and `tree_code` fold that list
+bottom-up into the same numbers and codes the catalog holds for its shape;
+`code_parents` goes back from a code to parent positions. No step
+recurses over a tree, so tree depth is not limited by the interpreter
+stack.
 
 Canonical codes are ASCII byte strings: equal codes iff isomorphic
 (within the tree / unicyclic class handled), totally ordered, stable
@@ -20,30 +23,16 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cache
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .errors import NotUnicyclicError
 from .graph import Graph
 
-Shape = tuple  # recursive: tuple of child Shapes
-
-_code_cache: dict[Shape, bytes] = {(): b"()"}
-
-
-def shape_code(shape: Shape) -> bytes:
-    """Nested-parenthesis encoding; children appear in sorted order."""
-    code = _code_cache.get(shape)
-    if code is None:
-        code = b"(" + b"".join(shape_code(c) for c in shape) + b")"
-        _code_cache[shape] = code
-    return code
-
-
-def canon_shape(children: Sequence[Shape]) -> Shape:
-    return tuple(sorted(children, key=shape_code))
-
-
-_stats_cache: dict[Shape, tuple[int, int, int]] = {}
+Shape = bytes  # AHU code of a rooted tree
+# (size, root depth sum, Wiener index, root child count,
+#  largest degree among non-root vertices or 0 if there are none)
+ShapeRecord = tuple[int, int, int, int, int]
 
 
 def _merge(size: int, depth_sum: int, wien: int, cs: int, cd: int, cw: int):
@@ -53,68 +42,47 @@ def _merge(size: int, depth_sum: int, wien: int, cs: int, cd: int, cw: int):
     return size + cs, depth_sum + below, wien + cw + below * size + cs * depth_sum
 
 
-def shape_stats(shape: Shape) -> tuple[int, int, int]:
-    """(size, sum of depths from root, Wiener index) of the rooted tree."""
-    cached = _stats_cache.get(shape)
-    if cached is None:
-        cached = (1, 0, 0)
-        for child in shape:
-            cached = _merge(*cached, *shape_stats(child))
-        _stats_cache[shape] = cached
-    return cached
-
-
-def shape_size(shape: Shape) -> int:
-    return shape_stats(shape)[0]
-
-
-_deg_cache: dict[Shape, tuple[int, int]] = {}
-
-
-def shape_degrees(shape: Shape) -> tuple[int, int]:
-    """(root child count, max degree among non-root vertices; 0 if none)."""
-    cached = _deg_cache.get(shape)
-    if cached is not None:
-        return cached
-    inner = 0
-    for child in shape:
-        c_root, c_inner = shape_degrees(child)
-        inner = max(inner, c_root + 1, c_inner)
-    result = (len(shape), inner)
-    _deg_cache[shape] = result
-    return result
-
-
 def path_shape(k: int) -> Shape:
     """Path on k vertices rooted at one end."""
-    s: Shape = ()
-    for _ in range(k - 1):
-        s = (s,)
-    return s
+    return b"(" * k + b")" * k
 
 
 @cache
-def rooted_shapes(n: int) -> tuple[Shape, ...]:
-    """All rooted trees on n vertices up to isomorphism."""
-    if n == 1:
-        return ((),)
-    out: list[Shape] = []
+def rooted_shapes(n: int) -> Mapping[Shape, ShapeRecord]:
+    """All rooted trees on n vertices up to isomorphism: code -> record.
 
-    def extend(remaining: int, max_size: int, max_idx: int, acc: list[Shape]) -> None:
+    Codes come in a fixed order, and each record is folded from its
+    children's records when the code is built. The mapping is read-only,
+    since every caller shares it.
+    """
+    if n == 1:
+        return MappingProxyType({b"()": (1, 0, 0, 0, 0)})
+    pools = [()] + [tuple(rooted_shapes(s).items()) for s in range(1, n)]
+    out: dict[Shape, ShapeRecord] = {}
+
+    def extend(remaining: int, max_size: int, max_idx: int, acc: list[tuple]) -> None:
         if remaining == 0:
-            out.append(canon_shape(acc))
+            size, depth_sum, wien, inner = 1, 0, 0, 0
+            for _, (cs, cd, cw, c_root, c_inner) in acc:
+                size, depth_sum, wien = _merge(size, depth_sum, wien, cs, cd, cw)
+                inner = max(inner, c_root + 1, c_inner)
+            code = b"(" + b"".join(sorted(c for c, _ in acc)) + b")"
+            out[code] = (size, depth_sum, wien, len(acc), inner)
             return
-        top = min(remaining, max_size)
-        for s in range(top, 0, -1):
-            pool = rooted_shapes(s)
-            start = max_idx if s == max_size else 0
-            for idx in range(start, len(pool)):
+        for s in range(min(remaining, max_size), 0, -1):
+            pool = pools[s]
+            for idx in range(max_idx if s == max_size else 0, len(pool)):
                 acc.append(pool[idx])
                 extend(remaining - s, s, idx, acc)
                 acc.pop()
 
     extend(n - 1, n - 1, 0, [])
-    return tuple(out)
+    return MappingProxyType(out)
+
+
+def shape_record(shape: Shape) -> ShapeRecord:
+    """The catalog record of a shape (its size is half its code length)."""
+    return rooted_shapes(len(shape) // 2)[shape]
 
 
 def orient(
@@ -139,7 +107,8 @@ def orient(
 
 
 def tree_stats(parent: Sequence[int]) -> tuple[int, int, int]:
-    """`shape_stats` of the tree given by parent positions, parents first."""
+    """(size, root depth sum, Wiener index) of the tree given by parent
+    positions, parents first."""
     stats = [(1, 0, 0)] * len(parent)
     for k in range(len(parent) - 1, 0, -1):
         p = parent[k]
@@ -147,9 +116,8 @@ def tree_stats(parent: Sequence[int]) -> tuple[int, int, int]:
     return stats[0]
 
 
-def tree_code(parent: Sequence[int]) -> bytes:
-    """`shape_code` of the tree given by parent positions, parents first
-    (AHU: a vertex's code wraps its children's codes in sorted order)."""
+def tree_code(parent: Sequence[int]) -> Shape:
+    """AHU code of the tree given by parent positions, parents first."""
     kids: list[list[bytes]] = [[] for _ in parent]
     for k in range(len(parent) - 1, 0, -1):
         codes = kids[k]
@@ -158,6 +126,20 @@ def tree_code(parent: Sequence[int]) -> bytes:
     codes = kids[0]
     codes.sort()
     return b"(" + b"".join(codes) + b")"
+
+
+def code_parents(code: Shape) -> list[int]:
+    """Parent positions, in preorder, of the tree with AHU code `code`
+    (-1 for the root); the inverse of `tree_code`."""
+    parent: list[int] = []
+    open_at: list[int] = []  # positions of the vertices not yet closed
+    for byte in code:
+        if byte == 40:  # "("
+            parent.append(open_at[-1] if open_at else -1)
+            open_at.append(len(parent) - 1)
+        else:
+            open_at.pop()
+    return parent
 
 
 class UnicyclicRepr:
@@ -300,20 +282,14 @@ def unicyclic_from_shapes(l: int, shapes: Sequence[Shape]) -> UnicyclicRepr:
     """Build the standard-numbered representative for an l-tuple of shapes."""
     if len(shapes) != l:
         raise ValueError("need exactly one shape per cycle vertex")
-    children: dict[int, tuple[int, ...]] = {}
-    counter = l
+    children: dict[int, list[int]] = {}
+    nxt = l
     for i, shape in enumerate(shapes):
-        stack = [(i, shape)]
-        while stack:
-            v, s = stack.pop()
-            if not s:
-                continue
-            kids = []
-            for child in s:
-                kids.append(counter)
-                counter += 1
-            children[v] = tuple(kids)
-            stack.extend(zip(children[v], s))
+        parent = code_parents(shape)
+        label = [i, *range(nxt, nxt + len(parent) - 1)]
+        nxt += len(parent) - 1
+        for k in range(1, len(parent)):
+            children.setdefault(label[parent[k]], []).append(label[k])
     return UnicyclicRepr(range(l), children)
 
 
@@ -331,8 +307,7 @@ def dihedral_min(codes: Sequence[bytes]) -> tuple[bytes, ...]:
 
 
 def canonical_code_from_shapes(l: int, shapes: Sequence[Shape]) -> bytes:
-    codes = [shape_code(s) for s in shapes]
-    return b"%d:" % l + b"".join(dihedral_min(codes))
+    return b"%d:" % l + b"".join(dihedral_min(shapes))
 
 
 def canonical_code(u: UnicyclicRepr) -> bytes:

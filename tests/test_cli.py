@@ -223,3 +223,13 @@ def test_compute_vertex_uses_requested_engine(capsys, tmp_path, monkeypatch):
     )
     assert code == 0, err
     assert json.loads(out)["kf_v0"] == "4/1"
+
+
+@pytest.mark.parametrize("extra", [["--vertex", "5"], ["--vertex", "-1", "--engine", "oracle"]])
+def test_compute_vertex_out_of_range_is_invalid_input(capsys, tmp_path, extra):
+    path = tmp_path / "c5.edges"
+    path.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
+    code, out, err = run(capsys, "compute", "--input", str(path), *extra)
+    assert code == 3
+    assert out == ""
+    assert "not in graph" in err and "internal" not in err

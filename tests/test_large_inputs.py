@@ -2,7 +2,7 @@
 
 Each test starts with the call that a recursive tree walk would break, so
 a regression fails fast with RecursionError rather than after slower
-checks. Input graphs must not grow the shape caches, which only
+checks. Input graphs must not grow the shape catalog, which only
 enumeration fills.
 """
 import json
@@ -21,7 +21,7 @@ N = 5000
 
 
 def cache_sizes():
-    return (len(unicyclic._code_cache), len(unicyclic._stats_cache), len(unicyclic._deg_cache))
+    return unicyclic.rooted_shapes.cache_info().currsize
 
 
 def test_p3_extremal_with_long_tail():

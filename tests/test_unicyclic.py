@@ -5,16 +5,17 @@ import pytest
 from kfx.errors import NotConnectedError, NotUnicyclicError
 from kfx.families import make_cycle, make_p_n_l, make_s_n_l
 from kfx.graph import Graph
-from kfx.search import unicyclic_classes
+from kfx.search import _rooted_tree_counts, shape_to_tree, unicyclic_classes
 from kfx.unicyclic import (
     canonical_code,
+    code_parents,
     decompose_unicyclic,
     path_shape,
     rooted_shapes,
-    shape_code,
-    shape_degrees,
-    shape_stats,
+    shape_record,
     tree_canonical_code,
+    tree_code,
+    tree_stats,
     unicyclic_from_shapes,
 )
 
@@ -104,22 +105,43 @@ def test_rooted_shape_counts():
     assert [len(rooted_shapes(k)) for k in range(1, 8)] == [1, 1, 2, 4, 9, 20, 48]
 
 
+def test_rooted_shape_counts_to_12():
+    # OEIS A000081
+    r = _rooted_tree_counts(12)
+    assert [len(rooted_shapes(k)) for k in range(1, 13)] == r[1:]
+
+
+def test_catalog_codes_parse_back():
+    for k in range(1, 11):
+        for code in rooted_shapes(k):
+            assert len(code) == 2 * k
+            assert tree_code(code_parents(code)) == code
+
+
+def test_catalog_records_match_labeled_trees():
+    for k in range(1, 11):
+        for code, record in rooted_shapes(k).items():
+            assert record[:3] == tree_stats(code_parents(code))
+            t = shape_to_tree(code)
+            inner = max((t.degree(v) for v in range(1, t.n)), default=0)
+            assert record[3:] == (t.degree(0), inner)
+
+
 def test_shape_stats_and_degrees():
-    star = ((), (), ())
-    assert shape_stats(star) == (4, 3, 9)
+    star = b"(()()())"
+    assert shape_record(star)[:3] == (4, 3, 9)
     chain = path_shape(4)
-    assert shape_stats(chain) == (4, 6, 10)
-    assert shape_degrees(star) == (3, 1)
-    assert shape_degrees(chain) == (1, 2)
+    assert shape_record(chain)[:3] == (4, 6, 10)
+    assert shape_record(star)[3:] == (3, 1)
+    assert shape_record(chain)[3:] == (1, 2)
 
 
-def test_canon_shape_orders_children_deterministically():
-    from kfx.unicyclic import canon_shape
-
-    a = canon_shape(((), ((),)))
-    b = canon_shape((((),), ()))
-    assert a == b
-    assert shape_code(a) == shape_code(b)
+def test_child_order_does_not_change_the_code():
+    # root 0 with children 1 = leaf and 2 = (child 3), listed both ways
+    a = tree_code([-1, 0, 0, 2])
+    b = tree_code([-1, 0, 0, 1])
+    assert a == b == b"((())())"
+    assert a in rooted_shapes(4)
 
 
 def test_tree_canonical_code_invariance():
