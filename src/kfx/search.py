@@ -1,22 +1,26 @@
 """Isomorphism-free enumeration of unicyclic graphs and trees, plus the
 extremal verification and conjecture-probing machinery built on it.
 
-Enumeration works directly in decomposition space: for each cycle length
-l, every l-tuple of rooted-tree shapes (AHU codes from the shape catalog)
-with sizes summing to n is assembled and deduplicated by canonical code.
-The space partitions into independent work units by (l, size
-composition), which is also the multiprocessing boundary; merged results
-are deterministic regardless of worker count.
+Enumeration works directly in decomposition space: a unicyclic graph is
+its cycle length l and the l-tuple of rooted-tree shapes (AHU codes from
+the shape catalog) hanging from the cycle. Each class is generated once,
+as its canonical tuple, the least of the tuple's l rotations and l
+reflections, so nothing is deduplicated. The space partitions into
+disjoint work units by (l, size of the first tree), which is also the
+multiprocessing boundary; results are deterministic regardless of worker
+count.
 """
 from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_left
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import combinations
 from multiprocessing import Pool
-from typing import Iterable
 
 from .errors import CapExceededError, ParameterError
 from .families import make_p3_extremal, make_p_family_member, make_t_n_delta
@@ -33,7 +37,6 @@ from .unicyclic import (
     Shape,
     UnicyclicRepr,
     canonical_code,
-    canonical_code_from_shapes,
     code_parents,
     decompose_unicyclic,
     path_shape,
@@ -51,16 +54,6 @@ ClassMap = dict[bytes, tuple[int, tuple[Shape, ...]]]
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _compositions(total: int, parts: int):
-    """Ordered compositions of `total` into `parts` positive parts."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _hanging_degree(shape: Shape) -> int:
     """Largest graph degree in a hanging tree: its root sits on the cycle,
     so the root's degree is its child count + 2."""
@@ -68,40 +61,101 @@ def _hanging_degree(shape: Shape) -> int:
     return max(root + 2, inner)
 
 
-def _admissible_shapes(size: int, delta: int | None) -> Iterable[Shape]:
-    """Rooted shapes usable as a hanging tree under a max-degree bound."""
-    shapes = rooted_shapes(size)
-    if delta is None:
-        return shapes
-    return tuple(s for s in shapes if _hanging_degree(s) <= delta)
+@lru_cache(maxsize=1)
+def _alphabet(delta: int | None, exact: bool, top: int):
+    """The hanging trees of sizes 1..top allowed under `delta`, in byte
+    order: (codes, their ranks grouped by size, the ranks of the trees of
+    degree exactly `delta`, or None when any tuple qualifies).
 
-
-def _unit_classes(args) -> ClassMap:
-    """All isomorphism classes arising from one (n, l, composition) unit."""
-    l, comp, delta, exact = args
-    pools = [_admissible_shapes(size, delta) for size in comp]
+    Rank order is code order, so comparing rank tuples compares code
+    tuples. Built once per call; forked pool workers inherit it.
+    """
+    codes = sorted(
+        s for k in range(1, top + 1) for s in rooted_shapes(k)
+        if delta is None or _hanging_degree(s) <= delta
+    )
+    by_size: list[list[int]] = [[] for _ in range(top + 1)]
+    for rank, code in enumerate(codes):
+        by_size[len(code) // 2].append(rank)
     hubs = None
     if delta is not None and exact:
         # every admissible tree has degree <= delta, so a tuple's max degree
         # is exactly delta iff one of its trees reaches it
-        hubs = {s for pool in pools for s in pool if _hanging_degree(s) == delta}
-    found: ClassMap = {}
-    for shapes in product(*pools):
-        if hubs is not None and hubs.isdisjoint(shapes):
+        hubs = frozenset(r for r, c in enumerate(codes) if _hanging_degree(c) == delta)
+    return codes, by_size, hubs
+
+
+def _least_rotation(s: list[int]) -> int:
+    """Start of the least rotation of s, in O(len(s)): of two candidate
+    starts i and j that agree for k steps, a mismatch rules out the k + 1
+    starts from the larger one on."""
+    l = len(s)
+    ss = s + s
+    i, j, k = 0, 1, 0
+    while i < l and j < l and k < l:
+        x, y = ss[i + k], ss[j + k]
+        if x == y:
+            k += 1
             continue
-        code = canonical_code_from_shapes(l, shapes)
-        if code not in found:
-            found[code] = (l, shapes)
+        if x > y:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    return min(i, j)
+
+
+def _unit_classes(args) -> list[tuple[bytes, tuple[int, tuple[Shape, ...]]]]:
+    """The classes whose canonical tuple has length l and starts with a tree
+    on `first` vertices; the canonical tuple is the class's representative.
+
+    A canonical tuple is the least of its l rotations and l reflections.
+    Tuples of ranks are grown as prenecklaces (Fredricksen, Kessler &
+    Maiorana): each a[t] >= a[t - p], where p is the period of a[:t], and a
+    larger a[t] makes the prefix aperiodic (p = t + 1). A full tuple is a
+    necklace, least of its rotations, iff p divides l; it is canonical if
+    also no rotation of its reversal is smaller. Each position takes at
+    least one vertex, so sizes are pruned to leave one for every position
+    still open, and the last position takes what is left.
+    """
+    n, l, first, delta, exact, top = args
+    codes, by_size, hubs = _alphabet(delta, exact, top)
+    a = [0] * l
+    found = []
+    # (position, rank, period of the tuple up to it, vertices left after it)
+    stack = [(0, rank, 1, n - first) for rank in by_size[first]]
+    while stack:
+        t, rank, p, left = stack.pop()
+        a[t] = rank
+        t += 1
+        if t < l:
+            low = a[t - p]
+            for k in (left,) if t == l - 1 else range(1, left - l + t + 2):
+                ranks = by_size[k]
+                i = bisect_left(ranks, low)
+                if i < len(ranks) and ranks[i] == low:
+                    stack.append((t, low, p, left - k))
+                    i += 1
+                stack.extend([(t, r, t + 1, left - k) for r in ranks[i:]])
+        elif l % p == 0 and (hubs is None or not hubs.isdisjoint(a)):
+            b = a[::-1]
+            k = _least_rotation(b)
+            if b[k:] + b[:k] >= a:
+                shapes = tuple(map(codes.__getitem__, a))
+                found.append((b"%d:" % l + b"".join(shapes), (l, shapes)))
     return found
 
 
 def _units(n: int, l_filter: int | None):
+    """Work units (l, size of the first tree of the canonical tuple)."""
     ls = [l_filter] if l_filter is not None else range(3, n + 1)
     for l in ls:
         if not 3 <= l <= n:
             continue
-        for comp in _compositions(n, l):
-            yield (l, comp)
+        for first in range(1, n - l + 2):
+            yield (l, first)
 
 
 def unicyclic_classes(
@@ -113,21 +167,26 @@ def unicyclic_classes(
     workers: int = 1,
 ) -> ClassMap:
     """One (l, shapes) representative per isomorphism class, keyed and
-    sorted by canonical code."""
-    if n < 3:
+    sorted by canonical code.
+
+    Each class is generated once, as its canonical tuple: the least of the
+    tuple's rotations and reflections, which is also its key's tree list.
+    Units hold disjoint classes, so results are concatenated as they
+    arrive, and more than `cap` classes raise CapExceededError.
+    """
+    units = list(_units(n, l_filter))
+    if not units:
         return {}
-    args = [(l, comp, delta, exact) for l, comp in _units(n, l_filter)]
-    merged: ClassMap = {}
-    if workers > 1 and len(args) > 1:
-        with Pool(workers) as pool:
-            partials = pool.map(_unit_classes, args, chunksize=max(1, len(args) // (4 * workers)))
-    else:
-        partials = map(_unit_classes, args)
-    for part in partials:
-        merged.update(part)
-        if len(merged) > cap:
-            raise CapExceededError(f"more than {cap} isomorphism classes")
-    return dict(sorted(merged.items()))
+    top = n - min(l for l, _ in units) + 1
+    _alphabet(delta, exact, top)  # before the pool forks
+    args = [(n, l, first, delta, exact, top) for l, first in units]
+    found: list[tuple[bytes, tuple[int, tuple[Shape, ...]]]] = []
+    with Pool(workers) if workers > 1 and len(args) > 1 else nullcontext() as pool:
+        for part in pool.imap(_unit_classes, args) if pool else map(_unit_classes, args):
+            found += part
+            if len(found) > cap:
+                raise CapExceededError(f"more than {cap} isomorphism classes")
+    return dict(sorted(found))
 
 
 def enumerate_unicyclic(

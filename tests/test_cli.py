@@ -233,3 +233,10 @@ def test_compute_vertex_out_of_range_is_invalid_input(capsys, tmp_path, extra):
     assert code == 3
     assert out == ""
     assert "not in graph" in err and "internal" not in err
+
+
+@pytest.mark.parametrize("l", ["1200", "1199"])
+def test_search_long_cycle(capsys, l):
+    code, out, err = run(capsys, "search", "--n", "1200", "--l", l)
+    assert code == 0, err
+    assert json.loads(out)["graph_count"] == 1

@@ -183,3 +183,115 @@ def test_estimated_tuple_count_early_exit_keeps_cap_decisions():
             full = estimated_tuple_count(n, l_max)
             for cap in (0, 10, 10**3, 10**6):
                 assert (estimated_tuple_count(n, l_max, cap) > cap) == (full > cap)
+
+
+# A001429: unlabeled connected unicyclic graphs on n = 3..14 vertices
+A001429 = [1, 2, 5, 13, 33, 89, 240, 657, 1806, 5026, 13999, 39260]
+
+
+def _closed_form_counts(n: int, l: int) -> int:
+    """Unicyclic classes on n vertices with an l-cycle: the coefficient of
+    z^n in Z(D_l) with x_k = R(z^k), R the rooted-tree series (Harary &
+    Palmer). Computed with integer series, scaled by 4l before dividing."""
+    from math import gcd
+
+    from kfx.search import _rooted_tree_counts
+
+    r = _rooted_tree_counts(n)
+
+    def mul(a, b):
+        out = [0] * (n + 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j in range(n + 1 - i):
+                    out[i + j] += ai * b[j]
+        return out
+
+    def x(k, power):  # R(z^k) ** power, truncated after z^n
+        term = [0] * (n + 1)
+        for size in range(1, n // k + 1):
+            term[size * k] = r[size]
+        out = [1] + [0] * n
+        for _ in range(power):
+            out = mul(out, term)
+        return out
+
+    def phi(d):
+        return sum(1 for i in range(1, d + 1) if gcd(i, d) == 1)
+
+    # 4l Z(D_l): rotations give 2 sum_{d | l} phi(d) x_d^(l/d); reflections
+    # give 2l x_1 x_2^((l-1)/2) for odd l, l (x_2^(l/2) + x_1^2 x_2^(l/2-1)) for even l
+    total = 2 * sum(phi(d) * x(d, l // d)[n] for d in range(1, l + 1) if l % d == 0)
+    if l % 2:
+        total += 2 * l * mul(x(1, 1), x(2, (l - 1) // 2))[n]
+    else:
+        total += l * (x(2, l // 2)[n] + mul(x(1, 2), x(2, l // 2 - 1))[n])
+    assert total % (4 * l) == 0
+    return total // (4 * l)
+
+
+def test_class_counts_match_cycle_index_per_cycle_length():
+    for n in range(3, 14):
+        for l in range(3, n + 1):
+            assert len(unicyclic_classes(n, l_filter=l)) == _closed_form_counts(n, l), (n, l)
+    for n, expected in enumerate(A001429, start=3):
+        assert sum(_closed_form_counts(n, l) for l in range(3, n + 1)) == expected
+    assert len(unicyclic_classes(14)) == A001429[-1]
+
+
+def test_degree_filters_match_max_degree_of_every_class():
+    from kfx.unicyclic import unicyclic_from_shapes
+
+    for n in range(3, 12):
+        degree = {
+            code: max_degree(unicyclic_from_shapes(l, shapes).to_graph()[0])
+            for code, (l, shapes) in unicyclic_classes(n).items()
+        }
+        for delta in range(2, n):
+            assert set(unicyclic_classes(n, delta)) == {c for c, d in degree.items() if d == delta}
+            assert set(unicyclic_classes(n, delta, exact=False)) == {
+                c for c, d in degree.items() if d <= delta
+            }
+
+
+def test_representatives_are_canonical_tuples():
+    from kfx.unicyclic import unicyclic_from_shapes
+
+    for args in [(n,) for n in range(3, 11)] + [(11, 4), (12, 3, 5)]:
+        for code, (l, shapes) in unicyclic_classes(*args).items():
+            assert code == b"%d:" % l + b"".join(shapes)
+            assert canonical_code(unicyclic_from_shapes(l, shapes)) == code
+
+
+def test_worker_count_keeps_filtered_items():
+    one = unicyclic_classes(11, 4, l_filter=4)
+    assert list(unicyclic_classes(11, 4, l_filter=4, workers=2).items()) == list(one.items())
+
+
+def test_enumeration_needs_no_dihedral_minimum(monkeypatch):
+    import kfx.search
+    import kfx.unicyclic
+
+    def fail(*args):
+        raise AssertionError("called")
+
+    for module in (kfx.unicyclic, kfx.search):
+        for name in ("dihedral_min", "canonical_code_from_shapes"):
+            monkeypatch.setattr(module, name, fail, raising=False)
+    assert len(unicyclic_classes(9)) == 240
+
+
+def test_long_cycle_enumeration():
+    # 2 + floor(l/2) classes: one tree on 3 vertices (2 shapes), or two
+    # pendant vertices at cycle distance 1..floor(l/2)
+    assert len(unicyclic_classes(600, l_filter=598)) == 301
+
+
+def test_least_rotation_against_all_rotations():
+    from kfx.search import _least_rotation
+
+    rng = random.Random(5)
+    for _ in range(3000):
+        s = [rng.randrange(3) for _ in range(rng.randrange(1, 13))]
+        k = _least_rotation(s)
+        assert s[k:] + s[:k] == min(s[i:] + s[:i] for i in range(len(s))), s
