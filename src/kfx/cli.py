@@ -36,9 +36,9 @@ from .search import (
     DEFAULT_CAP,
     check_lemma_properties,
     engine_equivalence_suite,
-    kf_from_shapes,
     probe_conjecture,
-    unicyclic_classes,
+    unicyclic_extremes,
+    unicyclic_rows,
     verify_theorem,
 )
 
@@ -172,12 +172,14 @@ def cmd_formula(args) -> int:
 
 
 def cmd_search(args) -> int:
-    classes = unicyclic_classes(
-        args.n, args.delta, l_filter=args.l, exact=not args.at_most,
-        cap=args.cap, workers=args.workers,
-    )
-    values = {code: kf_from_shapes(l, shapes) for code, (l, shapes) in classes.items()}
-    if not values:
+    enum = (args.n, args.delta, args.l, not args.at_most, args.cap, args.workers)
+    if args.dump_all:
+        rows = unicyclic_rows(*enum)
+        count = len(rows)
+    else:
+        ext = unicyclic_extremes(*enum)
+        count = ext.count
+    if not count:
         payload = {
             "kind": "search", "n": args.n, "delta": args.delta, "l_filter": args.l,
             "objective": args.objective, "graph_count": 0, "extremal_value": None,
@@ -185,26 +187,25 @@ def cmd_search(args) -> int:
         }
         _write(args, dump_json(payload))
         return EXIT_OK
-    pick = max(values.values()) if args.objective == "max" else min(values.values())
-    arg = sorted(code.decode("ascii") for code, v in values.items() if v == pick)
+    if args.dump_all:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["canonical_code", "cycle_length", "kf"])
+        for code, l, _, num in rows:
+            writer.writerow([code.decode("ascii"), l, rational_str(Fraction(num, l))])
+        _write(args, buf.getvalue())
+        return EXIT_OK
+    pick, arg = (ext.high, ext.high_codes) if args.objective == "max" else (ext.low, ext.low_codes)
     payload = {
         "kind": "search",
         "n": args.n,
         "delta": args.delta,
         "l_filter": args.l,
         "objective": args.objective,
-        "graph_count": len(values),
+        "graph_count": count,
         "extremal_value": rational_str(pick),
         "argext_codes": arg,
     }
-    if args.dump_all:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["canonical_code", "cycle_length", "kf"])
-        for code, (l, _) in classes.items():
-            writer.writerow([code.decode("ascii"), l, rational_str(values[code])])
-        _write(args, buf.getvalue())
-        return EXIT_OK
     _write(args, dump_json(payload))
     return EXIT_OK
 

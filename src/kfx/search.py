@@ -9,6 +9,13 @@ reflections, so nothing is deduplicated. The space partitions into
 disjoint work units by (l, size of the first tree), which is also the
 multiprocessing boundary; results are deterministic regardless of worker
 count.
+
+Each unit computes every class's Kf as it is generated, as the exact
+integer N = l * Kf, and reduces its classes in place: it returns its class
+count and its least and greatest N with the codes reaching them. The
+search, conjecture and theorem paths merge these reductions
+(`unicyclic_extremes`), so their memory does not grow with the class
+count; only `unicyclic_rows` and `unicyclic_classes` list every class.
 """
 from __future__ import annotations
 
@@ -19,8 +26,10 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from multiprocessing import Pool
+from operator import mul
+from typing import NamedTuple
 
 from .errors import CapExceededError, ParameterError
 from .families import make_p3_extremal, make_p_family_member, make_t_n_delta
@@ -62,13 +71,17 @@ def _hanging_degree(shape: Shape) -> int:
 
 
 @lru_cache(maxsize=1)
-def _alphabet(delta: int | None, exact: bool, top: int):
+def _alphabet(n: int, delta: int | None, exact: bool, top: int):
     """The hanging trees of sizes 1..top allowed under `delta`, in byte
     order: (codes, their ranks grouped by size, the ranks of the trees of
-    degree exactly `delta`, or None when any tuple qualifies).
+    degree exactly `delta` or None when any tuple qualifies, and per rank
+    the size s and the term W + (n - s) D that a tree with Wiener index W
+    and root depth sum D adds to Kf on n vertices, as in `kf_from_stats`).
 
     Rank order is code order, so comparing rank tuples compares code
-    tuples. Built once per call; forked pool workers inherit it.
+    tuples. The last code is b"()", the one-vertex tree, whose degree 2 is
+    the least a hanging tree has, so it is allowed whenever any tree is.
+    Built once per call; forked pool workers inherit it.
     """
     codes = sorted(
         s for k in range(1, top + 1) for s in rooted_shapes(k)
@@ -82,7 +95,10 @@ def _alphabet(delta: int | None, exact: bool, top: int):
         # every admissible tree has degree <= delta, so a tuple's max degree
         # is exactly delta iff one of its trees reaches it
         hubs = frozenset(r for r, c in enumerate(codes) if _hanging_degree(c) == delta)
-    return codes, by_size, hubs
+    records = [shape_record(c) for c in codes]
+    sizes = [s for s, _, _, _, _ in records]
+    terms = [w + (n - s) * d for s, d, w, _, _ in records]
+    return codes, by_size, hubs, sizes, terms
 
 
 def _least_rotation(s: list[int]) -> int:
@@ -107,7 +123,24 @@ def _least_rotation(s: list[int]) -> int:
     return min(i, j)
 
 
-def _unit_classes(args) -> list[tuple[bytes, tuple[int, tuple[Shape, ...]]]]:
+Row = tuple[bytes, int, tuple[Shape, ...], int]  # code, l, shapes, N = l * Kf
+
+
+class UnitResult(NamedTuple):
+    """What one work unit found: its cycle length, its class count, the
+    least and greatest Kf numerator N = l * Kf with the codes reaching
+    each, and a (code, l, shapes, N) row per class when rows were asked."""
+
+    l: int
+    count: int
+    low: int | None
+    low_codes: list[bytes]
+    high: int | None
+    high_codes: list[bytes]
+    rows: list[Row]
+
+
+def _unit(args) -> UnitResult:
     """The classes whose canonical tuple has length l and starts with a tree
     on `first` vertices; the canonical tuple is the class's representative.
 
@@ -118,34 +151,94 @@ def _unit_classes(args) -> list[tuple[bytes, tuple[int, tuple[Shape, ...]]]]:
     necklace, least of its rotations, iff p divides l; it is canonical if
     also no rotation of its reversal is smaller. Each position takes at
     least one vertex, so sizes are pruned to leave one for every position
-    still open, and the last position takes what is left.
+    still open. Once the vertices left equal the positions left, each of
+    those positions takes the one-vertex tree, and the tuple is completed
+    at once. More than `cap` classes raise CapExceededError.
+
+    Each kept tuple's Kf is the integer N = l * Kf, the sum that
+    `kf_from_stats` folds, taken over the ranks' sizes s_i and tree terms
+    in a few passes: with prefix sums P_k = s_0 + ... + s_k, the pairs
+    i < j sum s_i s_j (j - i) to sum_k P_k (n - P_k), and s_i s_j (j - i)^2
+    to n sum_i i^2 s_i - (sum_i i s_i)^2. The one-vertex trees of the fill
+    have no tree term, so their part of each sum is in closed form.
     """
-    n, l, first, delta, exact, top = args
-    codes, by_size, hubs = _alphabet(delta, exact, top)
+    n, l, first, delta, exact, top, cap, keep_rows = args
+    codes, by_size, hubs, sizes, terms = _alphabet(n, delta, exact, top)
+    one = len(codes) - 1  # the rank of b"()"
+    ones = [one] * l
+    squares = [i * i for i in range(l)]
+    ends = (l * (l - 1) // 2, l * (l - 1) * (2 * l - 1) // 6)  # sums of i and i^2, i < l
     a = [0] * l
-    found = []
+    count = 0
+    low = high = None
+    lows: list[list[int]] = []
+    highs: list[list[int]] = []
+    rows: list[Row] = []
     # (position, rank, period of the tuple up to it, vertices left after it)
     stack = [(0, rank, 1, n - first) for rank in by_size[first]]
     while stack:
         t, rank, p, left = stack.pop()
         a[t] = rank
         t += 1
-        if t < l:
-            low = a[t - p]
+        if left > l - t:
+            low_rank = a[t - p]
             for k in (left,) if t == l - 1 else range(1, left - l + t + 2):
                 ranks = by_size[k]
-                i = bisect_left(ranks, low)
-                if i < len(ranks) and ranks[i] == low:
-                    stack.append((t, low, p, left - k))
+                i = bisect_left(ranks, low_rank)
+                if i < len(ranks) and ranks[i] == low_rank:
+                    stack.append((t, low_rank, p, left - k))
                     i += 1
                 stack.extend([(t, r, t + 1, left - k) for r in ranks[i:]])
-        elif l % p == 0 and (hubs is None or not hubs.isdisjoint(a)):
-            b = a[::-1]
-            k = _least_rotation(b)
-            if b[k:] + b[:k] >= a:
+            continue
+        if t < l:
+            # `one` is the largest rank: the period survives the fill iff
+            # each filled place matches the one a period back
+            a[t:] = ones[t:]
+            if min(a[t - p:l - p]) < one:
+                p = l
+        if l % p or (hubs is not None and hubs.isdisjoint(a)):
+            continue
+        # a[0] is the least rank, so only rotations of the reversal that
+        # start at a copy of it can be smaller than a
+        b = a[::-1]
+        x = a[0]
+        i = -1
+        for _ in range(b.count(x)):
+            i = b.index(x, i + 1)
+            if b[i:] + b[:i] < a:
+                break
+        else:
+            count += 1
+            if count > cap:
+                raise CapExceededError(f"more than {cap} isomorphism classes")
+            # a[t:] is the fill: m one-vertex trees at positions t..l-1,
+            # whose prefix sums are n - v for v < m
+            m = l - t
+            head = a[:t]
+            s = list(map(sizes.__getitem__, head))
+            prefix = list(accumulate(s))
+            s1 = sum(map(mul, s, range(t))) + ends[0] - t * (t - 1) // 2
+            s2 = sum(map(mul, s, squares)) + ends[1] - t * (t - 1) * (2 * t - 1) // 6
+            num = l * (
+                sum(map(terms.__getitem__, head)) + n * sum(prefix)
+                - sum(map(mul, prefix, prefix)) + m * (m - 1) * (3 * n - 2 * m + 1) // 6
+            ) - n * s2 + s1 * s1
+            if low is None or num < low:
+                low, lows = num, [a[:]]
+            elif num == low:
+                lows.append(a[:])
+            if high is None or num > high:
+                high, highs = num, [a[:]]
+            elif num == high:
+                highs.append(a[:])
+            if keep_rows:
                 shapes = tuple(map(codes.__getitem__, a))
-                found.append((b"%d:" % l + b"".join(shapes), (l, shapes)))
-    return found
+                rows.append((b"%d:" % l + b"".join(shapes), l, shapes, num))
+
+    def key(ranks: list[int]) -> bytes:
+        return b"%d:" % l + b"".join(map(codes.__getitem__, ranks))
+
+    return UnitResult(l, count, low, list(map(key, lows)), high, list(map(key, highs)), rows)
 
 
 def _units(n: int, l_filter: int | None):
@@ -156,6 +249,45 @@ def _units(n: int, l_filter: int | None):
             continue
         for first in range(1, n - l + 2):
             yield (l, first)
+
+
+def _run_units(n, delta, l_filter, exact, cap, workers, keep_rows):
+    """Yield every work unit's result, in unit order; raise
+    CapExceededError once the classes found number more than `cap`."""
+    units = list(_units(n, l_filter))
+    if not units:
+        return
+    top = n - min(l for l, _ in units) + 1
+    # each rooted tree on `top` vertices, hung from one vertex of the
+    # shortest cycle, is a class of its own: a lower bound on the count,
+    # checked before the catalog up to size `top` is built
+    if delta is None and _rooted_tree_counts(top, cap)[-1] > cap:
+        raise CapExceededError(f"more than {cap} isomorphism classes")
+    _alphabet(n, delta, exact, top)  # before the pool forks
+    args = [(n, l, first, delta, exact, top, cap, keep_rows) for l, first in units]
+    total = 0
+    with Pool(workers) if workers > 1 and len(args) > 1 else nullcontext() as pool:
+        for result in pool.imap(_unit, args) if pool else map(_unit, args):
+            total += result.count
+            if total > cap:
+                raise CapExceededError(f"more than {cap} isomorphism classes")
+            yield result
+
+
+def unicyclic_rows(
+    n: int,
+    delta: int | None = None,
+    l_filter: int | None = None,
+    exact: bool = True,
+    cap: int = DEFAULT_CAP,
+    workers: int = 1,
+) -> list[Row]:
+    """A (code, l, shapes, N = l * Kf) row per isomorphism class, sorted by
+    canonical code; the shapes are the class's canonical tuple."""
+    rows = [row for result in _run_units(n, delta, l_filter, exact, cap, workers, True)
+            for row in result.rows]
+    rows.sort()
+    return rows
 
 
 def unicyclic_classes(
@@ -171,22 +303,65 @@ def unicyclic_classes(
 
     Each class is generated once, as its canonical tuple: the least of the
     tuple's rotations and reflections, which is also its key's tree list.
-    Units hold disjoint classes, so results are concatenated as they
-    arrive, and more than `cap` classes raise CapExceededError.
+    Units hold disjoint classes, so their rows are concatenated as they
+    arrive. More than `cap` classes raise CapExceededError; without
+    `delta`, so do runs whose count is known to pass the cap before any
+    tree catalog is built.
     """
-    units = list(_units(n, l_filter))
-    if not units:
-        return {}
-    top = n - min(l for l, _ in units) + 1
-    _alphabet(delta, exact, top)  # before the pool forks
-    args = [(n, l, first, delta, exact, top) for l, first in units]
-    found: list[tuple[bytes, tuple[int, tuple[Shape, ...]]]] = []
-    with Pool(workers) if workers > 1 and len(args) > 1 else nullcontext() as pool:
-        for part in pool.imap(_unit_classes, args) if pool else map(_unit_classes, args):
-            found += part
-            if len(found) > cap:
-                raise CapExceededError(f"more than {cap} isomorphism classes")
-    return dict(sorted(found))
+    return {code: (l, shapes) for code, l, shapes, _ in unicyclic_rows(
+        n, delta, l_filter, exact, cap, workers)}
+
+
+class Extremes(NamedTuple):
+    """A class count with the least and greatest Kf over those classes and
+    the sorted codes reaching each (None and [] when there is no class)."""
+
+    count: int
+    low: Fraction | None
+    low_codes: list[str]
+    high: Fraction | None
+    high_codes: list[str]
+
+
+def _merge(results) -> Extremes:
+    """Fold work-unit results into one Extremes; units of different cycle
+    lengths compare their numerators as Kf = N / l."""
+    count = 0
+    low = high = None
+    lows: list[bytes] = []
+    highs: list[bytes] = []
+    for r in results:
+        if not r.count:
+            continue
+        count += r.count
+        kf = Fraction(r.low, r.l)
+        if low is None or kf < low:
+            low, lows = kf, list(r.low_codes)
+        elif kf == low:
+            lows += r.low_codes
+        kf = Fraction(r.high, r.l)
+        if high is None or kf > high:
+            high, highs = kf, list(r.high_codes)
+        elif kf == high:
+            highs += r.high_codes
+    return Extremes(
+        count, low, sorted(c.decode("ascii") for c in lows),
+        high, sorted(c.decode("ascii") for c in highs),
+    )
+
+
+def unicyclic_extremes(
+    n: int,
+    delta: int | None = None,
+    l_filter: int | None = None,
+    exact: bool = True,
+    cap: int = DEFAULT_CAP,
+    workers: int = 1,
+) -> Extremes:
+    """The class count and the least and greatest Kf of the classes
+    `unicyclic_classes` would list, with their codes. Each work unit
+    reduces its own classes, so no class map is built."""
+    return _merge(_run_units(n, delta, l_filter, exact, cap, workers, False))
 
 
 def enumerate_unicyclic(
@@ -391,20 +566,18 @@ def verify_theorem(
             notes=["parameter space beyond the enumeration cap; compared the"
                    " constructed extremal graph against the closed-form bound"],
         )
-    classes = unicyclic_classes(n, delta, cap=cap, workers=workers)
-    in_scope = {c: v for c, v in classes.items() if v[0] <= l_max}
-    best: Fraction | None = None
-    arg: list[str] = []
-    for code, (l, shapes) in in_scope.items():
-        kf = kf_from_shapes(l, shapes)
-        if best is None or kf > best:
-            best, arg = kf, [code.decode("ascii")]
-        elif kf == best:
-            arg.append(code.decode("ascii"))
-    notes = []
-    for code, (l, shapes) in classes.items():
-        if l > l_max and best is not None and kf_from_shapes(l, shapes) > best:
-            notes.append(f"out-of-hypothesis graph (l={l}) exceeds the bound: {code.decode('ascii')}")
+    results = list(_run_units(n, delta, None, True, cap, workers, False))
+    inside = _merge(r for r in results if r.l <= l_max)
+    best, arg = inside.high, inside.high_codes
+    # no class past l_max has max degree delta, so these units are empty;
+    # one that reaches past the bound would be listed class by class
+    over = {r.l for r in results
+            if r.l > l_max and r.count and best is not None and Fraction(r.high, r.l) > best}
+    notes = [
+        f"out-of-hypothesis graph (l={l}) exceeds the bound: {code.decode('ascii')}"
+        for code, l, _, num in sorted(row for l in over for row in unicyclic_rows(n, delta, l, cap=cap))
+        if Fraction(num, l) > best
+    ]
     verdict = (
         "match"
         if best == bound and arg == [expected_code]
@@ -416,9 +589,9 @@ def verify_theorem(
         delta=delta,
         objective="max",
         mode="enumerated",
-        graph_count=len(in_scope),
+        graph_count=inside.count,
         extremal_value=best,
-        argext_codes=sorted(arg),
+        argext_codes=arg,
         formula_value=bound,
         verdict=verdict,
         expected_code=expected_code,
@@ -442,15 +615,8 @@ def probe_conjecture(
         raise ParameterError(f"need delta >= 3 and n >= delta+1, got n={n}, delta={delta}")
     if estimated_tuple_count(n, cap=cap) > cap:
         raise CapExceededError(f"estimated enumeration size exceeds cap {cap}")
-    classes = unicyclic_classes(n, delta, cap=cap, workers=workers)
-    best: Fraction | None = None
-    arg: list[str] = []
-    for code, (l, shapes) in classes.items():
-        kf = kf_from_shapes(l, shapes)
-        if best is None or kf < best:
-            best, arg = kf, [code.decode("ascii")]
-        elif kf == best:
-            arg.append(code.decode("ascii"))
+    found = unicyclic_extremes(n, delta, cap=cap, workers=workers)
+    best, arg = found.low, found.low_codes
     branch = conjecture_branch(n, delta)
     notes: list[str] = []
     formula: Fraction | None = None
@@ -472,7 +638,7 @@ def probe_conjecture(
     else:
         verdict = "match" if best == formula else "mismatch"
         if verdict == "mismatch":
-            notes.append(f"brute-force minimum attained by: {', '.join(sorted(arg))}")
+            notes.append(f"brute-force minimum attained by: {', '.join(arg)}")
             # the formula may still hit the minimum at a hub count outside
             # the conjecture's stated range; report that separately
             x = 1
@@ -490,9 +656,9 @@ def probe_conjecture(
         objective="min",
         mode="enumerated",
         branch=branch,
-        graph_count=len(classes),
+        graph_count=found.count,
         extremal_value=best,
-        argext_codes=sorted(arg),
+        argext_codes=arg,
         formula_value=formula,
         verdict=verdict,
         notes=notes,
@@ -530,8 +696,8 @@ def check_lemma_properties(
     kf_by_n: dict[int, dict[tuple[int, int], dict[bytes, Fraction]]] = {}
     for n in range(4, n_max + 1):
         groups = kf_by_n[n] = {}
-        for code, (l, shapes) in unicyclic_classes(n, cap=cap, workers=workers).items():
-            kf = kf_from_shapes(l, shapes)
+        for code, l, shapes, num in unicyclic_rows(n, cap=cap, workers=workers):
+            kf = Fraction(num, l)
             degrees = [_hanging_degree(s) for s in shapes]
             groups.setdefault((max(degrees), l), {})[code] = kf
             for h in _hub_candidates(degrees):

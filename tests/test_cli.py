@@ -240,3 +240,14 @@ def test_search_long_cycle(capsys, l):
     code, out, err = run(capsys, "search", "--n", "1200", "--l", l)
     assert code == 0, err
     assert json.loads(out)["graph_count"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "22", "--cap", "1000"],
+    ["search", "--n", "600", "--l", "300", "--cap", "100"],
+])
+def test_search_refuses_oversized_runs_up_front(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err == f"error: more than {argv[-1]} isomorphism classes\n"

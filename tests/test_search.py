@@ -295,3 +295,83 @@ def test_least_rotation_against_all_rotations():
         s = [rng.randrange(3) for _ in range(rng.randrange(1, 13))]
         k = _least_rotation(s)
         assert s[k:] + s[:k] == min(s[i:] + s[:i] for i in range(len(s))), s
+
+
+def _reference_extremes(classes: dict) -> tuple:
+    """Count, min Kf, its codes, max Kf, its codes, from materialized
+    classes through `kf_from_shapes`."""
+    from kfx.metrics import kf_from_shapes
+
+    kf = {code.decode("ascii"): kf_from_shapes(l, shapes) for code, (l, shapes) in classes.items()}
+    if not kf:
+        return 0, None, [], None, []
+    low, high = min(kf.values()), max(kf.values())
+    return (
+        len(kf),
+        low, sorted(c for c, v in kf.items() if v == low),
+        high, sorted(c for c, v in kf.items() if v == high),
+    )
+
+
+def test_unit_reductions_match_materialized_classes():
+    from kfx.search import unicyclic_extremes
+    from kfx.unicyclic import unicyclic_from_shapes
+
+    for n in range(3, 13):
+        classes = unicyclic_classes(n)
+        degree = {
+            code: max_degree(unicyclic_from_shapes(l, shapes).to_graph()[0])
+            for code, (l, shapes) in classes.items()
+        }
+        filters = [(None, True)] + [(d, e) for d in range(2, n) for e in (True, False)]
+        for delta, exact in filters:
+            for l_filter in [None, *range(3, n + 1)]:
+                kept = {
+                    code: (l, shapes) for code, (l, shapes) in classes.items()
+                    if (l_filter is None or l == l_filter)
+                    and (delta is None or (degree[code] == delta if exact else degree[code] <= delta))
+                }
+                got = unicyclic_extremes(n, delta, l_filter, exact)
+                assert tuple(got) == _reference_extremes(kept), (n, delta, exact, l_filter)
+    for args in [(12,), (12, 4), (11, 4, None, False), (12, None, 5), (10, 3, 6, False)]:
+        one = unicyclic_extremes(*args)
+        assert unicyclic_extremes(*args, workers=2) == one
+        assert tuple(one) == _reference_extremes(unicyclic_classes(*args))
+
+
+def test_class_rows_carry_exact_kf_numerators():
+    from kfx.metrics import kf_from_shapes
+    from kfx.search import unicyclic_rows
+
+    for n in range(3, 12):
+        rows = unicyclic_rows(n)
+        assert [(code, (l, shapes)) for code, l, shapes, _ in rows] == list(unicyclic_classes(n).items())
+        for code, l, shapes, num in rows:
+            assert num == l * kf_from_shapes(l, shapes), code
+
+
+def test_long_cycle_fill_keeps_counts():
+    # as above: 2 + floor(1198/2) classes
+    assert len(unicyclic_classes(1200, l_filter=1198)) == 601
+
+
+def test_cap_is_exact_at_the_class_count():
+    # the up-front bound refuses no run that fits, and the units stop at
+    # the first class past the cap
+    for n in range(3, 12):
+        for l in range(3, n + 1):
+            count = len(unicyclic_classes(n, l_filter=l))
+            assert len(unicyclic_classes(n, l_filter=l, cap=count)) == count
+            with pytest.raises(CapExceededError):
+                unicyclic_classes(n, l_filter=l, cap=count - 1)
+
+
+def test_unit_stops_at_the_cap():
+    from kfx.search import _alphabet, _unit
+
+    # one unit: a rooted tree on 12 vertices hung from a triangle
+    _alphabet(14, None, True, 12)
+    args = (14, 3, 12, None, True, 12)
+    assert _unit(args + (10**9, False)).count == 4766
+    with pytest.raises(CapExceededError, match="more than 5 isomorphism classes"):
+        _unit(args + (5, False))
