@@ -226,15 +226,14 @@ def cmd_verify(args) -> int:
             if rep.verdict != "match":
                 mismatch = True
         payload["theorem"] = reports
+    n_max = args.n_max if args.n_max is not None else 8
     if args.suite in ("engines", "all"):
-        n_max = min(args.n_max if args.n_max is not None else 8, 8)
-        section = engine_equivalence_suite(n_max, args.random, args.seed)
+        section = engine_equivalence_suite(n_max, args.random, args.seed, cap=args.cap)
         payload["engines"] = section
         if section["violations"]:
             mismatch = True
     if args.suite in ("lemmas", "all"):
-        n_max = args.n_max if args.n_max is not None else 8
-        section = check_lemma_properties(min(n_max, 8), cap=args.cap, workers=args.workers)
+        section = check_lemma_properties(n_max, cap=args.cap, workers=args.workers)
         payload["lemmas"] = section
         if not section["ok"]:
             mismatch = True

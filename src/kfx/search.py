@@ -16,6 +16,11 @@ count and its least and greatest N with the codes reaching them. The
 search, conjecture and theorem paths merge these reductions
 (`unicyclic_extremes`), so their memory does not grow with the class
 count; only `unicyclic_rows` and `unicyclic_classes` list every class.
+
+The enumeration cap counts classes. Every run compares one number with
+it, before any tree catalog is built: the exact class count from the
+dihedral cycle index (`class_count`), with the cycle-length filter and
+before any degree filter, so it bounds every degree-filtered run.
 """
 from __future__ import annotations
 
@@ -27,6 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
+from math import gcd
 from multiprocessing import Pool
 from operator import mul
 from typing import NamedTuple
@@ -153,7 +159,7 @@ def _unit(args) -> UnitResult:
     least one vertex, so sizes are pruned to leave one for every position
     still open. Once the vertices left equal the positions left, each of
     those positions takes the one-vertex tree, and the tuple is completed
-    at once. More than `cap` classes raise CapExceededError.
+    at once.
 
     Each kept tuple's Kf is the integer N = l * Kf, the sum that
     `kf_from_stats` folds, taken over the ranks' sizes s_i and tree terms
@@ -162,7 +168,7 @@ def _unit(args) -> UnitResult:
     to n sum_i i^2 s_i - (sum_i i s_i)^2. The one-vertex trees of the fill
     have no tree term, so their part of each sum is in closed form.
     """
-    n, l, first, delta, exact, top, cap, keep_rows = args
+    n, l, first, delta, exact, top, keep_rows = args
     codes, by_size, hubs, sizes, terms = _alphabet(n, delta, exact, top)
     one = len(codes) - 1  # the rank of b"()"
     ones = [one] * l
@@ -209,8 +215,6 @@ def _unit(args) -> UnitResult:
                 break
         else:
             count += 1
-            if count > cap:
-                raise CapExceededError(f"more than {cap} isomorphism classes")
             # a[t:] is the fill: m one-vertex trees at positions t..l-1,
             # whose prefix sums are n - v for v < m
             m = l - t
@@ -241,37 +245,31 @@ def _unit(args) -> UnitResult:
     return UnitResult(l, count, low, list(map(key, lows)), high, list(map(key, highs)), rows)
 
 
-def _units(n: int, l_filter: int | None):
+def _units(n: int, ls: list[int]) -> list[tuple[int, int]]:
     """Work units (l, size of the first tree of the canonical tuple)."""
-    ls = [l_filter] if l_filter is not None else range(3, n + 1)
-    for l in ls:
-        if not 3 <= l <= n:
-            continue
-        for first in range(1, n - l + 2):
-            yield (l, first)
+    return [(l, first) for l in ls for first in range(1, n - l + 2)]
 
 
 def _run_units(n, delta, l_filter, exact, cap, workers, keep_rows):
-    """Yield every work unit's result, in unit order; raise
-    CapExceededError once the classes found number more than `cap`."""
-    units = list(_units(n, l_filter))
-    if not units:
-        return
-    top = n - min(l for l, _ in units) + 1
-    # each rooted tree on `top` vertices, hung from one vertex of the
-    # shortest cycle, is a class of its own: a lower bound on the count,
-    # checked before the catalog up to size `top` is built
-    if delta is None and _rooted_tree_counts(top, cap)[-1] > cap:
+    """Yield every work unit's result, in unit order.
+
+    The run's class count, before any degree filter, is compared with `cap`
+    once, before any catalog is built: more classes raise CapExceededError.
+    With a degree filter the count is an upper bound, so nothing later can
+    pass the cap.
+    """
+    if class_count(n, l_filter, cap) > cap:
         raise CapExceededError(f"more than {cap} isomorphism classes")
+    # no class of max degree exactly delta has l > n - delta + 2 (`verify_theorem`)
+    l_max = min(n, n - delta + 2) if delta is not None and exact else n
+    ls = [l for l in ([l_filter] if l_filter is not None else range(3, n + 1)) if 3 <= l <= l_max]
+    if not ls:
+        return
+    top = n - ls[0] + 1
     _alphabet(n, delta, exact, top)  # before the pool forks
-    args = [(n, l, first, delta, exact, top, cap, keep_rows) for l, first in units]
-    total = 0
+    args = [(n, l, first, delta, exact, top, keep_rows) for l, first in _units(n, ls)]
     with Pool(workers) if workers > 1 and len(args) > 1 else nullcontext() as pool:
-        for result in pool.imap(_unit, args) if pool else map(_unit, args):
-            total += result.count
-            if total > cap:
-                raise CapExceededError(f"more than {cap} isomorphism classes")
-            yield result
+        yield from pool.imap(_unit, args) if pool else map(_unit, args)
 
 
 def unicyclic_rows(
@@ -304,9 +302,9 @@ def unicyclic_classes(
     Each class is generated once, as its canonical tuple: the least of the
     tuple's rotations and reflections, which is also its key's tree list.
     Units hold disjoint classes, so their rows are concatenated as they
-    arrive. More than `cap` classes raise CapExceededError; without
-    `delta`, so do runs whose count is known to pass the cap before any
-    tree catalog is built.
+    arrive. Runs with more than `cap` classes before the degree filter
+    (`class_count(n, l_filter)`) raise CapExceededError before any tree
+    catalog is built.
     """
     return {code: (l, shapes) for code, l, shapes, _ in unicyclic_rows(
         n, delta, l_filter, exact, cap, workers)}
@@ -434,7 +432,7 @@ def random_unicyclic(n: int, rng: random.Random) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# size estimation, for the enumerate-vs-formula-only decision
+# size: the one class count that every enumeration is checked against
 
 def _rooted_tree_counts(n: int, cap: int | None = None) -> list[int]:
     """r[k] = number of rooted trees on k vertices (r[0] = 0).
@@ -455,37 +453,54 @@ def _rooted_tree_counts(n: int, cap: int | None = None) -> list[int]:
     return r
 
 
-def estimated_tuple_count(n: int, l_max: int | None = None, cap: int | None = None) -> int:
-    """Upper bound on enumeration work: labeled-position shape tuples.
+def _power(q: list[int], j: int, deg: int) -> list[int]:
+    """Q^j up to z^deg, for a series with q[0] = 1 (J. C. P. Miller's
+    recurrence k p_k = sum_i ((j + 1) i - k) q_i p_{k-i}; each division is
+    exact)."""
+    p = [1] + [0] * deg
+    for k in range(1, deg + 1):
+        p[k] = sum(((j + 1) * i - k) * q[i] * p[k - i] for i in range(1, k + 1)) // k
+    return p
 
-    Sums the coefficient of z^n in R(z)^l over cycle lengths l, where R
-    generates rooted trees by size. Stops early once `cap` is exceeded.
+
+def class_count(n: int, l_filter: int | None = None, cap: int | None = None) -> int:
+    """The number of unicyclic classes on n vertices, with an `l_filter`
+    cycle when given: the coefficient of z^n in the dihedral cycle index
+    Z(D_l) with x_k = R(z^k), R the rooted-tree series (Harary & Palmer,
+    *Graphical Enumeration*), summed over the cycle lengths l.
+
+    Every term of Z(D_l) is z^l times a product of Q(z^k) = R(z^k) / z^k,
+    so only degrees up to n - l are needed. With `cap`, a count past it
+    returns as soon as it is settled: when r[n - l_min + 1] passes the cap
+    (each of those rooted trees, hung from one vertex of the shortest
+    cycle, is a class of its own), or when the running sum does.
     """
-    top = n if l_max is None else min(l_max, n)
-    if cap is not None and top >= 3:
-        # r[k] does not decrease with k, and the triangles with trees of
-        # sizes (n-2, 1, 1) alone give r[n-2] tuples: an r[k] past the cap
-        # at some k <= n-2 settles the answer without the O(n^3) count
-        r = _rooted_tree_counts(n - 2, cap)
-        if r[-1] > cap:
-            return r[-1]
-    r = _rooted_tree_counts(n)
-    conv = [0] * (n + 1)
-    conv[0] = 1
+    ls = [l for l in ([l_filter] if l_filter is not None else range(3, n + 1)) if 3 <= l <= n]
+    if not ls:
+        return 0
+    r = _rooted_tree_counts(n - ls[0] + 1, cap)
+    if cap is not None and r[-1] > cap:
+        return r[-1]
+    q = r[1:]
     total = 0
-    for l in range(1, top + 1):
-        nxt = [0] * (n + 1)
-        for i in range(n):
-            if conv[i]:
-                ci = conv[i]
-                for k in range(1, n - i + 1):
-                    if r[k]:
-                        nxt[i + k] += ci * r[k]
-        conv = nxt
-        if l >= 3:
-            total += conv[n]
-            if cap is not None and total > cap:
-                return total
+    for l in ls:
+        m = n - l
+
+        def x(a: list[int], k: int, j: int) -> int:  # [z^m] of a(z) Q(z^k)^j
+            p = _power(q, j, m // k)
+            return sum(a[m - k * i] * p[i] for i in range(m // k + 1) if m - k * i < len(a))
+
+        # 4l Z(D_l): rotations give 2 sum_{d | l} phi(d) x_d^(l/d); reflections
+        # give 2l x_1 x_2^((l-1)/2) for odd l, l (x_2^(l/2) + x_1^2 x_2^(l/2-1)) for even l
+        scaled = 2 * sum(sum(gcd(i, d) == 1 for i in range(d)) * x([1], d, l // d)
+                         for d in range(1, l + 1) if l % d == 0)
+        if l % 2:
+            scaled += 2 * l * x(q, 2, l // 2)
+        else:
+            scaled += l * (x([1], 2, l // 2) + x(_power(q, 2, m), 2, l // 2 - 1))
+        total += scaled // (4 * l)
+        if cap is not None and total > cap:
+            return total
     return total
 
 
@@ -541,43 +556,28 @@ def verify_theorem(
 ) -> ExtremalReport:
     """Check that the Kf maximum over unicyclic graphs with max degree
     exactly `delta` (cycle lengths satisfying n >= l+delta-2) equals the
-    closed-form bound, attained uniquely by the triangle extremal graph."""
+    closed-form bound, attained uniquely by the triangle extremal graph.
+
+    Runs past the enumeration cap compare the constructed extremal graph
+    with the bound instead (formula-only mode)."""
     if delta < 3 or n < delta + 1:
         raise ParameterError(f"need delta >= 3 and n >= delta+1, got n={n}, delta={delta}")
     bound = theorem_bound(n, delta)
     extremal = make_p3_extremal(n, delta)
     expected_code = canonical_code(decompose_unicyclic(extremal)).decode("ascii")
-    l_max = n - delta + 2
-    if estimated_tuple_count(n, cap=cap) > cap:
-        kf = kirchhoff_index(extremal, "structural")
-        verdict = "match" if kf == bound else "mismatch"
-        return ExtremalReport(
-            kind="theorem",
-            n=n,
-            delta=delta,
-            objective="max",
-            mode="formula-only",
-            graph_count=1,
-            extremal_value=kf,
-            argext_codes=[expected_code],
-            formula_value=bound,
-            verdict=verdict,
-            expected_code=expected_code,
-            notes=["parameter space beyond the enumeration cap; compared the"
-                   " constructed extremal graph against the closed-form bound"],
-        )
-    results = list(_run_units(n, delta, None, True, cap, workers, False))
-    inside = _merge(r for r in results if r.l <= l_max)
-    best, arg = inside.high, inside.high_codes
-    # no class past l_max has max degree delta, so these units are empty;
-    # one that reaches past the bound would be listed class by class
-    over = {r.l for r in results
-            if r.l > l_max and r.count and best is not None and Fraction(r.high, r.l) > best}
-    notes = [
-        f"out-of-hypothesis graph (l={l}) exceeds the bound: {code.decode('ascii')}"
-        for code, l, _, num in sorted(row for l in over for row in unicyclic_rows(n, delta, l, cap=cap))
-        if Fraction(num, l) > best
-    ]
+    notes: list[str] = []
+    try:
+        # a hub on the cycle needs delta - 2 tree vertices and one off it
+        # delta + 1, so every class of max degree exactly delta has
+        # l <= n - delta + 2 and lies in the theorem's scope
+        found = unicyclic_extremes(n, delta, cap=cap, workers=workers)
+    except CapExceededError:
+        best = kirchhoff_index(extremal, "structural")
+        mode, count, arg = "formula-only", 1, [expected_code]
+        notes.append("parameter space beyond the enumeration cap; compared the"
+                     " constructed extremal graph against the closed-form bound")
+    else:
+        mode, count, best, arg = "enumerated", found.count, found.high, found.high_codes
     verdict = (
         "match"
         if best == bound and arg == [expected_code]
@@ -588,8 +588,8 @@ def verify_theorem(
         n=n,
         delta=delta,
         objective="max",
-        mode="enumerated",
-        graph_count=inside.count,
+        mode=mode,
+        graph_count=count,
         extremal_value=best,
         argext_codes=arg,
         formula_value=bound,
@@ -613,8 +613,6 @@ def probe_conjecture(
     Mismatches are reported, never suppressed."""
     if delta < 3 or n < delta + 1:
         raise ParameterError(f"need delta >= 3 and n >= delta+1, got n={n}, delta={delta}")
-    if estimated_tuple_count(n, cap=cap) > cap:
-        raise CapExceededError(f"estimated enumeration size exceeds cap {cap}")
     found = unicyclic_extremes(n, delta, cap=cap, workers=workers)
     best, arg = found.low, found.low_codes
     branch = conjecture_branch(n, delta)
@@ -800,7 +798,7 @@ def check_lemma_properties(
 # ---------------------------------------------------------------------------
 # engine cross-validation
 
-def engine_equivalence_suite(n_max: int, samples: int, seed: int) -> dict:
+def engine_equivalence_suite(n_max: int, samples: int, seed: int, cap: int = DEFAULT_CAP) -> dict:
     """Structural vs determinant-oracle resistances on every pair, and
     decomposition-formula Kf vs the pairwise sum; exhaustive over all
     classes up to n_max plus seeded random unicyclic graphs at n = 9..12.
@@ -828,7 +826,7 @@ def engine_equivalence_suite(n_max: int, samples: int, seed: int) -> dict:
             mismatches.append(label)
 
     for n in range(3, n_max + 1):
-        for code, (l, shapes) in unicyclic_classes(n).items():
+        for code, (l, shapes) in unicyclic_classes(n, cap=cap).items():
             g, _ = unicyclic_from_shapes(l, shapes).to_graph()
             check(g, f"n={n} {code.decode('ascii')}")
     rng = random.Random(seed)

@@ -251,3 +251,34 @@ def test_search_refuses_oversized_runs_up_front(capsys, argv):
     assert code == 4
     assert out == ""
     assert err == f"error: more than {argv[-1]} isomorphism classes\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["search", "--n", "20", "--delta", "4", "--cap", "1000"], "more than 1000 isomorphism classes"),
+    (["conjecture", "--n", "19", "--delta", "4"], "more than 5000000 isomorphism classes"),
+])
+def test_cap_is_checked_before_any_catalog(capsys, monkeypatch, argv, message):
+    def no_catalog(*args):
+        raise AssertionError("tree catalog built")
+
+    monkeypatch.delenv("KFX_CAP", raising=False)
+    monkeypatch.setattr("kfx.search._alphabet", no_catalog)
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_verify_n_max_reaches_the_lemma_and_engine_suites(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "lemmas", "--n-max", "12")
+    assert code == 1
+    lemmas = json.loads(out)["lemmas"]
+    assert lemmas["hub_on_cycle_maximizes"]["violations"] == [
+        "n=12 l=5 delta=5", "n=12 l=6 delta=5", "n=12 l=5 delta=6",
+    ]
+    code, out, _ = run(capsys, "verify", "--suite", "engines", "--n-max", "9", "--random", "0")
+    assert code == 0
+    assert json.loads(out)["engines"]["graphs"] == 1 + 2 + 5 + 13 + 33 + 89 + 240
+    code, _, err = run(capsys, "verify", "--suite", "engines", "--n-max", "6", "--cap", "10")
+    assert code == 4
+    assert err == "error: more than 10 isomorphism classes\n"

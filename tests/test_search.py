@@ -10,8 +10,8 @@ from kfx.graph import is_tree, is_unicyclic, max_degree
 from kfx.search import (
     brute_force_unicyclic_codes,
     check_lemma_properties,
+    class_count,
     engine_equivalence_suite,
-    estimated_tuple_count,
     probe_conjecture,
     random_unicyclic,
     tree_classes,
@@ -84,13 +84,6 @@ def test_tree_classes():
     assert set(star) == {tree_canonical_code(make_t_n_delta(7, 6))}
     for t in tree_classes(8).values():
         assert is_tree(t)
-
-
-def test_estimated_tuple_count():
-    # exact tuple counts dominate the class counts
-    for n, expected in UNICYCLIC_COUNTS.items():
-        assert estimated_tuple_count(n) >= expected
-    assert estimated_tuple_count(100, cap=1000) > 1000
 
 
 def test_cap_enforced():
@@ -177,16 +170,9 @@ def test_engine_equivalence_suite_small():
     assert result["seed"] == 123
 
 
-def test_estimated_tuple_count_early_exit_keeps_cap_decisions():
-    for n in range(1, 30):
-        for l_max in (None, 2, 3, 5):
-            full = estimated_tuple_count(n, l_max)
-            for cap in (0, 10, 10**3, 10**6):
-                assert (estimated_tuple_count(n, l_max, cap) > cap) == (full > cap)
-
-
-# A001429: unlabeled connected unicyclic graphs on n = 3..14 vertices
-A001429 = [1, 2, 5, 13, 33, 89, 240, 657, 1806, 5026, 13999, 39260]
+# A001429: unlabeled connected unicyclic graphs on n = 3..20 vertices
+A001429 = [1, 2, 5, 13, 33, 89, 240, 657, 1806, 5026, 13999, 39260, 110381, 311465,
+           880840, 2497405, 7093751, 20187313]
 
 
 def _closed_form_counts(n: int, l: int) -> int:
@@ -234,9 +220,45 @@ def test_class_counts_match_cycle_index_per_cycle_length():
     for n in range(3, 14):
         for l in range(3, n + 1):
             assert len(unicyclic_classes(n, l_filter=l)) == _closed_form_counts(n, l), (n, l)
-    for n, expected in enumerate(A001429, start=3):
+    for n, expected in enumerate(A001429[:12], start=3):
         assert sum(_closed_form_counts(n, l) for l in range(3, n + 1)) == expected
-    assert len(unicyclic_classes(14)) == A001429[-1]
+    assert len(unicyclic_classes(14)) == A001429[11]
+
+
+def test_class_count_matches_the_test_local_cycle_index():
+    for n in range(3, 14):
+        for l in range(3, n + 1):
+            assert class_count(n, l) == _closed_form_counts(n, l), (n, l)
+    assert [class_count(n) for n in range(3, 21)] == A001429
+    assert class_count(2) == class_count(6, 2) == class_count(6, 7) == 0
+
+
+def test_class_count_early_exit_keeps_cap_decisions():
+    for n in range(1, 30):
+        for l_filter in (None, *range(3, n + 1)):
+            full = class_count(n, l_filter)
+            for cap in (0, 10, 10**3, 10**6):
+                assert (class_count(n, l_filter, cap) > cap) == (full > cap), (n, l_filter, cap)
+
+
+def test_cap_counts_classes_before_the_degree_filter():
+    # the cap is the exact class count, whatever delta keeps
+    count = class_count(10)
+    assert probe_conjecture(10, 4, cap=count).graph_count == len(unicyclic_classes(10, 4))
+    with pytest.raises(CapExceededError, match=f"more than {count - 1} isomorphism classes"):
+        probe_conjecture(10, 4, cap=count - 1)
+    assert verify_theorem(10, 4, cap=count).mode == "enumerated"
+    assert verify_theorem(10, 4, cap=count - 1).mode == "formula-only"
+
+
+def test_no_class_of_max_degree_delta_has_a_longer_cycle_than_n_minus_delta_plus_2():
+    from kfx.unicyclic import unicyclic_from_shapes
+
+    for n in range(4, 13):
+        for code, (l, shapes) in unicyclic_classes(n).items():
+            assert l <= n - max_degree(unicyclic_from_shapes(l, shapes).to_graph()[0]) + 2, code
+        for delta in range(3, n):
+            assert all(l <= n - delta + 2 for l, _ in unicyclic_classes(n, delta).values())
 
 
 def test_degree_filters_match_max_degree_of_every_class():
@@ -366,12 +388,20 @@ def test_cap_is_exact_at_the_class_count():
                 unicyclic_classes(n, l_filter=l, cap=count - 1)
 
 
-def test_unit_stops_at_the_cap():
-    from kfx.search import _alphabet, _unit
+def test_hub_on_cycle_fails_to_maximize_at_n_12():
+    # a finding, not a defect: within the pendant-tadpole family the hub at
+    # the cycle junction is beaten by one further down the tail at n = 12,
+    # and the two engines agree on the values
+    from kfx.families import make_p_family_member
+    from kfx.metrics import kirchhoff_index
 
-    # one unit: a rooted tree on 12 vertices hung from a triangle
-    _alphabet(14, None, True, 12)
-    args = (14, 3, 12, None, True, 12)
-    assert _unit(args + (10**9, False)).count == 4766
-    with pytest.raises(CapExceededError, match="more than 5 isomorphism classes"):
-        _unit(args + (5, False))
+    report = check_lemma_properties(12)
+    assert report["ok"] is False
+    assert report["hub_on_cycle_maximizes"]["violations"] == [
+        "n=12 l=5 delta=5", "n=12 l=6 delta=5", "n=12 l=5 delta=6",
+    ]
+    assert all(not section["violations"] for key, section in report.items()
+               if key not in ("ok", "hub_on_cycle_maximizes"))
+    for hub_pos, kf in ((0, 185), (4, 188)):
+        g = make_p_family_member(12, 5, 5, hub_pos)
+        assert kirchhoff_index(g, "structural") == kirchhoff_index(g, "oracle") == kf
