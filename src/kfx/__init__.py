@@ -1,56 +1,9 @@
 """kfx: exact Kirchhoff/Wiener index toolkit for unicyclic graphs.
 
 Exact rational arithmetic throughout (`fractions.Fraction`); no floating
-point enters any computation.
+point enters any computation. The package itself holds only the version;
+import from the submodules (`kfx.metrics`, `kfx.search`, ...), so a
+command loads only the modules it uses.
 """
 
 __version__ = "0.1.0"
-
-from .graph import Graph, max_degree, parse_edge_list, format_edge_list, wiener, wiener_vertex
-from .unicyclic import (
-    UnicyclicRepr,
-    canonical_code,
-    decompose_unicyclic,
-    tree_canonical_code,
-    unicyclic_from_shapes,
-)
-from .metrics import (
-    kf_decomposition,
-    kf_vertex,
-    kirchhoff_index,
-    resistance_oracle,
-    resistance_structural,
-)
-from .families import (
-    FamilyParams,
-    make_conj_min_i,
-    make_conj_min_ii,
-    make_cycle,
-    make_graph_a,
-    make_graph_b,
-    make_p3_extremal,
-    make_p_family_member,
-    make_p_n_l,
-    make_path,
-    make_s_n_l,
-    make_t_n_delta,
-)
-from .formulas import (
-    conj_min_formula_i,
-    conj_min_formula_ii,
-    kf_a_formula,
-    kf_a_minus_b,
-    kf_b_formula,
-    kf_cycle_formula,
-    kfv_cycle_formula,
-    theorem_bound,
-    wiener_broom_formula,
-)
-from .search import (
-    ExtremalReport,
-    check_lemma_properties,
-    enumerate_trees,
-    enumerate_unicyclic,
-    probe_conjecture,
-    verify_theorem,
-)

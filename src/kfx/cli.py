@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import (
+    DEFAULT_CAP,
     CapExceededError,
     EngineMismatchError,
     GraphParseError,
@@ -29,18 +30,11 @@ from .errors import (
     ParameterError,
 )
 from .families import FAMILY_NAMES, FamilyParams
-from .formulas import FORMULAS, kf_b_formula
-from .graph import format_edge_list, max_degree, parse_edge_list, wiener
-from .metrics import kf_vertex, kirchhoff_index
-from .search import (
-    DEFAULT_CAP,
-    check_lemma_properties,
-    engine_equivalence_suite,
-    probe_conjecture,
-    unicyclic_extremes,
-    unicyclic_rows,
-    verify_theorem,
-)
+from .graph import format_edge_list, max_degree, parse_edge_list
+from .metrics import engine_input, kf_vertex, kirchhoff_index, wiener_index
+
+# `formulas` and `search` (which loads `multiprocessing`) are imported in
+# the commands that use them, so `compute` and `family` load neither.
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -129,12 +123,12 @@ def _value_fields(args, name: str, value: Fraction | int) -> dict:
 def cmd_compute(args) -> int:
     g = _read_graph(args.input)
     g.require_connected()
-    kf = kirchhoff_index(g, args.engine)
     record = {"n": g.n, "m": g.m, "max_degree": max_degree(g)}
-    record.update(_value_fields(args, "kf", kf))
-    record["wiener"] = wiener(g)
+    u = engine_input(g, args.engine)  # one decomposition for every field
+    record.update(_value_fields(args, "kf", kirchhoff_index(u, args.engine)))
+    record["wiener"] = wiener_index(u, args.engine)
     if args.vertex is not None:
-        record.update(_value_fields(args, f"kf_v{args.vertex}", kf_vertex(g, args.vertex, args.engine)))
+        record.update(_value_fields(args, f"kf_v{args.vertex}", kf_vertex(u, args.vertex, args.engine)))
     _emit_record(args, record, list(record))
     return EXIT_OK
 
@@ -149,6 +143,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_formula(args) -> int:
+    from .formulas import FORMULAS, kf_b_formula
+
     if args.name not in FORMULAS:
         raise ParameterError(f"unknown formula {args.name!r}; known: {', '.join(FORMULAS)}")
     fn, wanted = FORMULAS[args.name]
@@ -172,6 +168,8 @@ def cmd_formula(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .search import unicyclic_extremes, unicyclic_rows
+
     enum = (args.n, args.delta, args.l, not args.at_most, args.cap, args.workers)
     if args.dump_all:
         rows = unicyclic_rows(*enum)
@@ -211,6 +209,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .search import check_lemma_properties, engine_equivalence_suite, verify_theorem
+
     payload: dict = {"suite": args.suite}
     mismatch = False
     if args.suite in ("theorem", "all"):
@@ -243,6 +243,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    from .search import probe_conjecture
+
     rep = probe_conjecture(args.n, args.delta, cap=args.cap, workers=args.workers)
     _write(args, dump_json(rep.to_dict()))
     return EXIT_MISMATCH if rep.verdict == "mismatch" else EXIT_OK

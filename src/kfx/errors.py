@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all kfx modules."""
+"""Exception hierarchy shared by all kfx modules, and the default cap
+that `CapExceededError` enforces."""
+
+DEFAULT_CAP = 5_000_000  # isomorphism classes one enumeration may produce
 
 
 class KfxError(Exception):

@@ -6,7 +6,7 @@ then pendant vertices. Outputs are byte-reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParameterError
 from .graph import Graph
@@ -26,8 +26,7 @@ FAMILY_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(NamedTuple):
     """Validated parameters for one family member."""
 
     family: str

@@ -15,16 +15,23 @@ Two independent engines compute effective resistances:
   already holds. `resistance_structural` answers single
   pairs, and `kf_vertex` and `resistance_table` are built from it.
 
+The Wiener index W follows the same split (`wiener_index`): on trees and
+unicyclic graphs it comes from the same per-tree pass and one O(l) sum
+over the cycle with cycle distances in place of resistances
+(`wiener_from_stats`); the two cycle sums share their within-tree part.
+The oracle engine and every other graph keep `graph.wiener`, a BFS from
+every vertex, which is also the tests' reference.
+
 Everything is exact: resistances are `fractions.Fraction`, distances are
 plain ints. No floating point anywhere.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import EngineMismatchError, NotConnectedError, ParameterError
-from .graph import Graph, is_tree, is_unicyclic
+from .graph import Graph, is_tree, is_unicyclic, wiener
 from .unicyclic import (
     UnicyclicRepr,
     decompose_unicyclic,
@@ -41,8 +48,11 @@ __all__ = [
     "kirchhoff_index",
     "kf_vertex",
     "kf_decomposition",
+    "engine_input",
     "kf_from_shapes",
     "kf_from_stats",
+    "wiener_index",
+    "wiener_from_stats",
     "PairTable",
     "resistance_table",
 ]
@@ -55,19 +65,36 @@ def det_bareiss(rows: list[list[int]], alongside: list[list[int]] | None = None)
     `alongside` (one per row of M) go through the same Gauss-Jordan steps
     in place and end as adj(M) B, B being their value on entry (unspecified
     if det M = 0); B = I gives the adjugate. `rows` is not modified.
+
+    A column of B joins the elimination at the first step whose pivot row
+    is nonzero in it; until then every step has only scaled it, so it is
+    B's column times the last pivot. Identity column k thus joins at the
+    step that pivots on M's row k, not at step 0.
     """
     n = len(rows)
-    a = [row + extra for row, extra in zip(rows, alongside or [[]] * n)]
+    a = [list(row) for row in rows]
+    at = list(range(n))  # the row of M (and of B) now at each position
+    extra = alongside or []
+    waiting = [True] * (len(extra[0]) if extra else 0)
+    joined: list[int] = []  # columns of B in the order they joined
     sign = prev = 1
     for k in range(n):
         if a[k][k] == 0:
             for r in range(k + 1, n):
                 if a[r][k] != 0:
                     a[k], a[r] = a[r], a[k]
+                    at[k], at[r] = at[r], at[k]
                     sign = -sign
                     break
             else:
                 return 0
+        if extra:
+            new = [j for j, x in enumerate(extra[at[k]]) if x and waiting[j]]
+            for j in new:
+                waiting[j] = False
+            joined += new
+            for row, i in zip(a, at):
+                row += [prev * extra[i][j] for j in new]
         pivot = a[k][k]
         tail = a[k][k + 1:]
         for i, row in enumerate(a):
@@ -76,8 +103,10 @@ def det_bareiss(rows: list[list[int]], alongside: list[list[int]] | None = None)
                 row[k + 1:] = [(pivot * x - c * y) // prev for x, y in zip(row[k + 1:], tail)]
                 row[k] = 0
         prev = pivot
-    for extra, row in zip(alongside or (), a):
-        extra[:] = [sign * x for x in row[n:]]
+    for out, row in zip(extra, a):
+        out[:] = [0] * len(waiting)
+        for j, x in zip(joined, row[n:]):
+            out[j] = sign * x
     return sign * prev
 
 
@@ -158,6 +187,13 @@ def _as_repr(g: Graph | UnicyclicRepr) -> UnicyclicRepr:
     return g if isinstance(g, UnicyclicRepr) else decompose_unicyclic(g)
 
 
+def engine_input(g: Graph | UnicyclicRepr, engine: str = "auto") -> Graph | UnicyclicRepr:
+    """g as `engine` reads it: its cycle/tree decomposition where the
+    unicyclic engine answers, else g itself. Several quantities of one
+    graph then share one decomposition."""
+    return _as_repr(g) if _pick_engine(g, engine) == "unicyclic" else g
+
+
 def kirchhoff_index(g: Graph | UnicyclicRepr, engine: str = "auto") -> Fraction:
     """Sum of resistance distances over all unordered pairs.
 
@@ -166,7 +202,7 @@ def kirchhoff_index(g: Graph | UnicyclicRepr, engine: str = "auto") -> Fraction:
     """
     how = _pick_engine(g, engine)
     if how == "tree":
-        return Fraction(tree_stats(orient(g.adj, 0, [False] * g.n)[1])[2])
+        return Fraction(_tree_wiener(g))
     if how == "unicyclic":
         return kf_decomposition(_as_repr(g))
     tau, adj, _ = _grounded_adjugate(g)  # Kf = (n tr A - 1'A1) / tau
@@ -189,6 +225,20 @@ def kf_vertex(g: Graph | UnicyclicRepr, v: int, engine: str = "auto") -> Fractio
     return Fraction(len(adj) * adj[v][v] + trace - 2 * sum(adj[v]), tau)
 
 
+def _tree_wiener(g: Graph) -> int:
+    """Wiener index of a tree, from one pass over it oriented from vertex 0."""
+    return tree_stats(orient(g.adj, 0, [False] * g.n)[1])[2]
+
+
+def _within_trees(stats) -> int:
+    """sum_i [W_i + (n - s_i) D_i] over the (size s_i, root depth sum
+    D_i, Wiener index W_i) of the trees hanging from a cycle: the pairs
+    inside each tree, plus each cross-tree pair's legs from the two
+    vertices down to their roots. Kf and W share this part."""
+    n = sum(s for s, _, _ in stats)
+    return sum(wien + (n - s) * depth_sum for s, depth_sum, wien in stats)
+
+
 def kf_from_stats(l: int, stats) -> Fraction:
     """Kirchhoff index of a unicyclic graph from the (size s_i, root depth
     sum D_i, Wiener index W_i) of the tree at each of its l cycle positions.
@@ -197,16 +247,52 @@ def kf_from_stats(l: int, stats) -> Fraction:
     with d = j - i. Since d (l - d) = l d - d^2, the cross term is O(l)
     from prefix sums of s_i, i s_i and i^2 s_i over i < j.
     """
-    n = sum(s for s, _, _ in stats)
-    int_part = cross = 0
+    within = _within_trees(stats)
+    cross = 0
     a = b = c = 0  # sum of s_i, i s_i, i^2 s_i over i < j
-    for j, (s, depth_sum, wien) in enumerate(stats):
-        int_part += wien + (n - s) * depth_sum
+    for j, (s, _, _) in enumerate(stats):
         cross += s * (l * (j * a - b) - (j * j * a - 2 * j * b + c))
         a += s
         b += j * s
         c += j * j * s
-    return Fraction(int_part * l + cross, l)
+    return Fraction(within * l + cross, l)
+
+
+def wiener_from_stats(l: int, stats) -> int:
+    """Wiener index of a unicyclic graph from the same per-tree stats as
+    `kf_from_stats`.
+
+    W = sum_i [W_i + (n - s_i) D_i] + sum_{i<j} s_i s_j min(d, l - d)
+    with d = j - i. For each j, the i < j with d <= l // 2 reach it one
+    way round the cycle and the others the other way, so the cross term
+    is O(l) from prefix sums of s_i and i s_i.
+    """
+    within = _within_trees(stats)
+    sizes = [s for s, _, _ in stats]
+    a = list(accumulate(sizes, initial=0))  # a[k]: sum of s_i over i < k
+    b = list(accumulate((i * s for i, s in enumerate(sizes)), initial=0))  # of i s_i
+    half = l // 2
+    cross = 0
+    for j, s in enumerate(sizes):
+        w = max(j - half, 0)  # i in [w, j) lies at d = j - i, i < w at l - d
+        cross += s * (j * (a[j] - a[w]) - (b[j] - b[w]) + (l - j) * a[w] + b[w])
+    return within + cross
+
+
+def wiener_index(g: Graph | UnicyclicRepr, engine: str = "auto") -> int:
+    """Sum of shortest-path distances over all unordered pairs.
+
+    Engines as in `kirchhoff_index`: trees and unicyclic graphs take it
+    from their per-tree stats in O(n); "oracle" and every other graph run
+    `graph.wiener`, a BFS from every vertex.
+    """
+    how = _pick_engine(g, engine)
+    if how == "tree":
+        return _tree_wiener(g)
+    if how == "unicyclic":
+        u = _as_repr(g)
+        return wiener_from_stats(u.l, [tree_stats(p) for p in u.tree_parents])
+    return wiener(g.to_graph()[0] if isinstance(g, UnicyclicRepr) else g)
 
 
 def kf_from_shapes(l: int, shapes) -> Fraction:

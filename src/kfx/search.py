@@ -37,7 +37,7 @@ from multiprocessing import Pool
 from operator import mul
 from typing import NamedTuple
 
-from .errors import CapExceededError, ParameterError
+from .errors import DEFAULT_CAP, CapExceededError, ParameterError
 from .families import make_p3_extremal, make_p_family_member, make_t_n_delta
 from .formulas import (
     conj_ii_x_range,
@@ -46,8 +46,8 @@ from .formulas import (
     theorem_bound,
     wiener_broom_formula,
 )
-from .graph import Graph, max_degree, wiener
-from .metrics import kf_from_shapes, kirchhoff_index
+from .graph import Graph, max_degree
+from .metrics import kf_from_shapes, kirchhoff_index, wiener_index
 from .unicyclic import (
     Shape,
     UnicyclicRepr,
@@ -60,8 +60,6 @@ from .unicyclic import (
     tree_canonical_code,
     unicyclic_from_shapes,
 )
-
-DEFAULT_CAP = 5_000_000
 
 ClassMap = dict[bytes, tuple[int, tuple[Shape, ...]]]
 
@@ -753,8 +751,9 @@ def check_lemma_properties(
             broom = make_t_n_delta(n, delta)
             broom_code = tree_canonical_code(broom)
             target = wiener_broom_formula(n, delta)
-            best = max(wiener(t) for t in trees.values())
-            argmax = {c for c, t in trees.items() if wiener(t) == best}
+            w = {c: wiener_index(t) for c, t in trees.items()}
+            best = max(w.values())
+            argmax = {c for c, v in w.items() if v == best}
             checked += 1
             if best != target or argmax != {broom_code}:
                 violations.append(f"n={n} delta={delta}")

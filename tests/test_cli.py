@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -282,3 +286,39 @@ def test_verify_n_max_reaches_the_lemma_and_engine_suites(capsys):
     code, _, err = run(capsys, "verify", "--suite", "engines", "--n-max", "6", "--cap", "10")
     assert code == 4
     assert err == "error: more than 10 isomorphism classes\n"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs one CLI command in a fresh interpreter and prints, as JSON, the exit
+# code and the modules the command added to sys.modules.
+IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+from kfx.cli import main
+rc = main(sys.argv[1:])
+print(json.dumps({"rc": rc, "added": sorted(set(sys.modules) - before)}))
+"""
+
+
+def modules_added_by(argv, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = tmp_path / "payload"
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *argv, "--output", str(out)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["rc"] == 0, proc.stderr
+    return set(result["added"])
+
+
+def test_compute_and_family_load_no_enumeration_stack(tmp_path):
+    path = tmp_path / "c5.edges"
+    path.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
+    added = modules_added_by(["compute", "--input", str(path)], tmp_path)
+    assert "kfx.metrics" in added
+    assert not added & {"kfx.search", "kfx.formulas", "multiprocessing", "dataclasses"}
+    added = modules_added_by(["family", "--name", "cycle", "--n", "5"], tmp_path)
+    assert "kfx.families" in added
+    assert not added & {"kfx.search", "multiprocessing"}

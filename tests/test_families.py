@@ -144,3 +144,12 @@ def test_family_params_dispatch():
         FamilyParams(family="p3", n=6).build()
     with pytest.raises(ParameterError):
         FamilyParams(family="nope", n=6).build()
+
+
+def test_family_params_is_an_immutable_value():
+    p = FamilyParams(family="p3", n=6, delta=3)
+    assert p == FamilyParams(family="p3", n=6, delta=3) != FamilyParams(family="p3", n=7, delta=3)
+    assert hash(p) == hash(FamilyParams(family="p3", n=6, delta=3))
+    assert repr(p) == "FamilyParams(family='p3', n=6, l=None, delta=3, x=None, hub_pos=None)"
+    with pytest.raises(AttributeError):
+        p.n = 7

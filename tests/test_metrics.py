@@ -16,6 +16,7 @@ from kfx.metrics import (
     resistance_structural,
     resistance_table,
     spanning_tree_count,
+    wiener_index,
 )
 from kfx.search import enumerate_unicyclic, random_unicyclic, tree_classes
 from kfx.unicyclic import UnicyclicRepr, decompose_unicyclic
@@ -47,6 +48,53 @@ def test_bareiss_against_cofactor_expansion():
         assert det_bareiss(m) == naive_det(m)
     assert det_bareiss([[0, 1], [1, 0]]) == -1
     assert det_bareiss([[0, 0], [0, 0]]) == 0
+
+
+def cofactor_adjugate(m):
+    """adj(M)[i][j] = (-1)^(i+j) det of M without row j and column i."""
+    n = len(m)
+    return [
+        [(-1) ** (i + j) * naive_det([[x for c, x in enumerate(row) if c != i]
+                                      for r, row in enumerate(m) if r != j])
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def test_bareiss_adjugate_through_row_swaps():
+    rng = random.Random(17)
+    cases = [[[0, 0, 1], [0, 1, 0], [1, 0, 0]], [[0, 2], [3, 0]]]
+    for _ in range(40):
+        n = rng.randrange(2, 6)
+        m = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+        zeros = rng.randrange(1, n)  # zero leading pivots force row swaps
+        for i in range(zeros):
+            m[i][0] = 0
+        for i in range(rng.randrange(zeros)):
+            m[i][1] = 0
+        m[-1][0] = rng.choice([-3, -1, 2, 5])
+        cases.append(m)
+    checked = 0
+    for m in cases:
+        n = len(m)
+        det = naive_det(m)
+        if det == 0:
+            continue
+        checked += 1
+        adj = cofactor_adjugate(m)
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert det_bareiss(m, eye) == det
+        assert eye == adj
+        width = rng.randrange(1, 4)
+        b = [[rng.randrange(-3, 4) for _ in range(width)] for _ in range(n)]
+        b[0] = [0] * width  # the pivot on M's row 0 brings in no column
+        product = [[sum(adj[i][k] * b[k][j] for k in range(n)) for j in range(width)]
+                   for i in range(n)]
+        assert det_bareiss(m, b) == det
+        assert b == product
+    assert checked >= 25
+    singular = [[0, 1, 2], [0, 2, 4], [1, 0, 1]]
+    assert det_bareiss(singular, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 0
 
 
 def test_spanning_tree_counts():
@@ -293,3 +341,56 @@ def test_engine_names_are_validated_and_honoured(monkeypatch):
     assert resistance_table(path, "structural").get(0, 3) == 3
     with pytest.raises(EngineMismatchError):
         resistance_table(Graph(4, list(combinations(range(4), 2))), "structural")
+
+
+def random_tree(n, rng):
+    """Random labeled tree: each vertex hangs off a random earlier one, then
+    the labels are shuffled."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(v, rng.randrange(v)) for v in range(1, n)]).relabel(perm)
+
+
+def random_unicyclic_with_cycle(n, l, rng):
+    edges = [(i, (i + 1) % l) for i in range(l)]
+    edges += [(v, rng.randrange(v)) for v in range(l, n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, edges).relabel(perm)
+
+
+def test_wiener_index_matches_bfs_on_trees():
+    rng = random.Random(2024)
+    assert wiener_index(Graph(1, [])) == 0
+    assert wiener_index(Graph(2, [(0, 1)])) == 1
+    for n in [1, 2, 3, 4, 7, 12, 40, 111, 300] + [rng.randrange(3, 80) for _ in range(20)]:
+        t = random_tree(n, rng)
+        assert wiener_index(t) == wiener_index(t, "structural") == wiener(t)
+        assert wiener_index(t, "oracle") == wiener(t)
+
+
+def test_wiener_index_matches_bfs_on_unicyclic_graphs():
+    rng = random.Random(7)
+    shapes = [(3, 3), (3, 4), (3, 300), (4, 4), (5, 5), (6, 6), (7, 7), (300, 300), (299, 299)]
+    shapes += [(4, 90), (5, 90), (150, 300), (151, 300), (20, 37), (21, 37)]
+    shapes += [(l, rng.randrange(l, 200)) for l in (rng.randrange(3, 120) for _ in range(20))]
+    for l, n in shapes:
+        g = random_unicyclic_with_cycle(n, l, rng)
+        u = decompose_unicyclic(g)
+        assert u.l == l
+        expected = wiener(g)
+        assert wiener_index(g) == wiener_index(g, "structural") == expected
+        assert wiener_index(u) == wiener_index(u, "oracle") == expected
+        assert wiener_index(g, "oracle") == expected
+    for l in range(3, 12):
+        cycle = make_cycle(l)
+        assert wiener_index(cycle) == wiener(cycle) == (l**3 - l % 2 * l) // 8
+
+
+def test_wiener_index_engines():
+    k4 = Graph(4, list(combinations(range(4), 2)))
+    assert wiener_index(k4) == wiener_index(k4, "oracle") == 6
+    with pytest.raises(EngineMismatchError):
+        wiener_index(k4, "structural")
+    with pytest.raises(ValueError):
+        wiener_index(make_cycle(5), "bogus")
