@@ -8,12 +8,14 @@ Two independent engines compute effective resistances:
   compute --engine oracle` serves connected graphs of a few hundred vertices;
 * the *structural* engine works on trees and unicyclic graphs only, by
   cut-vertex decomposition: tree distances in series with the two
-  parallel cycle arcs. Its Kf is one O(n) pass that gives every hanging
-  tree its (size, root depth sum, Wiener index), then one O(l) sum over
-  the cycle (`kf_from_stats`); the same sum serves enumerated tuples of
-  shape codes (`kf_from_shapes`), whose tree numbers the shape catalog
-  already holds. `resistance_structural` answers single
-  pairs, and `kf_vertex` and `resistance_table` are built from it.
+  parallel cycle arcs. A `UnicyclicRepr` folds every hanging tree once
+  into its (size, root depth sum, Wiener index); Kf is one O(l) sum over
+  the cycle from those (`kf_from_stats`), and the same sum serves
+  enumerated tuples of shape codes (`kf_from_shapes`), whose tree numbers
+  the shape catalog already holds. `kf_vertex` reroots the same numbers
+  at one vertex in O(n) (Klein & Randic, "Resistance distance", 1993).
+  `resistance_structural` answers single pairs from the positions and
+  depths the representation holds, and `resistance_table` is built from it.
 
 The Wiener index W follows the same split (`wiener_index`): on trees and
 unicyclic graphs it comes from the same per-tree pass and one O(l) sum
@@ -31,14 +33,8 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 
 from .errors import EngineMismatchError, NotConnectedError, ParameterError
-from .graph import Graph, is_tree, is_unicyclic, wiener
-from .unicyclic import (
-    UnicyclicRepr,
-    decompose_unicyclic,
-    orient,
-    shape_record,
-    tree_stats,
-)
+from .graph import Graph, is_tree, wiener
+from .unicyclic import UnicyclicRepr, decompose_unicyclic, orient, shape_record, tree_stats
 
 __all__ = [
     "det_bareiss",
@@ -141,11 +137,15 @@ def _grounded_adjugate(g: Graph | UnicyclicRepr):
 
 
 def _pick_engine(g: Graph | UnicyclicRepr, engine: str) -> str:
-    """Validate `engine`; name the one that answers for g: tree, unicyclic, oracle."""
+    """Validate `engine`; name the one that answers for g: tree, unicyclic, oracle.
+
+    A graph with as many edges as vertices goes to the unicyclic engine
+    untested: `decompose_unicyclic` raises NotConnectedError if it is not
+    connected, within the passes it makes anyway."""
     if engine not in ("auto", "oracle", "structural"):
         raise ValueError(f"unknown engine {engine!r}")
     if engine != "oracle":
-        if isinstance(g, UnicyclicRepr) or is_unicyclic(g):
+        if isinstance(g, UnicyclicRepr) or g.m == g.n:
             return "unicyclic"
         if is_tree(g):
             return "tree"
@@ -174,13 +174,21 @@ def resistance_structural(u: UnicyclicRepr, a: int, b: int) -> Fraction:
     """
     if a == b:
         raise ValueError("resistance requires two distinct vertices")
-    if a not in u.tree_index or b not in u.tree_index:
+    if a not in u.position or b not in u.position:
         raise ValueError("vertex not in graph")
-    i, j = u.tree_index[a], u.tree_index[b]
-    if i == j:
-        return Fraction(u.tree_distance(a, b))
-    d = u.cycle_distance(i, j)
-    return u.depth[a] + u.depth[b] + Fraction(d * (u.l - d), u.l)
+    (i, ka), (j, kb) = u.position[a], u.position[b]
+    if i != j:  # d (l - d) is the same either way round the cycle
+        d = abs(i - j)
+        return u.tree_depths[i][ka] + u.tree_depths[j][kb] + Fraction(d * (u.l - d), u.l)
+    # climb from the deeper one until the two meet
+    parent, depth = u.tree_parents[i], u.tree_depths[i]
+    dist = 0
+    while ka != kb:
+        if depth[ka] < depth[kb]:
+            ka, kb = kb, ka
+        ka = parent[ka]
+        dist += 1
+    return Fraction(dist)
 
 
 def _as_repr(g: Graph | UnicyclicRepr) -> UnicyclicRepr:
@@ -210,15 +218,35 @@ def kirchhoff_index(g: Graph | UnicyclicRepr, engine: str = "auto") -> Fraction:
 
 
 def kf_vertex(g: Graph | UnicyclicRepr, v: int, engine: str = "auto") -> Fraction:
-    """Transmission of v: sum of resistances from v to every other vertex."""
-    if v not in (g.tree_index if isinstance(g, UnicyclicRepr) else range(g.n)):
+    """Transmission of v: sum of resistances from v to every other vertex.
+
+    The unicyclic engine reroots the tree stats at v. For v at depth h in
+    tree i (size s_i, root depth sum D_i), with d the cycle distance of
+    trees i and j and sub(u) the size of u's subtree,
+    T(v) = D_i + h s_i - 2 sum sub(u) + (n - s_i) h + sum_{j != i} [D_j + s_j d (l - d) / l],
+    summed over the vertices u on the path from the root to v, root
+    excluded: a step down to u brings s_i - sub(u) vertices of tree i one
+    nearer and sub(u) one farther. It is one O(n) pass, exact over l.
+    """
+    if v not in (g.position if isinstance(g, UnicyclicRepr) else range(g.n)):
         raise ParameterError(f"vertex {v} not in graph")
     how = _pick_engine(g, engine)
     if how == "tree":
         return Fraction(sum(g.bfs_distances(v)))
     if how == "unicyclic":
         u = _as_repr(g)
-        return sum((resistance_structural(u, v, w) for w in u.vertices if w != v), Fraction(0))
+        i, k = u.position[v]
+        parent = u.tree_parents[i]
+        sub = [1] * len(parent)
+        for c in range(len(parent) - 1, 0, -1):
+            sub[parent[c]] += sub[c]
+        # h s_i + (n - s_i) h = h n, and D_i joins the other D_j
+        total = u.tree_depths[i][k] * u.n + sum(d_j for _, d_j, _ in u.tree_stats)
+        while k > 0:
+            total -= 2 * sub[k]
+            k = parent[k]
+        cross = sum(s * abs(i - j) * (u.l - abs(i - j)) for j, (s, _, _) in enumerate(u.tree_stats))
+        return Fraction(total * u.l + cross, u.l)
     tau, adj, at = _grounded_adjugate(g)
     v = at[v]
     trace = sum(row[i] for i, row in enumerate(adj))
@@ -291,7 +319,7 @@ def wiener_index(g: Graph | UnicyclicRepr, engine: str = "auto") -> int:
         return _tree_wiener(g)
     if how == "unicyclic":
         u = _as_repr(g)
-        return wiener_from_stats(u.l, [tree_stats(p) for p in u.tree_parents])
+        return wiener_from_stats(u.l, u.tree_stats)
     return wiener(g.to_graph()[0] if isinstance(g, UnicyclicRepr) else g)
 
 
@@ -303,7 +331,7 @@ def kf_from_shapes(l: int, shapes) -> Fraction:
 
 def kf_decomposition(u: UnicyclicRepr) -> Fraction:
     """Kirchhoff index of a representation from its cycle/tree decomposition."""
-    return kf_from_stats(u.l, [tree_stats(p) for p in u.tree_parents])
+    return kf_from_stats(u.l, u.tree_stats)
 
 
 class PairTable:
@@ -336,7 +364,7 @@ def resistance_table(g: Graph | UnicyclicRepr, engine: str = "auto") -> PairTabl
         return PairTable(range(g.n), {(a, b): Fraction(dist[a][b]) for a, b in pairs})
     if how == "unicyclic":
         u = _as_repr(g)
-        verts = sorted(u.vertices)
+        verts = sorted(u.position)
         pairs = combinations(verts, 2)
         return PairTable(verts, {(a, b): resistance_structural(u, a, b) for a, b in pairs})
     tau, adj, at = _grounded_adjugate(g)

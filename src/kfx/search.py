@@ -50,7 +50,6 @@ from .graph import Graph, max_degree
 from .metrics import kf_from_shapes, kirchhoff_index, wiener_index
 from .unicyclic import (
     Shape,
-    UnicyclicRepr,
     canonical_code,
     code_parents,
     decompose_unicyclic,
@@ -103,28 +102,6 @@ def _alphabet(n: int, delta: int | None, exact: bool, top: int):
     sizes = [s for s, _, _, _, _ in records]
     terms = [w + (n - s) * d for s, d, w, _, _ in records]
     return codes, by_size, hubs, sizes, terms
-
-
-def _least_rotation(s: list[int]) -> int:
-    """Start of the least rotation of s, in O(len(s)): of two candidate
-    starts i and j that agree for k steps, a mismatch rules out the k + 1
-    starts from the larger one on."""
-    l = len(s)
-    ss = s + s
-    i, j, k = 0, 1, 0
-    while i < l and j < l and k < l:
-        x, y = ss[i + k], ss[j + k]
-        if x == y:
-            k += 1
-            continue
-        if x > y:
-            i += k + 1
-        else:
-            j += k + 1
-        if i == j:
-            j += 1
-        k = 0
-    return min(i, j)
 
 
 Row = tuple[bytes, int, tuple[Shape, ...], int]  # code, l, shapes, N = l * Kf

@@ -13,11 +13,19 @@ list of parent positions, and `tree_stats` and `tree_code` fold that list
 bottom-up into the same numbers and codes the catalog holds for its shape;
 `code_parents` goes back from a code to parent positions. No step
 recurses over a tree, so tree depth is not limited by the interpreter
-stack.
+stack, and `tree_code` frees each subtree's code list once it is joined,
+so its memory is linear in the code length.
+
+A unicyclic graph is a `UnicyclicRepr`: its cycle and, per cycle vertex,
+the hanging tree in that positional form, each tree folded once by
+`tree_stats`. `decompose_unicyclic` builds it from `orient`'s output and
+`unicyclic_from_shapes` from `code_parents`'.
 
 Canonical codes are ASCII byte strings: equal codes iff isomorphic
 (within the tree / unicyclic class handled), totally ordered, stable
-across runs.
+across runs. A unicyclic graph's code is its cycle length and the least
+of the l rotations and l reflections of its trees' codes, found as two
+least rotations (`_least_rotation`) in O(l) comparisons.
 """
 from __future__ import annotations
 
@@ -26,7 +34,7 @@ from functools import cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .errors import NotUnicyclicError
+from .errors import NotConnectedError, NotUnicyclicError
 from .graph import Graph
 
 Shape = bytes  # AHU code of a rooted tree
@@ -113,14 +121,16 @@ def tree_stats(parent: Sequence[int]) -> tuple[int, int, int]:
     for k in range(len(parent) - 1, 0, -1):
         p = parent[k]
         stats[p] = _merge(*stats[p], *stats[k])
+        stats[k] = None  # folded into its parent's
     return stats[0]
 
 
 def tree_code(parent: Sequence[int]) -> Shape:
     """AHU code of the tree given by parent positions, parents first."""
-    kids: list[list[bytes]] = [[] for _ in parent]
+    kids: list[list[bytes] | None] = [[] for _ in parent]
     for k in range(len(parent) - 1, 0, -1):
         codes = kids[k]
+        kids[k] = None  # ancestors keep only the joined code, not its parts
         codes.sort()
         kids[parent[k]].append(b"(" + b"".join(codes) + b")")
     codes = kids[0]
@@ -145,94 +155,59 @@ def code_parents(code: Shape) -> list[int]:
 class UnicyclicRepr:
     """A unicyclic graph as its cycle plus one rooted tree per cycle vertex.
 
-    Vertex labels are arbitrary integers (whatever the source graph used);
-    `to_graph` relabels to the standard numbering: cycle vertices 0..l-1 in
-    cycle order, then tree vertices in preorder per tree. `tree_parents[i]`
-    holds, for the preorder `tree_nodes[i]`, each vertex's parent position.
+    Vertex labels are arbitrary integers (whatever the source graph used).
+    Tree i is rooted at `cycle[i]` and held by position: `tree_nodes[i]`
+    lists its vertices parents first, root first, `tree_parents[i]` the
+    position of each one's parent (-1 for the root) and `tree_depths[i]`
+    its depth. `tree_stats[i]` is the tree's (size, root depth sum, Wiener
+    index), folded once here; every structural quantity reads it.
+    `position` maps each label to its (tree, position).
     """
 
-    def __init__(self, cycle: Sequence[int], children: dict[int, Sequence[int]]):
+    def __init__(self, cycle: Sequence[int], trees: Sequence[tuple[Sequence[int], Sequence[int]]]):
         if len(cycle) < 3:
             raise ValueError("cycle length must be >= 3")
+        if len(trees) != len(cycle):
+            raise ValueError("need exactly one tree per cycle vertex")
         self.l = len(cycle)
         self.cycle = tuple(cycle)
-        self.children = children
-        parent: dict[int, int] = {}
-        depth: dict[int, int] = {}
-        tree_index: dict[int, int] = {}
-        tree_nodes: list[tuple[int, ...]] = []
-        tree_parents: list[tuple[int, ...]] = []
-        seen: set[int] = set()
-        for i, root in enumerate(self.cycle):
-            nodes = []
-            positions = []
-            stack = [(root, 0, -1)]
-            while stack:
-                v, d, p = stack.pop()
-                if v in seen:
-                    raise ValueError("trees are not vertex-disjoint")
-                seen.add(v)
-                k = len(nodes)
-                nodes.append(v)
-                positions.append(p)
-                depth[v] = d
-                tree_index[v] = i
-                for c in reversed(children.get(v, ())):
-                    parent[c] = v
-                    stack.append((c, d + 1, k))
-            tree_nodes.append(tuple(nodes))
-            tree_parents.append(tuple(positions))
-        self.parent = parent
-        self.depth = depth
-        self.tree_index = tree_index
-        self.tree_nodes = tuple(tree_nodes)
-        self.tree_parents = tuple(tree_parents)
-        self.n = len(seen)
+        self.tree_nodes = tuple(nodes for nodes, _ in trees)
+        self.tree_parents = tuple(parent for _, parent in trees)
+        self.position: dict[int, tuple[int, int]] = {}
+        depths = []
+        for i, (root, nodes, parent) in enumerate(zip(self.cycle, self.tree_nodes, self.tree_parents)):
+            if nodes[0] != root:
+                raise ValueError(f"tree {i} must list its cycle vertex first")
+            self.position.update((v, (i, k)) for k, v in enumerate(nodes))
+            depth = [0] * len(parent)
+            for k in range(1, len(parent)):
+                depth[k] = depth[parent[k]] + 1
+            depths.append(depth)
+        self.tree_depths = tuple(depths)
+        self.n = sum(map(len, self.tree_nodes))
+        if len(self.position) != self.n:
+            raise ValueError("trees are not vertex-disjoint")
+        self.tree_stats = tuple(map(tree_stats, self.tree_parents))
 
     @property
     def tree_sizes(self) -> tuple[int, ...]:
-        return tuple(len(t) for t in self.tree_nodes)
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(v for t in self.tree_nodes for v in t)
-
-    def cycle_distance(self, i: int, j: int) -> int:
-        d = abs(i - j)
-        return min(d, self.l - d)
-
-    def tree_distance(self, a: int, b: int) -> int:
-        """Distance between two vertices of the same tree."""
-        da, db = self.depth[a], self.depth[b]
-        dist = 0
-        while da > db:
-            a = self.parent[a]
-            da -= 1
-            dist += 1
-        while db > da:
-            b = self.parent[b]
-            db -= 1
-            dist += 1
-        while a != b:
-            a = self.parent[a]
-            b = self.parent[b]
-            dist += 2
-        return dist
+        return tuple(map(len, self.tree_nodes))
 
     def to_graph(self) -> tuple[Graph, dict[int, int]]:
-        """Reassemble with standard numbering; returns (graph, old->new map)."""
-        relabel: dict[int, int] = {}
-        for i, root in enumerate(self.cycle):
-            relabel[root] = i
-        nxt = self.l
-        for nodes in self.tree_nodes:
-            for v in nodes:
-                if v not in relabel:
-                    relabel[v] = nxt
-                    nxt += 1
+        """Reassemble with standard numbering; returns (graph, old->new map).
+
+        Cycle vertices become 0..l-1 in cycle order, then each tree's other
+        vertices follow in the order `tree_nodes` lists them: preorder for
+        `unicyclic_from_shapes`, whose numbering is thus the identity, and
+        `orient`'s breadth-first order for `decompose_unicyclic`. No result
+        depends on that order.
+        """
+        relabel = {root: i for i, root in enumerate(self.cycle)}
         edges = [(i, (i + 1) % self.l) for i in range(self.l)]
-        for v, p in self.parent.items():
-            edges.append((relabel[p], relabel[v]))
+        for nodes, parent in zip(self.tree_nodes, self.tree_parents):
+            for k in range(1, len(nodes)):
+                relabel[nodes[k]] = len(relabel)
+                edges.append((relabel[nodes[parent[k]]], relabel[nodes[k]]))
         return Graph(self.n, edges), relabel
 
     def __repr__(self) -> str:
@@ -240,12 +215,18 @@ class UnicyclicRepr:
 
 
 def decompose_unicyclic(g: Graph) -> UnicyclicRepr:
-    """Split a connected unicyclic graph into cycle + hanging rooted trees."""
+    """Split a connected unicyclic graph into cycle + hanging rooted trees.
+
+    Connectivity is checked inside the passes made anyway: with m = n the
+    graph is connected iff stripping its leaves leaves one cycle, every
+    vertex of degree 2, and the trees hanging from that cycle reach every
+    vertex.
+    """
     if g.n < 3:
         raise NotUnicyclicError(f"n={g.n} < 3 admits no cycle")
     if g.m != g.n:
         raise NotUnicyclicError(f"{g.m} edges on {g.n} vertices: not unicyclic")
-    g.require_connected()
+    disconnected = f"graph on {g.n} vertices is not connected"
     # 2-core by stripping degree-1 vertices; what remains is the unique cycle
     deg = [len(a) for a in g.adj]
     queue = deque(v for v in range(g.n) if deg[v] == 1)
@@ -259,7 +240,10 @@ def decompose_unicyclic(g: Graph) -> UnicyclicRepr:
                 deg[w] -= 1
                 if deg[w] == 1:
                     queue.append(w)
-    start = next(v for v in range(g.n) if on_cycle[v])
+    core = [v for v in range(g.n) if on_cycle[v]]
+    if any(deg[v] != 2 for v in core):  # isolated, or joins two cycles
+        raise NotConnectedError(disconnected)
+    start = core[0]
     cycle = [start]
     prev = -1
     while True:
@@ -270,51 +254,55 @@ def decompose_unicyclic(g: Graph) -> UnicyclicRepr:
         cycle.append(nxt)
     # orient each hanging tree away from the cycle; the other cycle
     # vertices are already marked, so descent never crosses the cycle
-    children: dict[int, list[int]] = {}
-    for root in cycle:
-        order, parent = orient(g.adj, root, on_cycle)
-        for k in range(1, len(order)):
-            children.setdefault(order[parent[k]], []).append(order[k])
-    return UnicyclicRepr(cycle, children)
+    trees = [orient(g.adj, root, on_cycle) for root in cycle]
+    if sum(len(order) for order, _ in trees) != g.n:  # a second cycle
+        raise NotConnectedError(disconnected)
+    return UnicyclicRepr(cycle, trees)
 
 
 def unicyclic_from_shapes(l: int, shapes: Sequence[Shape]) -> UnicyclicRepr:
     """Build the standard-numbered representative for an l-tuple of shapes."""
-    if len(shapes) != l:
-        raise ValueError("need exactly one shape per cycle vertex")
-    children: dict[int, list[int]] = {}
+    trees = []
     nxt = l
     for i, shape in enumerate(shapes):
         parent = code_parents(shape)
-        label = [i, *range(nxt, nxt + len(parent) - 1)]
+        trees.append(([i, *range(nxt, nxt + len(parent) - 1)], parent))
         nxt += len(parent) - 1
-        for k in range(1, len(parent)):
-            children.setdefault(label[parent[k]], []).append(label[k])
-    return UnicyclicRepr(range(l), children)
+    return UnicyclicRepr(range(l), trees)
 
 
-def dihedral_min(codes: Sequence[bytes]) -> tuple[bytes, ...]:
-    """Lexicographic minimum of an l-tuple over rotations and reflections."""
-    l = len(codes)
-    seqs = [tuple(codes), tuple(reversed(codes))]
-    best = None
-    for seq in seqs:
-        for k in range(l):
-            cand = seq[k:] + seq[:k]
-            if best is None or cand < best:
-                best = cand
-    return best
-
-
-def canonical_code_from_shapes(l: int, shapes: Sequence[Shape]) -> bytes:
-    return b"%d:" % l + b"".join(dihedral_min(shapes))
+def _least_rotation(s: list) -> int:
+    """Start of the least rotation of s, in O(len(s)) comparisons: of two
+    candidate starts i and j that agree for k steps, a mismatch rules out
+    the k + 1 starts from the larger one on (Booth, IPL 1980)."""
+    l = len(s)
+    ss = s + s
+    i, j, k = 0, 1, 0
+    while i < l and j < l and k < l:
+        x, y = ss[i + k], ss[j + k]
+        if x == y:
+            k += 1
+            continue
+        if x > y:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    return min(i, j)
 
 
 def canonical_code(u: UnicyclicRepr) -> bytes:
     """Isomorphism-invariant code: minimal over tree relabelings and the
-    2l dihedral symmetries of the cycle."""
+    2l dihedral symmetries of the cycle, that is the lesser of the least
+    rotation of the trees' codes and the least rotation of their reversal."""
     codes = [tree_code(p) for p in u.tree_parents]
-    return b"%d:" % u.l + b"".join(dihedral_min(codes))
+    best = []
+    for seq in (codes, codes[::-1]):
+        k = _least_rotation(seq)
+        best.append(seq[k:] + seq[:k])
+    return b"%d:" % u.l + b"".join(min(best))
 
 
 def tree_centers(g: Graph) -> list[int]:

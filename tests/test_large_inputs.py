@@ -7,6 +7,7 @@ enumeration fills.
 """
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 from kfx import unicyclic
@@ -14,7 +15,7 @@ from kfx.cli import main
 from kfx.families import make_cycle, make_p3_extremal, make_path
 from kfx.formulas import theorem_bound
 from kfx.graph import format_edge_list
-from kfx.metrics import kf_decomposition, kirchhoff_index, wiener_index
+from kfx.metrics import kf_decomposition, kf_vertex, kirchhoff_index, wiener_index
 from kfx.search import verify_theorem
 from kfx.unicyclic import canonical_code, decompose_unicyclic, tree_canonical_code
 
@@ -84,3 +85,37 @@ def test_cli_compute_p3_n_100000(capsys, tmp_path):
     assert Fraction(record["kf"]) == theorem_bound(n, delta)
     assert record["n"] == record["m"] == n
     assert cache_sizes() == before
+
+
+def test_kf_vertex_at_the_end_of_a_100000_vertex_tail():
+    n = 100_000
+    g = make_p3_extremal(n, 5)
+    u = decompose_unicyclic(g)
+    before = cache_sizes()
+    v = n - 1  # the far end of the pendant path
+    i, _ = u.position[v]
+    # on a triangle each cross-tree pair is 2/3 where its distance counts 1
+    assert kf_vertex(u, v) == sum(g.bfs_distances(v)) - Fraction(n - u.tree_sizes[i], 3)
+    assert cache_sizes() == before
+
+
+def test_cli_verify_theorem_n_100000(capsys):
+    before = cache_sizes()
+    rc = main(["verify", "--suite", "theorem", "--n", "100000", "--delta", "5"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "match"
+    assert cache_sizes() == before
+
+
+def test_code_memory_stays_linear():
+    """Each subtree's code is freed once its parent's code holds it."""
+    path = make_path(20_000)
+    u = decompose_unicyclic(make_p3_extremal(20_000, 5))
+    for code_of in (lambda: tree_canonical_code(path), lambda: canonical_code(u)):
+        tracemalloc.start()
+        try:
+            code_of()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20

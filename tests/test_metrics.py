@@ -315,7 +315,7 @@ def test_engine_names_are_validated_and_honoured(monkeypatch):
 
     c5 = make_cycle(5)
     # labels other than 0..n-1: a triangle with a two-vertex tail at 10
-    u = UnicyclicRepr((10, 20, 30), {10: [40], 40: [50]})
+    u = UnicyclicRepr((10, 20, 30), [([10, 40, 50], [-1, 0, 1]), ([20], [-1]), ([30], [-1])])
     for g in (c5, u, make_path(4)):
         with pytest.raises(ValueError):
             kirchhoff_index(g, "bogus")
@@ -394,3 +394,34 @@ def test_wiener_index_engines():
         wiener_index(k4, "structural")
     with pytest.raises(ValueError):
         wiener_index(make_cycle(5), "bogus")
+
+
+def test_transmissions_and_tables_equal_one_adjugate_near_n_200():
+    """Engine equivalence at n ~ 200: every structural transmission and
+    resistance equals the one oracle adjugate of the graph."""
+    from kfx.metrics import _grounded_adjugate
+
+    rng = random.Random(200)
+    graphs = [random_unicyclic(200, rng), random_unicyclic_with_cycle(199, 60, rng)]
+    for g in graphs:
+        u = decompose_unicyclic(g)
+        tau, adj, _ = _grounded_adjugate(g)
+        trace = sum(row[i] for i, row in enumerate(adj))
+        for v in range(g.n):
+            oracle = F(g.n * adj[v][v] + trace - 2 * sum(adj[v]), tau)
+            assert kf_vertex(u, v) == kf_vertex(g, v) == oracle
+        table = resistance_table(u)
+        for (a, b), r in table.pairs():
+            assert r == F(adj[a][a] + adj[b][b] - 2 * adj[a][b], tau)
+        assert len(table) == g.n * (g.n - 1) // 2
+
+
+def test_transmissions_sum_to_twice_kf():
+    from kfx.families import make_p3_extremal
+    from kfx.formulas import theorem_bound
+
+    u = decompose_unicyclic(make_p3_extremal(1000, 5))
+    assert sum(kf_vertex(u, v) for v in range(u.n)) == 2 * theorem_bound(1000, 5)
+    for n, l in ((12, 12), (30, 7), (41, 40)):
+        u = decompose_unicyclic(random_unicyclic_with_cycle(n, l, random.Random(n)))
+        assert sum(kf_vertex(u, v) for v in u.position) == 2 * kirchhoff_index(u)

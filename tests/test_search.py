@@ -290,19 +290,6 @@ def test_worker_count_keeps_filtered_items():
     assert list(unicyclic_classes(11, 4, l_filter=4, workers=2).items()) == list(one.items())
 
 
-def test_enumeration_needs_no_dihedral_minimum(monkeypatch):
-    import kfx.search
-    import kfx.unicyclic
-
-    def fail(*args):
-        raise AssertionError("called")
-
-    for module in (kfx.unicyclic, kfx.search):
-        for name in ("dihedral_min", "canonical_code_from_shapes"):
-            monkeypatch.setattr(module, name, fail, raising=False)
-    assert len(unicyclic_classes(9)) == 240
-
-
 def test_long_cycle_enumeration():
     # 2 + floor(l/2) classes: one tree on 3 vertices (2 shapes), or two
     # pendant vertices at cycle distance 1..floor(l/2)
@@ -310,7 +297,7 @@ def test_long_cycle_enumeration():
 
 
 def test_least_rotation_against_all_rotations():
-    from kfx.search import _least_rotation
+    from kfx.unicyclic import _least_rotation
 
     rng = random.Random(5)
     for _ in range(3000):

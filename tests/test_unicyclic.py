@@ -5,7 +5,8 @@ import pytest
 from kfx.errors import NotConnectedError, NotUnicyclicError
 from kfx.families import make_cycle, make_p_n_l, make_s_n_l
 from kfx.graph import Graph
-from kfx.search import _rooted_tree_counts, shape_to_tree, unicyclic_classes
+from kfx.metrics import resistance_structural
+from kfx.search import _rooted_tree_counts, random_unicyclic, shape_to_tree, unicyclic_classes
 from kfx.unicyclic import (
     canonical_code,
     code_parents,
@@ -16,6 +17,7 @@ from kfx.unicyclic import (
     tree_canonical_code,
     tree_code,
     tree_stats,
+    UnicyclicRepr,
     unicyclic_from_shapes,
 )
 
@@ -46,8 +48,18 @@ def test_decompose_rejects_bad_input():
     with pytest.raises(NotUnicyclicError):
         decompose_unicyclic(Graph(2, [(0, 1)]))  # n < 3
     two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    with pytest.raises(NotConnectedError):
-        decompose_unicyclic(two_triangles)
+    # m = n but not connected: triangles 1-2-3 and 4-5-6 joined by the path
+    # 1-8-0-7-4 (10 edges on 9 vertices) beside the path 9-10-11 (2 on 3);
+    # a walk round the core from vertex 0 would circle 4-5-6 for ever
+    dumbbell = Graph(12, [(1, 2), (2, 3), (1, 3), (1, 8), (0, 8), (0, 7), (4, 7),
+                          (4, 5), (5, 6), (4, 6), (9, 10), (10, 11)])
+    # m = n: isolated vertices 0 and 5 beside K4 on 1..4
+    k4 = Graph(6, [(a, b) for a in range(1, 5) for b in range(a + 1, 5)])
+    for g in (dumbbell, k4):
+        assert g.m == g.n
+    for g in (two_triangles, dumbbell, k4):
+        with pytest.raises(NotConnectedError):
+            decompose_unicyclic(g)
 
 
 def test_code_invariant_under_rotation():
@@ -88,6 +100,47 @@ def test_reassembly_roundtrip_n_le_8():
             assert g.n == n and g.m == n
             assert sorted(relabel.values()) == list(range(n))
             assert code_of(g) == code
+
+
+def test_to_graph_is_the_identity_on_shape_representatives():
+    for n in range(3, 9):
+        for l, shapes in unicyclic_classes(n).values():
+            u = unicyclic_from_shapes(l, shapes)
+            g, relabel = u.to_graph()
+            assert relabel == {v: v for v in range(n)}
+
+
+def dihedral_min(codes):
+    """The least of a tuple's l rotations and l reflections, by listing all 2l."""
+    seqs = [tuple(codes), tuple(reversed(codes))]
+    return min(seq[k:] + seq[:k] for seq in seqs for k in range(len(codes)))
+
+
+def test_canonical_code_is_the_dihedral_minimum():
+    rng = random.Random(12)
+    checked = 0
+    for n in range(3, 13):
+        for code, (l, shapes) in unicyclic_classes(n).items():
+            k = rng.randrange(l)
+            turned = shapes[k:] + shapes[:k]
+            if rng.random() < 0.5:
+                turned = turned[::-1]
+            u = unicyclic_from_shapes(l, turned)
+            codes = [tree_code(p) for p in u.tree_parents]
+            assert canonical_code(u) == b"%d:" % l + b"".join(dihedral_min(codes)) == code
+            checked += 1
+    assert checked == 7872  # classes on 3..12 vertices, OEIS A001429
+    for _ in range(200):
+        u = decompose_unicyclic(random_unicyclic(rng.randrange(3, 80), rng))
+        codes = [tree_code(p) for p in u.tree_parents]
+        assert canonical_code(u) == b"%d:" % u.l + b"".join(dihedral_min(codes))
+
+
+def test_repr_rejects_shared_vertices():
+    with pytest.raises(ValueError):
+        UnicyclicRepr((0, 1, 2), [([0, 3], [-1, 0]), ([1, 3], [-1, 0]), ([2], [-1])])
+    with pytest.raises(ValueError):
+        UnicyclicRepr((0, 1, 2), [([0], [-1]), ([2], [-1]), ([1], [-1])])  # root off the cycle
 
 
 def test_distinct_small_graphs_get_distinct_codes():
@@ -157,10 +210,17 @@ def test_tree_canonical_code_invariance():
 
 
 def test_tree_distance_within_repr():
-    u = decompose_unicyclic(make_p_n_l(7, 3))  # tail 3,4,5,6 off vertex 0
-    g, relabel = u.to_graph()
-    # distances along the tail from the cycle root
-    tail = [v for v in u.tree_index if u.depth[v] > 0]
-    a = max(tail, key=lambda v: u.depth[v])
-    root = u.cycle[u.tree_index[a]]
-    assert u.tree_distance(a, root) == u.depth[a] == 4
+    """Same-tree resistances are the BFS distances."""
+    rng = random.Random(11)
+    graphs = [make_p_n_l(7, 3)]  # tail 3, 4, 5, 6 off vertex 0
+    graphs += [random_unicyclic(rng.randrange(5, 60), rng) for _ in range(20)]
+    for g in graphs:
+        u = decompose_unicyclic(g)
+        for nodes in u.tree_nodes:
+            for a in nodes:
+                dist = g.bfs_distances(a)
+                for b in nodes:
+                    if a != b:
+                        assert resistance_structural(u, a, b) == dist[b]
+    u = decompose_unicyclic(make_p_n_l(7, 3))
+    assert resistance_structural(u, 6, 0) == 4
