@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -117,6 +118,20 @@ def _value_fields(args, name: str, value: Fraction | int) -> dict:
     return rec
 
 
+def _one_pool(cmd):
+    """Run an enumerating command inside one `worker_pool` block, so every
+    enumeration it makes shares one process pool, closed when it returns."""
+
+    @functools.wraps(cmd)
+    def run(args) -> int:
+        from .search import worker_pool
+
+        with worker_pool(args.workers):
+            return cmd(args)
+
+    return run
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -167,6 +182,7 @@ def cmd_formula(args) -> int:
     return EXIT_OK
 
 
+@_one_pool
 def cmd_search(args) -> int:
     from .search import unicyclic_extremes, unicyclic_rows
 
@@ -208,6 +224,7 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+@_one_pool
 def cmd_verify(args) -> int:
     from .search import check_lemma_properties, engine_equivalence_suite, verify_theorem
 
@@ -242,6 +259,7 @@ def cmd_verify(args) -> int:
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
+@_one_pool
 def cmd_conjecture(args) -> int:
     from .search import probe_conjecture
 

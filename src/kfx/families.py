@@ -133,6 +133,8 @@ def make_p_family_member(n: int, l: int, delta: int, hub_pos: int) -> Graph:
     pendants), the maximum n-l-delta+2 puts it at the tail end (tail length
     n-l-delta+1, delta-1 pendants), and intermediate values put it at that
     distance along a tail of length n-l-delta+2 with delta-2 pendants.
+    For n-l-delta+2 >= 2 the last two positions build the same graph: at
+    the second to last the hub's one tail child is a leaf, like its pendants.
     """
     if l < 3 or delta < 3:
         raise ParameterError(f"need l >= 3 and delta >= 3, got l={l}, delta={delta}")

@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_left
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -46,8 +46,8 @@ from .formulas import (
     theorem_bound,
     wiener_broom_formula,
 )
-from .graph import Graph, max_degree
-from .metrics import kf_from_shapes, kirchhoff_index, wiener_index
+from .graph import Graph
+from .metrics import kf_from_shapes, kirchhoff_index
 from .unicyclic import (
     Shape,
     canonical_code,
@@ -241,10 +241,48 @@ def _run_units(n, delta, l_filter, exact, cap, workers, keep_rows):
     if not ls:
         return
     top = n - ls[0] + 1
-    _alphabet(n, delta, exact, top)  # before the pool forks
+    _alphabet(n, delta, exact, top)  # before a pool started here forks
     args = [(n, l, first, delta, exact, top, keep_rows) for l, first in _units(n, ls)]
-    with Pool(workers) if workers > 1 and len(args) > 1 else nullcontext() as pool:
-        yield from pool.imap(_unit, args) if pool else map(_unit, args)
+    with worker_pool(workers) as imap:
+        yield from imap(_unit, args)
+
+
+_slot: list | None = None  # [the pool or None] while a `worker_pool` block is open
+
+
+@contextmanager
+def worker_pool(workers: int):
+    """Yield an `imap(fn, items)` that runs on `workers` processes, sharing
+    one process pool among every enumeration inside the outermost block.
+
+    Blocks nest: the outermost owns the pool and terminates it on exit,
+    exceptions included, and inner blocks (each `_run_units` opens one)
+    reuse it, with the worker count it started with. The pool starts at the
+    first imap of more than one item with more than one worker, so its
+    workers inherit that run's `_alphabet`; later runs' workers rebuild
+    theirs through the `_alphabet` cache.
+    """
+    global _slot
+    owner = _slot is None
+    if owner:
+        _slot = [None]
+    slot = _slot
+
+    def imap(fn, items: list):
+        if workers < 2 or len(items) < 2:
+            return map(fn, items)
+        if slot[0] is None:
+            slot[0] = Pool(workers)
+        return slot[0].imap(fn, items)
+
+    try:
+        yield imap
+    finally:
+        if owner:
+            _slot = None
+            if slot[0] is not None:
+                slot[0].terminate()
+                slot[0].join()
 
 
 def unicyclic_rows(
@@ -538,8 +576,8 @@ def verify_theorem(
     if delta < 3 or n < delta + 1:
         raise ParameterError(f"need delta >= 3 and n >= delta+1, got n={n}, delta={delta}")
     bound = theorem_bound(n, delta)
-    extremal = make_p3_extremal(n, delta)
-    expected_code = canonical_code(decompose_unicyclic(extremal)).decode("ascii")
+    extremal = decompose_unicyclic(make_p3_extremal(n, delta))
+    expected_code = canonical_code(extremal).decode("ascii")
     notes: list[str] = []
     try:
         # a hub on the cycle needs delta - 2 tree vertices and one off it
@@ -648,6 +686,19 @@ def _hub_candidates(degrees: list[int]) -> list[int]:
     return [i for i, d in enumerate(degrees) if d == overall]
 
 
+def _pendant_tadpoles(n: int, l: int, delta: int):
+    """Yield (hub_pos, graph) for each distinct member of the pendant-tadpole
+    family `make_p_family_member(n, l, delta, hub_pos)`, for n >= l + delta - 2.
+
+    The last position, max_pos = n - l - delta + 2, is left out: for
+    max_pos >= 2 it builds the same graph as max_pos - 1 (the tail's last
+    vertex is one more pendant of the hub), and for max_pos = 1 the degree
+    is unreachable there.
+    """
+    for hub_pos in range(max(n - l - delta + 2, 1)):
+        yield hub_pos, make_p_family_member(n, l, delta, hub_pos)
+
+
 def check_lemma_properties(
     n_max: int,
     tree_n_max: int = 11,
@@ -700,15 +751,8 @@ def check_lemma_properties(
                 classes = kf_by_n[n].get((delta, l))
                 if not classes:
                     continue
-                members = set()
-                for hub_pos in range(0, n - l - delta + 3):
-                    try:
-                        g = make_p_family_member(n, l, delta, hub_pos)
-                    except ParameterError:
-                        continue
-                    members.add(canonical_code(decompose_unicyclic(g)))
-                if not members:
-                    continue
+                members = {canonical_code(decompose_unicyclic(g))
+                           for _, g in _pendant_tadpoles(n, l, delta)}
                 best = max(classes.values())
                 argmax = {code for code, kf in classes.items() if kf == best}
                 checked += 1
@@ -717,22 +761,27 @@ def check_lemma_properties(
     report["maximizer_in_pendant_tadpoles"] = {"checked": checked, "violations": violations}
 
     # among trees with max degree exactly delta, Wiener is uniquely
-    # maximized by the broom
+    # maximized by the broom; a rooted tree's W and max degree do not depend
+    # on its root, so the catalog's rooted trees reach the free trees' maximum,
+    # and only the rooted trees reaching it are canonicalized
     checked = 0
     violations = []
     for n in range(4, tree_n_max + 1):
+        top: dict[int, tuple[int, list[Shape]]] = {}  # max degree -> (greatest W, shapes)
+        for shape, (_, _, wien, root, inner) in rooted_shapes(n).items():
+            deg = max(root, inner)
+            if deg not in top or wien > top[deg][0]:
+                top[deg] = (wien, [shape])
+            elif wien == top[deg][0]:
+                top[deg][1].append(shape)
         for delta in range(3, n):
-            trees = tree_classes(n, delta)
-            if not trees:
+            if delta not in top:
                 continue
-            broom = make_t_n_delta(n, delta)
-            broom_code = tree_canonical_code(broom)
-            target = wiener_broom_formula(n, delta)
-            w = {c: wiener_index(t) for c, t in trees.items()}
-            best = max(w.values())
-            argmax = {c for c, v in w.items() if v == best}
+            wien, shapes = top[delta]
+            argmax = {tree_canonical_code(shape_to_tree(s)) for s in shapes}
             checked += 1
-            if best != target or argmax != {broom_code}:
+            if (wien != wiener_broom_formula(n, delta)
+                    or argmax != {tree_canonical_code(make_t_n_delta(n, delta))}):
                 violations.append(f"n={n} delta={delta}")
     report["wiener_broom_maximizer"] = {"checked": checked, "violations": violations}
 
@@ -744,14 +793,9 @@ def check_lemma_properties(
     for n in range(5, n_max + 1):
         for delta in range(3, n):
             for l in range(3, n - delta + 3):
-                values = {}
-                for hub_pos in range(0, n - l - delta + 3):
-                    try:
-                        g = make_p_family_member(n, l, delta, hub_pos)
-                    except ParameterError:
-                        continue
-                    values[hub_pos] = kirchhoff_index(g, "structural")
-                if len(values) < 2 or 0 not in values:
+                values = {hub_pos: kirchhoff_index(g, "structural")
+                          for hub_pos, g in _pendant_tadpoles(n, l, delta)}
+                if len(values) < 2:
                     continue
                 checked += 1
                 best = max(values.values())

@@ -322,3 +322,25 @@ def test_compute_and_family_load_no_enumeration_stack(tmp_path):
     added = modules_added_by(["family", "--name", "cycle", "--n", "5"], tmp_path)
     assert "kfx.families" in added
     assert not added & {"kfx.search", "multiprocessing"}
+
+
+@pytest.mark.parametrize("suite", [["theorem", "--n-max", "9"], ["lemmas"]])
+def test_verify_starts_one_pool_per_command(capsys, pool_starts, suite):
+    import multiprocessing
+
+    outputs = {}
+    for workers in ("1", "2"):
+        del pool_starts[:]
+        code, outputs[workers], err = run(capsys, "verify", "--suite", *suite, "--workers", workers)
+        assert code == 0 and err == ""
+        assert len(pool_starts) == (1 if workers == "2" else 0)
+        assert not multiprocessing.active_children()
+    assert outputs["1"] == outputs["2"]
+
+
+def test_cap_exit_leaves_no_worker(capsys, pool_starts):
+    import multiprocessing
+
+    code, out, err = run(capsys, "search", "--n", "22", "--cap", "1000", "--workers", "2")
+    assert code == 4 and out == "" and err.startswith("error: more than 1000")
+    assert not pool_starts and not multiprocessing.active_children()

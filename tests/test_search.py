@@ -392,3 +392,92 @@ def test_hub_on_cycle_fails_to_maximize_at_n_12():
     for hub_pos, kf in ((0, 185), (4, 188)):
         g = make_p_family_member(12, 5, 5, hub_pos)
         assert kirchhoff_index(g, "structural") == kirchhoff_index(g, "oracle") == kf
+
+
+def _wiener_broom_from_free_trees(tree_n_max):
+    """The Wiener-broom section, recomputed over one graph per free tree."""
+    from kfx.formulas import wiener_broom_formula
+    from kfx.metrics import wiener_index
+
+    checked, violations = 0, []
+    for n in range(4, tree_n_max + 1):
+        for delta in range(3, n):
+            trees = tree_classes(n, delta)
+            if not trees:
+                continue
+            w = {code: wiener_index(t) for code, t in trees.items()}
+            best = max(w.values())
+            checked += 1
+            broom = tree_canonical_code(make_t_n_delta(n, delta))
+            if best != wiener_broom_formula(n, delta) or {c for c, v in w.items() if v == best} != {broom}:
+                violations.append(f"n={n} delta={delta}")
+    return {"checked": checked, "violations": violations}
+
+
+def test_wiener_broom_section_matches_free_trees():
+    for tree_n_max in range(3, 12):
+        report = check_lemma_properties(3, tree_n_max=tree_n_max)
+        assert report["wiener_broom_maximizer"] == _wiener_broom_from_free_trees(tree_n_max)
+
+
+def test_pendant_tadpoles_are_distinct():
+    # every member has its own canonical code, and together they are every
+    # graph the family builds at some hub position
+    from kfx.families import make_p_family_member
+    from kfx.search import _pendant_tadpoles
+
+    for n in range(4, 13):
+        for delta in range(3, n):
+            for l in range(3, n - delta + 3):
+                codes = [canonical_code(decompose_unicyclic(g))
+                         for _, g in _pendant_tadpoles(n, l, delta)]
+                assert len(set(codes)) == len(codes), (n, l, delta)
+                built = set()
+                for hub_pos in range(n - l - delta + 3):
+                    try:
+                        g = make_p_family_member(n, l, delta, hub_pos)
+                    except ParameterError:
+                        continue
+                    built.add(canonical_code(decompose_unicyclic(g)))
+                assert set(codes) == built, (n, l, delta)
+
+
+def test_formula_only_theorem_decomposes_once(monkeypatch):
+    import kfx.metrics
+    import kfx.search
+    import kfx.unicyclic
+
+    real = kfx.unicyclic.decompose_unicyclic
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return real(g)
+
+    for module in (kfx.unicyclic, kfx.metrics, kfx.search):
+        monkeypatch.setattr(module, "decompose_unicyclic", counted)
+    rep = verify_theorem(700, 5)
+    assert rep.mode == "formula-only" and rep.verdict == "match"
+    assert calls == [700]
+
+
+def test_worker_pool_is_shared_and_closed(pool_starts):
+    import multiprocessing
+
+    from kfx.search import unicyclic_extremes, worker_pool
+
+    # one pool per library call when no block is open
+    assert unicyclic_extremes(9, workers=2) == unicyclic_extremes(9)
+    assert len(pool_starts) == 1 and not multiprocessing.active_children()
+    # one pool for every call inside a block, gone when the block exits
+    with worker_pool(2):
+        assert unicyclic_extremes(9, 4, workers=2) == unicyclic_extremes(9, 4)
+        assert unicyclic_extremes(10, workers=2) == unicyclic_extremes(10)
+    assert len(pool_starts) == 2 and not multiprocessing.active_children()
+    # also when the block exits by an exception
+    with pytest.raises(RuntimeError):
+        with worker_pool(2):
+            unicyclic_extremes(9, workers=2)
+            assert multiprocessing.active_children()
+            raise RuntimeError
+    assert len(pool_starts) == 3 and not multiprocessing.active_children()

@@ -4,7 +4,7 @@ import pytest
 
 from kfx.errors import NotConnectedError, NotUnicyclicError
 from kfx.families import make_cycle, make_p_n_l, make_s_n_l
-from kfx.graph import Graph
+from kfx.graph import Graph, wiener
 from kfx.metrics import resistance_structural
 from kfx.search import _rooted_tree_counts, random_unicyclic, shape_to_tree, unicyclic_classes
 from kfx.unicyclic import (
@@ -178,6 +178,13 @@ def test_catalog_records_match_labeled_trees():
             t = shape_to_tree(code)
             inner = max((t.degree(v) for v in range(1, t.n)), default=0)
             assert record[3:] == (t.degree(0), inner)
+
+
+def test_catalog_wiener_matches_bfs():
+    # the lemma suite's Wiener-broom check reads W from these records
+    for k in range(1, 12):
+        for code, record in rooted_shapes(k).items():
+            assert record[2] == wiener(shape_to_tree(code))
 
 
 def test_shape_stats_and_degrees():
