@@ -34,8 +34,8 @@ from .families import FAMILY_NAMES, FamilyParams
 from .graph import format_edge_list, max_degree, parse_edge_list
 from .metrics import engine_input, kf_vertex, kirchhoff_index, wiener_index
 
-# `formulas` and `search` (which loads `multiprocessing`) are imported in
-# the commands that use them, so `compute` and `family` load neither.
+# `formulas` and `search` are imported in the commands that use them, so
+# `compute` and `family` load neither.
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1

@@ -28,13 +28,10 @@ import heapq
 import random
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import gcd
-from multiprocessing import Pool
-from operator import mul
 from typing import NamedTuple
 
 from .errors import DEFAULT_CAP, CapExceededError, ParameterError
@@ -50,6 +47,7 @@ from .graph import Graph
 from .metrics import kf_from_shapes, kirchhoff_index
 from .unicyclic import (
     Shape,
+    ShapeRecord,
     canonical_code,
     code_parents,
     decompose_unicyclic,
@@ -66,10 +64,10 @@ ClassMap = dict[bytes, tuple[int, tuple[Shape, ...]]]
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _hanging_degree(shape: Shape) -> int:
-    """Largest graph degree in a hanging tree: its root sits on the cycle,
-    so the root's degree is its child count + 2."""
-    _, _, _, root, inner = shape_record(shape)
+def _hanging_degree(record: ShapeRecord) -> int:
+    """Largest graph degree in a hanging tree, from its catalog record: its
+    root sits on the cycle, so the root's degree is its child count + 2."""
+    _, _, _, root, inner = record
     return max(root + 2, inner)
 
 
@@ -77,31 +75,37 @@ def _hanging_degree(shape: Shape) -> int:
 def _alphabet(n: int, delta: int | None, exact: bool, top: int):
     """The hanging trees of sizes 1..top allowed under `delta`, in byte
     order: (codes, their ranks grouped by size, the ranks of the trees of
-    degree exactly `delta` or None when any tuple qualifies, and per rank
-    the size s and the term W + (n - s) D that a tree with Wiener index W
-    and root depth sum D adds to Kf on n vertices, as in `kf_from_stats`).
+    degree exactly `delta` or None when any tuple qualifies, those ranks
+    grouped by size, and per rank the term W + (n - s) D that a tree on s
+    vertices with Wiener index W and root depth sum D adds to Kf on n
+    vertices, as in `kf_from_stats`).
 
-    Rank order is code order, so comparing rank tuples compares code
-    tuples. The last code is b"()", the one-vertex tree, whose degree 2 is
-    the least a hanging tree has, so it is allowed whenever any tree is.
-    Built once per call; forked pool workers inherit it.
+    Under `delta` the trees come from the bounded catalog
+    `rooted_shapes(k, delta - 1, delta - 2)`, whose root has at most
+    delta - 2 children and every other vertex at most delta - 1, so no
+    tree past the bound is built. Rank order is code order, so comparing
+    rank tuples compares code tuples. The last code is b"()", the
+    one-vertex tree, whose degree 2 is the least a hanging tree has, so it
+    is allowed whenever any tree is. Built once per call; forked pool
+    workers inherit it.
     """
-    codes = sorted(
-        s for k in range(1, top + 1) for s in rooted_shapes(k)
-        if delta is None or _hanging_degree(s) <= delta
-    )
+    bound = () if delta is None else (delta - 1, delta - 2)
+    catalog = {}
+    for k in range(1, top + 1):
+        catalog.update(rooted_shapes(k, *bound))
+    codes = sorted(catalog)
+    records = list(map(catalog.__getitem__, codes))
     by_size: list[list[int]] = [[] for _ in range(top + 1)]
-    for rank, code in enumerate(codes):
-        by_size[len(code) // 2].append(rank)
-    hubs = None
+    for rank, (s, _, _, _, _) in enumerate(records):
+        by_size[s].append(rank)
+    hubs = hubs_by_size = None
     if delta is not None and exact:
         # every admissible tree has degree <= delta, so a tuple's max degree
         # is exactly delta iff one of its trees reaches it
-        hubs = frozenset(r for r, c in enumerate(codes) if _hanging_degree(c) == delta)
-    records = [shape_record(c) for c in codes]
-    sizes = [s for s, _, _, _, _ in records]
+        hubs = frozenset(r for r, rec in enumerate(records) if _hanging_degree(rec) == delta)
+        hubs_by_size = [[r for r in ranks if r in hubs] for ranks in by_size]
     terms = [w + (n - s) * d for s, d, w, _, _ in records]
-    return codes, by_size, hubs, sizes, terms
+    return codes, by_size, hubs, hubs_by_size, terms
 
 
 Row = tuple[bytes, int, tuple[Shape, ...], int]  # code, l, shapes, N = l * Kf
@@ -121,6 +125,42 @@ class UnitResult(NamedTuple):
     rows: list[Row]
 
 
+def _last_tree_bounds(a: list[int], t: int) -> tuple[int, list[int]] | None:
+    """Which last ranks r = a[t] >= a[0] make the necklace a[:t + 1]
+    canonical, as far as the copies of a[0] in a[:t] decide it: (the least
+    r that can pass, and ranks r that fail all the same), or None when no
+    r passes.
+
+    The reversal's rotation that starts at the copy a[j] reads a[j], ...,
+    a[0], r, a[t - 1], ..., a[j + 1]. If a[:j + 1] is no palindrome, its
+    first mismatch decides for every r; if it is one, r is compared with
+    a[j + 1], and at r = a[j + 1] the rest of a decides. An r equal to
+    a[0] is one more copy, which the caller checks in full.
+    """
+    x = a[0]
+    least = x
+    bad = []
+    for j in range(t):
+        if a[j] != x:
+            continue
+        k = 0
+        while k < j and a[j - k] == a[k]:
+            k += 1
+        if a[j - k] != a[k]:
+            if a[j - k] < a[k]:
+                return None
+            continue
+        if j == t - 1:  # the rotation is a itself
+            continue
+        m = 0
+        while j + 2 + m < t and a[t - 1 - m] == a[j + 2 + m]:
+            m += 1
+        if j + 2 + m < t and a[t - 1 - m] < a[j + 2 + m]:
+            bad.append(a[j + 1])
+        least = max(least, a[j + 1])
+    return least, bad
+
+
 def _unit(args) -> UnitResult:
     """The classes whose canonical tuple has length l and starts with a tree
     on `first` vertices; the canonical tuple is the class's representative.
@@ -134,85 +174,129 @@ def _unit(args) -> UnitResult:
     least one vertex, so sizes are pruned to leave one for every position
     still open. Once the vertices left equal the positions left, each of
     those positions takes the one-vertex tree, and the tuple is completed
-    at once.
+    at once. When one position is left, its size is the vertices left, and
+    its candidates are tried in place, greatest rank first, the order in
+    which they would leave the stack; `_last_tree_bounds` settles the
+    reversal test for all of them at once, so the walk stops at the least
+    candidate that can pass.
 
-    Each kept tuple's Kf is the integer N = l * Kf, the sum that
-    `kf_from_stats` folds, taken over the ranks' sizes s_i and tree terms
-    in a few passes: with prefix sums P_k = s_0 + ... + s_k, the pairs
+    Each kept tuple's Kf is the integer N = l * Kf that `kf_from_stats`
+    folds. With sizes s_i and prefix sums P_k = s_0 + ... + s_k, the pairs
     i < j sum s_i s_j (j - i) to sum_k P_k (n - P_k), and s_i s_j (j - i)^2
-    to n sum_i i^2 s_i - (sum_i i s_i)^2. The one-vertex trees of the fill
-    have no tree term, so their part of each sum is in closed form.
+    to n sum_i i^2 s_i - (sum_i i s_i)^2, so
+    N = l (sum_i term_i + sum_k P_k (n - P_k)) - n sum_i i^2 s_i
+    + (sum_i i s_i)^2. Every stack entry carries the first part and
+    sum_i i s_i over its prefix, each placed tree adding its share, so a
+    kept tuple costs a few additions. The one-vertex trees of the fill have
+    no tree term, and their part of each sum is in closed form, as is a
+    last tree's beside its term. In exact-delta runs an entry also carries
+    whether its prefix holds a tree of degree delta (a hub): a prefix
+    without one takes only hubs once no later tree can be as large as the
+    least hub, the last tree of such a prefix must be a hub, and such a
+    prefix is dropped before its fill.
     """
     n, l, first, delta, exact, top, keep_rows = args
-    codes, by_size, hubs, sizes, terms = _alphabet(n, delta, exact, top)
+    codes, by_size, hubs, hubs_by_size, terms = _alphabet(n, delta, exact, top)
     one = len(codes) - 1  # the rank of b"()"
     ones = [one] * l
-    squares = [i * i for i in range(l)]
-    ends = (l * (l - 1) // 2, l * (l - 1) * (2 * l - 1) // 6)  # sums of i and i^2, i < l
+    # with one-vertex trees at positions t..l-1: their part of the first
+    # sum (prefix sums n - v, v < m = l - t) and of sum_i i s_i
+    fill_num = [l * m * (m - 1) * (3 * n - 2 * m + 1) // 6
+                - n * ((l - 1) * l * (2 * l - 1) - (t - 1) * t * (2 * t - 1)) // 6
+                for t, m in ((t, l - t) for t in range(l))]
+    fill_s1 = [(l * (l - 1) - t * (t - 1)) // 2 for t in range(l)]
+    hub_size = 0 if hubs is None else next((k for k, rs in enumerate(hubs_by_size) if rs), n + 1)
     a = [0] * l
     count = 0
     low = high = None
     lows: list[list[int]] = []
     highs: list[list[int]] = []
     rows: list[Row] = []
-    # (position, rank, period of the tuple up to it, vertices left after it)
-    stack = [(0, rank, 1, n - first) for rank in by_size[first]]
-    while stack:
-        t, rank, p, left = stack.pop()
-        a[t] = rank
-        t += 1
-        if left > l - t:
-            low_rank = a[t - p]
-            for k in (left,) if t == l - 1 else range(1, left - l + t + 2):
-                ranks = by_size[k]
-                i = bisect_left(ranks, low_rank)
-                if i < len(ranks) and ranks[i] == low_rank:
-                    stack.append((t, low_rank, p, left - k))
-                    i += 1
-                stack.extend([(t, r, t + 1, left - k) for r in ranks[i:]])
-            continue
-        if t < l:
-            # `one` is the largest rank: the period survives the fill iff
-            # each filled place matches the one a period back
-            a[t:] = ones[t:]
-            if min(a[t - p:l - p]) < one:
-                p = l
-        if l % p or (hubs is not None and hubs.isdisjoint(a)):
-            continue
-        # a[0] is the least rank, so only rotations of the reversal that
-        # start at a copy of it can be smaller than a
+
+    def keep(num: int) -> None:
+        nonlocal count, low, lows, high, highs
+        count += 1
+        if low is None or num < low:
+            low, lows = num, [a[:]]
+        elif num == low:
+            lows.append(a[:])
+        if high is None or num > high:
+            high, highs = num, [a[:]]
+        elif num == high:
+            highs.append(a[:])
+        if keep_rows:
+            shapes = tuple(map(codes.__getitem__, a))
+            rows.append((b"%d:" % l + b"".join(shapes), l, shapes, num))
+
+    def canonical() -> bool:
+        # a is a necklace and a[0] its least rank, so only rotations of the
+        # reversal that start at a copy of a[0] can be smaller than a
         b = a[::-1]
         x = a[0]
         i = -1
         for _ in range(b.count(x)):
             i = b.index(x, i + 1)
             if b[i:] + b[:i] < a:
-                break
-        else:
-            count += 1
-            # a[t:] is the fill: m one-vertex trees at positions t..l-1,
-            # whose prefix sums are n - v for v < m
-            m = l - t
-            head = a[:t]
-            s = list(map(sizes.__getitem__, head))
-            prefix = list(accumulate(s))
-            s1 = sum(map(mul, s, range(t))) + ends[0] - t * (t - 1) // 2
-            s2 = sum(map(mul, s, squares)) + ends[1] - t * (t - 1) * (2 * t - 1) // 6
-            num = l * (
-                sum(map(terms.__getitem__, head)) + n * sum(prefix)
-                - sum(map(mul, prefix, prefix)) + m * (m - 1) * (3 * n - 2 * m + 1) // 6
-            ) - n * s2 + s1 * s1
-            if low is None or num < low:
-                low, lows = num, [a[:]]
-            elif num == low:
-                lows.append(a[:])
-            if high is None or num > high:
-                high, highs = num, [a[:]]
-            elif num == high:
-                highs.append(a[:])
-            if keep_rows:
-                shapes = tuple(map(codes.__getitem__, a))
-                rows.append((b"%d:" % l + b"".join(shapes), l, shapes, num))
+                return False
+        return True
+
+    # (position, rank, period of the tuple up to it, vertices left after it,
+    #  l * (sum of terms + sum_k P_k (n - P_k)) - n sum_i i^2 s_i and
+    #  sum_i i s_i up to it, whether it holds a tree of degree delta)
+    rest = n - first
+    c = l * first * rest
+    stack = [(0, r, 1, rest, c + l * terms[r], 0, hubs is None or r in hubs)
+             for r in by_size[first]]
+    while stack:
+        t, rank, p, left, num, s1, hub = stack.pop()
+        a[t] = rank
+        t += 1
+        if left > l - t:
+            low_rank = a[t - p]
+            if t == l - 1:
+                # the last tree has `left` vertices and prefix sum n
+                s1 += t * left
+                base = num - n * t * t * left + s1 * s1
+                bounds = _last_tree_bounds(a, t)
+                if bounds is None:
+                    continue
+                least, bad = bounds
+                ranks = by_size[left] if hub else hubs_by_size[left]
+                i = bisect_left(ranks, max(least, low_rank))
+                for j in range(len(ranks) - 1, i - 1, -1):
+                    r = ranks[j]
+                    if r in bad or (r == low_rank and l % p):
+                        continue
+                    a[t] = r
+                    if r != a[0] or canonical():
+                        keep(base + l * terms[r])
+                continue
+            for k in range(1, left - l + t + 2):
+                rest = left - k
+                # a prefix without a hub needs one here when no later tree
+                # can be as large as the least hub
+                ranks = by_size[k] if hub or rest - l + t + 2 >= hub_size else hubs_by_size[k]
+                c = num + l * (n - rest) * rest - n * t * t * k
+                c1 = s1 + t * k
+                i = bisect_left(ranks, low_rank)
+                if i < len(ranks) and ranks[i] == low_rank:
+                    stack.append((t, low_rank, p, rest, c + l * terms[low_rank], c1,
+                                  hub or low_rank in hubs))
+                    i += 1
+                stack.extend([(t, r, t + 1, rest, c + l * terms[r], c1, hub or r in hubs)
+                              for r in ranks[i:]])
+            continue
+        # positions t..l-1, at least one, take the one-vertex tree, which
+        # is a hub only at delta = 2, where every tree is that tree
+        if not hub:
+            continue
+        # `one` is the largest rank: the period survives the fill iff each
+        # filled place matches the one a period back
+        a[t:] = ones[t:]
+        if min(a[t - p:l - p]) < one:
+            p = l
+        if l % p == 0 and canonical():
+            keep(num + fill_num[t] + (s1 + fill_s1[t]) ** 2)
 
     def key(ranks: list[int]) -> bytes:
         return b"%d:" % l + b"".join(map(codes.__getitem__, ranks))
@@ -245,6 +329,14 @@ def _run_units(n, delta, l_filter, exact, cap, workers, keep_rows):
     args = [(n, l, first, delta, exact, top, keep_rows) for l, first in _units(n, ls)]
     with worker_pool(workers) as imap:
         yield from imap(_unit, args)
+
+
+def Pool(processes: int):
+    """A `multiprocessing.Pool`, imported when the first pool starts, so
+    runs that stay in one process never load `multiprocessing`."""
+    from multiprocessing import Pool
+
+    return Pool(processes)
 
 
 _slot: list | None = None  # [the pool or None] while a `worker_pool` block is open
@@ -526,24 +618,40 @@ def _rat(value: Fraction | None) -> str | None:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass
 class ExtremalReport:
     """Outcome of one exhaustive extremal run, or a formula-only fallback."""
 
-    kind: str
-    n: int
-    delta: int
-    objective: str
-    mode: str  # "enumerated" | "formula-only"
-    graph_count: int
-    extremal_value: Fraction | None
-    argext_codes: list[str]
-    formula_value: Fraction | None
-    verdict: str  # "match" | "mismatch" | "not-applicable"
-    l_filter: int | None = None
-    branch: str | None = None
-    expected_code: str | None = None
-    notes: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        kind: str,
+        n: int,
+        delta: int,
+        objective: str,
+        mode: str,  # "enumerated" | "formula-only"
+        graph_count: int,
+        extremal_value: Fraction | None,
+        argext_codes: list[str],
+        formula_value: Fraction | None,
+        verdict: str,  # "match" | "mismatch" | "not-applicable"
+        l_filter: int | None = None,
+        branch: str | None = None,
+        expected_code: str | None = None,
+        notes: list[str] | None = None,
+    ):
+        self.kind = kind
+        self.n = n
+        self.delta = delta
+        self.objective = objective
+        self.mode = mode
+        self.graph_count = graph_count
+        self.extremal_value = extremal_value
+        self.argext_codes = argext_codes
+        self.formula_value = formula_value
+        self.verdict = verdict
+        self.l_filter = l_filter
+        self.branch = branch
+        self.expected_code = expected_code
+        self.notes = [] if notes is None else notes
 
     def to_dict(self) -> dict:
         return {
@@ -722,7 +830,7 @@ def check_lemma_properties(
         groups = kf_by_n[n] = {}
         for code, l, shapes, num in unicyclic_rows(n, cap=cap, workers=workers):
             kf = Fraction(num, l)
-            degrees = [_hanging_degree(s) for s in shapes]
+            degrees = [_hanging_degree(shape_record(s)) for s in shapes]
             groups.setdefault((max(degrees), l), {})[code] = kf
             for h in _hub_candidates(degrees):
                 replaced = tuple(

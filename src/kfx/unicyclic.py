@@ -13,8 +13,9 @@ list of parent positions, and `tree_stats` and `tree_code` fold that list
 bottom-up into the same numbers and codes the catalog holds for its shape;
 `code_parents` goes back from a code to parent positions. No step
 recurses over a tree, so tree depth is not limited by the interpreter
-stack, and `tree_code` frees each subtree's code list once it is joined,
-so its memory is linear in the code length.
+stack, and `tree_code` orders subtrees by integer keys and writes each
+byte of the code once, so a deep tree costs no more per vertex than a
+shallow one.
 
 A unicyclic graph is a `UnicyclicRepr`: its cycle and, per cycle vertex,
 the hanging tree in that positional form, each tree folded once by
@@ -56,16 +57,31 @@ def path_shape(k: int) -> Shape:
 
 
 @cache
-def rooted_shapes(n: int) -> Mapping[Shape, ShapeRecord]:
+def rooted_shapes(
+    n: int, children: int | None = None, root_children: int | None = None
+) -> Mapping[Shape, ShapeRecord]:
     """All rooted trees on n vertices up to isomorphism: code -> record.
 
+    With `children`, only the trees whose every non-root vertex has at
+    most that many children, and whose root has at most `root_children`
+    (default `children`). The trees hanging from a cycle vertex of a graph
+    with max degree at most delta are `rooted_shapes(n, delta - 1, delta - 2)`.
+
     Codes come in a fixed order, and each record is folded from its
-    children's records when the code is built. The mapping is read-only,
-    since every caller shares it.
+    children's records when the code is built. A bounded catalog lists its
+    trees in the order the unbounded one does, skipping the others. The
+    mapping is read-only, since every caller shares it.
     """
+    if root_children is None:
+        root_children = n if children is None else children
+    if root_children < 0:
+        return MappingProxyType({})
+    if children is not None and children >= n - 2 and root_children >= n - 1:
+        return rooted_shapes(n)  # no bound binds on n vertices
     if n == 1:
         return MappingProxyType({b"()": (1, 0, 0, 0, 0)})
-    pools = [()] + [tuple(rooted_shapes(s).items()) for s in range(1, n)]
+    bound = () if children is None else (children,)  # one cache entry per subtree catalog
+    pools = [()] + [tuple(rooted_shapes(s, *bound).items()) for s in range(1, n)]
     out: dict[Shape, ShapeRecord] = {}
 
     def extend(remaining: int, max_size: int, max_idx: int, acc: list[tuple]) -> None:
@@ -77,7 +93,10 @@ def rooted_shapes(n: int) -> Mapping[Shape, ShapeRecord]:
             code = b"(" + b"".join(sorted(c for c, _ in acc)) + b")"
             out[code] = (size, depth_sum, wien, len(acc), inner)
             return
+        room = root_children - len(acc)  # children the root can still take
         for s in range(min(remaining, max_size), 0, -1):
+            if s * room < remaining:  # no smaller subtrees can fill it either
+                break
             pool = pools[s]
             for idx in range(max_idx if s == max_size else 0, len(pool)):
                 acc.append(pool[idx])
@@ -126,16 +145,60 @@ def tree_stats(parent: Sequence[int]) -> tuple[int, int, int]:
 
 
 def tree_code(parent: Sequence[int]) -> Shape:
-    """AHU code of the tree given by parent positions, parents first."""
-    kids: list[list[bytes] | None] = [[] for _ in parent]
-    for k in range(len(parent) - 1, 0, -1):
-        codes = kids[k]
-        kids[k] = None  # ancestors keep only the joined code, not its parts
-        codes.sort()
-        kids[parent[k]].append(b"(" + b"".join(codes) + b")")
-    codes = kids[0]
-    codes.sort()
-    return b"(" + b"".join(codes) + b")"
+    """AHU code of the tree given by parent positions, parents first.
+
+    Each byte is written once, after every vertex has a key that orders
+    the subtrees' codes as bytes. A code of height h opens with h + 1 "("
+    and then ")", so a higher subtree's code is the lesser. Codes of equal
+    height compare as their children's key lists, and since no code is a
+    prefix of another, a list that runs out first (its ")" meeting the
+    other's "(") is the greater: each list ends in a key above all others.
+    Heights are keyed in rising order, so every list holds keys already
+    set. A vertex's code then starts 2 * (sizes of its earlier siblings)
+    bytes after its parent's "(".
+    """
+    size = len(parent)
+    if size == 1:
+        return b"()"
+    kids: list[list[int]] = [[] for _ in parent]
+    height = [0] * size
+    sub = [1] * size  # subtree sizes
+    for k in range(size - 1, 0, -1):
+        p = parent[k]
+        kids[p].append(k)
+        sub[p] += sub[k]
+        if height[k] >= height[p]:
+            height[p] = height[k] + 1
+    levels: list[list[int]] = [[] for _ in range(height[0] + 1)]
+    for v, h in enumerate(height):
+        levels[h].append(v)
+    key = height  # reused: height h keys lie in [-h(size + 1), -h(size + 1) + size)
+    for h, level in enumerate(levels):
+        base = -h * (size + 1)
+        if len(level) == 1:
+            v = level[0]
+            kids[v].sort(key=key.__getitem__)
+            key[v] = base
+            continue
+        lists = []
+        for v in level:
+            below = kids[v]
+            below.sort(key=key.__getitem__)
+            lists.append(tuple([key[c] for c in below]) + (size,))
+        ranks = {x: base + r for r, x in enumerate(sorted(set(lists)))}
+        for v, x in zip(level, lists):
+            key[v] = ranks[x]
+    out = bytearray(b")") * (2 * size)
+    start = key  # reused: where each vertex's code starts
+    start[0] = 0
+    for v in range(size):
+        at = start[v]
+        out[at] = 40  # "("
+        at += 1
+        for c in kids[v]:
+            start[c] = at
+            at += 2 * sub[c]
+    return bytes(out)
 
 
 def code_parents(code: Shape) -> list[int]:

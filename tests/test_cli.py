@@ -324,6 +324,25 @@ def test_compute_and_family_load_no_enumeration_stack(tmp_path):
     assert not added & {"kfx.search", "multiprocessing"}
 
 
+@pytest.mark.parametrize("argv", [["search", "--n", "10"],
+                                  ["verify", "--suite", "theorem", "--n-max", "6"]])
+def test_one_worker_enumeration_loads_no_multiprocessing(tmp_path, argv):
+    added = modules_added_by([*argv, "--workers", "1"], tmp_path)
+    assert "kfx.search" in added
+    assert not added & {"multiprocessing", "dataclasses"}
+
+
+@pytest.mark.parametrize("at_most", [[], ["--at-most"]])
+def test_two_workers_list_the_rows_of_one(capsys, at_most):
+    outputs = {}
+    for workers in ("1", "2"):
+        code, outputs[workers], err = run(capsys, "search", "--n", "13", "--delta", "4", *at_most,
+                                          "--dump-all", "--workers", workers)
+        assert code == 0 and err == ""
+    assert outputs["1"] == outputs["2"]
+    assert outputs["1"].count("\n") > 6_000
+
+
 @pytest.mark.parametrize("suite", [["theorem", "--n-max", "9"], ["lemmas"]])
 def test_verify_starts_one_pool_per_command(capsys, pool_starts, suite):
     import multiprocessing

@@ -5,8 +5,10 @@ a regression fails fast with RecursionError rather than after slower
 checks. Input graphs must not grow the shape catalog, which only
 enumeration fills.
 """
+import gc
 import json
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -119,3 +121,25 @@ def test_code_memory_stays_linear():
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+def test_code_time_grows_linearly():
+    """Eight times the tail costs far less than the 64 times a code that
+    copies each subtree's code into its parent's would take. The cyclic
+    garbage collector is paused while timing: its full passes walk every
+    object the test process holds, such as other tests' cached catalogs,
+    and would time those instead."""
+    def best_time(n: int, repeat: int) -> float:
+        u = decompose_unicyclic(make_p3_extremal(n, 5))
+        best = float("inf")
+        for _ in range(repeat):
+            gc.disable()
+            try:
+                t = time.perf_counter()
+                canonical_code(u)
+                best = min(best, time.perf_counter() - t)
+            finally:
+                gc.enable()
+        return best
+
+    assert best_time(100_000, 3) < 24 * best_time(12_500, 5)

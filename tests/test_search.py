@@ -481,3 +481,68 @@ def test_worker_pool_is_shared_and_closed(pool_starts):
             assert multiprocessing.active_children()
             raise RuntimeError
     assert len(pool_starts) == 3 and not multiprocessing.active_children()
+
+
+def test_alphabet_reads_the_bounded_catalog():
+    from kfx.search import _alphabet, _hanging_degree
+    from kfx.unicyclic import rooted_shapes, shape_record
+
+    for n, top in [(10, 8), (12, 10), (14, 12)]:
+        full = sorted(code for k in range(1, top + 1) for code in rooted_shapes(k))
+        for delta in range(0, top + 3):
+            for exact in (True, False):
+                codes, by_size, hubs, hubs_by_size, terms = _alphabet(n, delta, exact, top)
+                degree = [_hanging_degree(shape_record(c)) for c in codes]
+                assert codes == [c for c in full if _hanging_degree(shape_record(c)) <= delta]
+                assert by_size == [[r for r, c in enumerate(codes) if len(c) == 2 * k]
+                                   for k in range(top + 1)]
+                assert terms == [w + (n - s) * d for s, d, w, _, _ in map(shape_record, codes)]
+                if exact:
+                    assert hubs == {r for r, d in enumerate(degree) if d == delta}
+                    assert hubs_by_size == [[r for r in ranks if r in hubs] for ranks in by_size]
+                else:
+                    assert hubs is None and hubs_by_size is None
+
+
+def test_rows_match_a_per_class_recomputation():
+    """Every degree- and cycle-filtered run lists exactly the unfiltered
+    rows that pass its filters, each with N = l * kf_from_shapes."""
+    from kfx.metrics import kf_from_shapes
+    from kfx.search import _hanging_degree, unicyclic_rows
+    from kfx.unicyclic import shape_record
+
+    for n in range(3, 13):
+        rows = unicyclic_rows(n)
+        for code, l, shapes, num in rows:
+            assert num == l * kf_from_shapes(l, shapes), code
+        degree = {row[0]: max(_hanging_degree(shape_record(s)) for s in row[2]) for row in rows}
+        filters = [(None, True)] + [(d, e) for d in range(0, n + 2) for e in (True, False)]
+        for delta, exact in filters:
+            for l_filter in [None, *range(2, n + 2)]:
+                expected = [
+                    row for row in rows
+                    if (l_filter is None or row[1] == l_filter)
+                    and (delta is None
+                         or (degree[row[0]] == delta if exact else degree[row[0]] <= delta))
+                ]
+                assert unicyclic_rows(n, delta, l_filter, exact) == expected, (
+                    n, delta, l_filter, exact)
+
+
+def test_last_tree_bounds_against_the_reversal_test():
+    """For every necklace over four ranks whose last rank is not its first,
+    `_last_tree_bounds` of its prefix accepts the last rank iff no rotation
+    of the reversal is less than the necklace."""
+    from itertools import product
+
+    from kfx.search import _last_tree_bounds
+
+    for l in range(3, 8):
+        for a in map(list, product(range(4), repeat=l)):
+            if a[-1] == a[0] or any(a[i:] + a[:i] < a for i in range(1, l)):
+                continue
+            b = a[::-1]
+            canonical = all(b[i:] + b[:i] >= a for i in range(l))
+            bounds = _last_tree_bounds(a, l - 1)
+            accepted = bounds is not None and a[-1] >= bounds[0] and a[-1] not in bounds[1]
+            assert accepted == canonical, a

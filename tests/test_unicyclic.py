@@ -11,6 +11,7 @@ from kfx.unicyclic import (
     canonical_code,
     code_parents,
     decompose_unicyclic,
+    orient,
     path_shape,
     rooted_shapes,
     shape_record,
@@ -231,3 +232,49 @@ def test_tree_distance_within_repr():
                         assert resistance_structural(u, a, b) == dist[b]
     u = decompose_unicyclic(make_p_n_l(7, 3))
     assert resistance_structural(u, 6, 0) == 4
+
+
+def test_bounded_catalog_equals_the_filtered_catalog():
+    """`rooted_shapes(k, c, r)` lists the trees of the full catalog whose
+    non-root vertices have at most c children (degree c + 1) and whose
+    root has at most r, in the same order and with the same records."""
+    try:
+        for k in range(1, 15):
+            full = list(rooted_shapes(k).items())
+            for delta in range(0, 17):
+                for c, r in ((delta - 1, delta - 2), (delta - 1, delta - 1)):
+                    expected = [(code, rec) for code, rec in full if rec[3] <= r and rec[4] <= c + 1]
+                    assert list(rooted_shapes(k, c, r).items()) == expected, (k, c, r)
+    finally:
+        rooted_shapes.cache_clear()  # release the bounded catalogs
+
+
+def join_tree_code(parent):
+    """AHU code by joining each vertex's sorted child codes, bottom-up: the
+    reference `tree_code` must reproduce."""
+    kids = [[] for _ in parent]
+    for k in range(len(parent) - 1, 0, -1):
+        codes = kids[k]
+        codes.sort()
+        kids[parent[k]].append(b"(" + b"".join(codes) + b")")
+    codes = kids[0]
+    codes.sort()
+    return b"(" + b"".join(codes) + b")"
+
+
+def test_tree_code_equals_the_joined_code():
+    rng = random.Random(29)
+    for k in range(1, 13):
+        for shape in rooted_shapes(k):
+            # relabel, then list the vertices breadth first from the root
+            t = shape_to_tree(shape)
+            perm = list(range(1, k))
+            rng.shuffle(perm)
+            g = t.relabel([0] + perm)
+            parent = orient(g.adj, 0, [False] * k)[1]
+            assert tree_code(parent) == join_tree_code(parent) == shape
+    for _ in range(2000):
+        size = rng.randrange(1, 80)
+        # random attachment, and long spines with short branches
+        parent = [-1] + [rng.randrange(max(0, k - rng.choice((1, 3, k))), k) for k in range(1, size)]
+        assert tree_code(parent) == join_tree_code(parent)

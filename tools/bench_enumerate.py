@@ -1,0 +1,142 @@
+"""Before/after rows for the enumeration: CLI runs and in-process layers.
+
+Usage:
+    python tools/bench_enumerate.py [--repeat R] LABEL=SRC_DIR [LABEL=SRC_DIR ...]
+
+Each SRC_DIR is the `src` directory of a kfx checkout. Labels are run
+alternately, R rounds (default 5), the first label first in even rounds
+and last in odd ones, every measurement in a fresh interpreter. The
+report goes to `BENCH_enumerate.json` at the repo root, with a row per
+label:
+
+* `cli`: per command, the median wall time (interpreter start-up
+  included) and the median peak RSS of its process tree, as `wait4`
+  reports it for the command's process. The commands are the six
+  enumerate operations of `perfbench/` (`ENUMERATE`) and the two largest
+  degree-bounded conjectures that fit the default cap (`LARGE`).
+* `in_process`: per (n, delta, exact), the median seconds of one cold
+  `search._alphabet` call, which builds the tree catalog, and of one walk
+  of every work unit through `search._unit`, which counts the classes
+  and reduces their Kf without keeping rows.
+"""
+from __future__ import annotations
+
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ENUMERATE = [
+    ["search", "--n", "14"],
+    ["search", "--n", "14", "--workers", "2"],
+    ["search", "--n", "14", "--delta", "4", "--objective", "min"],
+    ["search", "--n", "14", "--at-most", "--delta", "4"],
+    ["search", "--n", "13", "--l", "5", "--dump-all"],
+    ["conjecture", "--n", "14", "--delta", "4"],
+]
+LARGE = [
+    ["conjecture", "--n", "18", "--delta", "3"],
+    ["conjecture", "--n", "18", "--delta", "4"],
+]
+LAYERS = [(14, None, True), (14, 4, True), (14, 4, False), (18, 3, True)]
+OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_enumerate.json"
+
+# Times one cold `_alphabet` and one walk of every unit for the run given
+# as argv (n, delta or "-", exact as 0/1), with the units and the catalog
+# size `_run_units` would use, and prints them as JSON.
+TIME_LAYERS = """
+import json, sys, time
+from kfx import search
+n, delta, exact = int(sys.argv[1]), None if sys.argv[2] == "-" else int(sys.argv[2]), sys.argv[3] == "1"
+l_max = min(n, n - delta + 2) if delta is not None and exact else n
+ls = list(range(3, l_max + 1))
+top = n - ls[0] + 1
+t = time.perf_counter()
+search._alphabet(n, delta, exact, top)
+alphabet = time.perf_counter() - t
+t = time.perf_counter()
+count = sum(search._unit((n, l, first, delta, exact, top, False)).count
+            for l, first in search._units(n, ls))
+print(json.dumps({"alphabet_s": alphabet, "units_s": time.perf_counter() - t, "classes": count}))
+"""
+
+
+def _env(src: str) -> dict:
+    return dict(os.environ, PYTHONPATH=os.path.abspath(src))
+
+
+def _cli(src: str, argv: list[str]) -> tuple[float, float]:
+    """Wall seconds and peak RSS (MiB) of one `python -m kfx.cli` run."""
+    t = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "kfx.cli", *argv], env=_env(src),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode not in (0, 1):  # 1 is a mismatch verdict, still a full run
+        raise RuntimeError(f"{' '.join(argv)} exited {proc.returncode} with {src}")
+    return wall, usage.ru_maxrss / 1024
+
+
+def _layers(src: str, n: int, delta: int | None, exact: bool) -> dict:
+    argv = [str(n), "-" if delta is None else str(delta), "1" if exact else "0"]
+    return json.loads(subprocess.run([sys.executable, "-c", TIME_LAYERS, *argv], env=_env(src),
+                                     check=True, capture_output=True, text=True).stdout)
+
+
+def _median(values: list[float], digits: int) -> float:
+    return round(statistics.median(values), digits)
+
+
+def main(argv: list[str]) -> int:
+    repeat = 5
+    if argv[:1] == ["--repeat"]:
+        repeat, argv = int(argv[1]), argv[2:]
+    checkouts = dict(arg.split("=", 1) for arg in argv)
+    if not checkouts:
+        print(__doc__, file=sys.stderr)
+        return 2
+    commands = [" ".join(a) for a in ENUMERATE + LARGE]
+    cli = {label: {c: [] for c in commands} for label in checkouts}
+    layers = {label: {run: [] for run in LAYERS} for label in checkouts}
+    for round_ in range(repeat):
+        order = list(checkouts.items())
+        for label, src in order[::-1] if round_ % 2 else order:
+            for a in ENUMERATE + LARGE:
+                cli[label][" ".join(a)].append(_cli(src, a))
+            for run in LAYERS:
+                layers[label][run].append(_layers(src, *run))
+    rows = []
+    for label in checkouts:
+        runs = cli[label]
+        rows.append({
+            "label": label,
+            "cli": {c: {"wall_s": _median([w for w, _ in runs[c]], 3),
+                        "peak_rss_mib": _median([m for _, m in runs[c]], 1)} for c in commands},
+            "enumerate_pass_s": round(sum(statistics.median(w for w, _ in runs[" ".join(a)])
+                                          for a in ENUMERATE), 3),
+            "in_process": [{
+                "n": n, "delta": delta, "exact": exact,
+                "classes": samples[0]["classes"],
+                "alphabet_s": _median([s["alphabet_s"] for s in samples], 4),
+                "units_s": _median([s["units_s"] for s in samples], 4),
+            } for (n, delta, exact), samples in layers[label].items()],
+        })
+    report = {
+        "script": "tools/bench_enumerate.py",
+        "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
+                 "machine": platform.machine()},
+        "repeat": repeat,
+        "statistic": "median over alternated rounds, each run a fresh process",
+        "rows": rows,
+    }
+    OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
