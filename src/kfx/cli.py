@@ -20,22 +20,14 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 from . import __version__
-from .errors import (
-    DEFAULT_CAP,
-    CapExceededError,
-    EngineMismatchError,
-    GraphParseError,
-    KfxError,
-    NotConnectedError,
-    NotUnicyclicError,
-    ParameterError,
-)
+from .errors import DEFAULT_CAP, CapExceededError, GraphParseError, KfxError, ParameterError
 from .families import FAMILY_NAMES, FamilyParams
 from .graph import format_edge_list, max_degree, parse_edge_list
 from .metrics import engine_input, kf_vertex, kirchhoff_index, wiener_index
 
-# `formulas` and `search` are imported in the commands that use them, so
-# `compute` and `family` load neither.
+# `formulas`, `search` and `suites` are imported in the commands that use
+# them, so `compute` and `family` load none of them, and `search` loads no
+# suite.
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -189,27 +181,19 @@ def cmd_search(args) -> int:
     enum = (args.n, args.delta, args.l, not args.at_most, args.cap, args.workers)
     if args.dump_all:
         rows = unicyclic_rows(*enum)
-        count = len(rows)
+        if rows:
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["canonical_code", "cycle_length", "kf"])
+            for code, l, _, num in rows:
+                writer.writerow([code.decode("ascii"), l, rational_str(Fraction(num, l))])
+            _write(args, buf.getvalue())
+            return EXIT_OK
+        count, pick, arg = 0, None, []  # no class: the JSON report below
     else:
         ext = unicyclic_extremes(*enum)
         count = ext.count
-    if not count:
-        payload = {
-            "kind": "search", "n": args.n, "delta": args.delta, "l_filter": args.l,
-            "objective": args.objective, "graph_count": 0, "extremal_value": None,
-            "argext_codes": [],
-        }
-        _write(args, dump_json(payload))
-        return EXIT_OK
-    if args.dump_all:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["canonical_code", "cycle_length", "kf"])
-        for code, l, _, num in rows:
-            writer.writerow([code.decode("ascii"), l, rational_str(Fraction(num, l))])
-        _write(args, buf.getvalue())
-        return EXIT_OK
-    pick, arg = (ext.high, ext.high_codes) if args.objective == "max" else (ext.low, ext.low_codes)
+        pick, arg = (ext.high, ext.high_codes) if args.objective == "max" else (ext.low, ext.low_codes)
     payload = {
         "kind": "search",
         "n": args.n,
@@ -217,7 +201,7 @@ def cmd_search(args) -> int:
         "l_filter": args.l,
         "objective": args.objective,
         "graph_count": count,
-        "extremal_value": rational_str(pick),
+        "extremal_value": None if pick is None else rational_str(pick),
         "argext_codes": arg,
     }
     _write(args, dump_json(payload))
@@ -226,7 +210,7 @@ def cmd_search(args) -> int:
 
 @_one_pool
 def cmd_verify(args) -> int:
-    from .search import check_lemma_properties, engine_equivalence_suite, verify_theorem
+    from .suites import check_lemma_properties, engine_equivalence_suite, verify_theorem
 
     payload: dict = {"suite": args.suite}
     mismatch = False
@@ -261,7 +245,7 @@ def cmd_verify(args) -> int:
 
 @_one_pool
 def cmd_conjecture(args) -> int:
-    from .search import probe_conjecture
+    from .suites import probe_conjecture
 
     rep = probe_conjecture(args.n, args.delta, cap=args.cap, workers=args.workers)
     _write(args, dump_json(rep.to_dict()))
@@ -359,9 +343,6 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ParameterError, NotConnectedError, NotUnicyclicError, EngineMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except KfxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

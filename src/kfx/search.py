@@ -1,5 +1,6 @@
-"""Isomorphism-free enumeration of unicyclic graphs and trees, plus the
-extremal verification and conjecture-probing machinery built on it.
+"""Isomorphism-free enumeration of unicyclic graphs, and the exact class
+count every enumeration is checked against. The suites that check the
+paper's claims on these classes are in `kfx.suites`.
 
 Enumeration works directly in decomposition space: a unicyclic graph is
 its cycle length l and the l-tuple of rooted-tree shapes (AHU codes from
@@ -12,10 +13,9 @@ count.
 
 Each unit computes every class's Kf as it is generated, as the exact
 integer N = l * Kf, and reduces its classes in place: it returns its class
-count and its least and greatest N with the codes reaching them. The
-search, conjecture and theorem paths merge these reductions
-(`unicyclic_extremes`), so their memory does not grow with the class
-count; only `unicyclic_rows` and `unicyclic_classes` list every class.
+count and its least and greatest N with the codes reaching them.
+`unicyclic_extremes` merges these reductions, so its memory does not grow
+with the class count; only `unicyclic_rows` lists every class.
 
 The enumeration cap counts classes. Every run compares one number with
 it, before any tree catalog is built: the exact class count from the
@@ -24,42 +24,15 @@ before any degree filter, so it bounds every degree-filtered run.
 """
 from __future__ import annotations
 
-import heapq
-import random
 from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
-from .errors import DEFAULT_CAP, CapExceededError, ParameterError
-from .families import make_p3_extremal, make_p_family_member, make_t_n_delta
-from .formulas import (
-    conj_ii_x_range,
-    conj_min_formula_i,
-    conj_min_formula_ii,
-    theorem_bound,
-    wiener_broom_formula,
-)
-from .graph import Graph
-from .metrics import kf_from_shapes, kirchhoff_index
-from .unicyclic import (
-    Shape,
-    ShapeRecord,
-    canonical_code,
-    code_parents,
-    decompose_unicyclic,
-    path_shape,
-    rooted_shapes,
-    shape_record,
-    tree_canonical_code,
-    unicyclic_from_shapes,
-)
-
-ClassMap = dict[bytes, tuple[int, tuple[Shape, ...]]]
-
+from .errors import DEFAULT_CAP, CapExceededError
+from .unicyclic import Shape, ShapeRecord, rooted_shapes
 
 # ---------------------------------------------------------------------------
 # enumeration
@@ -319,7 +292,8 @@ def _run_units(n, delta, l_filter, exact, cap, workers, keep_rows):
     """
     if class_count(n, l_filter, cap) > cap:
         raise CapExceededError(f"more than {cap} isomorphism classes")
-    # no class of max degree exactly delta has l > n - delta + 2 (`verify_theorem`)
+    # a hub on the cycle needs delta - 2 tree vertices and one off it
+    # delta + 1, so no class of max degree exactly delta has l > n - delta + 2
     l_max = min(n, n - delta + 2) if delta is not None and exact else n
     ls = [l for l in ([l_filter] if l_filter is not None else range(3, n + 1)) if 3 <= l <= l_max]
     if not ls:
@@ -385,34 +359,16 @@ def unicyclic_rows(
     cap: int = DEFAULT_CAP,
     workers: int = 1,
 ) -> list[Row]:
-    """A (code, l, shapes, N = l * Kf) row per isomorphism class, sorted by
-    canonical code; the shapes are the class's canonical tuple."""
+    """A (code, l, shapes, N = l * Kf) row per isomorphism class of
+    connected unicyclic graphs on n vertices (max degree exactly `delta`
+    when given, or at most `delta` with exact=False), sorted by canonical
+    code; the shapes are the class's canonical tuple, and
+    `unicyclic_from_shapes` builds its graph. Runs with more than `cap`
+    classes before the degree filter raise CapExceededError."""
     rows = [row for result in _run_units(n, delta, l_filter, exact, cap, workers, True)
             for row in result.rows]
     rows.sort()
     return rows
-
-
-def unicyclic_classes(
-    n: int,
-    delta: int | None = None,
-    l_filter: int | None = None,
-    exact: bool = True,
-    cap: int = DEFAULT_CAP,
-    workers: int = 1,
-) -> ClassMap:
-    """One (l, shapes) representative per isomorphism class, keyed and
-    sorted by canonical code.
-
-    Each class is generated once, as its canonical tuple: the least of the
-    tuple's rotations and reflections, which is also its key's tree list.
-    Units hold disjoint classes, so their rows are concatenated as they
-    arrive. Runs with more than `cap` classes before the degree filter
-    (`class_count(n, l_filter)`) raise CapExceededError before any tree
-    catalog is built.
-    """
-    return {code: (l, shapes) for code, l, shapes, _ in unicyclic_rows(
-        n, delta, l_filter, exact, cap, workers)}
 
 
 class Extremes(NamedTuple):
@@ -462,78 +418,9 @@ def unicyclic_extremes(
     workers: int = 1,
 ) -> Extremes:
     """The class count and the least and greatest Kf of the classes
-    `unicyclic_classes` would list, with their codes. Each work unit
+    `unicyclic_rows` would list, with their codes. Each work unit
     reduces its own classes, so no class map is built."""
     return _merge(_run_units(n, delta, l_filter, exact, cap, workers, False))
-
-
-def enumerate_unicyclic(
-    n: int,
-    delta: int | None = None,
-    l_filter: int | None = None,
-    exact: bool = True,
-    cap: int = DEFAULT_CAP,
-    workers: int = 1,
-):
-    """Yield one standard-numbered representative per isomorphism class of
-    connected unicyclic graphs on n vertices (max degree exactly `delta`
-    when given, or at most `delta` with exact=False)."""
-    for l, shapes in unicyclic_classes(n, delta, l_filter, exact, cap, workers).values():
-        yield unicyclic_from_shapes(l, shapes)
-
-
-def shape_to_tree(shape: Shape) -> Graph:
-    """Tree graph for a rooted shape, preorder numbering with root 0."""
-    parent = code_parents(shape)
-    return Graph(len(parent), [(parent[k], k) for k in range(1, len(parent))])
-
-
-def tree_classes(n: int, delta: int | None = None, exact: bool = True) -> dict[bytes, Graph]:
-    """One representative per isomorphism class of free trees on n vertices."""
-    if n < 1:
-        return {}
-    found: dict[bytes, Graph] = {}
-    for shape, (_, _, _, root, inner) in rooted_shapes(n).items():
-        deg = max(root, inner)
-        if delta is not None and (deg != delta if exact else deg > delta):
-            continue
-        g = shape_to_tree(shape)
-        code = tree_canonical_code(g)
-        if code not in found:
-            found[code] = g
-    return dict(sorted(found.items()))
-
-
-def enumerate_trees(n: int, delta: int | None = None, exact: bool = True):
-    yield from tree_classes(n, delta, exact).values()
-
-
-def random_unicyclic(n: int, rng: random.Random) -> Graph:
-    """Random connected unicyclic graph: Pruefer tree plus one extra edge."""
-    if n < 3:
-        raise ParameterError(f"need n >= 3, got {n}")
-    if n == 3:
-        edges = [(0, 1), (1, 2)]
-    else:
-        seq = [rng.randrange(n) for _ in range(n - 2)]
-        deg = [1] * n
-        for v in seq:
-            deg[v] += 1
-        edges = []
-        leaves = [v for v in range(n) if deg[v] == 1]
-        heapq.heapify(leaves)
-        for v in seq:
-            leaf = heapq.heappop(leaves)
-            edges.append((leaf, v))
-            deg[v] -= 1
-            if deg[v] == 1:
-                heapq.heappush(leaves, v)
-        u, w = heapq.heappop(leaves), heapq.heappop(leaves)
-        edges.append((u, w))
-    present = {tuple(sorted(e)) for e in edges}
-    non_edges = [e for e in combinations(range(n), 2) if e not in present]
-    edges.append(rng.choice(non_edges))
-    return Graph(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -607,379 +494,3 @@ def class_count(n: int, l_filter: int | None = None, cap: int | None = None) -> 
         if cap is not None and total > cap:
             return total
     return total
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-def _rat(value: Fraction | None) -> str | None:
-    if value is None:
-        return None
-    return f"{value.numerator}/{value.denominator}"
-
-
-class ExtremalReport:
-    """Outcome of one exhaustive extremal run, or a formula-only fallback."""
-
-    def __init__(
-        self,
-        kind: str,
-        n: int,
-        delta: int,
-        objective: str,
-        mode: str,  # "enumerated" | "formula-only"
-        graph_count: int,
-        extremal_value: Fraction | None,
-        argext_codes: list[str],
-        formula_value: Fraction | None,
-        verdict: str,  # "match" | "mismatch" | "not-applicable"
-        l_filter: int | None = None,
-        branch: str | None = None,
-        expected_code: str | None = None,
-        notes: list[str] | None = None,
-    ):
-        self.kind = kind
-        self.n = n
-        self.delta = delta
-        self.objective = objective
-        self.mode = mode
-        self.graph_count = graph_count
-        self.extremal_value = extremal_value
-        self.argext_codes = argext_codes
-        self.formula_value = formula_value
-        self.verdict = verdict
-        self.l_filter = l_filter
-        self.branch = branch
-        self.expected_code = expected_code
-        self.notes = [] if notes is None else notes
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "delta": self.delta,
-            "l_filter": self.l_filter,
-            "objective": self.objective,
-            "mode": self.mode,
-            "branch": self.branch,
-            "graph_count": self.graph_count,
-            "extremal_value": _rat(self.extremal_value),
-            "argext_codes": self.argext_codes,
-            "expected_code": self.expected_code,
-            "formula_value": _rat(self.formula_value),
-            "verdict": self.verdict,
-            "notes": self.notes,
-        }
-
-
-def verify_theorem(
-    n: int, delta: int, cap: int = DEFAULT_CAP, workers: int = 1
-) -> ExtremalReport:
-    """Check that the Kf maximum over unicyclic graphs with max degree
-    exactly `delta` (cycle lengths satisfying n >= l+delta-2) equals the
-    closed-form bound, attained uniquely by the triangle extremal graph.
-
-    Runs past the enumeration cap compare the constructed extremal graph
-    with the bound instead (formula-only mode)."""
-    if delta < 3 or n < delta + 1:
-        raise ParameterError(f"need delta >= 3 and n >= delta+1, got n={n}, delta={delta}")
-    bound = theorem_bound(n, delta)
-    extremal = decompose_unicyclic(make_p3_extremal(n, delta))
-    expected_code = canonical_code(extremal).decode("ascii")
-    notes: list[str] = []
-    try:
-        # a hub on the cycle needs delta - 2 tree vertices and one off it
-        # delta + 1, so every class of max degree exactly delta has
-        # l <= n - delta + 2 and lies in the theorem's scope
-        found = unicyclic_extremes(n, delta, cap=cap, workers=workers)
-    except CapExceededError:
-        best = kirchhoff_index(extremal, "structural")
-        mode, count, arg = "formula-only", 1, [expected_code]
-        notes.append("parameter space beyond the enumeration cap; compared the"
-                     " constructed extremal graph against the closed-form bound")
-    else:
-        mode, count, best, arg = "enumerated", found.count, found.high, found.high_codes
-    verdict = (
-        "match"
-        if best == bound and arg == [expected_code]
-        else ("not-applicable" if best is None else "mismatch")
-    )
-    return ExtremalReport(
-        kind="theorem",
-        n=n,
-        delta=delta,
-        objective="max",
-        mode=mode,
-        graph_count=count,
-        extremal_value=best,
-        argext_codes=arg,
-        formula_value=bound,
-        verdict=verdict,
-        expected_code=expected_code,
-        notes=notes,
-    )
-
-
-def conjecture_branch(n: int, delta: int) -> str:
-    if n <= 10 or (n == 11 and delta >= 5):
-        return "i"
-    return "ii"
-
-
-def probe_conjecture(
-    n: int, delta: int, cap: int = DEFAULT_CAP, workers: int = 1
-) -> ExtremalReport:
-    """Brute-force minimum Kf over unicyclic graphs with max degree
-    exactly `delta`, compared against the conjectured closed form.
-    Mismatches are reported, never suppressed."""
-    if delta < 3 or n < delta + 1:
-        raise ParameterError(f"need delta >= 3 and n >= delta+1, got n={n}, delta={delta}")
-    found = unicyclic_extremes(n, delta, cap=cap, workers=workers)
-    best, arg = found.low, found.low_codes
-    branch = conjecture_branch(n, delta)
-    notes: list[str] = []
-    formula: Fraction | None = None
-    if branch == "i":
-        formula = conj_min_formula_i(n, delta)
-    else:
-        candidates = []
-        for x in conj_ii_x_range(n, delta):
-            try:
-                candidates.append(conj_min_formula_ii(n, delta, x))
-            except ParameterError:
-                continue
-        if candidates:
-            formula = min(candidates)
-        else:
-            notes.append("no admissible x for branch (ii)")
-    if best is None or formula is None:
-        verdict = "not-applicable"
-    else:
-        verdict = "match" if best == formula else "mismatch"
-        if verdict == "mismatch":
-            notes.append(f"brute-force minimum attained by: {', '.join(arg)}")
-            # the formula may still hit the minimum at a hub count outside
-            # the conjecture's stated range; report that separately
-            x = 1
-            while n - x * (delta - 2) >= max(3, x):
-                if conj_min_formula_ii(n, delta, x) == best:
-                    notes.append(
-                        f"consecutive-hub formula reproduces the minimum at x={x},"
-                        " outside the conjectured x-range"
-                    )
-                x += 1
-    return ExtremalReport(
-        kind="conjecture",
-        n=n,
-        delta=delta,
-        objective="min",
-        mode="enumerated",
-        branch=branch,
-        graph_count=found.count,
-        extremal_value=best,
-        argext_codes=arg,
-        formula_value=formula,
-        verdict=verdict,
-        notes=notes,
-    )
-
-
-# ---------------------------------------------------------------------------
-# lemma property suite
-
-def _hub_candidates(degrees: list[int]) -> list[int]:
-    """Indices of the trees, given their `_hanging_degree`s, that contain a
-    vertex of overall maximum degree."""
-    overall = max(degrees)
-    return [i for i, d in enumerate(degrees) if d == overall]
-
-
-def _pendant_tadpoles(n: int, l: int, delta: int):
-    """Yield (hub_pos, graph) for each distinct member of the pendant-tadpole
-    family `make_p_family_member(n, l, delta, hub_pos)`, for n >= l + delta - 2.
-
-    The last position, max_pos = n - l - delta + 2, is left out: for
-    max_pos >= 2 it builds the same graph as max_pos - 1 (the tail's last
-    vertex is one more pendant of the hub), and for max_pos = 1 the degree
-    is unreachable there.
-    """
-    for hub_pos in range(max(n - l - delta + 2, 1)):
-        yield hub_pos, make_p_family_member(n, l, delta, hub_pos)
-
-
-def check_lemma_properties(
-    n_max: int,
-    tree_n_max: int = 11,
-    cap: int = DEFAULT_CAP,
-    workers: int = 1,
-) -> dict:
-    """Empirical sweep of the structural lemmas over all enumerable
-    instances up to n_max (unicyclic) and tree_n_max (trees).
-
-    Returns a report dict; `ok` is True iff no lemma saw a violation.
-    """
-    report: dict = {}
-
-    # path replacement of non-hub trees never decreases Kf; each n is
-    # enumerated once, and its classes' Kf are kept by (max degree, l)
-    checked = 0
-    violations: list[str] = []
-    non_strict = 0
-    kf_by_n: dict[int, dict[tuple[int, int], dict[bytes, Fraction]]] = {}
-    for n in range(4, n_max + 1):
-        groups = kf_by_n[n] = {}
-        for code, l, shapes, num in unicyclic_rows(n, cap=cap, workers=workers):
-            kf = Fraction(num, l)
-            degrees = [_hanging_degree(shape_record(s)) for s in shapes]
-            groups.setdefault((max(degrees), l), {})[code] = kf
-            for h in _hub_candidates(degrees):
-                replaced = tuple(
-                    s if i == h else path_shape(len(s) // 2) for i, s in enumerate(shapes)
-                )
-                changed = replaced != shapes
-                kf2 = kf_from_shapes(l, replaced)
-                checked += 1
-                if kf2 < kf:
-                    violations.append(code.decode("ascii"))
-                elif changed and kf2 == kf:
-                    non_strict += 1
-    report["path_replacement"] = {
-        "checked": checked,
-        "violations": violations,
-        "non_strict_changes": non_strict,
-    }
-
-    # within each (n, l, delta) class, every Kf maximizer has its pendants
-    # on a single tail vertex of the tadpole
-    checked = 0
-    violations = []
-    for n in range(4, n_max + 1):
-        for delta in range(3, n):
-            for l in range(3, n - delta + 3):
-                classes = kf_by_n[n].get((delta, l))
-                if not classes:
-                    continue
-                members = {canonical_code(decompose_unicyclic(g))
-                           for _, g in _pendant_tadpoles(n, l, delta)}
-                best = max(classes.values())
-                argmax = {code for code, kf in classes.items() if kf == best}
-                checked += 1
-                if not argmax <= members:
-                    violations.append(f"n={n} l={l} delta={delta}")
-    report["maximizer_in_pendant_tadpoles"] = {"checked": checked, "violations": violations}
-
-    # among trees with max degree exactly delta, Wiener is uniquely
-    # maximized by the broom; a rooted tree's W and max degree do not depend
-    # on its root, so the catalog's rooted trees reach the free trees' maximum,
-    # and only the rooted trees reaching it are canonicalized
-    checked = 0
-    violations = []
-    for n in range(4, tree_n_max + 1):
-        top: dict[int, tuple[int, list[Shape]]] = {}  # max degree -> (greatest W, shapes)
-        for shape, (_, _, wien, root, inner) in rooted_shapes(n).items():
-            deg = max(root, inner)
-            if deg not in top or wien > top[deg][0]:
-                top[deg] = (wien, [shape])
-            elif wien == top[deg][0]:
-                top[deg][1].append(shape)
-        for delta in range(3, n):
-            if delta not in top:
-                continue
-            wien, shapes = top[delta]
-            argmax = {tree_canonical_code(shape_to_tree(s)) for s in shapes}
-            checked += 1
-            if (wien != wiener_broom_formula(n, delta)
-                    or argmax != {tree_canonical_code(make_t_n_delta(n, delta))}):
-                violations.append(f"n={n} delta={delta}")
-    report["wiener_broom_maximizer"] = {"checked": checked, "violations": violations}
-
-    # within the pendant-tadpole family, Kf is maximized with the hub on
-    # the cycle junction
-    checked = 0
-    violations = []
-    ties = 0
-    for n in range(5, n_max + 1):
-        for delta in range(3, n):
-            for l in range(3, n - delta + 3):
-                values = {hub_pos: kirchhoff_index(g, "structural")
-                          for hub_pos, g in _pendant_tadpoles(n, l, delta)}
-                if len(values) < 2:
-                    continue
-                checked += 1
-                best = max(values.values())
-                if values[0] < best:
-                    violations.append(f"n={n} l={l} delta={delta}")
-                elif sum(1 for v in values.values() if v == best) > 1:
-                    ties += 1
-    report["hub_on_cycle_maximizes"] = {
-        "checked": checked,
-        "violations": violations,
-        "ties": ties,
-    }
-
-    report["ok"] = all(
-        not section["violations"] for key, section in report.items() if key != "ok"
-    )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# engine cross-validation
-
-def engine_equivalence_suite(n_max: int, samples: int, seed: int, cap: int = DEFAULT_CAP) -> dict:
-    """Structural vs determinant-oracle resistances on every pair, and
-    decomposition-formula Kf vs the pairwise sum; exhaustive over all
-    classes up to n_max plus seeded random unicyclic graphs at n = 9..12.
-    All comparisons are exact."""
-    from .metrics import kf_decomposition, resistance_structural, resistance_table
-
-    checked_pairs = 0
-    graphs = 0
-    mismatches: list[str] = []
-
-    def check(g: Graph, label: str) -> None:
-        nonlocal checked_pairs, graphs
-        graphs += 1
-        u = decompose_unicyclic(g)
-        total = Fraction(0)
-        ok = True
-        for (a, b), ro in resistance_table(g, "oracle").pairs():
-            checked_pairs += 1
-            if resistance_structural(u, a, b) != ro:
-                ok = False
-            total += ro
-        if kf_decomposition(u) != total:
-            ok = False
-        if not ok:
-            mismatches.append(label)
-
-    for n in range(3, n_max + 1):
-        for code, (l, shapes) in unicyclic_classes(n, cap=cap).items():
-            g, _ = unicyclic_from_shapes(l, shapes).to_graph()
-            check(g, f"n={n} {code.decode('ascii')}")
-    rng = random.Random(seed)
-    for k in range(samples):
-        n = rng.randrange(9, 13)
-        check(random_unicyclic(n, rng), f"random sample {k} (n={n})")
-    return {
-        "graphs": graphs,
-        "pairs": checked_pairs,
-        "seed": seed,
-        "violations": mismatches,
-    }
-
-
-# ---------------------------------------------------------------------------
-# independent completeness oracle (labeled brute force)
-
-def brute_force_unicyclic_codes(n: int) -> set[bytes]:
-    """Canonical codes of all unicyclic graphs on n vertices, derived by
-    filtering every labeled n-edge graph. Exponential; intended for n <= 7."""
-    codes: set[bytes] = set()
-    all_pairs = list(combinations(range(n), 2))
-    for edge_set in combinations(all_pairs, n):
-        g = Graph(n, edge_set)
-        if not g.is_connected():
-            continue
-        codes.add(canonical_code(decompose_unicyclic(g)))
-    return codes

@@ -24,14 +24,13 @@ from kfx.formulas import (
     theorem_bound,
 )
 from kfx.metrics import kirchhoff_index
-from kfx.search import (
-    brute_force_unicyclic_codes,
+from kfx.suites import (
     check_lemma_properties,
     engine_equivalence_suite,
     probe_conjecture,
-    unicyclic_classes,
     verify_theorem,
 )
+from oracles import brute_force_unicyclic_codes, unicyclic_classes
 
 F = Fraction
 TARGET = F(30925, 3)

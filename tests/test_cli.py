@@ -131,6 +131,22 @@ def test_search_outputs(capsys):
     assert len(lines) == 6  # header + 5 classes
 
 
+@pytest.mark.parametrize("argv, n, delta, l_filter, objective", [
+    (["--n", "6", "--l", "9"], 6, "null", 9, "max"),
+    (["--n", "2", "--objective", "min"], 2, "null", "null", "min"),
+    (["--n", "5", "--delta", "1", "--dump-all"], 5, 1, "null", "max"),  # JSON, no CSV header
+])
+def test_search_without_classes_prints_an_empty_report(capsys, argv, n, delta, l_filter, objective):
+    code, out, err = run(capsys, "search", *argv)
+    assert (code, err) == (0, "")
+    assert out == (
+        '{\n  "argext_codes": [],\n'
+        f'  "delta": {delta},\n'
+        '  "extremal_value": null,\n  "graph_count": 0,\n  "kind": "search",\n'
+        f'  "l_filter": {l_filter},\n  "n": {n},\n  "objective": "{objective}"\n}}\n'
+    )
+
+
 def test_verify_theorem_json_and_determinism(capsys):
     argv = ["verify", "--suite", "theorem", "--n", "6", "--delta", "3",
             "--format", "json"]
@@ -318,10 +334,22 @@ def test_compute_and_family_load_no_enumeration_stack(tmp_path):
     path.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
     added = modules_added_by(["compute", "--input", str(path)], tmp_path)
     assert "kfx.metrics" in added
-    assert not added & {"kfx.search", "kfx.formulas", "multiprocessing", "dataclasses"}
+    assert not added & {"kfx.search", "kfx.suites", "kfx.formulas", "multiprocessing", "dataclasses"}
     added = modules_added_by(["family", "--name", "cycle", "--n", "5"], tmp_path)
     assert "kfx.families" in added
-    assert not added & {"kfx.search", "multiprocessing"}
+    assert not added & {"kfx.search", "kfx.suites", "multiprocessing"}
+
+
+def test_the_enumerator_loads_no_suite_or_graph_construction():
+    probe = "import json, sys; before = set(sys.modules); import kfx.search; " \
+            "print(json.dumps(sorted(set(sys.modules) - before)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    added = set(json.loads(proc.stdout))
+    assert {"kfx.search", "kfx.unicyclic", "kfx.errors"} <= added
+    assert not added & {"kfx.suites", "kfx.metrics", "kfx.families", "kfx.formulas", "random",
+                        "multiprocessing"}
 
 
 @pytest.mark.parametrize("argv", [["search", "--n", "10"],

@@ -18,7 +18,7 @@ from kfx.families import make_cycle, make_p3_extremal, make_path
 from kfx.formulas import theorem_bound
 from kfx.graph import format_edge_list
 from kfx.metrics import kf_decomposition, kf_vertex, kirchhoff_index, wiener_index
-from kfx.search import verify_theorem
+from kfx.suites import verify_theorem
 from kfx.unicyclic import canonical_code, decompose_unicyclic, tree_canonical_code
 
 N = 5000

@@ -18,8 +18,9 @@ from kfx.metrics import (
     spanning_tree_count,
     wiener_index,
 )
-from kfx.search import enumerate_unicyclic, random_unicyclic, tree_classes
-from kfx.unicyclic import UnicyclicRepr, decompose_unicyclic
+from kfx.suites import random_unicyclic
+from kfx.unicyclic import UnicyclicRepr, decompose_unicyclic, unicyclic_from_shapes
+from oracles import tree_classes, unicyclic_classes
 
 F = Fraction
 
@@ -176,8 +177,8 @@ def test_tree_degeneration_resistance_equals_distance():
 
 def test_engine_equivalence_small_exhaustive():
     for n in range(3, 8):
-        for rep in enumerate_unicyclic(n):
-            g, _ = rep.to_graph()
+        for l, shapes in unicyclic_classes(n).values():
+            g, _ = unicyclic_from_shapes(l, shapes).to_graph()
             u = decompose_unicyclic(g)  # align labels with g
             for a, b in combinations(range(n), 2):
                 assert resistance_structural(u, a, b) == resistance_oracle(g, a, b)

@@ -7,18 +7,16 @@ from kfx.errors import CapExceededError, ParameterError
 from kfx.families import make_cycle, make_t_n_delta
 from kfx.formulas import theorem_bound
 from kfx.graph import is_tree, is_unicyclic, max_degree
-from kfx.search import (
-    brute_force_unicyclic_codes,
+from kfx.search import class_count
+from kfx.suites import (
     check_lemma_properties,
-    class_count,
     engine_equivalence_suite,
     probe_conjecture,
     random_unicyclic,
-    tree_classes,
-    unicyclic_classes,
     verify_theorem,
 )
 from kfx.unicyclic import canonical_code, decompose_unicyclic, tree_canonical_code
+from oracles import brute_force_unicyclic_codes, tree_classes, unicyclic_classes
 
 F = Fraction
 
@@ -60,9 +58,10 @@ def test_l_filter():
 
 
 def test_enumeration_soundness():
-    from kfx.search import enumerate_unicyclic
+    from kfx.unicyclic import unicyclic_from_shapes
 
-    for u in enumerate_unicyclic(7):
+    for l, shapes in unicyclic_classes(7).values():
+        u = unicyclic_from_shapes(l, shapes)
         g, _ = u.to_graph()
         assert is_unicyclic(g)
         assert canonical_code(decompose_unicyclic(g)) == canonical_code(u)
@@ -424,7 +423,7 @@ def test_pendant_tadpoles_are_distinct():
     # every member has its own canonical code, and together they are every
     # graph the family builds at some hub position
     from kfx.families import make_p_family_member
-    from kfx.search import _pendant_tadpoles
+    from kfx.suites import _pendant_tadpoles
 
     for n in range(4, 13):
         for delta in range(3, n):
@@ -444,7 +443,7 @@ def test_pendant_tadpoles_are_distinct():
 
 def test_formula_only_theorem_decomposes_once(monkeypatch):
     import kfx.metrics
-    import kfx.search
+    import kfx.suites
     import kfx.unicyclic
 
     real = kfx.unicyclic.decompose_unicyclic
@@ -454,7 +453,7 @@ def test_formula_only_theorem_decomposes_once(monkeypatch):
         calls.append(g.n)
         return real(g)
 
-    for module in (kfx.unicyclic, kfx.metrics, kfx.search):
+    for module in (kfx.unicyclic, kfx.metrics, kfx.suites):
         monkeypatch.setattr(module, "decompose_unicyclic", counted)
     rep = verify_theorem(700, 5)
     assert rep.mode == "formula-only" and rep.verdict == "match"

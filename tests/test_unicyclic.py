@@ -6,7 +6,8 @@ from kfx.errors import NotConnectedError, NotUnicyclicError
 from kfx.families import make_cycle, make_p_n_l, make_s_n_l
 from kfx.graph import Graph, wiener
 from kfx.metrics import resistance_structural
-from kfx.search import _rooted_tree_counts, random_unicyclic, shape_to_tree, unicyclic_classes
+from kfx.search import _rooted_tree_counts
+from kfx.suites import random_unicyclic, shape_to_tree
 from kfx.unicyclic import (
     canonical_code,
     code_parents,
@@ -21,6 +22,7 @@ from kfx.unicyclic import (
     UnicyclicRepr,
     unicyclic_from_shapes,
 )
+from oracles import unicyclic_classes
 
 
 def code_of(g: Graph) -> bytes:

@@ -59,9 +59,13 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(starts)
 """
 
+# the suites left `kfx.search` for `kfx.suites`; either source tree runs
 TIME_LEMMAS = """
 import time
-from kfx.search import check_lemma_properties
+try:
+    from kfx.suites import check_lemma_properties
+except ImportError:
+    from kfx.search import check_lemma_properties
 t = time.perf_counter()
 check_lemma_properties(8)
 print(time.perf_counter() - t)
