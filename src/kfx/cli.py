@@ -212,11 +212,13 @@ def cmd_search(args) -> int:
 def cmd_verify(args) -> int:
     from .suites import check_lemma_properties, engine_equivalence_suite, verify_theorem
 
+    if (args.n is None) != (args.delta is None):
+        raise ParameterError("verify takes --n and --delta together")
     payload: dict = {"suite": args.suite}
     mismatch = False
     if args.suite in ("theorem", "all"):
         reports = []
-        if args.n is not None and args.delta is not None:
+        if args.n is not None:
             pairs = [(args.n, args.delta)]
         else:
             n_max = args.n_max if args.n_max is not None else 9
@@ -330,12 +332,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_cap() -> int:
+    raw = os.environ.get("KFX_CAP", str(DEFAULT_CAP))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParameterError(f"KFX_CAP must be an integer, got {raw!r}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "cap", None) is None:
-        args.cap = int(os.environ.get("KFX_CAP", DEFAULT_CAP))
     try:
+        if getattr(args, "cap", None) is None:
+            args.cap = _env_cap()
         return args.fn(args)
     except GraphParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

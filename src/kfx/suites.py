@@ -230,16 +230,10 @@ def probe_conjecture(
 # ---------------------------------------------------------------------------
 # lemma property suite
 
-def _hub_candidates(degrees: list[int]) -> list[int]:
-    """Indices of the trees, given their `_hanging_degree`s, that contain a
-    vertex of overall maximum degree."""
-    overall = max(degrees)
-    return [i for i, d in enumerate(degrees) if d == overall]
-
-
 def _pendant_tadpoles(n: int, l: int, delta: int):
-    """Yield (hub_pos, graph) for each distinct member of the pendant-tadpole
-    family `make_p_family_member(n, l, delta, hub_pos)`, for n >= l + delta - 2.
+    """Yield each distinct member of the pendant-tadpole family
+    `make_p_family_member(n, l, delta, hub_pos)`, for n >= l + delta - 2,
+    in hub position order from the cycle junction, hub_pos = 0.
 
     The last position, max_pos = n - l - delta + 2, is left out: for
     max_pos >= 2 it builds the same graph as max_pos - 1 (the tail's last
@@ -247,7 +241,7 @@ def _pendant_tadpoles(n: int, l: int, delta: int):
     is unreachable there.
     """
     for hub_pos in range(max(n - l - delta + 2, 1)):
-        yield hub_pos, make_p_family_member(n, l, delta, hub_pos)
+        yield make_p_family_member(n, l, delta, hub_pos)
 
 
 def check_lemma_properties(
@@ -259,64 +253,67 @@ def check_lemma_properties(
     """Empirical sweep of the structural lemmas over all enumerable
     instances up to n_max (unicyclic) and tree_n_max (trees).
 
-    Returns a report dict; `ok` is True iff no lemma saw a violation.
+    Each n is enumerated once, keeping only the greatest Kf and its codes
+    per (max degree, l), and each pendant tadpole is built and decomposed
+    once. Returns a report dict; `ok` is True iff no lemma saw a violation.
     """
-    report: dict = {}
-
-    # path replacement of non-hub trees never decreases Kf; each n is
-    # enumerated once, and its classes' Kf are kept by (max degree, l)
-    checked = 0
-    violations: list[str] = []
-    non_strict = 0
-    kf_by_n: dict[int, dict[tuple[int, int], dict[bytes, Fraction]]] = {}
+    path: dict = {"checked": 0, "violations": [], "non_strict_changes": 0}
+    tadpole: dict = {"checked": 0, "violations": []}
+    hub: dict = {"checked": 0, "violations": [], "ties": 0}
     for n in range(4, n_max + 1):
-        groups = kf_by_n[n] = {}
+        # path replacement of non-hub trees never decreases Kf; `greatest`
+        # maps (max degree, l) to the greatest Kf and the codes reaching it
+        greatest: dict[tuple[int, int], tuple[Fraction, set[bytes]]] = {}
         for code, l, shapes, num in unicyclic_rows(n, cap=cap, workers=workers):
             kf = Fraction(num, l)
             degrees = [_hanging_degree(shape_record(s)) for s in shapes]
-            groups.setdefault((max(degrees), l), {})[code] = kf
-            for h in _hub_candidates(degrees):
+            key = (max(degrees), l)
+            if key not in greatest or kf > greatest[key][0]:
+                greatest[key] = (kf, {code})
+            elif kf == greatest[key][0]:
+                greatest[key][1].add(code)
+            for h, degree in enumerate(degrees):
+                if degree != key[0]:
+                    continue
                 replaced = tuple(
                     s if i == h else path_shape(len(s) // 2) for i, s in enumerate(shapes)
                 )
-                changed = replaced != shapes
                 kf2 = kf_from_shapes(l, replaced)
-                checked += 1
+                path["checked"] += 1
                 if kf2 < kf:
-                    violations.append(code.decode("ascii"))
-                elif changed and kf2 == kf:
-                    non_strict += 1
-    report["path_replacement"] = {
-        "checked": checked,
-        "violations": violations,
-        "non_strict_changes": non_strict,
-    }
+                    path["violations"].append(code.decode("ascii"))
+                elif replaced != shapes and kf2 == kf:
+                    path["non_strict_changes"] += 1
 
-    # within each (n, l, delta) class, every Kf maximizer has its pendants
-    # on a single tail vertex of the tadpole
-    checked = 0
-    violations = []
-    for n in range(4, n_max + 1):
         for delta in range(3, n):
             for l in range(3, n - delta + 3):
-                classes = kf_by_n[n].get((delta, l))
-                if not classes:
+                codes, values = set(), []
+                for g in _pendant_tadpoles(n, l, delta):
+                    u = decompose_unicyclic(g)
+                    codes.add(canonical_code(u))
+                    values.append(kf_decomposition(u))
+                # within each (n, l, delta) class, every Kf maximizer has
+                # its pendants on a single tail vertex of the tadpole
+                if (delta, l) in greatest:
+                    tadpole["checked"] += 1
+                    if not greatest[delta, l][1] <= codes:
+                        tadpole["violations"].append(f"n={n} l={l} delta={delta}")
+                # within the pendant-tadpole family, Kf is maximized with
+                # the hub on the cycle junction
+                if len(values) < 2:
                     continue
-                members = {canonical_code(decompose_unicyclic(g))
-                           for _, g in _pendant_tadpoles(n, l, delta)}
-                best = max(classes.values())
-                argmax = {code for code, kf in classes.items() if kf == best}
-                checked += 1
-                if not argmax <= members:
-                    violations.append(f"n={n} l={l} delta={delta}")
-    report["maximizer_in_pendant_tadpoles"] = {"checked": checked, "violations": violations}
+                hub["checked"] += 1
+                best = max(values)
+                if values[0] < best:
+                    hub["violations"].append(f"n={n} l={l} delta={delta}")
+                elif values.count(best) > 1:
+                    hub["ties"] += 1
 
     # among trees with max degree exactly delta, Wiener is uniquely
     # maximized by the broom; a rooted tree's W and max degree do not depend
     # on its root, so the catalog's rooted trees reach the free trees' maximum,
     # and only the rooted trees reaching it are canonicalized
-    checked = 0
-    violations = []
+    broom: dict = {"checked": 0, "violations": []}
     for n in range(4, tree_n_max + 1):
         top: dict[int, tuple[int, list[Shape]]] = {}  # max degree -> (greatest W, shapes)
         for shape, (_, _, wien, root, inner) in rooted_shapes(n).items():
@@ -330,39 +327,18 @@ def check_lemma_properties(
                 continue
             wien, shapes = top[delta]
             argmax = {tree_canonical_code(shape_to_tree(s)) for s in shapes}
-            checked += 1
+            broom["checked"] += 1
             if (wien != wiener_broom_formula(n, delta)
                     or argmax != {tree_canonical_code(make_t_n_delta(n, delta))}):
-                violations.append(f"n={n} delta={delta}")
-    report["wiener_broom_maximizer"] = {"checked": checked, "violations": violations}
+                broom["violations"].append(f"n={n} delta={delta}")
 
-    # within the pendant-tadpole family, Kf is maximized with the hub on
-    # the cycle junction
-    checked = 0
-    violations = []
-    ties = 0
-    for n in range(5, n_max + 1):
-        for delta in range(3, n):
-            for l in range(3, n - delta + 3):
-                values = {hub_pos: kirchhoff_index(g, "structural")
-                          for hub_pos, g in _pendant_tadpoles(n, l, delta)}
-                if len(values) < 2:
-                    continue
-                checked += 1
-                best = max(values.values())
-                if values[0] < best:
-                    violations.append(f"n={n} l={l} delta={delta}")
-                elif sum(1 for v in values.values() if v == best) > 1:
-                    ties += 1
-    report["hub_on_cycle_maximizes"] = {
-        "checked": checked,
-        "violations": violations,
-        "ties": ties,
+    report = {
+        "path_replacement": path,
+        "maximizer_in_pendant_tadpoles": tadpole,
+        "wiener_broom_maximizer": broom,
+        "hub_on_cycle_maximizes": hub,
     }
-
-    report["ok"] = all(
-        not section["violations"] for key, section in report.items() if key != "ok"
-    )
+    report["ok"] = not any(section["violations"] for section in report.values())
     return report
 
 

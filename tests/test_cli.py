@@ -206,6 +206,23 @@ def test_cap_env_var(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [["search", "--n", "5"], ["compute", "--input", "-"]])
+def test_cap_env_var_not_an_integer(capsys, monkeypatch, argv):
+    # an unreadable KFX_CAP is an invalid parameter (exit 3), not a traceback
+    monkeypatch.setenv("KFX_CAP", "abc")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "error: KFX_CAP must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("given", [["--n", "700"], ["--delta", "5"]])
+def test_verify_n_and_delta_go_together(capsys, given):
+    # one without the other used to fall back to the default sweep and exit 0
+    code, out, err = run(capsys, "verify", "--suite", "theorem", *given)
+    assert (code, out) == (3, "")
+    assert err == "error: verify takes --n and --delta together\n"
+
+
 def test_csv_format(capsys):
     code, out, _ = run(
         capsys, "formula", "--name", "theorem-bound", "--n", "5", "--delta", "3",

@@ -382,12 +382,19 @@ def test_hub_on_cycle_fails_to_maximize_at_n_12():
     from kfx.metrics import kirchhoff_index
 
     report = check_lemma_properties(12)
-    assert report["ok"] is False
-    assert report["hub_on_cycle_maximizes"]["violations"] == [
-        "n=12 l=5 delta=5", "n=12 l=6 delta=5", "n=12 l=5 delta=6",
-    ]
-    assert all(not section["violations"] for key, section in report.items()
-               if key not in ("ok", "hub_on_cycle_maximizes"))
+    assert report == {
+        "path_replacement": {"checked": 10806, "violations": [], "non_strict_changes": 0},
+        "maximizer_in_pendant_tadpoles": {"checked": 165, "violations": []},
+        "wiener_broom_maximizer": {"checked": 36, "violations": []},
+        "hub_on_cycle_maximizes": {
+            "checked": 84,
+            "violations": ["n=12 l=5 delta=5", "n=12 l=6 delta=5", "n=12 l=5 delta=6"],
+            "ties": 4,
+        },
+        "ok": False,
+    }
+    assert list(report) == ["path_replacement", "maximizer_in_pendant_tadpoles",
+                            "wiener_broom_maximizer", "hub_on_cycle_maximizes", "ok"]
     for hub_pos, kf in ((0, 185), (4, 188)):
         g = make_p_family_member(12, 5, 5, hub_pos)
         assert kirchhoff_index(g, "structural") == kirchhoff_index(g, "oracle") == kf
@@ -429,7 +436,7 @@ def test_pendant_tadpoles_are_distinct():
         for delta in range(3, n):
             for l in range(3, n - delta + 3):
                 codes = [canonical_code(decompose_unicyclic(g))
-                         for _, g in _pendant_tadpoles(n, l, delta)]
+                         for g in _pendant_tadpoles(n, l, delta)]
                 assert len(set(codes)) == len(codes), (n, l, delta)
                 built = set()
                 for hub_pos in range(n - l - delta + 3):
@@ -439,6 +446,22 @@ def test_pendant_tadpoles_are_distinct():
                         continue
                     built.add(canonical_code(decompose_unicyclic(g)))
                 assert set(codes) == built, (n, l, delta)
+
+
+def test_lemma_suite_builds_each_pendant_tadpole_once(monkeypatch):
+    # one decomposition of each member serves both tadpole checks
+    import kfx.suites
+
+    real = kfx.suites.make_p_family_member
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kfx.suites, "make_p_family_member", counted)
+    check_lemma_properties(8)
+    assert len(set(calls)) == len(calls) == 50
 
 
 def test_formula_only_theorem_decomposes_once(monkeypatch):
