@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import os
@@ -103,25 +102,11 @@ def _emit_record(args, record: dict, field_order: list[str]) -> None:
 def _value_fields(args, name: str, value: Fraction | int) -> dict:
     f = Fraction(value)
     rec = {name: rational_str(f)} if args.format != "table" else {
-        name: display_rational(f, getattr(args, "mixed", False))
+        name: display_rational(f, args.mixed)
     }
     if args.decimal is not None:
         rec[f"{name}_decimal"] = decimal_str(f, args.decimal)
     return rec
-
-
-def _one_pool(cmd):
-    """Run an enumerating command inside one `worker_pool` block, so every
-    enumeration it makes shares one process pool, closed when it returns."""
-
-    @functools.wraps(cmd)
-    def run(args) -> int:
-        from .search import worker_pool
-
-        with worker_pool(args.workers):
-            return cmd(args)
-
-    return run
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +135,12 @@ def cmd_family(args) -> int:
 
 
 def cmd_formula(args) -> int:
-    from .formulas import FORMULAS, kf_b_formula
+    from .formulas import FORMULAS
 
     if args.name not in FORMULAS:
         raise ParameterError(f"unknown formula {args.name!r}; known: {', '.join(FORMULAS)}")
+    if args.variant is not None and args.name != "kf-b":
+        raise ParameterError(f"--variant applies to formula kf-b only, not {args.name}")
     fn, wanted = FORMULAS[args.name]
     supplied = {"n": args.n, "l": args.l, "delta": args.delta, "x": args.x}
     call = {}
@@ -161,20 +148,15 @@ def cmd_formula(args) -> int:
         if supplied[p] is None:
             raise ParameterError(f"formula {args.name} requires --{p}")
         call[p] = supplied[p]
-    if args.name == "kf-b":
-        value = kf_b_formula(call["n"], call["l"], call["delta"], variant=args.variant)
-    else:
-        value = fn(**call)
     record = {"formula": args.name}
     record.update({k: v for k, v in supplied.items() if v is not None})
     if args.name == "kf-b":
-        record["variant"] = args.variant
-    record.update(_value_fields(args, "value", value))
+        record["variant"] = call["variant"] = args.variant or "validated"
+    record.update(_value_fields(args, "value", fn(**call)))
     _emit_record(args, record, list(record))
     return EXIT_OK
 
 
-@_one_pool
 def cmd_search(args) -> int:
     from .search import unicyclic_extremes, unicyclic_rows
 
@@ -208,12 +190,15 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-@_one_pool
 def cmd_verify(args) -> int:
     from .suites import check_lemma_properties, engine_equivalence_suite, verify_theorem
 
     if (args.n is None) != (args.delta is None):
         raise ParameterError("verify takes --n and --delta together")
+    if args.n is not None and (args.suite != "theorem" or args.n_max is not None):
+        raise ParameterError("verify takes --n and --delta only with --suite theorem, without --n-max")
+    if args.random < 0:
+        raise ParameterError(f"--random must be >= 0, got {args.random}")
     payload: dict = {"suite": args.suite}
     mismatch = False
     if args.suite in ("theorem", "all"):
@@ -245,7 +230,6 @@ def cmd_verify(args) -> int:
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
-@_one_pool
 def cmd_conjecture(args) -> int:
     from .suites import probe_conjecture
 
@@ -257,16 +241,17 @@ def cmd_conjecture(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_display(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    sub.add_argument("--output", help="write payload to a file instead of stdout")
-    sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--cap", type=int, default=None, help="enumeration class cap")
-    sub.add_argument("--seed", type=int, default=20240817, help="seed for randomized suites")
     sub.add_argument("--decimal", type=int, default=None, metavar="DIGITS",
                      help="also render rationals as rounded decimals")
     sub.add_argument("--mixed", action="store_true",
                      help="mixed-number display in tables (e.g. '10308 1/3')")
+
+
+def _add_enumeration(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--cap", type=int, default=None, help="enumeration class cap")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,34 +262,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"kfx {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("compute", help="indices of an edge-list graph")
+    def command(name: str, fn, help: str) -> argparse.ArgumentParser:
+        p = subs.add_parser(name, help=help)
+        p.add_argument("--output", help="write payload to a file instead of stdout")
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("compute", cmd_compute, "indices of an edge-list graph")
     p.add_argument("--input", required=True, help="edge-list file, or - for stdin")
     p.add_argument("--engine", choices=("auto", "oracle", "structural"), default="auto")
     p.add_argument("--vertex", type=int, default=None, help="also report this vertex's transmission")
-    _add_common(p)
-    p.set_defaults(fn=cmd_compute)
+    _add_display(p)
 
-    p = subs.add_parser("family", help="generate a named family member")
+    p = command("family", cmd_family, "generate a named family member")
     p.add_argument("--name", required=True, choices=FAMILY_NAMES)
     p.add_argument("--n", type=int)
     p.add_argument("--l", type=int)
     p.add_argument("--delta", type=int)
     p.add_argument("--x", type=int)
     p.add_argument("--hub-pos", dest="hub_pos", type=int)
-    _add_common(p)
-    p.set_defaults(fn=cmd_family)
 
-    p = subs.add_parser("formula", help="evaluate a closed-form expression")
+    p = command("formula", cmd_formula, "evaluate a closed-form expression")
     p.add_argument("--name", required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--l", type=int)
     p.add_argument("--delta", type=int)
     p.add_argument("--x", type=int)
-    p.add_argument("--variant", choices=("printed", "validated"), default="validated")
-    _add_common(p)
-    p.set_defaults(fn=cmd_formula)
+    p.add_argument("--variant", choices=("printed", "validated"), default=None,
+                   help="kf-b only (default: validated)")
+    _add_display(p)
 
-    p = subs.add_parser("search", help="exhaustive extremal search")
+    p = command("search", cmd_search, "exhaustive extremal search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=int, default=None)
     p.add_argument("--l", type=int, default=None)
@@ -312,41 +300,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at-most", action="store_true",
                    help="bound the maximum degree instead of fixing it")
     p.add_argument("--dump-all", action="store_true", help="CSV row per class")
-    _add_common(p)
-    p.set_defaults(fn=cmd_search)
+    _add_enumeration(p)
 
-    p = subs.add_parser("verify", help="verification suites")
+    p = command("verify", cmd_verify, "verification suites")
     p.add_argument("--suite", choices=("theorem", "engines", "lemmas", "all"), default="all")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=None, help="one theorem case, with --delta")
     p.add_argument("--delta", type=int, default=None)
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
     p.add_argument("--random", type=int, default=200, help="random samples for the engine suite")
-    _add_common(p)
-    p.set_defaults(fn=cmd_verify)
+    p.add_argument("--seed", type=int, default=20240817, help="seed for the engine suite's samples")
+    _add_enumeration(p)
 
-    p = subs.add_parser("conjecture", help="probe the conjectured minima")
+    p = command("conjecture", cmd_conjecture, "probe the conjectured minima")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_conjecture)
+    _add_enumeration(p)
     return parser
 
 
-def _env_cap() -> int:
-    raw = os.environ.get("KFX_CAP", str(DEFAULT_CAP))
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParameterError(f"KFX_CAP must be an integer, got {raw!r}") from None
+def _cap(cap: int | None) -> int:
+    """The enumeration cap: `--cap`, else `KFX_CAP`, else the default."""
+    source = "--cap"
+    if cap is None:
+        source, raw = "KFX_CAP", os.environ.get("KFX_CAP", str(DEFAULT_CAP))
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise ParameterError(f"KFX_CAP must be an integer, got {raw!r}") from None
+    if cap < 0:
+        raise ParameterError(f"{source} must be >= 0, got {cap}")
+    return cap
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "cap", None) is None:
-            args.cap = _env_cap()
-        return args.fn(args)
+        if "workers" not in args:  # compute, family and formula enumerate nothing
+            return args.fn(args)
+        if args.workers < 1:
+            raise ParameterError(f"--workers must be >= 1, got {args.workers}")
+        args.cap = _cap(args.cap)
+        from .search import worker_pool
+
+        # every enumeration of the command shares one process pool, closed on return
+        with worker_pool(args.workers):
+            return args.fn(args)
     except GraphParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,3 +1,5 @@
+import argparse
+import io
 import json
 import os
 import subprocess
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from kfx.cli import decimal_str, display_rational, main, rational_str
+from kfx.cli import build_parser, decimal_str, display_rational, main, rational_str
 from kfx.families import make_p3_extremal
 from kfx.graph import format_edge_list, parse_edge_list
 
@@ -54,6 +56,8 @@ def test_formula_variant_flag(capsys):
     _, printed, _ = run(capsys, *base, "--variant", "printed")
     _, validated, _ = run(capsys, *base, "--variant", "validated")
     assert json.loads(printed)["value"] != json.loads(validated)["value"]
+    _, default, _ = run(capsys, *base)
+    assert default == validated
 
 
 def test_family_pipe_to_compute(capsys, tmp_path):
@@ -148,8 +152,7 @@ def test_search_without_classes_prints_an_empty_report(capsys, argv, n, delta, l
 
 
 def test_verify_theorem_json_and_determinism(capsys):
-    argv = ["verify", "--suite", "theorem", "--n", "6", "--delta", "3",
-            "--format", "json"]
+    argv = ["verify", "--suite", "theorem", "--n", "6", "--delta", "3"]
     code, first, _ = run(capsys, *argv)
     assert code == 0
     code, second, _ = run(capsys, *argv)
@@ -208,11 +211,16 @@ def test_cap_env_var(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["search", "--n", "5"], ["compute", "--input", "-"]])
 def test_cap_env_var_not_an_integer(capsys, monkeypatch, argv):
-    # an unreadable KFX_CAP is an invalid parameter (exit 3), not a traceback
+    # an unreadable KFX_CAP is an invalid parameter (exit 3), not a traceback,
+    # for the commands that enumerate; compute enumerates nothing and ignores it
     monkeypatch.setenv("KFX_CAP", "abc")
+    monkeypatch.setattr("sys.stdin", io.StringIO("3 3\n0 1\n1 2\n0 2\n"))
     code, out, err = run(capsys, *argv)
-    assert (code, out) == (3, "")
-    assert err == "error: KFX_CAP must be an integer, got 'abc'\n"
+    if argv[0] == "compute":
+        assert (code, err) == (0, "") and "\nkf          2\n" in out
+    else:
+        assert (code, out) == (3, "")
+        assert err == "error: KFX_CAP must be an integer, got 'abc'\n"
 
 
 @pytest.mark.parametrize("given", [["--n", "700"], ["--delta", "5"]])
@@ -221,6 +229,64 @@ def test_verify_n_and_delta_go_together(capsys, given):
     code, out, err = run(capsys, "verify", "--suite", "theorem", *given)
     assert (code, out) == (3, "")
     assert err == "error: verify takes --n and --delta together\n"
+
+
+def test_each_subcommand_accepts_only_the_options_it_reads():
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: {a.option_strings[-1] for a in p._actions if a.option_strings} - {"--help"}
+               for name, p in subs.choices.items()}
+    display, enumeration = {"--format", "--decimal", "--mixed"}, {"--workers", "--cap"}
+    assert options == {
+        "compute": {"--output", "--input", "--engine", "--vertex", *display},
+        "family": {"--output", "--name", "--n", "--l", "--delta", "--x", "--hub-pos"},
+        "formula": {"--output", "--name", "--n", "--l", "--delta", "--x", "--variant", *display},
+        "search": {"--output", "--n", "--delta", "--l", "--objective", "--at-most", "--dump-all",
+                   *enumeration},
+        "verify": {"--output", "--suite", "--n", "--delta", "--n-max", "--random", "--seed",
+                   *enumeration},
+        "conjecture": {"--output", "--n", "--delta", *enumeration},
+    }
+    assert sum(map(len, options.values())) == 47
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "6", "--format", "csv"],
+    ["verify", "--format", "json"],
+    ["conjecture", "--n", "5", "--delta", "3", "--seed", "3"],
+    ["family", "--name", "cycle", "--n", "5", "--workers", "2"],
+    ["compute", "--input", "-", "--cap", "5"],
+])
+def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "unrecognized arguments" in out.err
+
+
+ONLY_THEOREM = "verify takes --n and --delta only with --suite theorem, without --n-max"
+
+
+@pytest.mark.parametrize("argv, kfx_cap, message", [
+    (["verify", "--suite", "lemmas", "--n", "12", "--delta", "5"], None, ONLY_THEOREM),
+    (["verify", "--n", "6", "--delta", "3"], None, ONLY_THEOREM),
+    (["verify", "--suite", "theorem", "--n", "6", "--delta", "3", "--n-max", "9"], None,
+     ONLY_THEOREM),
+    (["verify", "--suite", "engines", "--random", "-1"], None, "--random must be >= 0, got -1"),
+    (["search", "--n", "8", "--workers", "0"], None, "--workers must be >= 1, got 0"),
+    (["search", "--n", "6", "--workers", "-3"], None, "--workers must be >= 1, got -3"),
+    (["search", "--n", "6", "--cap", "-1"], None, "--cap must be >= 0, got -1"),
+    (["conjecture", "--n", "6", "--delta", "3"], "-1", "KFX_CAP must be >= 0, got -1"),
+    (["formula", "--name", "kf-cycle", "--l", "5", "--variant", "printed"], None,
+     "--variant applies to formula kf-b only, not kf-cycle"),
+])
+def test_out_of_range_input_is_an_invalid_parameter(capsys, monkeypatch, argv, kfx_cap, message):
+    if kfx_cap is None:
+        monkeypatch.delenv("KFX_CAP", raising=False)
+    else:
+        monkeypatch.setenv("KFX_CAP", kfx_cap)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
 def test_csv_format(capsys):
