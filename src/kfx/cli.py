@@ -197,6 +197,9 @@ def cmd_verify(args) -> int:
         raise ParameterError("verify takes --n and --delta together")
     if args.n is not None and (args.suite != "theorem" or args.n_max is not None):
         raise ParameterError("verify takes --n and --delta only with --suite theorem, without --n-max")
+    floor = 3 if args.suite == "engines" else 4  # the first n each suite sweeps
+    if args.n_max is not None and args.n_max < floor:
+        raise ParameterError(f"--n-max must be >= {floor} for suite {args.suite}, got {args.n_max}")
     if args.random < 0:
         raise ParameterError(f"--random must be >= 0, got {args.random}")
     payload: dict = {"suite": args.suite}

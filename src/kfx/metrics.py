@@ -16,13 +16,16 @@ Two independent engines compute effective resistances:
   at one vertex in O(n) (Klein & Randic, "Resistance distance", 1993).
   `resistance_structural` answers single pairs from the positions and
   depths the representation holds, and `resistance_table` is built from it.
+  A tree is the representation's l = 1 case, one tree rooted at vertex 0:
+  every cross-tree term is zero, and resistance is distance.
 
 The Wiener index W follows the same split (`wiener_index`): on trees and
 unicyclic graphs it comes from the same per-tree pass and one O(l) sum
 over the cycle with cycle distances in place of resistances
 (`wiener_from_stats`); the two cycle sums share their within-tree part.
-The oracle engine and every other graph keep `graph.wiener`, a BFS from
-every vertex, which is also the tests' reference.
+The oracle engine and every graph with a cycle count other than 0 or 1
+keep `graph.wiener`, a BFS from every vertex, which is also the tests'
+reference.
 
 Everything is exact: resistances are `fractions.Fraction`, distances are
 plain ints. No floating point anywhere.
@@ -33,8 +36,8 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 
 from .errors import EngineMismatchError, NotConnectedError, ParameterError
-from .graph import Graph, is_tree, wiener
-from .unicyclic import UnicyclicRepr, decompose_unicyclic, orient, shape_record, tree_stats
+from .graph import Graph, wiener
+from .unicyclic import UnicyclicRepr, decompose_unicyclic, orient, shape_record
 
 __all__ = [
     "det_bareiss",
@@ -43,13 +46,11 @@ __all__ = [
     "resistance_structural",
     "kirchhoff_index",
     "kf_vertex",
-    "kf_decomposition",
     "engine_input",
     "kf_from_shapes",
     "kf_from_stats",
     "wiener_index",
     "wiener_from_stats",
-    "PairTable",
     "resistance_table",
 ]
 
@@ -137,18 +138,16 @@ def _grounded_adjugate(g: Graph | UnicyclicRepr):
 
 
 def _pick_engine(g: Graph | UnicyclicRepr, engine: str) -> str:
-    """Validate `engine`; name the one that answers for g: tree, unicyclic, oracle.
+    """Validate `engine`; name the one that answers for g: structural or oracle.
 
-    A graph with as many edges as vertices goes to the unicyclic engine
-    untested: `decompose_unicyclic` raises NotConnectedError if it is not
-    connected, within the passes it makes anyway."""
+    A graph with n - 1 or n edges goes to the structural engine untested:
+    `_as_repr` raises NotConnectedError if it is not connected, within the
+    passes it makes anyway."""
     if engine not in ("auto", "oracle", "structural"):
         raise ValueError(f"unknown engine {engine!r}")
     if engine != "oracle":
-        if isinstance(g, UnicyclicRepr) or g.m == g.n:
-            return "unicyclic"
-        if is_tree(g):
-            return "tree"
+        if isinstance(g, UnicyclicRepr) or g.m in (g.n - 1, g.n):
+            return "structural"
         if engine == "structural":
             raise EngineMismatchError("structural engine needs a tree or unicyclic graph")
     return "oracle"
@@ -166,7 +165,7 @@ def resistance_oracle(g: Graph, a: int, b: int) -> Fraction:
 
 
 def resistance_structural(u: UnicyclicRepr, a: int, b: int) -> Fraction:
-    """Resistance in a unicyclic graph from its cycle/tree decomposition.
+    """Resistance in a tree or unicyclic graph from its cycle/tree decomposition.
 
     Trees contribute plain distances (cut vertices put them in series);
     two cycle vertices at cycle-distance d contribute d(l-d)/l from the
@@ -192,14 +191,24 @@ def resistance_structural(u: UnicyclicRepr, a: int, b: int) -> Fraction:
 
 
 def _as_repr(g: Graph | UnicyclicRepr) -> UnicyclicRepr:
-    return g if isinstance(g, UnicyclicRepr) else decompose_unicyclic(g)
+    """g's cycle/tree decomposition; a graph with n - 1 edges is a tree,
+    the l = 1 case, oriented from vertex 0."""
+    if isinstance(g, UnicyclicRepr):
+        return g
+    if g.m != g.n - 1:
+        return decompose_unicyclic(g)
+    order, parent = orient(g.adj, 0, [False] * g.n)
+    if len(order) != g.n:
+        raise NotConnectedError(f"graph on {g.n} vertices is not connected")
+    return UnicyclicRepr([0], [(order, parent)])
 
 
 def engine_input(g: Graph | UnicyclicRepr, engine: str = "auto") -> Graph | UnicyclicRepr:
     """g as `engine` reads it: its cycle/tree decomposition where the
-    unicyclic engine answers, else g itself. Several quantities of one
-    graph then share one decomposition."""
-    return _as_repr(g) if _pick_engine(g, engine) == "unicyclic" else g
+    structural engine answers (for a tree, l = 1 with the whole tree
+    hanging from vertex 0), else g itself. Several quantities of one graph
+    then share one decomposition."""
+    return _as_repr(g) if _pick_engine(g, engine) == "structural" else g
 
 
 def kirchhoff_index(g: Graph | UnicyclicRepr, engine: str = "auto") -> Fraction:
@@ -208,11 +217,9 @@ def kirchhoff_index(g: Graph | UnicyclicRepr, engine: str = "auto") -> Fraction:
     engine: "oracle" (any connected graph), "structural" (trees and
     unicyclic graphs), or "auto" (structural where applicable).
     """
-    how = _pick_engine(g, engine)
-    if how == "tree":
-        return Fraction(_tree_wiener(g))
-    if how == "unicyclic":
-        return kf_decomposition(_as_repr(g))
+    if _pick_engine(g, engine) == "structural":
+        u = _as_repr(g)
+        return kf_from_stats(u.l, u.tree_stats)
     tau, adj, _ = _grounded_adjugate(g)  # Kf = (n tr A - 1'A1) / tau
     return Fraction(sum(len(adj) * row[i] - sum(row) for i, row in enumerate(adj)), tau)
 
@@ -220,7 +227,7 @@ def kirchhoff_index(g: Graph | UnicyclicRepr, engine: str = "auto") -> Fraction:
 def kf_vertex(g: Graph | UnicyclicRepr, v: int, engine: str = "auto") -> Fraction:
     """Transmission of v: sum of resistances from v to every other vertex.
 
-    The unicyclic engine reroots the tree stats at v. For v at depth h in
+    The structural engine reroots the tree stats at v. For v at depth h in
     tree i (size s_i, root depth sum D_i), with d the cycle distance of
     trees i and j and sub(u) the size of u's subtree,
     T(v) = D_i + h s_i - 2 sum sub(u) + (n - s_i) h + sum_{j != i} [D_j + s_j d (l - d) / l],
@@ -230,10 +237,7 @@ def kf_vertex(g: Graph | UnicyclicRepr, v: int, engine: str = "auto") -> Fractio
     """
     if v not in (g.position if isinstance(g, UnicyclicRepr) else range(g.n)):
         raise ParameterError(f"vertex {v} not in graph")
-    how = _pick_engine(g, engine)
-    if how == "tree":
-        return Fraction(sum(g.bfs_distances(v)))
-    if how == "unicyclic":
+    if _pick_engine(g, engine) == "structural":
         u = _as_repr(g)
         i, k = u.position[v]
         parent = u.tree_parents[i]
@@ -251,11 +255,6 @@ def kf_vertex(g: Graph | UnicyclicRepr, v: int, engine: str = "auto") -> Fractio
     v = at[v]
     trace = sum(row[i] for i, row in enumerate(adj))
     return Fraction(len(adj) * adj[v][v] + trace - 2 * sum(adj[v]), tau)
-
-
-def _tree_wiener(g: Graph) -> int:
-    """Wiener index of a tree, from one pass over it oriented from vertex 0."""
-    return tree_stats(orient(g.adj, 0, [False] * g.n)[1])[2]
 
 
 def _within_trees(stats) -> int:
@@ -314,10 +313,7 @@ def wiener_index(g: Graph | UnicyclicRepr, engine: str = "auto") -> int:
     from their per-tree stats in O(n); "oracle" and every other graph run
     `graph.wiener`, a BFS from every vertex.
     """
-    how = _pick_engine(g, engine)
-    if how == "tree":
-        return _tree_wiener(g)
-    if how == "unicyclic":
+    if _pick_engine(g, engine) == "structural":
         u = _as_repr(g)
         return wiener_from_stats(u.l, u.tree_stats)
     return wiener(g.to_graph()[0] if isinstance(g, UnicyclicRepr) else g)
@@ -329,48 +325,18 @@ def kf_from_shapes(l: int, shapes) -> Fraction:
     return kf_from_stats(l, [shape_record(s)[:3] for s in shapes])
 
 
-def kf_decomposition(u: UnicyclicRepr) -> Fraction:
-    """Kirchhoff index of a representation from its cycle/tree decomposition."""
-    return kf_from_stats(u.l, u.tree_stats)
-
-
-class PairTable:
-    """Upper-triangular table of exact values indexed by unordered pairs."""
-
-    def __init__(self, vertices, values: dict[tuple[int, int], Fraction]):
-        self.vertices = tuple(vertices)
-        self._values = values
-
-    def get(self, a: int, b: int) -> Fraction:
-        if a == b:
-            raise KeyError("diagonal entries are not stored")
-        if a > b:
-            a, b = b, a
-        return self._values[(a, b)]
-
-    def pairs(self):
-        return self._values.items()
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-
-def resistance_table(g: Graph | UnicyclicRepr, engine: str = "auto") -> PairTable:
-    """Resistance of every vertex pair, by the engine `kirchhoff_index` uses."""
-    how = _pick_engine(g, engine)
-    if how == "tree":
-        dist = [g.bfs_distances(a) for a in range(g.n)]
-        pairs = combinations(range(g.n), 2)
-        return PairTable(range(g.n), {(a, b): Fraction(dist[a][b]) for a, b in pairs})
-    if how == "unicyclic":
+def resistance_table(
+    g: Graph | UnicyclicRepr, engine: str = "auto"
+) -> dict[tuple[int, int], Fraction]:
+    """Resistance of every vertex pair (a, b), a < b, by the engine
+    `kirchhoff_index` uses."""
+    if _pick_engine(g, engine) == "structural":
         u = _as_repr(g)
-        verts = sorted(u.position)
-        pairs = combinations(verts, 2)
-        return PairTable(verts, {(a, b): resistance_structural(u, a, b) for a, b in pairs})
+        pairs = combinations(sorted(u.position), 2)
+        return {(a, b): resistance_structural(u, a, b) for a, b in pairs}
     tau, adj, at = _grounded_adjugate(g)
-    verts = sorted(at)
     values = {}
-    for a, b in combinations(verts, 2):
+    for a, b in combinations(sorted(at), 2):
         i, j = at[a], at[b]
         values[(a, b)] = Fraction(adj[i][i] + adj[j][j] - 2 * adj[i][j], tau)
-    return PairTable(verts, values)
+    return values

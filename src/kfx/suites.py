@@ -23,13 +23,7 @@ from .formulas import (
     wiener_broom_formula,
 )
 from .graph import Graph
-from .metrics import (
-    kf_decomposition,
-    kf_from_shapes,
-    kirchhoff_index,
-    resistance_structural,
-    resistance_table,
-)
+from .metrics import kf_from_shapes, kirchhoff_index, resistance_structural, resistance_table
 from .search import _hanging_degree, unicyclic_extremes, unicyclic_rows
 from .unicyclic import (
     Shape,
@@ -291,7 +285,7 @@ def check_lemma_properties(
                 for g in _pendant_tadpoles(n, l, delta):
                     u = decompose_unicyclic(g)
                     codes.add(canonical_code(u))
-                    values.append(kf_decomposition(u))
+                    values.append(kirchhoff_index(u))
                 # within each (n, l, delta) class, every Kf maximizer has
                 # its pendants on a single tail vertex of the tadpole
                 if (delta, l) in greatest:
@@ -360,12 +354,12 @@ def engine_equivalence_suite(n_max: int, samples: int, seed: int, cap: int = DEF
         u = decompose_unicyclic(g)
         total = Fraction(0)
         ok = True
-        for (a, b), ro in resistance_table(g, "oracle").pairs():
+        for (a, b), ro in resistance_table(g, "oracle").items():
             checked_pairs += 1
             if resistance_structural(u, a, b) != ro:
                 ok = False
             total += ro
-        if kf_decomposition(u) != total:
+        if kirchhoff_index(u) != total:
             ok = False
         if not ok:
             mismatches.append(label)

@@ -20,7 +20,8 @@ shallow one.
 A unicyclic graph is a `UnicyclicRepr`: its cycle and, per cycle vertex,
 the hanging tree in that positional form, each tree folded once by
 `tree_stats`. `decompose_unicyclic` builds it from `orient`'s output and
-`unicyclic_from_shapes` from `code_parents`'.
+`unicyclic_from_shapes` from `code_parents`'. A tree is the l = 1 case,
+its whole graph hanging from one vertex.
 
 Canonical codes are ASCII byte strings: equal codes iff isomorphic
 (within the tree / unicyclic class handled), totally ordered, stable
@@ -218,6 +219,9 @@ def code_parents(code: Shape) -> list[int]:
 class UnicyclicRepr:
     """A unicyclic graph as its cycle plus one rooted tree per cycle vertex.
 
+    A tree is the case l = 1: one "cycle" vertex and no cycle edge, its
+    one hanging tree the whole graph. Every cross-tree term of a
+    structural sum is then zero, so the sums serve trees unchanged.
     Vertex labels are arbitrary integers (whatever the source graph used).
     Tree i is rooted at `cycle[i]` and held by position: `tree_nodes[i]`
     lists its vertices parents first, root first, `tree_parents[i]` the
@@ -228,8 +232,8 @@ class UnicyclicRepr:
     """
 
     def __init__(self, cycle: Sequence[int], trees: Sequence[tuple[Sequence[int], Sequence[int]]]):
-        if len(cycle) < 3:
-            raise ValueError("cycle length must be >= 3")
+        if len(cycle) in (0, 2):
+            raise ValueError("cycle length must be 1 (a tree) or >= 3")
         if len(trees) != len(cycle):
             raise ValueError("need exactly one tree per cycle vertex")
         self.l = len(cycle)
@@ -266,7 +270,7 @@ class UnicyclicRepr:
         depends on that order.
         """
         relabel = {root: i for i, root in enumerate(self.cycle)}
-        edges = [(i, (i + 1) % self.l) for i in range(self.l)]
+        edges = [(i, (i + 1) % self.l) for i in range(self.l)] if self.l > 1 else []
         for nodes, parent in zip(self.tree_nodes, self.tree_parents):
             for k in range(1, len(nodes)):
                 relabel[nodes[k]] = len(relabel)

@@ -279,6 +279,13 @@ ONLY_THEOREM = "verify takes --n and --delta only with --suite theorem, without 
     (["conjecture", "--n", "6", "--delta", "3"], "-1", "KFX_CAP must be >= 0, got -1"),
     (["formula", "--name", "kf-cycle", "--l", "5", "--variant", "printed"], None,
      "--variant applies to formula kf-b only, not kf-cycle"),
+    (["verify", "--suite", "theorem", "--n-max", "3"], None,
+     "--n-max must be >= 4 for suite theorem, got 3"),
+    (["verify", "--suite", "lemmas", "--n-max", "0"], None,
+     "--n-max must be >= 4 for suite lemmas, got 0"),
+    (["verify", "--n-max", "3"], None, "--n-max must be >= 4 for suite all, got 3"),
+    (["verify", "--suite", "engines", "--n-max", "2"], None,
+     "--n-max must be >= 3 for suite engines, got 2"),
 ])
 def test_out_of_range_input_is_an_invalid_parameter(capsys, monkeypatch, argv, kfx_cap, message):
     if kfx_cap is None:

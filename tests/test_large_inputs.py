@@ -17,7 +17,7 @@ from kfx.cli import main
 from kfx.families import make_cycle, make_p3_extremal, make_path
 from kfx.formulas import theorem_bound
 from kfx.graph import format_edge_list
-from kfx.metrics import kf_decomposition, kf_vertex, kirchhoff_index, wiener_index
+from kfx.metrics import kf_vertex, kirchhoff_index, wiener_index
 from kfx.suites import verify_theorem
 from kfx.unicyclic import canonical_code, decompose_unicyclic, tree_canonical_code
 
@@ -33,7 +33,7 @@ def test_p3_extremal_with_long_tail():
     g = make_p3_extremal(N, 5)
     u = decompose_unicyclic(g)
     code = canonical_code(u)
-    assert kf_decomposition(u) == theorem_bound(N, 5)
+    assert kirchhoff_index(u) == theorem_bound(N, 5)
     assert kirchhoff_index(g) == theorem_bound(N, 5)
     perm = list(range(N))
     random.Random(5000).shuffle(perm)
@@ -46,6 +46,8 @@ def test_long_path():
     g = make_path(N)
     assert tree_canonical_code(g).startswith(b"T2:")
     assert kirchhoff_index(g) == Fraction(N**3 - N, 6)
+    assert kf_vertex(g, N - 1) == N * (N - 1) // 2
+    assert wiener_index(g) == (N**3 - N) // 6
     assert cache_sizes() == before
 
 

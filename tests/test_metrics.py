@@ -9,7 +9,7 @@ from kfx.families import make_cycle, make_p_n_l, make_path, make_s_n_l
 from kfx.graph import Graph, wiener
 from kfx.metrics import (
     det_bareiss,
-    kf_decomposition,
+    engine_input,
     kf_vertex,
     kirchhoff_index,
     resistance_oracle,
@@ -152,9 +152,9 @@ def test_kf_vertex_examples():
 def test_kf_decomposition_examples():
     for l in range(3, 9):
         u = decompose_unicyclic(make_cycle(l))
-        assert kf_decomposition(u) == F(l**3 - l, 12)
-    assert kf_decomposition(decompose_unicyclic(make_s_n_l(4, 3))) == F(19, 3)
-    assert kf_decomposition(decompose_unicyclic(make_p_n_l(5, 3))) == F(44, 3)
+        assert kirchhoff_index(u) == F(l**3 - l, 12)
+    assert kirchhoff_index(decompose_unicyclic(make_s_n_l(4, 3))) == F(19, 3)
+    assert kirchhoff_index(decompose_unicyclic(make_p_n_l(5, 3))) == F(44, 3)
 
 
 def test_structural_engine_rejects_multicyclic():
@@ -182,7 +182,7 @@ def test_engine_equivalence_small_exhaustive():
             u = decompose_unicyclic(g)  # align labels with g
             for a, b in combinations(range(n), 2):
                 assert resistance_structural(u, a, b) == resistance_oracle(g, a, b)
-            assert kf_decomposition(u) == kirchhoff_index(g, "oracle")
+            assert kirchhoff_index(u) == kirchhoff_index(g, "oracle")
 
 
 def test_triangle_inequality_and_distance_bound():
@@ -193,18 +193,10 @@ def test_triangle_inequality_and_distance_bound():
         table = resistance_table(g, "oracle")
         dists = [g.bfs_distances(v) for v in range(n)]
         for a, b in combinations(range(n), 2):
-            r = table.get(a, b)
+            r = table[a, b]
             assert r <= dists[a][b] <= n - 1
         for a, b, c in combinations(range(n), 3):
-            assert table.get(a, c) <= table.get(a, b) + table.get(b, c)
-
-
-def test_pair_table_contract():
-    table = resistance_table(make_cycle(4))
-    assert len(table) == 6
-    assert table.get(2, 0) == table.get(0, 2) == 1
-    with pytest.raises(KeyError):
-        table.get(1, 1)
+            assert table[a, c] <= table[a, b] + table[b, c]
 
 
 def test_cycle_sum_matches_pairwise_sum_at_large_l():
@@ -223,7 +215,7 @@ def test_cycle_sum_matches_pairwise_sum_at_large_l():
         pairwise = sum(
             (resistance_structural(u, a, b) for a, b in combinations(range(n), 2)), F(0)
         )
-        assert kf_decomposition(u) == pairwise == kirchhoff_index(g)
+        assert kirchhoff_index(u) == pairwise == kirchhoff_index(g)
 
 
 def laplacian_minor(g, drop):
@@ -255,8 +247,7 @@ def test_oracle_entry_points_match_matrix_tree_definition():
     for n in sizes:
         g = random_connected(n, rng)
         ref = {(a, b): matrix_tree_resistance(g, a, b) for a, b in combinations(range(n), 2)}
-        table = resistance_table(g, "oracle")
-        assert dict(table.pairs()) == ref
+        assert resistance_table(g, "oracle") == ref
         for (a, b), r in ref.items():
             assert resistance_oracle(g, a, b) == resistance_oracle(g, b, a) == r
         assert kirchhoff_index(g, "oracle") == sum(ref.values(), F(0))
@@ -295,7 +286,7 @@ def test_oracle_beyond_per_pair_sizes():
     oracle = resistance_table(g, "oracle")
     structural = resistance_table(g, "structural")
     assert len(oracle) == 150 * 149 // 2
-    assert dict(oracle.pairs()) == dict(structural.pairs())
+    assert oracle == structural
 
 
 def test_oracle_entry_points_reject_disconnected():
@@ -309,6 +300,14 @@ def test_oracle_entry_points_reject_disconnected():
     ):
         with pytest.raises(NotConnectedError):
             fn()
+    # n - 1 edges but not a tree: the structural engine finds vertex 3 unreached
+    g = Graph(4, [(0, 1), (1, 2), (0, 2)])
+    for engine in ("auto", "structural"):
+        for fn in (kirchhoff_index, wiener_index, resistance_table):
+            with pytest.raises(NotConnectedError):
+                fn(g, engine)
+        with pytest.raises(NotConnectedError):
+            kf_vertex(g, 0, engine)
 
 
 def test_engine_names_are_validated_and_honoured(monkeypatch):
@@ -326,20 +325,19 @@ def test_engine_names_are_validated_and_honoured(monkeypatch):
             resistance_table(g, "bogus")
     expected_kf = kirchhoff_index(u)
     expected_v = kf_vertex(u, 50)
-    expected_table = dict(resistance_table(u).pairs())
+    expected_table = resistance_table(u)
+    # trees have a structural table of plain distances
+    assert resistance_table(make_path(4), "structural")[0, 3] == 3
 
     def structural_engine_called(*args):
         raise AssertionError("structural engine used for engine='oracle'")
 
-    for name in ("decompose_unicyclic", "resistance_structural", "kf_decomposition"):
+    for name in ("decompose_unicyclic", "resistance_structural", "kf_from_stats"):
         monkeypatch.setattr(kfx.metrics, name, structural_engine_called)
     assert kirchhoff_index(u, "oracle") == expected_kf == F(44, 3)
     assert kf_vertex(u, 50, "oracle") == expected_v
-    assert dict(resistance_table(u, "oracle").pairs()) == expected_table
+    assert resistance_table(u, "oracle") == expected_table
     assert kf_vertex(c5, 0, "oracle") == 4
-    # trees have a structural table of plain distances
-    path = make_path(4)
-    assert resistance_table(path, "structural").get(0, 3) == 3
     with pytest.raises(EngineMismatchError):
         resistance_table(Graph(4, list(combinations(range(4), 2))), "structural")
 
@@ -368,6 +366,12 @@ def test_wiener_index_matches_bfs_on_trees():
         t = random_tree(n, rng)
         assert wiener_index(t) == wiener_index(t, "structural") == wiener(t)
         assert wiener_index(t, "oracle") == wiener(t)
+        assert wiener_index(engine_input(t), "oracle") == wiener(t)  # l = 1 to_graph
+        # the l = 1 representation: transmissions and resistances are distances
+        dist = [t.bfs_distances(v) for v in range(n)]
+        for v in range(n):
+            assert kf_vertex(t, v) == kf_vertex(t, v, "structural") == sum(dist[v])
+        assert resistance_table(t) == {(a, b): dist[a][b] for a, b in combinations(range(n), 2)}
 
 
 def test_wiener_index_matches_bfs_on_unicyclic_graphs():
@@ -412,7 +416,7 @@ def test_transmissions_and_tables_equal_one_adjugate_near_n_200():
             oracle = F(g.n * adj[v][v] + trace - 2 * sum(adj[v]), tau)
             assert kf_vertex(u, v) == kf_vertex(g, v) == oracle
         table = resistance_table(u)
-        for (a, b), r in table.pairs():
+        for (a, b), r in table.items():
             assert r == F(adj[a][a] + adj[b][b] - 2 * adj[a][b], tau)
         assert len(table) == g.n * (g.n - 1) // 2
 

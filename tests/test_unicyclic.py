@@ -144,6 +144,8 @@ def test_repr_rejects_shared_vertices():
         UnicyclicRepr((0, 1, 2), [([0, 3], [-1, 0]), ([1, 3], [-1, 0]), ([2], [-1])])
     with pytest.raises(ValueError):
         UnicyclicRepr((0, 1, 2), [([0], [-1]), ([2], [-1]), ([1], [-1])])  # root off the cycle
+    with pytest.raises(ValueError):
+        UnicyclicRepr((0, 1), [([0], [-1]), ([1], [-1])])  # l = 2: a cycle needs 3, a tree 1
 
 
 def test_distinct_small_graphs_get_distinct_codes():
