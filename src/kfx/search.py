@@ -7,9 +7,11 @@ its cycle length l and the l-tuple of rooted-tree shapes (AHU codes from
 the shape catalog) hanging from the cycle. Each class is generated once,
 as its canonical tuple, the least of the tuple's l rotations and l
 reflections, so nothing is deduplicated. The space partitions into
-disjoint work units by (l, size of the first tree), which is also the
-multiprocessing boundary; results are deterministic regardless of worker
-count.
+disjoint work units by (l, size of the first tree), which is also what a
+worker process runs. A run of fewer than `POOL_MIN_CLASSES` classes runs
+its units in the calling process whatever the worker count, and no run
+uses more processes than the machine has CPUs; results are deterministic
+regardless of worker count.
 
 Each unit computes every class's Kf as it is generated, as the exact
 integer N = l * Kf, and reduces its classes in place: it returns its class
@@ -24,6 +26,7 @@ before any degree filter, so it bounds every degree-filtered run.
 """
 from __future__ import annotations
 
+import os
 from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
@@ -288,10 +291,14 @@ def _run_units(n, delta, l_filter, exact, cap, workers, keep_rows):
     The run's class count, before any degree filter, is compared with `cap`
     once, before any catalog is built: more classes raise CapExceededError.
     With a degree filter the count is an upper bound, so nothing later can
-    pass the cap.
+    pass the cap. A count below `POOL_MIN_CLASSES` runs every unit in this
+    process, whatever `workers` says.
     """
-    if class_count(n, l_filter, cap) > cap:
+    count = class_count(n, l_filter, cap)
+    if count > cap:
         raise CapExceededError(f"more than {cap} isomorphism classes")
+    if count < POOL_MIN_CLASSES:
+        workers = 1
     # a hub on the cycle needs delta - 2 tree vertices and one off it
     # delta + 1, so no class of max degree exactly delta has l > n - delta + 2
     l_max = min(n, n - delta + 2) if delta is not None and exact else n
@@ -303,6 +310,15 @@ def _run_units(n, delta, l_filter, exact, cap, workers, keep_rows):
     args = [(n, l, first, delta, exact, top, keep_rows) for l, first in _units(n, ls)]
     with worker_pool(workers) as imap:
         yield from imap(_unit, args)
+
+
+# Runs with fewer classes are faster in one process: a second worker's start
+# and its own catalogs cost more than it saves. Measured with
+# tools/bench_pool_reuse.py (BENCH_pool_reuse.json: 2-core x86-64, Python
+# 3.11.7, medians of 9 alternated fresh runs, one worker against two):
+# `search --n 13`, 13,999 classes, 0.25 s against 0.28 s; `search --n 14`,
+# 39,260 classes, 0.45 s against 0.40 s.
+POOL_MIN_CLASSES = 20_000
 
 
 def Pool(processes: int):
@@ -318,15 +334,18 @@ _slot: list | None = None  # [the pool or None] while a `worker_pool` block is o
 
 @contextmanager
 def worker_pool(workers: int):
-    """Yield an `imap(fn, items)` that runs on `workers` processes, sharing
-    one process pool among every enumeration inside the outermost block.
+    """Yield an `imap(fn, items)` that runs on min(`workers`, CPU count)
+    processes, sharing one process pool among every enumeration inside the
+    outermost block; with fewer than two processes, or fewer than two
+    items, it is the built-in `map`.
 
     Blocks nest: the outermost owns the pool and terminates it on exit,
-    exceptions included, and inner blocks (each `_run_units` opens one)
-    reuse it, with the worker count it started with. The pool starts at the
-    first imap of more than one item with more than one worker, so its
-    workers inherit that run's `_alphabet`; later runs' workers rebuild
-    theirs through the `_alphabet` cache.
+    exceptions included. Inner blocks (each `_run_units` opens one, with
+    one worker for a run below `POOL_MIN_CLASSES`) that leave this process
+    reuse it, with the process count it started with. The pool starts at
+    the first imap that leaves this process, so its workers inherit that
+    run's `_alphabet`; later runs' workers rebuild theirs through the
+    `_alphabet` cache.
     """
     global _slot
     owner = _slot is None
@@ -334,11 +353,13 @@ def worker_pool(workers: int):
         _slot = [None]
     slot = _slot
 
+    processes = min(workers, os.cpu_count() or 1)
+
     def imap(fn, items: list):
-        if workers < 2 or len(items) < 2:
+        if processes < 2 or len(items) < 2:
             return map(fn, items)
         if slot[0] is None:
-            slot[0] = Pool(workers)
+            slot[0] = Pool(processes)
         return slot[0].imap(fn, items)
 
     try:

@@ -146,7 +146,7 @@ def test_acceptance_6_lemma_suite():
     print("ACCEPTANCE 6: PASS")
 
 
-def test_acceptance_7_counts_and_determinism():
+def test_acceptance_7_counts_and_determinism(pooled):
     expected = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89}
     for n in range(3, 8):
         codes = brute_force_unicyclic_codes(n)

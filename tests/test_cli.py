@@ -162,7 +162,7 @@ def test_verify_theorem_json_and_determinism(capsys):
     assert payload["theorem"][0]["formula_value"] == "28/1"
 
 
-def test_verify_workers_byte_identical(capsys):
+def test_verify_workers_byte_identical(capsys, pooled):
     base = ["verify", "--suite", "theorem", "--n", "7", "--delta", "3"]
     _, one, _ = run(capsys, *base, "--workers", "1")
     _, two, _ = run(capsys, *base, "--workers", "2")
@@ -445,13 +445,63 @@ def test_the_enumerator_loads_no_suite_or_graph_construction():
 @pytest.mark.parametrize("argv", [["search", "--n", "10"],
                                   ["verify", "--suite", "theorem", "--n-max", "6"]])
 def test_one_worker_enumeration_loads_no_multiprocessing(tmp_path, argv):
-    added = modules_added_by([*argv, "--workers", "1"], tmp_path)
-    assert "kfx.search" in added
-    assert not added & {"multiprocessing", "dataclasses"}
+    # two workers stay in one process too: these runs are below POOL_MIN_CLASSES
+    outputs = {}
+    for workers in ("1", "2"):
+        added = modules_added_by([*argv, "--workers", workers], tmp_path)
+        assert "kfx.search" in added
+        assert not added & {"multiprocessing", "dataclasses"}
+        outputs[workers] = (tmp_path / "payload").read_bytes()
+    assert outputs["1"] == outputs["2"]
+
+
+def test_a_run_past_the_pool_minimum_starts_one_pool(capsys, monkeypatch, pool_starts):
+    import multiprocessing
+
+    from kfx.search import POOL_MIN_CLASSES, class_count
+
+    assert class_count(13) < POOL_MIN_CLASSES <= class_count(14)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    outputs = {}
+    for workers in ("1", "2"):
+        code, outputs[workers], err = run(capsys, "search", "--n", "14", "--workers", workers)
+        assert code == 0 and err == ""
+    assert pool_starts == [(2,)] and not multiprocessing.active_children()
+    assert outputs["1"] == outputs["2"]
+
+
+def test_workers_are_capped_at_the_cpu_count(capsys, monkeypatch, pooled):
+    import kfx.search
+
+    sizes = []
+
+    class InlinePool:
+        """Records the process count it is asked for and maps in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def imap(self, fn, items):
+            return map(fn, items)
+
+        def terminate(self):
+            pass
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(kfx.search, "Pool", InlinePool)
+    _, one, _ = run(capsys, "search", "--n", "9", "--dump-all", "--workers", "1")
+    for cpus, requested in ((2, [2]), (1, []), (None, [])):
+        del sizes[:]
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        code, out, err = run(capsys, "search", "--n", "9", "--dump-all", "--workers", "100000")
+        assert code == 0 and err == "" and out == one
+        assert sizes == requested
 
 
 @pytest.mark.parametrize("at_most", [[], ["--at-most"]])
-def test_two_workers_list_the_rows_of_one(capsys, at_most):
+def test_two_workers_list_the_rows_of_one(capsys, at_most, pooled):
     outputs = {}
     for workers in ("1", "2"):
         code, outputs[workers], err = run(capsys, "search", "--n", "13", "--delta", "4", *at_most,
@@ -462,17 +512,23 @@ def test_two_workers_list_the_rows_of_one(capsys, at_most):
 
 
 @pytest.mark.parametrize("suite", [["theorem", "--n-max", "9"], ["lemmas"]])
-def test_verify_starts_one_pool_per_command(capsys, pool_starts, suite):
+def test_verify_starts_one_pool_per_command(capsys, request, pool_starts, suite):
     import multiprocessing
 
+    # every run of these suites is below POOL_MIN_CLASSES, so two workers
+    # start no pool; with the minimum at 0 they start one for the command
     outputs = {}
-    for workers in ("1", "2"):
-        del pool_starts[:]
-        code, outputs[workers], err = run(capsys, "verify", "--suite", *suite, "--workers", workers)
-        assert code == 0 and err == ""
-        assert len(pool_starts) == (1 if workers == "2" else 0)
-        assert not multiprocessing.active_children()
-    assert outputs["1"] == outputs["2"]
+    for pools in (0, 1):
+        if pools:
+            request.getfixturevalue("pooled")
+        for workers in ("1", "2"):
+            del pool_starts[:]
+            code, out, err = run(capsys, "verify", "--suite", *suite, "--workers", workers)
+            assert code == 0 and err == ""
+            assert len(pool_starts) == (pools if workers == "2" else 0)
+            assert not multiprocessing.active_children()
+            outputs[pools, workers] = out
+    assert len(set(outputs.values())) == 1
 
 
 def test_cap_exit_leaves_no_worker(capsys, pool_starts):

@@ -67,7 +67,7 @@ def test_enumeration_soundness():
         assert canonical_code(decompose_unicyclic(g)) == canonical_code(u)
 
 
-def test_determinism_and_worker_independence():
+def test_determinism_and_worker_independence(pooled):
     a = unicyclic_classes(8)
     b = unicyclic_classes(8)
     c = unicyclic_classes(8, workers=2)
@@ -284,7 +284,7 @@ def test_representatives_are_canonical_tuples():
             assert canonical_code(unicyclic_from_shapes(l, shapes)) == code
 
 
-def test_worker_count_keeps_filtered_items():
+def test_worker_count_keeps_filtered_items(pooled):
     one = unicyclic_classes(11, 4, l_filter=4)
     assert list(unicyclic_classes(11, 4, l_filter=4, workers=2).items()) == list(one.items())
 
@@ -321,7 +321,7 @@ def _reference_extremes(classes: dict) -> tuple:
     )
 
 
-def test_unit_reductions_match_materialized_classes():
+def test_unit_reductions_match_materialized_classes(pooled):
     from kfx.search import unicyclic_extremes
     from kfx.unicyclic import unicyclic_from_shapes
 
@@ -483,7 +483,7 @@ def test_formula_only_theorem_decomposes_once(monkeypatch):
     assert calls == [700]
 
 
-def test_worker_pool_is_shared_and_closed(pool_starts):
+def test_worker_pool_is_shared_and_closed(pool_starts, pooled):
     import multiprocessing
 
     from kfx.search import unicyclic_extremes, worker_pool

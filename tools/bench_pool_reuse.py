@@ -33,10 +33,15 @@ VERIFY_PASS = [
     ["verify", "--suite", "theorem", "--n", "700", "--delta", "5"],
 ]
 # the verify pass's enumerating commands, and each multi-worker one also
-# with one worker, beside one large search, to show when a second worker pays
+# with one worker, beside searches from n = 12 to 16, to show from which
+# class count a second worker pays (search.POOL_MIN_CLASSES)
 TIMED = VERIFY_PASS[:3] + [
     ["verify", "--suite", "lemmas", "--workers", "1"],
     ["verify", "--suite", "theorem", "--n-max", "9", "--workers", "1"],
+    ["search", "--n", "12", "--workers", "1"],
+    ["search", "--n", "12", "--workers", "2"],
+    ["search", "--n", "13", "--workers", "1"],
+    ["search", "--n", "13", "--workers", "2"],
     ["search", "--n", "14", "--workers", "1"],
     ["search", "--n", "14", "--workers", "2"],
     ["search", "--n", "16", "--workers", "1"],
