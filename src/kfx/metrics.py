@@ -34,12 +34,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, combinations
+from typing import Mapping, NamedTuple
 
 from .errors import EngineMismatchError, NotConnectedError, ParameterError
 from .graph import Graph, wiener
 from .unicyclic import UnicyclicRepr, decompose_unicyclic, orient, shape_record
 
 __all__ = [
+    "Adjugate",
     "det_bareiss",
     "spanning_tree_count",
     "resistance_oracle",
@@ -123,30 +125,45 @@ def spanning_tree_count(g: Graph) -> int:
     return det_bareiss(_grounded_laplacian(g))
 
 
-def _grounded_adjugate(g: Graph | UnicyclicRepr):
-    """(tau, A, at): tau = det L0 counts the spanning trees of g (L0 is its
-    Laplacian without vertex 0) and A = tau L0^-1 gets a zero row and column
-    back at vertex 0. A[a][b] counts the 2-tree spanning forests with 0 in one
-    tree and a, b in the other, so R(a, b) = (A[a][a] + A[b][b] - 2 A[a][b]) / tau
-    (all-minors matrix-tree theorem). `at` maps each vertex of g to its index."""
+class Adjugate(NamedTuple):
+    """A graph with its grounded adjugate, as `_grounded_adjugate` gives it:
+    tau = det L0 counts the spanning trees of `graph` (L0 is its Laplacian
+    without vertex 0) and `adj` is A = tau L0^-1 with a zero row and column
+    back at vertex 0. A[a][b] counts the 2-tree spanning forests with 0 in
+    one tree and a, b in the other, so R(a, b) = (A[a][a] + A[b][b] -
+    2 A[a][b]) / tau (all-minors matrix-tree theorem). `at` maps each vertex
+    of the graph given to its index. The oracle engine reads it in place of
+    the graph, so several quantities share one elimination."""
+
+    graph: Graph
+    tau: int
+    adj: list[list[int]]
+    at: Mapping[int, int] | range
+
+
+def _grounded_adjugate(g: Graph | UnicyclicRepr | Adjugate) -> Adjugate:
+    """g's grounded adjugate, from one Bareiss elimination (g itself if it
+    is one already)."""
+    if isinstance(g, Adjugate):
+        return g
     g, at = g.to_graph() if isinstance(g, UnicyclicRepr) else (g, range(g.n))
     adj = [[int(i == j) for j in range(g.n - 1)] for i in range(g.n - 1)]
     tau = det_bareiss(_grounded_laplacian(g), adj)
     if tau == 0:
         raise NotConnectedError(f"graph on {g.n} vertices is not connected")
-    return tau, [[0] * g.n] + [[0, *row] for row in adj], at
+    return Adjugate(g, tau, [[0] * g.n] + [[0, *row] for row in adj], at)
 
 
-def _pick_engine(g: Graph | UnicyclicRepr, engine: str) -> str:
+def _pick_engine(g: Graph | UnicyclicRepr | Adjugate, engine: str) -> str:
     """Validate `engine`; name the one that answers for g: structural or oracle.
 
     A graph with n - 1 or n edges goes to the structural engine untested:
     `_as_repr` raises NotConnectedError if it is not connected, within the
-    passes it makes anyway."""
+    passes it makes anyway. An `Adjugate` is the oracle's."""
     if engine not in ("auto", "oracle", "structural"):
         raise ValueError(f"unknown engine {engine!r}")
     if engine != "oracle":
-        if isinstance(g, UnicyclicRepr) or g.m in (g.n - 1, g.n):
+        if isinstance(g, UnicyclicRepr) or (isinstance(g, Graph) and g.m in (g.n - 1, g.n)):
             return "structural"
         if engine == "structural":
             raise EngineMismatchError("structural engine needs a tree or unicyclic graph")
@@ -160,7 +177,7 @@ def resistance_oracle(g: Graph, a: int, b: int) -> Fraction:
         raise ValueError("resistance requires two distinct vertices")
     if not (0 <= a < g.n and 0 <= b < g.n):
         raise ValueError("vertex out of range")
-    tau, adj, _ = _grounded_adjugate(g)
+    _, tau, adj, _ = _grounded_adjugate(g)
     return Fraction(adj[a][a] + adj[b][b] - 2 * adj[a][b], tau)
 
 
@@ -203,15 +220,15 @@ def _as_repr(g: Graph | UnicyclicRepr) -> UnicyclicRepr:
     return UnicyclicRepr([0], [(order, parent)])
 
 
-def engine_input(g: Graph | UnicyclicRepr, engine: str = "auto") -> Graph | UnicyclicRepr:
+def engine_input(g: Graph | UnicyclicRepr, engine: str = "auto") -> UnicyclicRepr | Adjugate:
     """g as `engine` reads it: its cycle/tree decomposition where the
     structural engine answers (for a tree, l = 1 with the whole tree
-    hanging from vertex 0), else g itself. Several quantities of one graph
-    then share one decomposition."""
-    return _as_repr(g) if _pick_engine(g, engine) == "structural" else g
+    hanging from vertex 0), else its grounded adjugate. Several quantities
+    of one graph then share one decomposition or one elimination."""
+    return _as_repr(g) if _pick_engine(g, engine) == "structural" else _grounded_adjugate(g)
 
 
-def kirchhoff_index(g: Graph | UnicyclicRepr, engine: str = "auto") -> Fraction:
+def kirchhoff_index(g: Graph | UnicyclicRepr | Adjugate, engine: str = "auto") -> Fraction:
     """Sum of resistance distances over all unordered pairs.
 
     engine: "oracle" (any connected graph), "structural" (trees and
@@ -220,11 +237,11 @@ def kirchhoff_index(g: Graph | UnicyclicRepr, engine: str = "auto") -> Fraction:
     if _pick_engine(g, engine) == "structural":
         u = _as_repr(g)
         return kf_from_stats(u.l, u.tree_stats)
-    tau, adj, _ = _grounded_adjugate(g)  # Kf = (n tr A - 1'A1) / tau
+    _, tau, adj, _ = _grounded_adjugate(g)  # Kf = (n tr A - 1'A1) / tau
     return Fraction(sum(len(adj) * row[i] - sum(row) for i, row in enumerate(adj)), tau)
 
 
-def kf_vertex(g: Graph | UnicyclicRepr, v: int, engine: str = "auto") -> Fraction:
+def kf_vertex(g: Graph | UnicyclicRepr | Adjugate, v: int, engine: str = "auto") -> Fraction:
     """Transmission of v: sum of resistances from v to every other vertex.
 
     The structural engine reroots the tree stats at v. For v at depth h in
@@ -235,7 +252,9 @@ def kf_vertex(g: Graph | UnicyclicRepr, v: int, engine: str = "auto") -> Fractio
     excluded: a step down to u brings s_i - sub(u) vertices of tree i one
     nearer and sub(u) one farther. It is one O(n) pass, exact over l.
     """
-    if v not in (g.position if isinstance(g, UnicyclicRepr) else range(g.n)):
+    vertices = (g.position if isinstance(g, UnicyclicRepr)
+                else g.at if isinstance(g, Adjugate) else range(g.n))
+    if v not in vertices:
         raise ParameterError(f"vertex {v} not in graph")
     if _pick_engine(g, engine) == "structural":
         u = _as_repr(g)
@@ -251,7 +270,7 @@ def kf_vertex(g: Graph | UnicyclicRepr, v: int, engine: str = "auto") -> Fractio
             k = parent[k]
         cross = sum(s * abs(i - j) * (u.l - abs(i - j)) for j, (s, _, _) in enumerate(u.tree_stats))
         return Fraction(total * u.l + cross, u.l)
-    tau, adj, at = _grounded_adjugate(g)
+    _, tau, adj, at = _grounded_adjugate(g)
     v = at[v]
     trace = sum(row[i] for i, row in enumerate(adj))
     return Fraction(len(adj) * adj[v][v] + trace - 2 * sum(adj[v]), tau)
@@ -306,7 +325,7 @@ def wiener_from_stats(l: int, stats) -> int:
     return within + cross
 
 
-def wiener_index(g: Graph | UnicyclicRepr, engine: str = "auto") -> int:
+def wiener_index(g: Graph | UnicyclicRepr | Adjugate, engine: str = "auto") -> int:
     """Sum of shortest-path distances over all unordered pairs.
 
     Engines as in `kirchhoff_index`: trees and unicyclic graphs take it
@@ -316,7 +335,9 @@ def wiener_index(g: Graph | UnicyclicRepr, engine: str = "auto") -> int:
     if _pick_engine(g, engine) == "structural":
         u = _as_repr(g)
         return wiener_from_stats(u.l, u.tree_stats)
-    return wiener(g.to_graph()[0] if isinstance(g, UnicyclicRepr) else g)
+    if isinstance(g, UnicyclicRepr):
+        return wiener(g.to_graph()[0])
+    return wiener(g.graph if isinstance(g, Adjugate) else g)
 
 
 def kf_from_shapes(l: int, shapes) -> Fraction:
@@ -326,7 +347,7 @@ def kf_from_shapes(l: int, shapes) -> Fraction:
 
 
 def resistance_table(
-    g: Graph | UnicyclicRepr, engine: str = "auto"
+    g: Graph | UnicyclicRepr | Adjugate, engine: str = "auto"
 ) -> dict[tuple[int, int], Fraction]:
     """Resistance of every vertex pair (a, b), a < b, by the engine
     `kirchhoff_index` uses."""
@@ -334,7 +355,7 @@ def resistance_table(
         u = _as_repr(g)
         pairs = combinations(sorted(u.position), 2)
         return {(a, b): resistance_structural(u, a, b) for a, b in pairs}
-    tau, adj, at = _grounded_adjugate(g)
+    _, tau, adj, at = _grounded_adjugate(g)
     values = {}
     for a, b in combinations(sorted(at), 2):
         i, j = at[a], at[b]

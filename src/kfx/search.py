@@ -20,9 +20,10 @@ count and its least and greatest N with the codes reaching them.
 with the class count; only `unicyclic_rows` lists every class.
 
 The enumeration cap counts classes. Every run compares one number with
-it, before any tree catalog is built: the exact class count from the
-dihedral cycle index (`class_count`), with the cycle-length filter and
-before any degree filter, so it bounds every degree-filtered run.
+it, before any tree catalog is built: the number of classes it
+enumerates, exactly, from the dihedral cycle index (`class_count`). An
+exactly-delta run whose catalog would hold more trees of one size than
+the cap is refused before its count is settled.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd
 from typing import NamedTuple
 
@@ -206,9 +208,12 @@ def _unit(args) -> UnitResult:
 
     def canonical() -> bool:
         # a is a necklace and a[0] its least rank, so only rotations of the
-        # reversal that start at a copy of a[0] can be smaller than a
-        b = a[::-1]
+        # reversal that start at a copy of a[0] can be smaller than a; if
+        # a[0] is the largest rank, a is the cycle alone
         x = a[0]
+        if x == one:
+            return True
+        b = a[::-1]
         i = -1
         for _ in range(b.count(x)):
             i = b.index(x, i + 1)
@@ -288,21 +293,17 @@ def _units(n: int, ls: list[int]) -> list[tuple[int, int]]:
 def _run_units(n, delta, l_filter, exact, cap, workers, keep_rows):
     """Yield every work unit's result, in unit order.
 
-    The run's class count, before any degree filter, is compared with `cap`
-    once, before any catalog is built: more classes raise CapExceededError.
-    With a degree filter the count is an upper bound, so nothing later can
-    pass the cap. A count below `POOL_MIN_CLASSES` runs every unit in this
-    process, whatever `workers` says.
+    The run's class count is compared with `cap` once, before any catalog
+    is built: more classes raise CapExceededError. A count below
+    `POOL_MIN_CLASSES` runs every unit in this process, whatever `workers`
+    says.
     """
-    count = class_count(n, l_filter, cap)
+    count = class_count(n, delta, exact, l_filter, cap)
     if count > cap:
         raise CapExceededError(f"more than {cap} isomorphism classes")
     if count < POOL_MIN_CLASSES:
         workers = 1
-    # a hub on the cycle needs delta - 2 tree vertices and one off it
-    # delta + 1, so no class of max degree exactly delta has l > n - delta + 2
-    l_max = min(n, n - delta + 2) if delta is not None and exact else n
-    ls = [l for l in ([l_filter] if l_filter is not None else range(3, n + 1)) if 3 <= l <= l_max]
+    ls = _cycle_lengths(n, delta, exact, l_filter)
     if not ls:
         return
     top = n - ls[0] + 1
@@ -385,7 +386,7 @@ def unicyclic_rows(
     when given, or at most `delta` with exact=False), sorted by canonical
     code; the shapes are the class's canonical tuple, and
     `unicyclic_from_shapes` builds its graph. Runs with more than `cap`
-    classes before the degree filter raise CapExceededError."""
+    classes raise CapExceededError."""
     rows = [row for result in _run_units(n, delta, l_filter, exact, cap, workers, True)
             for row in result.rows]
     rows.sort()
@@ -447,23 +448,43 @@ def unicyclic_extremes(
 # ---------------------------------------------------------------------------
 # size: the one class count that every enumeration is checked against
 
-def _rooted_tree_counts(n: int, cap: int | None = None) -> list[int]:
-    """r[k] = number of rooted trees on k vertices (r[0] = 0).
+def _cycle_lengths(n: int, delta: int | None, exact: bool, l_filter: int | None) -> list[int]:
+    """The cycle lengths a run enumerates, in increasing order."""
+    # under delta = 2 every hanging tree is the one-vertex tree, so l = n;
+    # a hub on the cycle needs delta - 2 tree vertices and one off it
+    # delta + 1, so no class of max degree exactly delta has l > n - delta + 2
+    l_min = 3 if delta is None or delta > 2 else n if delta == 2 else n + 1
+    l_max = min(n, n - delta + 2) if delta is not None and exact else n
+    ls = [l_filter] if l_filter is not None else range(l_min, n + 1)
+    return [l for l in ls if max(3, l_min) <= l <= l_max]
 
-    With `cap`, returns r[0..k] as soon as some r[k] exceeds it.
+
+def _tree_counts(delta: int | None):
+    """Yield (planted, hanging) for k = 1, 2, ...: the rooted trees on k
+    vertices whose every vertex has at most delta - 1 children, and those
+    of them whose root has at most delta - 2, the trees that `_alphabet`
+    hangs from a cycle vertex (no bound without delta).
+
+    Both are a root over a multiset of planted trees, and the multisets of
+    j planted trees, f_j = Z(S_j; A), satisfy j f_j(z) = sum_{i=1..j}
+    A(z^i) f_{j-i}(z) (Harary & Palmer, *Graphical Enumeration*, ch. 3).
+    Column k of f needs A up to z^k only, so the series grow one size at a
+    time, and f never has more than min(k, delta - 1) + 1 rows.
     """
-    r = [0] * (n + 1)
-    if n >= 1:
-        r[1] = 1
-    for m in range(2, n + 1):
-        total = 0
-        for k in range(1, m):
-            s = sum(d * r[d] for d in range(1, k + 1) if k % d == 0)
-            total += s * r[m - k]
-        r[m] = total // (m - 1)
-        if cap is not None and r[m] > cap:
-            return r[: m + 1]
-    return r
+    c = None if delta is None else delta - 1
+    a = [0]  # a[k]: planted trees on k vertices
+    f = [[1]]  # f[j][s]: multisets of j planted trees on s vertices in all
+    k = 0
+    while True:
+        k += 1
+        a.append(sum(row[k - 1] for row in f))
+        yield a[k], a[k] - (f[c][k - 1] if c is not None and c < len(f) else 0)
+        f[0].append(0)
+        if c is None or k <= c:
+            f.append([0] * k)
+        for j in range(1, len(f)):
+            f[j].append(sum(a[t] * f[j - i][k - i * t]
+                            for i in range(1, j + 1) for t in range(1, k // i + 1)) // j)
 
 
 def _power(q: list[int], j: int, deg: int) -> list[int]:
@@ -476,25 +497,15 @@ def _power(q: list[int], j: int, deg: int) -> list[int]:
     return p
 
 
-def class_count(n: int, l_filter: int | None = None, cap: int | None = None) -> int:
-    """The number of unicyclic classes on n vertices, with an `l_filter`
-    cycle when given: the coefficient of z^n in the dihedral cycle index
-    Z(D_l) with x_k = R(z^k), R the rooted-tree series (Harary & Palmer,
-    *Graphical Enumeration*), summed over the cycle lengths l.
+def _cycle_index_count(n: int, ls: list[int], h: list[int]) -> int:
+    """The coefficient of z^n in Z(D_l) with x_k = H(z^k), summed over the
+    cycle lengths l in ls, for a hanging-tree series h = [0, h_1, ...] up to
+    z^(n - ls[0] + 1).
 
-    Every term of Z(D_l) is z^l times a product of Q(z^k) = R(z^k) / z^k,
-    so only degrees up to n - l are needed. With `cap`, a count past it
-    returns as soon as it is settled: when r[n - l_min + 1] passes the cap
-    (each of those rooted trees, hung from one vertex of the shortest
-    cycle, is a class of its own), or when the running sum does.
+    Every term of Z(D_l) is z^l times a product of Q(z^k) = H(z^k) / z^k,
+    so only degrees up to n - l are needed.
     """
-    ls = [l for l in ([l_filter] if l_filter is not None else range(3, n + 1)) if 3 <= l <= n]
-    if not ls:
-        return 0
-    r = _rooted_tree_counts(n - ls[0] + 1, cap)
-    if cap is not None and r[-1] > cap:
-        return r[-1]
-    q = r[1:]
+    q = h[1:]
     total = 0
     for l in ls:
         m = n - l
@@ -512,6 +523,56 @@ def class_count(n: int, l_filter: int | None = None, cap: int | None = None) -> 
         else:
             scaled += l * (x([1], 2, l // 2) + x(_power(q, 2, m), 2, l // 2 - 1))
         total += scaled // (4 * l)
-        if cap is not None and total > cap:
-            return total
+    return total
+
+
+def class_count(
+    n: int,
+    delta: int | None = None,
+    exact: bool = True,
+    l_filter: int | None = None,
+    cap: int | None = None,
+) -> int:
+    """The number of classes `_run_units` enumerates: unicyclic graphs on n
+    vertices with max degree exactly `delta` (at most `delta` with
+    exact=False, any without `delta`), on an `l_filter` cycle when given.
+
+    Max degree at most delta on an l-cycle is the coefficient of z^n in the
+    dihedral cycle index Z(D_l) with x_k = H(z^k), H the series of the
+    hanging trees under delta (`_tree_counts`); exactly delta is at most
+    delta less at most delta - 1.
+
+    With `cap`, a count past it returns as soon as it is settled. With l
+    the shortest cycle and top = n - l + 1, each tree on k <= top vertices
+    that may hang from a cycle vertex is a class of its own, with the other
+    tree vertices as a path hung next to it. For exactly delta so is each
+    planted tree on k <= top - delta + 2 vertices under a root with
+    delta - 3 more leaves. An exactly-delta count still open when the
+    hanging trees on k vertices pass the cap raises CapExceededError: its
+    catalog would hold them all, and its count could take series as long
+    as its largest tree. Each of those trees is a class without delta, so
+    the run had more than `cap` classes by that count too.
+    """
+    ls = _cycle_lengths(n, delta, exact, l_filter)
+    if not ls:
+        return 0
+    if delta is not None and delta < 3:
+        return len(ls)  # the n-cycle
+    top = n - ls[0] + 1
+    hub = delta is not None and exact
+    h = [0]
+    for k, (planted, hanging) in zip(range(1, top + 1), _tree_counts(delta)):
+        h.append(hanging)
+        if cap is None:
+            continue
+        if not hub and hanging > cap:
+            return hanging
+        if hub and planted > cap and k <= top - delta + 2:
+            return planted
+        if hub and hanging > cap:
+            raise CapExceededError(f"more than {cap} rooted trees on {k} vertices")
+    total = _cycle_index_count(n, ls, h)
+    if hub:
+        below = [0, *(hanging for _, hanging in islice(_tree_counts(delta - 1), top))]
+        total -= _cycle_index_count(n, ls, below)
     return total

@@ -28,7 +28,6 @@ from .search import _hanging_degree, unicyclic_extremes, unicyclic_rows
 from .unicyclic import (
     Shape,
     canonical_code,
-    code_parents,
     decompose_unicyclic,
     path_shape,
     rooted_shapes,
@@ -40,12 +39,6 @@ from .unicyclic import (
 
 # ---------------------------------------------------------------------------
 # graphs the suites check
-
-def shape_to_tree(shape: Shape) -> Graph:
-    """Tree graph for a rooted shape, preorder numbering with root 0."""
-    parent = code_parents(shape)
-    return Graph(len(parent), [(parent[k], k) for k in range(1, len(parent))])
-
 
 def random_unicyclic(n: int, rng: random.Random) -> Graph:
     """Random connected unicyclic graph: Pruefer tree plus one extra edge."""
@@ -125,9 +118,6 @@ def verify_theorem(
     expected_code = canonical_code(extremal).decode("ascii")
     notes: list[str] = []
     try:
-        # a hub on the cycle needs delta - 2 tree vertices and one off it
-        # delta + 1, so every class of max degree exactly delta has
-        # l <= n - delta + 2 and lies in the theorem's scope
         found = unicyclic_extremes(n, delta, cap=cap, workers=workers)
     except CapExceededError:
         best = kirchhoff_index(extremal, "structural")
@@ -320,7 +310,7 @@ def check_lemma_properties(
             if delta not in top:
                 continue
             wien, shapes = top[delta]
-            argmax = {tree_canonical_code(shape_to_tree(s)) for s in shapes}
+            argmax = {tree_canonical_code(unicyclic_from_shapes(1, [s]).to_graph()[0]) for s in shapes}
             broom["checked"] += 1
             if (wien != wiener_broom_formula(n, delta)
                     or argmax != {tree_canonical_code(make_t_n_delta(n, delta))}):

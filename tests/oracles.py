@@ -1,12 +1,22 @@
 """Test-only oracles for the enumeration in `kfx.search`: a labeled brute
 force that never walks shape tuples, one representative per free-tree
-class, and a code-keyed view of `unicyclic_rows`."""
+class, a code-keyed view of `unicyclic_rows`, and the rooted-tree counts
+as a literal table."""
 from itertools import combinations
 
 from kfx.graph import Graph
 from kfx.search import unicyclic_rows
-from kfx.suites import shape_to_tree
-from kfx.unicyclic import canonical_code, decompose_unicyclic, rooted_shapes, tree_canonical_code
+from kfx.unicyclic import (
+    canonical_code,
+    decompose_unicyclic,
+    rooted_shapes,
+    tree_canonical_code,
+    unicyclic_from_shapes,
+)
+
+# A000081: rooted trees on k = 0..20 vertices
+A000081 = [0, 1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973, 87811,
+           235381, 634847, 1721159, 4688676, 12826228]
 
 
 def unicyclic_classes(*args, **kwargs) -> dict:
@@ -37,7 +47,7 @@ def tree_classes(n: int, delta: int | None = None, exact: bool = True) -> dict[b
         deg = max(root, inner)
         if delta is not None and (deg != delta if exact else deg > delta):
             continue
-        g = shape_to_tree(shape)
+        g, _ = unicyclic_from_shapes(1, [shape]).to_graph()
         code = tree_canonical_code(g)
         if code not in found:
             found[code] = g

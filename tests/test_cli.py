@@ -335,6 +335,33 @@ def test_compute_vertex_uses_requested_engine(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["kf_v0"] == "4/1"
 
 
+@pytest.mark.parametrize("engine", ["oracle", "auto"])
+def test_compute_eliminates_once_per_graph(capsys, tmp_path, monkeypatch, engine):
+    # Kf, W and one transmission of a graph with two chords share one
+    # Bareiss elimination, and equal the values each takes on its own
+    from kfx.graph import Graph
+    from kfx.metrics import det_bareiss, kf_vertex, kirchhoff_index
+
+    n = 30
+    g = Graph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, 15), (6, 22)])
+    kf, kf_v = kirchhoff_index(g), kf_vertex(g, 7)
+    path = tmp_path / "chorded.edges"
+    path.write_text(format_edge_list(g))
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return det_bareiss(*args)
+
+    monkeypatch.setattr("kfx.metrics.det_bareiss", counted)
+    code, out, err = run(capsys, "compute", "--input", str(path), "--engine", engine,
+                         "--vertex", "7", "--format", "json")
+    assert code == 0, err
+    assert calls == [n - 1]
+    record = json.loads(out)
+    assert (record["kf"], record["kf_v7"]) == (rational_str(kf), rational_str(kf_v))
+
+
 @pytest.mark.parametrize("extra", [["--vertex", "5"], ["--vertex", "-1", "--engine", "oracle"]])
 def test_compute_vertex_out_of_range_is_invalid_input(capsys, tmp_path, extra):
     path = tmp_path / "c5.edges"
@@ -365,7 +392,7 @@ def test_search_refuses_oversized_runs_up_front(capsys, argv):
 
 @pytest.mark.parametrize("argv, message", [
     (["search", "--n", "20", "--delta", "4", "--cap", "1000"], "more than 1000 isomorphism classes"),
-    (["conjecture", "--n", "19", "--delta", "4"], "more than 5000000 isomorphism classes"),
+    (["conjecture", "--n", "20", "--delta", "4"], "more than 5000000 isomorphism classes"),
 ])
 def test_cap_is_checked_before_any_catalog(capsys, monkeypatch, argv, message):
     def no_catalog(*args):

@@ -12,12 +12,16 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import pytest
+
 from kfx import unicyclic
 from kfx.cli import main
+from kfx.errors import CapExceededError
 from kfx.families import make_cycle, make_p3_extremal, make_path
 from kfx.formulas import theorem_bound
 from kfx.graph import format_edge_list
 from kfx.metrics import kf_vertex, kirchhoff_index, wiener_index
+from kfx.search import unicyclic_extremes
 from kfx.suites import verify_theorem
 from kfx.unicyclic import canonical_code, decompose_unicyclic, tree_canonical_code
 
@@ -109,6 +113,19 @@ def test_cli_verify_theorem_n_100000(capsys):
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "match"
     assert cache_sizes() == before
+
+
+def test_enumerating_the_100000_cycle():
+    # the n-cycle is the one class of max degree 2, and the one on an
+    # n-cycle; its canonical check costs no more than its tuple
+    n = 100_000
+    for args in ((n, 2), (n, 2, None, False), (n, None, n)):
+        found = unicyclic_extremes(*args)
+        assert (found.count, found.low, found.high) == (1, Fraction(n**3 - n, 12), Fraction(n**3 - n, 12))
+        assert found.low_codes == [f"{n}:" + "()" * n]
+    for args in ((n, 3), (n, 5), (n, None), (n, n - 10), (n, n // 2, None, False)):
+        with pytest.raises(CapExceededError):
+            unicyclic_extremes(*args)
 
 
 def test_code_memory_stays_linear():

@@ -410,7 +410,7 @@ def test_transmissions_and_tables_equal_one_adjugate_near_n_200():
     graphs = [random_unicyclic(200, rng), random_unicyclic_with_cycle(199, 60, rng)]
     for g in graphs:
         u = decompose_unicyclic(g)
-        tau, adj, _ = _grounded_adjugate(g)
+        _, tau, adj, _ = _grounded_adjugate(g)
         trace = sum(row[i] for i, row in enumerate(adj))
         for v in range(g.n):
             oracle = F(g.n * adj[v][v] + trace - 2 * sum(adj[v]), tau)

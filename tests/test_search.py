@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from kfx.errors import CapExceededError, ParameterError
+from kfx.errors import DEFAULT_CAP, CapExceededError, ParameterError
 from kfx.families import make_cycle, make_t_n_delta
 from kfx.formulas import theorem_bound
 from kfx.graph import is_tree, is_unicyclic, max_degree
-from kfx.search import class_count
+from kfx.search import _tree_counts, class_count, unicyclic_extremes
 from kfx.suites import (
     check_lemma_properties,
     engine_equivalence_suite,
@@ -16,7 +17,7 @@ from kfx.suites import (
     verify_theorem,
 )
 from kfx.unicyclic import canonical_code, decompose_unicyclic, tree_canonical_code
-from oracles import brute_force_unicyclic_codes, tree_classes, unicyclic_classes
+from oracles import A000081, brute_force_unicyclic_codes, tree_classes, unicyclic_classes
 
 F = Fraction
 
@@ -180,9 +181,7 @@ def _closed_form_counts(n: int, l: int) -> int:
     Palmer). Computed with integer series, scaled by 4l before dividing."""
     from math import gcd
 
-    from kfx.search import _rooted_tree_counts
-
-    r = _rooted_tree_counts(n)
+    r = A000081[: n + 1]
 
     def mul(a, b):
         out = [0] * (n + 1)
@@ -227,23 +226,74 @@ def test_class_counts_match_cycle_index_per_cycle_length():
 def test_class_count_matches_the_test_local_cycle_index():
     for n in range(3, 14):
         for l in range(3, n + 1):
-            assert class_count(n, l) == _closed_form_counts(n, l), (n, l)
+            assert class_count(n, l_filter=l) == _closed_form_counts(n, l), (n, l)
     assert [class_count(n) for n in range(3, 21)] == A001429
-    assert class_count(2) == class_count(6, 2) == class_count(6, 7) == 0
+    assert class_count(2) == class_count(6, l_filter=2) == class_count(6, l_filter=7) == 0
+
+
+def _filters(n: int):
+    """(delta, exact) for every degree filter on n vertices."""
+    yield None, True
+    for delta in range(2, n + 2):
+        yield delta, True
+        yield delta, False
+
+
+def test_class_count_is_the_enumerated_count():
+    for n in range(3, 12):
+        for delta, exact in _filters(n):
+            for l_filter in (None, *range(3, n + 1)):
+                found = unicyclic_extremes(n, delta, l_filter, exact).count
+                assert class_count(n, delta, exact, l_filter) == found, (n, delta, exact, l_filter)
+    for n in range(12, 15):
+        for delta, exact in _filters(n):
+            assert class_count(n, delta, exact) == unicyclic_extremes(n, delta, None, exact).count
+    # the runs named in the README, and the cap and pool decisions that read them
+    assert (class_count(19, 4), class_count(20, 4), class_count(22, 3)) == (2787168, 7641518, 4497283)
+    assert (class_count(14, 3), class_count(14, 4), class_count(15, 4)) == (4765, 17799, 49053)
+    assert class_count(100000, 2) == class_count(100000, 2, False) == 1
 
 
 def test_class_count_early_exit_keeps_cap_decisions():
-    for n in range(1, 30):
-        for l_filter in (None, *range(3, n + 1)):
-            full = class_count(n, l_filter)
-            for cap in (0, 10, 10**3, 10**6):
-                assert (class_count(n, l_filter, cap) > cap) == (full > cap), (n, l_filter, cap)
+    for n in range(1, 26):
+        for delta, exact in _filters(n):
+            for l_filter in (None, 3, 4, n - 1, n):
+                full = class_count(n, delta, exact, l_filter)
+                for cap in (0, 10, 10**3, 10**6):
+                    try:
+                        early = class_count(n, delta, exact, l_filter, cap)
+                    except CapExceededError:
+                        # exactly delta, refused by the catalog: some
+                        # catalog size holds more trees than the cap, and
+                        # the run had more classes without delta
+                        assert exact and delta is not None, (n, delta, l_filter, cap)
+                        top = n - (l_filter or 3) + 1
+                        sizes = [h for _, h in islice(_tree_counts(delta), top)]
+                        assert max(sizes) > cap, (n, delta, l_filter, cap)
+                        assert class_count(n, l_filter=l_filter) > cap, (n, delta, l_filter, cap)
+                        continue
+                    assert (early > cap) == (full > cap), (n, delta, exact, l_filter, cap)
+                    assert early == full or full > cap
 
 
-def test_cap_counts_classes_before_the_degree_filter():
-    # the cap is the exact class count, whatever delta keeps
-    count = class_count(10)
-    assert probe_conjecture(10, 4, cap=count).graph_count == len(unicyclic_classes(10, 4))
+def test_a_catalog_past_the_cap_is_refused_only_where_the_classes_were():
+    # an exactly-delta run whose hanging trees of one size pass the cap is
+    # refused up front; each such run also had more than `cap` classes
+    # before any degree filter
+    for n, delta, cap in ((10, 7, 100), (14, 10, 4000), (25, 20, DEFAULT_CAP)):
+        assert class_count(n, delta) <= cap < class_count(n)
+        with pytest.raises(CapExceededError, match=f"more than {cap} rooted trees on "):
+            class_count(n, delta, cap=cap)
+    with pytest.raises(CapExceededError, match="rooted trees"):
+        class_count(100000, 99990, cap=DEFAULT_CAP)
+    assert verify_theorem(25, 20).mode == "formula-only"
+
+
+def test_cap_counts_the_classes_of_the_degree_filter():
+    # the cap is the exact count of the classes delta keeps
+    count = class_count(10, 4)
+    assert count == len(unicyclic_classes(10, 4)) < class_count(10)
+    assert probe_conjecture(10, 4, cap=count).graph_count == count
     with pytest.raises(CapExceededError, match=f"more than {count - 1} isomorphism classes"):
         probe_conjecture(10, 4, cap=count - 1)
     assert verify_theorem(10, 4, cap=count).mode == "enumerated"

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -6,8 +7,8 @@ from kfx.errors import NotConnectedError, NotUnicyclicError
 from kfx.families import make_cycle, make_p_n_l, make_s_n_l
 from kfx.graph import Graph, wiener
 from kfx.metrics import resistance_structural
-from kfx.search import _rooted_tree_counts
-from kfx.suites import random_unicyclic, shape_to_tree
+from kfx.search import _tree_counts
+from kfx.suites import random_unicyclic
 from kfx.unicyclic import (
     canonical_code,
     code_parents,
@@ -22,7 +23,7 @@ from kfx.unicyclic import (
     UnicyclicRepr,
     unicyclic_from_shapes,
 )
-from oracles import unicyclic_classes
+from oracles import A000081, unicyclic_classes
 
 
 def code_of(g: Graph) -> bytes:
@@ -164,9 +165,16 @@ def test_rooted_shape_counts():
 
 
 def test_rooted_shape_counts_to_12():
-    # OEIS A000081
-    r = _rooted_tree_counts(12)
-    assert [len(rooted_shapes(k)) for k in range(1, 13)] == r[1:]
+    assert [len(rooted_shapes(k)) for k in range(1, 13)] == A000081[1:13]
+
+
+def test_tree_counts_are_the_bounded_catalog_sizes():
+    # the series `class_count` reads counts the trees `_alphabet` catalogs
+    for delta in (None, *range(1, 12)):
+        planted, hanging = ((), ()) if delta is None else ((delta - 1,), (delta - 1, delta - 2))
+        expected = [(len(rooted_shapes(k, *planted)), len(rooted_shapes(k, *hanging))) for k in range(1, 12)]
+        assert list(islice(_tree_counts(delta), 11)) == expected, delta
+    assert [h for _, h in islice(_tree_counts(None), 20)] == A000081[1:]
 
 
 def test_catalog_codes_parse_back():
@@ -180,7 +188,7 @@ def test_catalog_records_match_labeled_trees():
     for k in range(1, 11):
         for code, record in rooted_shapes(k).items():
             assert record[:3] == tree_stats(code_parents(code))
-            t = shape_to_tree(code)
+            t, _ = unicyclic_from_shapes(1, [code]).to_graph()
             inner = max((t.degree(v) for v in range(1, t.n)), default=0)
             assert record[3:] == (t.degree(0), inner)
 
@@ -189,7 +197,7 @@ def test_catalog_wiener_matches_bfs():
     # the lemma suite's Wiener-broom check reads W from these records
     for k in range(1, 12):
         for code, record in rooted_shapes(k).items():
-            assert record[2] == wiener(shape_to_tree(code))
+            assert record[2] == wiener(unicyclic_from_shapes(1, [code]).to_graph()[0])
 
 
 def test_shape_stats_and_degrees():
@@ -271,7 +279,7 @@ def test_tree_code_equals_the_joined_code():
     for k in range(1, 13):
         for shape in rooted_shapes(k):
             # relabel, then list the vertices breadth first from the root
-            t = shape_to_tree(shape)
+            t, _ = unicyclic_from_shapes(1, [shape]).to_graph()
             perm = list(range(1, k))
             rng.shuffle(perm)
             g = t.relabel([0] + perm)

@@ -33,8 +33,9 @@ VERIFY_PASS = [
     ["verify", "--suite", "theorem", "--n", "700", "--delta", "5"],
 ]
 # the verify pass's enumerating commands, and each multi-worker one also
-# with one worker, beside searches from n = 12 to 16, to show from which
-# class count a second worker pays (search.POOL_MIN_CLASSES)
+# with one worker, beside searches from n = 12 to 16 and degree-filtered
+# ones at n = 14 and 15, to show from which class count a second worker
+# pays (search.POOL_MIN_CLASSES)
 TIMED = VERIFY_PASS[:3] + [
     ["verify", "--suite", "lemmas", "--workers", "1"],
     ["verify", "--suite", "theorem", "--n-max", "9", "--workers", "1"],
@@ -46,6 +47,12 @@ TIMED = VERIFY_PASS[:3] + [
     ["search", "--n", "14", "--workers", "2"],
     ["search", "--n", "16", "--workers", "1"],
     ["search", "--n", "16", "--workers", "2"],
+    ["search", "--n", "14", "--delta", "3", "--workers", "1"],
+    ["search", "--n", "14", "--delta", "3", "--workers", "2"],
+    ["search", "--n", "14", "--delta", "4", "--workers", "1"],
+    ["search", "--n", "14", "--delta", "4", "--workers", "2"],
+    ["search", "--n", "15", "--delta", "4", "--workers", "1"],
+    ["search", "--n", "15", "--delta", "4", "--workers", "2"],
 ]
 
 COUNT_POOLS = """
