@@ -140,6 +140,14 @@ class Adjugate(NamedTuple):
     adj: list[list[int]]
     at: Mapping[int, int] | range
 
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @property
+    def m(self) -> int:
+        return self.graph.m
+
 
 def _grounded_adjugate(g: Graph | UnicyclicRepr | Adjugate) -> Adjugate:
     """g's grounded adjugate, from one Bareiss elimination (g itself if it

@@ -21,9 +21,9 @@ with the class count; only `unicyclic_rows` lists every class.
 
 The enumeration cap counts classes. Every run compares one number with
 it, before any tree catalog is built: the number of classes it
-enumerates, exactly, from the dihedral cycle index (`class_count`). An
-exactly-delta run whose catalog would hold more trees of one size than
-the cap is refused before its count is settled.
+enumerates, exactly, from the dihedral cycle index (`class_count`). A
+catalog-size guard also refuses an exactly-delta run whose catalog would
+hold more trees of one size than the cap, before its count is settled.
 """
 from __future__ import annotations
 
@@ -548,10 +548,11 @@ def class_count(
     tree vertices as a path hung next to it. For exactly delta so is each
     planted tree on k <= top - delta + 2 vertices under a root with
     delta - 3 more leaves. An exactly-delta count still open when the
-    hanging trees on k vertices pass the cap raises CapExceededError: its
-    catalog would hold them all, and its count could take series as long
-    as its largest tree. Each of those trees is a class without delta, so
-    the run had more than `cap` classes by that count too.
+    hanging trees on k vertices pass the cap raises CapExceededError, the
+    catalog-size guard: its catalog would hold them all, and its count
+    could take series as long as its largest tree. Each of those trees is
+    a class without delta, so the run had more than `cap` classes by that
+    count too.
     """
     ls = _cycle_lengths(n, delta, exact, l_filter)
     if not ls:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -444,6 +445,29 @@ def modules_added_by(argv, tmp_path):
     result = json.loads(proc.stdout)
     assert result["rc"] == 0, proc.stderr
     return set(result["added"])
+
+
+def test_a_traced_compute_reads_the_adjugate_as_its_graph(capsys, tmp_path):
+    # perfbench/trace_cli.py classifies each kirchhoff_index call by the
+    # n and m of what it receives, here the adjugate of a chorded cycle
+    from kfx.graph import Graph
+
+    n = 12
+    g = Graph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, 6), (2, 9)])
+    path = tmp_path / "chorded.edges"
+    path.write_text(format_edge_list(g))
+    argv = ["compute", "--input", str(path), "--vertex", "3"]
+    _, expected, _ = run(capsys, *argv)
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(SRC), PERFBENCH_T0=str(time.monotonic()),
+               PERFBENCH_TRACE=str(trace))
+    proc = subprocess.run([sys.executable, str(SRC.parent / "perfbench" / "trace_cli.py"), *argv],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == expected
+    spans = json.loads(trace.read_text())["spans"]
+    assert spans["metrics.kirchhoff_index.oracle"][0] == 1
+    assert "metrics.kirchhoff_index.structural" not in spans
 
 
 def test_compute_and_family_load_no_enumeration_stack(tmp_path):

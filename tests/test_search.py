@@ -255,9 +255,18 @@ def test_class_count_is_the_enumerated_count():
 
 
 def test_class_count_early_exit_keeps_cap_decisions():
+    for n in range(1, 30):
+        for l_filter in (None, *range(3, n + 1)):
+            full = class_count(n, l_filter=l_filter)
+            for cap in (0, 10, 10**3, 10**6):
+                early = class_count(n, l_filter=l_filter, cap=cap)
+                assert (early > cap) == (full > cap), (n, l_filter, cap)
+                assert early == full or full > cap
+    # every degree filter and exactness: every cycle length below n = 18,
+    # the shortest two and longest two up to n = 25
     for n in range(1, 26):
         for delta, exact in _filters(n):
-            for l_filter in (None, 3, 4, n - 1, n):
+            for l_filter in (None, *range(3, n + 1)) if n < 18 else (None, 3, 4, n - 1, n):
                 full = class_count(n, delta, exact, l_filter)
                 for cap in (0, 10, 10**3, 10**6):
                     try:
