@@ -4,8 +4,9 @@ Two independent engines compute effective resistances:
 
 * the *oracle* engine works on any connected graph: one fraction-free
   (Bareiss) elimination of the grounded Laplacian gives the spanning-tree
-  count and the adjugate, whose entries give every resistance, so `kfx
-  compute --engine oracle` serves connected graphs of a few hundred vertices;
+  count tau and the adjugate, whose entries give every resistance, so `kfx
+  compute --engine oracle` serves connected graphs of a few hundred vertices.
+  The elimination skips the rows whose multiplier is zero;
 * the *structural* engine works on trees and unicyclic graphs only, by
   cut-vertex decomposition: tree distances in series with the two
   parallel cycle arcs. A `UnicyclicRepr` folds every hanging tree once
@@ -14,10 +15,17 @@ Two independent engines compute effective resistances:
   enumerated tuples of shape codes (`kf_from_shapes`), whose tree numbers
   the shape catalog already holds. `kf_vertex` reroots the same numbers
   at one vertex in O(n) (Klein & Randic, "Resistance distance", 1993).
-  `resistance_structural` answers single pairs from the positions and
-  depths the representation holds, and `resistance_table` is built from it.
+  `resistance_numerator` answers single pairs as the integer l R(a, b)
+  from the positions and depths the representation holds;
+  `resistance_structural` and `resistance_table` divide it by l.
   A tree is the representation's l = 1 case, one tree rooted at vertex 0:
   every cross-tree term is zero, and resistance is distance.
+
+The engine cross-check (`kfx.suites.engine_equivalence_suite`) compares
+the two engines' integer numerators, l R from `resistance_numerator` and
+tau R from `Adjugate.numerator`, by cross-multiplication:
+(l R) tau = (tau R) l. That is exact without a fraction per pair, and
+does not assume that tau equals l.
 
 The Wiener index W follows the same split (`wiener_index`): on trees and
 unicyclic graphs it comes from the same per-tree pass and one O(l) sum
@@ -46,6 +54,7 @@ __all__ = [
     "spanning_tree_count",
     "resistance_oracle",
     "resistance_structural",
+    "resistance_numerator",
     "kirchhoff_index",
     "kf_vertex",
     "engine_input",
@@ -69,6 +78,9 @@ def det_bareiss(rows: list[list[int]], alongside: list[list[int]] | None = None)
     is nonzero in it; until then every step has only scaled it, so it is
     B's column times the last pivot. Identity column k thus joins at the
     step that pivots on M's row k, not at step 0.
+
+    A row whose entry in the pivot column is already zero is only scaled by
+    pivot / prev, and left alone when the two are equal.
     """
     n = len(rows)
     a = [list(row) for row in rows]
@@ -92,15 +104,20 @@ def det_bareiss(rows: list[list[int]], alongside: list[list[int]] | None = None)
             for j in new:
                 waiting[j] = False
             joined += new
-            for row, i in zip(a, at):
-                row += [prev * extra[i][j] for j in new]
+            for j in new:
+                for row, i in zip(a, at):
+                    row.append(prev * extra[i][j])
         pivot = a[k][k]
         tail = a[k][k + 1:]
         for i, row in enumerate(a):
-            if i != k:
-                c = row[k]
+            if i == k:
+                continue
+            c = row[k]
+            if c:
                 row[k + 1:] = [(pivot * x - c * y) // prev for x, y in zip(row[k + 1:], tail)]
                 row[k] = 0
+            elif pivot != prev:
+                row[k + 1:] = [pivot * x // prev for x in row[k + 1:]]
         prev = pivot
     for out, row in zip(extra, a):
         out[:] = [0] * len(waiting)
@@ -148,6 +165,12 @@ class Adjugate(NamedTuple):
     def m(self) -> int:
         return self.graph.m
 
+    def numerator(self, a: int, b: int) -> int:
+        """tau R(a, b) = A[a][a] + A[b][b] - 2 A[a][b], a and b vertices
+        of the graph given."""
+        a, b, adj = self.at[a], self.at[b], self.adj
+        return adj[a][a] + adj[b][b] - 2 * adj[a][b]
+
 
 def _grounded_adjugate(g: Graph | UnicyclicRepr | Adjugate) -> Adjugate:
     """g's grounded adjugate, from one Bareiss elimination (g itself if it
@@ -178,32 +201,36 @@ def _pick_engine(g: Graph | UnicyclicRepr | Adjugate, engine: str) -> str:
     return "oracle"
 
 
-def resistance_oracle(g: Graph, a: int, b: int) -> Fraction:
+def _vertices(g: Graph | UnicyclicRepr | Adjugate) -> Mapping[int, int] | range:
+    """The vertex labels g answers for, without an elimination."""
+    return (g.position if isinstance(g, UnicyclicRepr)
+            else g.at if isinstance(g, Adjugate) else range(g.n))
+
+
+def resistance_oracle(g: Graph | UnicyclicRepr | Adjugate, a: int, b: int) -> Fraction:
     """Effective resistance between a and b with unit resistors per edge:
     (spanning 2-forests separating a and b) / (spanning trees)."""
     if a == b:
         raise ValueError("resistance requires two distinct vertices")
-    if not (0 <= a < g.n and 0 <= b < g.n):
+    vertices = _vertices(g)
+    if a not in vertices or b not in vertices:
         raise ValueError("vertex out of range")
-    _, tau, adj, _ = _grounded_adjugate(g)
-    return Fraction(adj[a][a] + adj[b][b] - 2 * adj[a][b], tau)
+    oracle = _grounded_adjugate(g)
+    return Fraction(oracle.numerator(a, b), oracle.tau)
 
 
-def resistance_structural(u: UnicyclicRepr, a: int, b: int) -> Fraction:
-    """Resistance in a tree or unicyclic graph from its cycle/tree decomposition.
+def resistance_numerator(u: UnicyclicRepr, a: int, b: int) -> int:
+    """l R(a, b), the structural resistance of two vertices of u over its
+    cycle length l, as an integer.
 
     Trees contribute plain distances (cut vertices put them in series);
     two cycle vertices at cycle-distance d contribute d(l-d)/l from the
-    parallel arcs.
+    parallel arcs. On a tree, l = 1 and this is the distance.
     """
-    if a == b:
-        raise ValueError("resistance requires two distinct vertices")
-    if a not in u.position or b not in u.position:
-        raise ValueError("vertex not in graph")
     (i, ka), (j, kb) = u.position[a], u.position[b]
     if i != j:  # d (l - d) is the same either way round the cycle
         d = abs(i - j)
-        return u.tree_depths[i][ka] + u.tree_depths[j][kb] + Fraction(d * (u.l - d), u.l)
+        return u.l * (u.tree_depths[i][ka] + u.tree_depths[j][kb]) + d * (u.l - d)
     # climb from the deeper one until the two meet
     parent, depth = u.tree_parents[i], u.tree_depths[i]
     dist = 0
@@ -212,7 +239,17 @@ def resistance_structural(u: UnicyclicRepr, a: int, b: int) -> Fraction:
             ka, kb = kb, ka
         ka = parent[ka]
         dist += 1
-    return Fraction(dist)
+    return u.l * dist
+
+
+def resistance_structural(u: UnicyclicRepr, a: int, b: int) -> Fraction:
+    """Resistance in a tree or unicyclic graph from its cycle/tree
+    decomposition: `resistance_numerator` over l."""
+    if a == b:
+        raise ValueError("resistance requires two distinct vertices")
+    if a not in u.position or b not in u.position:
+        raise ValueError("vertex not in graph")
+    return Fraction(resistance_numerator(u, a, b), u.l)
 
 
 def _as_repr(g: Graph | UnicyclicRepr) -> UnicyclicRepr:
@@ -260,9 +297,7 @@ def kf_vertex(g: Graph | UnicyclicRepr | Adjugate, v: int, engine: str = "auto")
     excluded: a step down to u brings s_i - sub(u) vertices of tree i one
     nearer and sub(u) one farther. It is one O(n) pass, exact over l.
     """
-    vertices = (g.position if isinstance(g, UnicyclicRepr)
-                else g.at if isinstance(g, Adjugate) else range(g.n))
-    if v not in vertices:
+    if v not in _vertices(g):
         raise ParameterError(f"vertex {v} not in graph")
     if _pick_engine(g, engine) == "structural":
         u = _as_repr(g)
@@ -363,9 +398,6 @@ def resistance_table(
         u = _as_repr(g)
         pairs = combinations(sorted(u.position), 2)
         return {(a, b): resistance_structural(u, a, b) for a, b in pairs}
-    _, tau, adj, at = _grounded_adjugate(g)
-    values = {}
-    for a, b in combinations(sorted(at), 2):
-        i, j = at[a], at[b]
-        values[(a, b)] = Fraction(adj[i][i] + adj[j][j] - 2 * adj[i][j], tau)
-    return values
+    oracle = _grounded_adjugate(g)
+    pairs = combinations(sorted(oracle.at), 2)
+    return {(a, b): Fraction(oracle.numerator(a, b), oracle.tau) for a, b in pairs}

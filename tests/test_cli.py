@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -179,6 +180,23 @@ def test_verify_engines_records_seed(capsys):
     payload = json.loads(out)
     assert payload["engines"]["seed"] == 777
     assert payload["engines"]["violations"] == []
+
+
+def test_verify_engines_pins_the_widened_run(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "engines", "--n-max", "10", "--random", "200")
+    assert code == 0
+    assert json.loads(out) == {
+        "engines": {"graphs": 1240, "pairs": 51705, "seed": 20240817, "violations": []},
+        "suite": "engines",
+        "verdict": "match",
+    }
+
+
+def test_verify_all_stdout_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "e610704c16767178c47f4e2d2f66678c1a7f6ec21f17e74c505c3c7a0ce038f9"
 
 
 def test_conjecture_exit_codes(capsys):

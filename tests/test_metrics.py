@@ -63,8 +63,24 @@ def cofactor_adjugate(m):
 
 
 def test_bareiss_adjugate_through_row_swaps():
+    from kfx.metrics import _grounded_laplacian
+
     rng = random.Random(17)
     cases = [[[0, 0, 1], [0, 1, 0], [1, 0, 0]], [[0, 2], [3, 0]]]
+    # zeros in the pivot column: the row is rescaled when pivot != prev
+    # (block diagonal, path) and left alone when they are equal (unit
+    # pivots, permutations, a star grounded at its centre: L0 = I); then a
+    # star grounded at a leaf and K_6
+    cases += [
+        [[2, 1, 0, 0], [1, 3, 0, 0], [0, 0, 4, 1], [0, 0, 1, 2]],
+        [[1, 2, 0], [3, 1, 0], [0, 0, 5]],
+        [[0, 0, 2, 0], [0, 3, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1]],
+        [[0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0]],
+        _grounded_laplacian(make_path(6)),
+        _grounded_laplacian(Graph(6, [(0, v) for v in range(1, 6)])),
+        _grounded_laplacian(Graph(6, [(1, v) for v in (0, 2, 3, 4, 5)])),
+        _grounded_laplacian(Graph(6, list(combinations(range(6), 2)))),
+    ]
     for _ in range(40):
         n = rng.randrange(2, 6)
         m = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
@@ -93,9 +109,11 @@ def test_bareiss_adjugate_through_row_swaps():
                    for i in range(n)]
         assert det_bareiss(m, b) == det
         assert b == product
-    assert checked >= 25
-    singular = [[0, 1, 2], [0, 2, 4], [1, 0, 1]]
-    assert det_bareiss(singular, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 0
+    assert checked >= 33
+    for singular in ([[0, 1, 2], [0, 2, 4], [1, 0, 1]], [[1, 0, 0], [0, 0, 0], [0, 0, 2]],
+                     [[2, 0, 1], [0, 1, 0], [4, 0, 2]]):
+        assert naive_det(singular) == 0
+        assert det_bareiss(singular, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 0
 
 
 def test_spanning_tree_counts():
@@ -115,6 +133,23 @@ def test_resistance_oracle_rejects_disconnected():
     g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(NotConnectedError):
         resistance_oracle(g, 0, 2)
+
+
+def test_resistance_oracle_reads_a_decomposition_by_its_labels():
+    """`to_graph` renumbers a decomposition's vertices; the oracle must map
+    the labels it is given through the adjugate's `at`."""
+    g = Graph(6, [(5, 4), (4, 3), (3, 5), (3, 2), (2, 1), (1, 0)])
+    u = decompose_unicyclic(g)
+    assert u.to_graph()[1] != dict(zip(range(6), range(6)))
+    for a, b in permutations(range(6), 2):
+        assert resistance_oracle(u, a, b) == resistance_structural(u, a, b)
+        assert resistance_oracle(engine_input(u, "oracle"), a, b) == resistance_structural(u, a, b)
+    assert resistance_oracle(u, 0, 1) == 1
+    for a, b in ((0, 6), (-1, 2), (6, 7)):
+        with pytest.raises(ValueError, match="vertex out of range"):
+            resistance_oracle(u, a, b)
+        with pytest.raises(ValueError, match="vertex out of range"):
+            resistance_oracle(g, a, b)
 
 
 def test_resistance_structural_examples():
@@ -332,7 +367,8 @@ def test_engine_names_are_validated_and_honoured(monkeypatch):
     def structural_engine_called(*args):
         raise AssertionError("structural engine used for engine='oracle'")
 
-    for name in ("decompose_unicyclic", "resistance_structural", "kf_from_stats"):
+    for name in ("decompose_unicyclic", "resistance_structural", "resistance_numerator",
+                 "kf_from_stats"):
         monkeypatch.setattr(kfx.metrics, name, structural_engine_called)
     assert kirchhoff_index(u, "oracle") == expected_kf == F(44, 3)
     assert kf_vertex(u, 50, "oracle") == expected_v

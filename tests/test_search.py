@@ -8,7 +8,7 @@ from kfx.errors import DEFAULT_CAP, CapExceededError, ParameterError
 from kfx.families import make_cycle, make_t_n_delta
 from kfx.formulas import theorem_bound
 from kfx.graph import is_tree, is_unicyclic, max_degree
-from kfx.search import _tree_counts, class_count, unicyclic_extremes
+from kfx.search import _tree_counts, class_count, unicyclic_extremes, unicyclic_rows
 from kfx.suites import (
     check_lemma_properties,
     engine_equivalence_suite,
@@ -16,7 +16,7 @@ from kfx.suites import (
     random_unicyclic,
     verify_theorem,
 )
-from kfx.unicyclic import canonical_code, decompose_unicyclic, tree_canonical_code
+from kfx.unicyclic import UnicyclicRepr, canonical_code, decompose_unicyclic, tree_canonical_code
 from oracles import A000081, brute_force_unicyclic_codes, tree_classes, unicyclic_classes
 
 F = Fraction
@@ -168,6 +168,44 @@ def test_engine_equivalence_suite_small():
     assert result["violations"] == []
     assert result["graphs"] == sum(UNICYCLIC_COUNTS[n] for n in (3, 4, 5, 6)) + 5
     assert result["seed"] == 123
+
+
+def _suite_with_one_wrong_class(monkeypatch, name, corrupt):
+    """Run engine_equivalence_suite(5, 0, 1) with `kfx.suites.<name>`
+    answering corrupt(answer, *args) on one n = 5 class and rightly on the
+    others; return that class's label and the suite's violations."""
+    import kfx.suites
+
+    code = list(unicyclic_rows(5))[2][0]
+    original = getattr(kfx.suites, name)
+
+    def patched(g, *args):
+        answer = original(g, *args)
+        u = g if isinstance(g, UnicyclicRepr) else decompose_unicyclic(g)
+        return corrupt(answer, *args) if canonical_code(u) == code else answer
+
+    monkeypatch.setattr(kfx.suites, name, patched)
+    return f"n=5 {code.decode('ascii')}", engine_equivalence_suite(5, 0, 1)["violations"]
+
+
+def test_engine_suite_reports_one_wrong_pair(monkeypatch):
+    label, violations = _suite_with_one_wrong_class(
+        monkeypatch, "resistance_numerator", lambda r, a, b: r + 1 if (a, b) == (0, 1) else r)
+    assert violations == [label]
+
+
+def test_engine_suite_reports_a_wrong_kirchhoff_index(monkeypatch):
+    label, violations = _suite_with_one_wrong_class(
+        monkeypatch, "kirchhoff_index", lambda kf: kf + F(1, 5))
+    assert violations == [label]
+
+
+def test_engine_suite_reports_an_oracle_with_a_wrong_tree_count(monkeypatch):
+    """tau doubled but A kept halves every oracle resistance, which a check
+    assuming tau = l (comparing l R with tau R directly) would miss."""
+    label, violations = _suite_with_one_wrong_class(
+        monkeypatch, "engine_input", lambda adj, engine: adj._replace(tau=2 * adj.tau))
+    assert violations == [label]
 
 
 # A001429: unlabeled connected unicyclic graphs on n = 3..20 vertices
