@@ -28,11 +28,11 @@ hold more trees of one size than the cap, before its count is settled.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from math import gcd
 from typing import NamedTuple
 
@@ -58,21 +58,20 @@ def _alphabet(n: int, delta: int | None, exact: bool, top: int):
     vertices with Wiener index W and root depth sum D adds to Kf on n
     vertices, as in `kf_from_stats`).
 
-    Under `delta` the trees come from the bounded catalog
-    `rooted_shapes(k, delta - 1, delta - 2)`, whose root has at most
-    delta - 2 children and every other vertex at most delta - 1, so no
-    tree past the bound is built. Rank order is code order, so comparing
-    rank tuples compares code tuples. The last code is b"()", the
-    one-vertex tree, whose degree 2 is the least a hanging tree has, so it
-    is allowed whenever any tree is. Built once per call; forked pool
-    workers inherit it.
+    Under `delta` the trees are those of `rooted_shapes(k, delta - 1)`
+    whose root has at most delta - 2 children, the root bound read from
+    each record, and every other vertex at most delta - 1, so no tree past
+    the bound is built. Each size comes in byte order, and the sizes are
+    merged, so rank order is code order and comparing rank tuples compares
+    code tuples. The last code is b"()", the one-vertex tree, whose degree
+    2 is the least a hanging tree has, so it is allowed whenever any tree
+    is. Built once per call; forked pool workers inherit it.
     """
-    bound = () if delta is None else (delta - 1, delta - 2)
-    catalog = {}
-    for k in range(1, top + 1):
-        catalog.update(rooted_shapes(k, *bound))
-    codes = sorted(catalog)
-    records = list(map(catalog.__getitem__, codes))
+    bound, root_max = ((), top) if delta is None else ((delta - 1,), delta - 2)
+    catalogs = [rooted_shapes(k, *bound) for k in range(1, top + 1)]
+    codes = sorted(chain.from_iterable(
+        [code for code, rec in catalog.items() if rec[3] <= root_max] for catalog in catalogs))
+    records = [catalogs[(len(code) >> 1) - 1][code] for code in codes]
     by_size: list[list[int]] = [[] for _ in range(top + 1)]
     for rank, (s, _, _, _, _) in enumerate(records):
         by_size[s].append(rank)
@@ -113,30 +112,56 @@ def _last_tree_bounds(a: list[int], t: int) -> tuple[int, list[int]] | None:
     a[0], r, a[t - 1], ..., a[j + 1]. If a[:j + 1] is no palindrome, its
     first mismatch decides for every r; if it is one, r is compared with
     a[j + 1], and at r = a[j + 1] the rest of a decides. An r equal to
-    a[0] is one more copy, which the caller checks in full.
+    a[0] adds no test: the rotation of a necklace that starts at its last
+    rank is no less than it only if every rank is a[0].
     """
     x = a[0]
     least = x
     bad = []
-    for j in range(t):
-        if a[j] != x:
-            continue
-        k = 0
-        while k < j and a[j - k] == a[k]:
-            k += 1
-        if a[j - k] != a[k]:
-            if a[j - k] < a[k]:
-                return None
-            continue
-        if j == t - 1:  # the rotation is a itself
-            continue
-        m = 0
-        while j + 2 + m < t and a[t - 1 - m] == a[j + 2 + m]:
-            m += 1
-        if j + 2 + m < t and a[t - 1 - m] < a[j + 2 + m]:
-            bad.append(a[j + 1])
-        least = max(least, a[j + 1])
+    j = 0
+    for _ in range(a[:t].count(x)):
+        j = a.index(x, j, t)
+        head, own = a[j::-1], a[:j + 1]
+        if head < own:
+            return None
+        if head == own and j < t - 1:  # at j = t - 1 the rotation is a itself
+            if a[t - 1:j + 1:-1] < a[j + 2:t]:
+                bad.append(a[j + 1])
+            least = max(least, a[j + 1])
+        j += 1
     return least, bad
+
+
+def _fill_bound(a: list[int], t: int, m: int, one: int) -> int | None:
+    """The least rank r for which no rotation of the reversal of
+    a[:t] + [r] + [one] * m that starts at a copy of a[0] in a[:t] is less
+    than that tuple, for m >= 1 and a[0] <= r < one; None when no r passes.
+
+    The rotation that starts at the copy a[j] reads a[j], ..., a[0], then m
+    ones, r, a[t - 1], ..., a[j + 1]. If a[:j + 1] is no palindrome, its
+    first mismatch decides for every r. Otherwise its m ones meet
+    a[j + 1:j + 1 + m]: a rank there below `one` passes every r, and so
+    does r's place in that window (r < one) or just past it (r meets r,
+    then ones meet ones). Further on, r meets v = a[j + 1 + m]: a greater
+    r passes, a less one fails, and at r = v the rest decides. Each
+    comparison is a slice, so a long run of equal ranks costs no
+    interpreted loop.
+    """
+    x = a[0]
+    least = x
+    j = 0
+    for _ in range(a[:t].count(x)):
+        j = a.index(x, j, t)
+        head, own = a[j::-1], a[:j + 1]
+        if head < own:
+            return None
+        q = j + 1 + m
+        if head == own and q < t and min(a[j + 1:q]) == one:
+            v = a[q]
+            tie = a[q + 1:t] + [v] + [one] * m
+            least = max(least, v if a[t - 1:j:-1] >= tie else v + 1)
+        j += 1
+    return least
 
 
 def _unit(args) -> UnitResult:
@@ -148,15 +173,24 @@ def _unit(args) -> UnitResult:
     Maiorana): each a[t] >= a[t - p], where p is the period of a[:t], and a
     larger a[t] makes the prefix aperiodic (p = t + 1). A full tuple is a
     necklace, least of its rotations, iff p divides l; it is canonical if
-    also no rotation of its reversal is smaller. Each position takes at
-    least one vertex, so sizes are pruned to leave one for every position
-    still open. Once the vertices left equal the positions left, each of
-    those positions takes the one-vertex tree, and the tuple is completed
-    at once. When one position is left, its size is the vertices left, and
-    its candidates are tried in place, greatest rank first, the order in
-    which they would leave the stack; `_last_tree_bounds` settles the
-    reversal test for all of them at once, so the walk stops at the least
-    candidate that can pass.
+    also no rotation of its reversal is smaller (Sawada's bracelet test).
+    Each position takes at least one vertex, so sizes are pruned to leave
+    one for every position still open.
+
+    Fills, tuples whose later positions all take the one-vertex tree, are
+    resolved where they are generated, with no stack entry. The unit's own
+    fill, a tree on `first` = n - l + 1 vertices followed by ones, is
+    canonical as it stands: a rank below `one` is its only least rank, and
+    all ones is the cycle. Elsewhere an expansion at position t whose size
+    leaves one vertex for every later position evaluates those tuples in
+    place: a rank above the one a period back makes the tuple aperiodic,
+    as a[0] < `one`, so only the rank equal to it needs the period test,
+    and `_fill_bound` settles the reversal test for every candidate at
+    once. When one position is left, its size is the vertices left, and
+    `_last_tree_bounds` settles the reversal test for all its candidates.
+    That last tree is no less than a[1], since the reversal read from a[0]
+    meets it where a has a[1], so the expansion just before it pushes only
+    the sizes whose greatest tree reaches a[1].
 
     Each kept tuple's Kf is the integer N = l * Kf that `kf_from_stats`
     folds. With sizes s_i and prefix sums P_k = s_0 + ... + s_k, the pairs
@@ -165,13 +199,12 @@ def _unit(args) -> UnitResult:
     N = l (sum_i term_i + sum_k P_k (n - P_k)) - n sum_i i^2 s_i
     + (sum_i i s_i)^2. Every stack entry carries the first part and
     sum_i i s_i over its prefix, each placed tree adding its share, so a
-    kept tuple costs a few additions. The one-vertex trees of the fill have
+    kept tuple costs a few additions. The one-vertex trees of a fill have
     no tree term, and their part of each sum is in closed form, as is a
     last tree's beside its term. In exact-delta runs an entry also carries
     whether its prefix holds a tree of degree delta (a hub): a prefix
     without one takes only hubs once no later tree can be as large as the
-    least hub, the last tree of such a prefix must be a hub, and such a
-    prefix is dropped before its fill.
+    least hub, which its fill or last tree always is.
     """
     n, l, first, delta, exact, top, keep_rows = args
     codes, by_size, hubs, hubs_by_size, terms = _alphabet(n, delta, exact, top)
@@ -184,6 +217,7 @@ def _unit(args) -> UnitResult:
                 for t, m in ((t, l - t) for t in range(l))]
     fill_s1 = [(l * (l - 1) - t * (t - 1)) // 2 for t in range(l)]
     hub_size = 0 if hubs is None else next((k for k, rs in enumerate(hubs_by_size) if rs), n + 1)
+    greatest = [ranks[-1] if ranks else -1 for ranks in by_size]  # per size
     a = [0] * l
     count = 0
     low = high = None
@@ -206,78 +240,90 @@ def _unit(args) -> UnitResult:
             shapes = tuple(map(codes.__getitem__, a))
             rows.append((b"%d:" % l + b"".join(shapes), l, shapes, num))
 
-    def canonical() -> bool:
-        # a is a necklace and a[0] its least rank, so only rotations of the
-        # reversal that start at a copy of a[0] can be smaller than a; if
-        # a[0] is the largest rank, a is the cycle alone
-        x = a[0]
-        if x == one:
-            return True
-        b = a[::-1]
-        i = -1
-        for _ in range(b.count(x)):
-            i = b.index(x, i + 1)
-            if b[i:] + b[:i] < a:
-                return False
-        return True
-
     # (position, rank, period of the tuple up to it, vertices left after it,
     #  l * (sum of terms + sum_k P_k (n - P_k)) - n sum_i i^2 s_i and
     #  sum_i i s_i up to it, whether it holds a tree of degree delta)
     rest = n - first
     c = l * first * rest
-    stack = [(0, r, 1, rest, c + l * terms[r], 0, hubs is None or r in hubs)
-             for r in by_size[first]]
+    if rest == l - 1:  # the unit's own fill
+        a[1:] = ones[1:]
+        c += fill_num[1] + fill_s1[1] ** 2
+        for r in by_size[first] if hubs is None else hubs_by_size[first]:
+            a[0] = r
+            keep(c + l * terms[r])
+        stack = []
+    else:
+        stack = [(0, r, 1, rest, c + l * terms[r], 0, hubs is None or r in hubs)
+                 for r in by_size[first]]
     while stack:
         t, rank, p, left, num, s1, hub = stack.pop()
         a[t] = rank
         t += 1
-        if left > l - t:
-            low_rank = a[t - p]
-            if t == l - 1:
-                # the last tree has `left` vertices and prefix sum n
-                s1 += t * left
-                base = num - n * t * t * left + s1 * s1
-                bounds = _last_tree_bounds(a, t)
-                if bounds is None:
-                    continue
-                least, bad = bounds
-                ranks = by_size[left] if hub else hubs_by_size[left]
-                i = bisect_left(ranks, max(least, low_rank))
-                for j in range(len(ranks) - 1, i - 1, -1):
-                    r = ranks[j]
-                    if r in bad or (r == low_rank and l % p):
-                        continue
-                    a[t] = r
-                    if r != a[0] or canonical():
-                        keep(base + l * terms[r])
+        low_rank = a[t - p]
+        if t == l - 1:
+            # the last tree has `left` vertices and prefix sum n
+            s1 += t * left
+            base = num - n * t * t * left + s1 * s1
+            bounds = _last_tree_bounds(a, t)
+            if bounds is None:
                 continue
-            for k in range(1, left - l + t + 2):
-                rest = left - k
-                # a prefix without a hub needs one here when no later tree
-                # can be as large as the least hub
-                ranks = by_size[k] if hub or rest - l + t + 2 >= hub_size else hubs_by_size[k]
-                c = num + l * (n - rest) * rest - n * t * t * k
-                c1 = s1 + t * k
-                i = bisect_left(ranks, low_rank)
-                if i < len(ranks) and ranks[i] == low_rank:
-                    stack.append((t, low_rank, p, rest, c + l * terms[low_rank], c1,
-                                  hub or low_rank in hubs))
-                    i += 1
-                stack.extend([(t, r, t + 1, rest, c + l * terms[r], c1, hub or r in hubs)
-                              for r in ranks[i:]])
+            least, bad = bounds
+            ranks = by_size[left] if hub else hubs_by_size[left]
+            for r in ranks[bisect_left(ranks, max(least, low_rank)):]:
+                if r in bad or (r == low_rank and l % p):
+                    continue
+                a[t] = r
+                keep(base + l * terms[r])
             continue
-        # positions t..l-1, at least one, take the one-vertex tree, which
-        # is a hub only at delta = 2, where every tree is that tree
-        if not hub:
+        m = l - t - 1  # the positions after t, each left at least one vertex
+        fill = left - m  # the size at t that leaves exactly one for each
+        for k in range(1, fill):
+            rest = left - k
+            # a prefix without a hub needs one here when no later tree
+            # can be as large as the least hub
+            ranks = by_size[k] if hub or rest - m + 1 >= hub_size else hubs_by_size[k]
+            i = bisect_left(ranks, low_rank)
+            j = len(ranks)
+            if m == 1:  # the last tree, on `rest` vertices, is >= a[1]
+                if t > 1:
+                    if greatest[rest] < a[1]:
+                        continue
+                else:
+                    j = bisect_right(ranks, greatest[rest])
+            c = num + l * (n - rest) * rest - n * t * t * k
+            c1 = s1 + t * k
+            if i < j and ranks[i] == low_rank:
+                stack.append((t, low_rank, p, rest, c + l * terms[low_rank], c1,
+                              hub or low_rank in hubs))
+                i += 1
+            stack.extend([(t, r, t + 1, rest, c + l * terms[r], c1, hub or r in hubs)
+                          for r in ranks[i:j]])
+        # the fill: a tree on `fill` >= 2 vertices at t, then m ones, which
+        # are hubs only at delta = 2, where no expansion happens
+        ranks = by_size[fill] if hub else hubs_by_size[fill]
+        i = bisect_left(ranks, low_rank)
+        if i == len(ranks):
             continue
-        # `one` is the largest rank: the period survives the fill iff each
-        # filled place matches the one a period back
-        a[t:] = ones[t:]
-        if min(a[t - p:l - p]) < one:
-            p = l
-        if l % p == 0 and canonical():
-            keep(num + fill_num[t] + (s1 + fill_s1[t]) ** 2)
+        least = _fill_bound(a, t, m, one)
+        if least is None:
+            continue
+        a[t + 1:] = ones[t + 1:]
+        c = (num + l * (n - m) * m - n * t * t * fill + fill_num[t + 1]
+             + (s1 + t * fill + fill_s1[t + 1]) ** 2)
+        if ranks[i] == low_rank:
+            # r = low_rank keeps the period p, and so does the fill iff a
+            # period back from each filled place is a one; when p <= m, r
+            # itself is one of those places, so the tuple is aperiodic
+            if least <= low_rank and (p <= m or l % p == 0 or min(a[t + 1 - p:l - p]) < one):
+                a[t] = low_rank
+                # a rank equal to a[0] starts one more rotation of the
+                # reversal: a[t], ..., a[0], then the ones
+                if low_rank != a[0] or a[t::-1] >= a[:t + 1]:
+                    keep(c + l * terms[low_rank])
+            i += 1
+        for r in ranks[max(i, bisect_left(ranks, least)):]:
+            a[t] = r
+            keep(c + l * terms[r])
 
     def key(ranks: list[int]) -> bytes:
         return b"%d:" % l + b"".join(map(codes.__getitem__, ranks))

@@ -4,8 +4,10 @@ A *shape* is the label-free form of a rooted tree, held as its AHU code
 (Aho, Hopcroft & Ullman): a vertex is "(" + its children's codes in
 sorted order + ")", so `b"()"` is a single vertex and a code on k vertices
 is 2k bytes long. `rooted_shapes(k)` is the catalog of all shapes on k
-vertices; it computes each shape's numbers once, as the shape is built,
-and the enumeration reads them from there (`shape_record`).
+vertices, in byte order of their codes. It builds each shape by
+largest-child attachment, one concatenation of two smaller shapes' codes,
+and folds the shape's numbers from theirs as it goes; the enumeration
+reads them from there (`shape_record`).
 
 Labeled trees (the hanging trees of an input graph, or a whole input
 tree) never enter the catalog. `orient` turns one into a parents-first
@@ -31,6 +33,7 @@ least rotations (`_least_rotation`) in O(l) comparisons.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from functools import cache
 from types import MappingProxyType
@@ -61,51 +64,53 @@ def path_shape(k: int) -> Shape:
 def rooted_shapes(
     n: int, children: int | None = None, root_children: int | None = None
 ) -> Mapping[Shape, ShapeRecord]:
-    """All rooted trees on n vertices up to isomorphism: code -> record.
+    """All rooted trees on n vertices up to isomorphism, in byte order of
+    their codes: code -> record.
 
     With `children`, only the trees whose every non-root vertex has at
     most that many children, and whose root has at most `root_children`
     (default `children`). The trees hanging from a cycle vertex of a graph
-    with max degree at most delta are `rooted_shapes(n, delta - 1, delta - 2)`.
+    with max degree at most delta are `rooted_shapes(n, delta - 1, delta - 2)`;
+    a root bound below `children` filters the root-children field of
+    `rooted_shapes(n, children)`.
 
-    Codes come in a fixed order, and each record is folded from its
-    children's records when the code is built. A bounded catalog lists its
-    trees in the order the unbounded one does, skipping the others. The
-    mapping is read-only, since every caller shares it.
+    A tree is built by largest-child attachment (Beyer & Hedetniemi): its
+    first child T, the least code and so the largest subtree in their
+    level-sequence order, hangs beside R, the tree on the other vertices,
+    whose children are all >= T. R's first child is its code's prefix after
+    the "(", so R qualifies iff R >= "(" + T, a suffix of R's byte-ordered
+    catalog, and the code is "(" + T + R[1:]. For one size of T these codes
+    come in byte order, as the prefix-free T decides first; each record is
+    folded from R's and T's. The mapping is read-only, since every caller
+    shares it.
     """
-    if root_children is None:
-        root_children = n if children is None else children
-    if root_children < 0:
+    c = n if children is None else children
+    r = c if root_children is None else root_children
+    if r < 0:
         return MappingProxyType({})
-    if children is not None and children >= n - 2 and root_children >= n - 1:
+    if c >= n - 2 and r >= n - 1 and (children, root_children) != (None, None):
         return rooted_shapes(n)  # no bound binds on n vertices
+    if r < c:
+        return MappingProxyType(
+            {code: rec for code, rec in rooted_shapes(n, c).items() if rec[3] <= r})
+    if root_children is not None and r == c:
+        return rooted_shapes(n, c)  # one cache entry per catalog
     if n == 1:
         return MappingProxyType({b"()": (1, 0, 0, 0, 0)})
-    bound = () if children is None else (children,)  # one cache entry per subtree catalog
-    pools = [()] + [tuple(rooted_shapes(s, *bound).items()) for s in range(1, n)]
-    out: dict[Shape, ShapeRecord] = {}
-
-    def extend(remaining: int, max_size: int, max_idx: int, acc: list[tuple]) -> None:
-        if remaining == 0:
-            size, depth_sum, wien, inner = 1, 0, 0, 0
-            for _, (cs, cd, cw, c_root, c_inner) in acc:
-                size, depth_sum, wien = _merge(size, depth_sum, wien, cs, cd, cw)
-                inner = max(inner, c_root + 1, c_inner)
-            code = b"(" + b"".join(sorted(c for c, _ in acc)) + b")"
-            out[code] = (size, depth_sum, wien, len(acc), inner)
-            return
-        room = root_children - len(acc)  # children the root can still take
-        for s in range(min(remaining, max_size), 0, -1):
-            if s * room < remaining:  # no smaller subtrees can fill it either
-                break
-            pool = pools[s]
-            for idx in range(max_idx if s == max_size else 0, len(pool)):
-                acc.append(pool[idx])
-                extend(remaining - s, s, idx, acc)
-                acc.pop()
-
-    extend(n - 1, n - 1, 0, [])
-    return MappingProxyType(out)
+    sub = () if children is None else (c,)
+    rest_bound = sub if r == c else (c, r)
+    runs = []
+    for s in range(1, n):  # the size of T
+        rest = [item for item in rooted_shapes(n - s, *rest_bound).items() if item[1][3] < r]
+        codes = [code for code, _ in rest]
+        for first, (fs, fd, fw, froot, finner) in rooted_shapes(s, *sub).items():
+            head = b"(" + first
+            deg = max(froot + 1, finner)
+            runs += [(head + code[1:],
+                      (*_merge(size, d, w, fs, fd, fw), root + 1, max(inner, deg)))
+                     for code, (size, d, w, root, inner) in rest[bisect_left(codes, head):]]
+    runs.sort()  # merges the sorted runs, one per size of T
+    return MappingProxyType(dict(runs))
 
 
 def shape_record(shape: Shape) -> ShapeRecord:

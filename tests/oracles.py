@@ -1,13 +1,16 @@
 """Test-only oracles for the enumeration in `kfx.search`: a labeled brute
-force that never walks shape tuples, one representative per free-tree
-class, a code-keyed view of `unicyclic_rows`, and the rooted-tree counts
-as a literal table."""
-from itertools import combinations
+force that never walks shape tuples, a brute force over every tree tuple
+of one work unit, one representative per free-tree class, a code-keyed
+view of `unicyclic_rows`, and the rooted-tree counts as a literal table."""
+from functools import cache
+from itertools import combinations, product
 
 from kfx.graph import Graph
+from kfx.metrics import kf_from_shapes
 from kfx.search import unicyclic_rows
 from kfx.unicyclic import (
     canonical_code,
+    code_parents,
     decompose_unicyclic,
     rooted_shapes,
     tree_canonical_code,
@@ -52,3 +55,51 @@ def tree_classes(n: int, delta: int | None = None, exact: bool = True) -> dict[b
         if code not in found:
             found[code] = g
     return dict(sorted(found.items()))
+
+
+def _hanging_degree(code: bytes) -> int:
+    """Largest graph degree in a tree hung from a cycle vertex by its root,
+    counted from the code's parent positions."""
+    parent = code_parents(code)
+    children = [0] * len(parent)
+    for p in parent[1:]:
+        children[p] += 1
+    return max([children[0] + 2] + [c + 1 for c in children[1:]])
+
+
+@cache
+def _canonical_tuples(n: int, l: int) -> list[tuple]:
+    """(shapes, max degree, N = l * Kf) for every l-tuple of rooted trees on
+    n vertices in all that is the least of its l rotations and l
+    reflections, found by trying every size composition and every tuple."""
+    found = []
+    for cuts in combinations(range(1, n), l - 1):
+        sizes = [b - a for a, b in zip((0, *cuts), (*cuts, n))]
+        for shapes in product(*(list(rooted_shapes(s)) for s in sizes)):
+            turns = [shapes[i:] + shapes[:i] for i in range(l)]
+            if shapes != min(turns + [turn[::-1] for turn in turns]):
+                continue
+            num = l * kf_from_shapes(l, shapes)
+            assert num.denominator == 1
+            found.append((shapes, max(map(_hanging_degree, shapes)), int(num)))
+    return found
+
+
+def brute_force_unit(n: int, l: int, first: int, delta=None, exact: bool = True) -> tuple:
+    """What the work unit (l, first) of a run on n vertices reports, by
+    brute force: the canonical tuples whose first tree has `first`
+    vertices and whose max degree is exactly `delta` (at most `delta` with
+    exact=False, any without). Returns (count, least N, its sorted codes,
+    greatest N, its sorted codes, sorted rows) with N = l * Kf."""
+    rows = sorted(
+        (b"%d:" % l + b"".join(shapes), l, shapes, num)
+        for shapes, degree, num in _canonical_tuples(n, l)
+        if len(shapes[0]) == 2 * first
+        and (delta is None or (degree == delta if exact else degree <= delta))
+    )
+    if not rows:
+        return 0, None, [], None, [], []
+    low = min(row[3] for row in rows)
+    high = max(row[3] for row in rows)
+    return (len(rows), low, [row[0] for row in rows if row[3] == low],
+            high, [row[0] for row in rows if row[3] == high], rows)

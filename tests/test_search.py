@@ -17,7 +17,13 @@ from kfx.suites import (
     verify_theorem,
 )
 from kfx.unicyclic import UnicyclicRepr, canonical_code, decompose_unicyclic, tree_canonical_code
-from oracles import A000081, brute_force_unicyclic_codes, tree_classes, unicyclic_classes
+from oracles import (
+    A000081,
+    brute_force_unicyclic_codes,
+    brute_force_unit,
+    tree_classes,
+    unicyclic_classes,
+)
 
 F = Fraction
 
@@ -665,3 +671,46 @@ def test_last_tree_bounds_against_the_reversal_test():
             bounds = _last_tree_bounds(a, l - 1)
             accepted = bounds is not None and a[-1] >= bounds[0] and a[-1] not in bounds[1]
             assert accepted == canonical, a
+
+
+def test_units_match_a_brute_force_over_every_tuple():
+    """Every work unit's count, extremes, codes and rows equal a brute
+    force that tries every tree tuple of the unit, for every degree filter
+    at n <= 12."""
+    from kfx.search import _unit
+
+    for n in range(3, 13):
+        top = n - 2  # the catalog of a run whose shortest cycle is a triangle
+        filters = [(None, True)] + [(d, e) for d in range(2, n + 1) for e in (True, False)]
+        for delta, exact in filters:
+            for l in range(3, n + 1):
+                for first in range(1, n - l + 2):
+                    got = _unit((n, l, first, delta, exact, top, True))
+                    assert (got.l, got.count, got.low, sorted(got.low_codes), got.high,
+                            sorted(got.high_codes), sorted(got.rows)) == (
+                        l, *brute_force_unit(n, l, first, delta, exact)), (n, l, first, delta, exact)
+
+
+def test_fill_bound_against_the_reversal_test():
+    """For every prefix over ranks 0..3, with 3 the one-vertex tree, every
+    rank r below 3 and every fill of m ones, `_fill_bound` of the prefix
+    accepts r iff no rotation of the reversal of a[:t] + [r] + [3] * m that
+    starts at a copy of a[0] in the prefix is less than that tuple."""
+    from itertools import product
+
+    from kfx.search import _fill_bound
+
+    one = 3
+    for t in range(1, 7):
+        for prefix in map(list, product(range(one + 1), repeat=t)):
+            if prefix[0] == one:
+                continue
+            for m in range(1, 4):
+                least = _fill_bound(prefix + [0] * (m + 1), t, m, one)
+                for r in range(prefix[0], one):
+                    a = prefix + [r] + [one] * m
+                    b = a[::-1]
+                    l = len(a)
+                    starts = [l - 1 - j for j in range(t) if a[j] == a[0]]
+                    canonical = all(b[i:] + b[:i] >= a for i in starts)
+                    assert (least is not None and r >= least) == canonical, (a, least)

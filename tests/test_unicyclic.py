@@ -164,8 +164,22 @@ def test_rooted_shape_counts():
     assert [len(rooted_shapes(k)) for k in range(1, 8)] == [1, 1, 2, 4, 9, 20, 48]
 
 
-def test_rooted_shape_counts_to_12():
-    assert [len(rooted_shapes(k)) for k in range(1, 13)] == A000081[1:13]
+def test_rooted_shape_counts_to_15():
+    assert [len(rooted_shapes(k)) for k in range(1, 16)] == A000081[1:16]
+
+
+def test_every_catalog_lists_its_codes_in_byte_order():
+    """Every catalog up to 14 vertices, under every child bound c and
+    root bound r <= c (c = k is no bound), is strictly increasing as bytes:
+    `_alphabet` merges these lists into rank order."""
+    try:
+        for k in range(1, 15):
+            for c in range(-1, k + 1):
+                for r in range(-1, c + 1):
+                    codes = list(rooted_shapes(k, c, r))
+                    assert all(x < y for x, y in zip(codes, codes[1:])), (k, c, r)
+    finally:
+        rooted_shapes.cache_clear()  # release the bounded catalogs
 
 
 def test_tree_counts_are_the_bounded_catalog_sizes():

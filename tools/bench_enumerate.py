@@ -1,19 +1,23 @@
 """Before/after rows for the enumeration: CLI runs and in-process layers.
 
 Usage:
-    python tools/bench_enumerate.py [--repeat R] LABEL=SRC_DIR [LABEL=SRC_DIR ...]
+    python tools/bench_enumerate.py [--repeat R] --change TEXT LABEL=SRC_DIR [LABEL=SRC_DIR ...]
 
 Each SRC_DIR is the `src` directory of a kfx checkout. Labels are run
 alternately, R rounds (default 5), the first label first in even rounds
-and last in odd ones, every measurement in a fresh interpreter. The
-report goes to `BENCH_enumerate.json` at the repo root, with a row per
-label:
+and last in odd ones, every measurement in a fresh interpreter that
+writes no bytecode, so every label compiles its source alike. A row per
+label, named by TEXT (the change measured) and R, is appended to the rows
+of `BENCH_enumerate.json` at the repo root; earlier rows stay. Each row
+holds:
 
 * `cli`: per command, the median wall time (interpreter start-up
   included) and the median peak RSS of its process tree, as `wait4`
   reports it for the command's process. The commands are the six
-  enumerate operations of `perfbench/` (`ENUMERATE`) and the two largest
-  degree-bounded conjectures that fit the default cap (`LARGE`).
+  enumerate operations of `perfbench/` (`ENUMERATE`) and larger runs
+  (`LARGE`): the two largest degree-bounded conjectures at n = 18, the
+  largest run the default cap admits at n = 19, the unfiltered n = 16, a
+  large-delta run whose catalog dwarfs its classes, and a long cycle.
 * `in_process`: per (n, delta, exact), the median seconds of one cold
   `search._alphabet` call, which builds the tree catalog, and of one walk
   of every work unit through `search._unit`, which counts the classes
@@ -41,19 +45,22 @@ ENUMERATE = [
 LARGE = [
     ["conjecture", "--n", "18", "--delta", "3"],
     ["conjecture", "--n", "18", "--delta", "4"],
+    ["conjecture", "--n", "19", "--delta", "4"],
+    ["search", "--n", "16"],
+    ["search", "--n", "19", "--delta", "10"],
+    ["search", "--n", "200", "--l", "196"],
 ]
 LAYERS = [(14, None, True), (14, 4, True), (14, 4, False), (18, 3, True)]
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_enumerate.json"
 
 # Times one cold `_alphabet` and one walk of every unit for the run given
-# as argv (n, delta or "-", exact as 0/1), with the units and the catalog
-# size `_run_units` would use, and prints them as JSON.
+# as argv (n, delta or "-", exact as 0/1), over the cycle lengths and with
+# the catalog size `_run_units` would use, and prints them as JSON.
 TIME_LAYERS = """
 import json, sys, time
 from kfx import search
 n, delta, exact = int(sys.argv[1]), None if sys.argv[2] == "-" else int(sys.argv[2]), sys.argv[3] == "1"
-l_max = min(n, n - delta + 2) if delta is not None and exact else n
-ls = list(range(3, l_max + 1))
+ls = search._cycle_lengths(n, delta, exact, None)
 top = n - ls[0] + 1
 t = time.perf_counter()
 search._alphabet(n, delta, exact, top)
@@ -66,7 +73,7 @@ print(json.dumps({"alphabet_s": alphabet, "units_s": time.perf_counter() - t, "c
 
 
 def _env(src: str) -> dict:
-    return dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONDONTWRITEBYTECODE="1")
 
 
 def _cli(src: str, argv: list[str]) -> tuple[float, float]:
@@ -93,12 +100,24 @@ def _median(values: list[float], digits: int) -> float:
 
 
 def main(argv: list[str]) -> int:
-    repeat = 5
-    if argv[:1] == ["--repeat"]:
-        repeat, argv = int(argv[1]), argv[2:]
+    repeat, change = 5, None
+    while argv[:1] in (["--repeat"], ["--change"]):
+        if argv[0] == "--repeat":
+            repeat = int(argv[1])
+        else:
+            change = argv[1]
+        argv = argv[2:]
     checkouts = dict(arg.split("=", 1) for arg in argv)
-    if not checkouts:
+    if not checkouts or change is None:
         print(__doc__, file=sys.stderr)
+        return 2
+    host = {"cpus": os.cpu_count(), "python": platform.python_version(),
+            "machine": platform.machine()}
+    report = json.loads(OUTPUT.read_text()) if OUTPUT.exists() else {
+        "script": "tools/bench_enumerate.py", "host": host,
+        "statistic": "median over alternated rounds, each run a fresh process", "rows": []}
+    if report["host"] != host:
+        print(f"{OUTPUT.name} holds rows from {report['host']}, not {host}", file=sys.stderr)
         return 2
     commands = [" ".join(a) for a in ENUMERATE + LARGE]
     cli = {label: {c: [] for c in commands} for label in checkouts}
@@ -114,6 +133,8 @@ def main(argv: list[str]) -> int:
     for label in checkouts:
         runs = cli[label]
         rows.append({
+            "change": change,
+            "repeat": repeat,
             "label": label,
             "cli": {c: {"wall_s": _median([w for w, _ in runs[c]], 3),
                         "peak_rss_mib": _median([m for _, m in runs[c]], 1)} for c in commands},
@@ -126,14 +147,7 @@ def main(argv: list[str]) -> int:
                 "units_s": _median([s["units_s"] for s in samples], 4),
             } for (n, delta, exact), samples in layers[label].items()],
         })
-    report = {
-        "script": "tools/bench_enumerate.py",
-        "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
-                 "machine": platform.machine()},
-        "repeat": repeat,
-        "statistic": "median over alternated rounds, each run a fresh process",
-        "rows": rows,
-    }
+    report["rows"] += rows
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
     return 0
 
