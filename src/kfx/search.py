@@ -69,7 +69,7 @@ def _alphabet(n: int, delta: int | None, exact: bool, top: int):
     """
     bound, root_max = ((), top) if delta is None else ((delta - 1,), delta - 2)
     catalogs = [rooted_shapes(k, *bound) for k in range(1, top + 1)]
-    codes = sorted(chain.from_iterable(
+    codes = sorted(chain.from_iterable(  # merges the sorted per-size runs
         [code for code, rec in catalog.items() if rec[3] <= root_max] for catalog in catalogs))
     records = [catalogs[(len(code) >> 1) - 1][code] for code in codes]
     by_size: list[list[int]] = [[] for _ in range(top + 1)]

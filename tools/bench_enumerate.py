@@ -17,7 +17,7 @@ holds:
   enumerate operations of `perfbench/` (`ENUMERATE`) and larger runs
   (`LARGE`): the two largest degree-bounded conjectures at n = 18, the
   largest run the default cap admits at n = 19, the unfiltered n = 16, a
-  large-delta run whose catalog dwarfs its classes, and a long cycle.
+  large-delta run whose catalog dwarfs its classes, and two long cycles.
 * `in_process`: per (n, delta, exact), the median seconds of one cold
   `search._alphabet` call, which builds the tree catalog, and of one walk
   of every work unit through `search._unit`, which counts the classes
@@ -49,8 +49,9 @@ LARGE = [
     ["search", "--n", "16"],
     ["search", "--n", "19", "--delta", "10"],
     ["search", "--n", "200", "--l", "196"],
+    ["search", "--n", "1200", "--l", "1198"],
 ]
-LAYERS = [(14, None, True), (14, 4, True), (14, 4, False), (18, 3, True)]
+LAYERS = [(14, None, True), (14, 4, True), (14, 4, False), (16, None, True), (18, 3, True)]
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_enumerate.json"
 
 # Times one cold `_alphabet` and one walk of every unit for the run given
