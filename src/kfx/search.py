@@ -58,14 +58,14 @@ def _alphabet(n: int, delta: int | None, exact: bool, top: int):
     vertices with Wiener index W and root depth sum D adds to Kf on n
     vertices, as in `kf_from_stats`).
 
-    Under `delta` the trees are those of `rooted_shapes(k, delta - 1)`
-    whose root has at most delta - 2 children, the root bound read from
-    each record, and every other vertex at most delta - 1, so no tree past
-    the bound is built. Each size comes in byte order, and the sizes are
-    merged, so rank order is code order and comparing rank tuples compares
-    code tuples. The last code is b"()", the one-vertex tree, whose degree
-    2 is the least a hanging tree has, so it is allowed whenever any tree
-    is. Built once per call; forked pool workers inherit it.
+    Under `delta` the trees come from `rooted_shapes(k, delta - 1)`, whose
+    every vertex has at most delta - 1 children, less those whose root
+    has more than delta - 2 (read from each record). Each size comes in
+    byte order, and the sizes are merged, so rank order is code order and
+    comparing rank tuples compares code tuples. The last code is b"()",
+    the one-vertex tree, whose degree 2 is the least a hanging tree has,
+    so it is allowed whenever any tree is. Built once per call; forked
+    pool workers inherit it.
     """
     bound, root_max = ((), top) if delta is None else ((delta - 1,), delta - 2)
     catalogs = [rooted_shapes(k, *bound) for k in range(1, top + 1)]
