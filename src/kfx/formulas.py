@@ -176,7 +176,11 @@ def conj_min_formula_ii(n: int, delta: int, x: int) -> Fraction:
         + x * p * (Fraction(l * l - 1, 6) + l)
         + x * (x - 1) * p * p
     )
-    value += Fraction(p * p * sum(i * (l - i) * (x - i) for i in range(1, x)), l)
+    # sum_{i=1..x-1} i (l - i) (x - i) = l x S1 - (l + x) S2 + S3, with the
+    # power sums S1, S2 and S3 = S1^2 of 1..x-1
+    s1 = x * (x - 1) // 2
+    s2 = (x - 1) * x * (2 * x - 1) // 6
+    value += Fraction(p * p * (l * x * s1 - (l + x) * s2 + s1 * s1), l)
     return value
 
 

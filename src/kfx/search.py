@@ -60,7 +60,8 @@ def _alphabet(n: int, delta: int | None, exact: bool, top: int):
 
     Under `delta` the trees come from `rooted_shapes(k, delta - 1)`, whose
     every vertex has at most delta - 1 children, less those whose root
-    has more than delta - 2 (read from each record). Each size comes in
+    has more than delta - 2, read from each record: the one place the
+    root bound is applied. Each size comes in
     byte order, and the sizes are merged, so rank order is code order and
     comparing rank tuples compares code tuples. The last code is b"()",
     the one-vertex tree, whose degree 2 is the least a hanging tree has,
@@ -102,50 +103,22 @@ class UnitResult(NamedTuple):
     rows: list[Row]
 
 
-def _last_tree_bounds(a: list[int], t: int) -> tuple[int, list[int]] | None:
-    """Which last ranks r = a[t] >= a[0] make the necklace a[:t + 1]
-    canonical, as far as the copies of a[0] in a[:t] decide it: (the least
-    r that can pass, and ranks r that fail all the same), or None when no
-    r passes.
-
-    The reversal's rotation that starts at the copy a[j] reads a[j], ...,
-    a[0], r, a[t - 1], ..., a[j + 1]. If a[:j + 1] is no palindrome, its
-    first mismatch decides for every r; if it is one, r is compared with
-    a[j + 1], and at r = a[j + 1] the rest of a decides. An r equal to
-    a[0] adds no test: the rotation of a necklace that starts at its last
-    rank is no less than it only if every rank is a[0].
-    """
-    x = a[0]
-    least = x
-    bad = []
-    j = 0
-    for _ in range(a[:t].count(x)):
-        j = a.index(x, j, t)
-        head, own = a[j::-1], a[:j + 1]
-        if head < own:
-            return None
-        if head == own and j < t - 1:  # at j = t - 1 the rotation is a itself
-            if a[t - 1:j + 1:-1] < a[j + 2:t]:
-                bad.append(a[j + 1])
-            least = max(least, a[j + 1])
-        j += 1
-    return least, bad
-
-
-def _fill_bound(a: list[int], t: int, m: int, one: int) -> int | None:
+def _reversal_bound(a: list[int], t: int, m: int, one: int) -> int | None:
     """The least rank r for which no rotation of the reversal of
     a[:t] + [r] + [one] * m that starts at a copy of a[0] in a[:t] is less
-    than that tuple, for m >= 1 and a[0] <= r < one; None when no r passes.
+    than that tuple, for a[0] <= r < one when m >= 1, or any r >= a[0] at
+    the last position, m = 0; None when no r passes.
 
     The rotation that starts at the copy a[j] reads a[j], ..., a[0], then m
     ones, r, a[t - 1], ..., a[j + 1]. If a[:j + 1] is no palindrome, its
-    first mismatch decides for every r. Otherwise its m ones meet
-    a[j + 1:j + 1 + m]: a rank there below `one` passes every r, and so
-    does r's place in that window (r < one) or just past it (r meets r,
-    then ones meet ones). Further on, r meets v = a[j + 1 + m]: a greater
-    r passes, a less one fails, and at r = v the rest decides. Each
-    comparison is a slice, so a long run of equal ranks costs no
-    interpreted loop.
+    first mismatch decides for every r. Otherwise its m ones meet the
+    window a[j + 1:q], q = j + 1 + m, empty when m = 0: a rank there below
+    `one` passes every r, and so does r's place in that window (r < one)
+    or just past it (r meets r, then ones meet ones). Further on, r meets
+    v = a[q]: a greater r passes, a less one fails, and at r = v the rest
+    decides, a[t - 1], ..., a[q + 1] against a[q + 1:t], since v then meets
+    v and the window's ones meet ones. Each comparison is a slice, so a
+    long run of equal ranks costs no interpreted loop.
     """
     x = a[0]
     least = x
@@ -156,10 +129,9 @@ def _fill_bound(a: list[int], t: int, m: int, one: int) -> int | None:
         if head < own:
             return None
         q = j + 1 + m
-        if head == own and q < t and min(a[j + 1:q]) == one:
+        if head == own and q < t and (not m or min(a[j + 1:q]) == one):
             v = a[q]
-            tie = a[q + 1:t] + [v] + [one] * m
-            least = max(least, v if a[t - 1:j:-1] >= tie else v + 1)
+            least = max(least, v if a[t - 1:q:-1] >= a[q + 1:t] else v + 1)
         j += 1
     return least
 
@@ -185,12 +157,15 @@ def _unit(args) -> UnitResult:
     leaves one vertex for every later position evaluates those tuples in
     place: a rank above the one a period back makes the tuple aperiodic,
     as a[0] < `one`, so only the rank equal to it needs the period test,
-    and `_fill_bound` settles the reversal test for every candidate at
+    and `_reversal_bound` settles the reversal test for every candidate at
     once. When one position is left, its size is the vertices left, and
-    `_last_tree_bounds` settles the reversal test for all its candidates.
-    That last tree is no less than a[1], since the reversal read from a[0]
-    meets it where a has a[1], so the expansion just before it pushes only
-    the sizes whose greatest tree reaches a[1].
+    `_reversal_bound` with no ones settles it too, so the candidates are a
+    slice from its bound, or from just past the rank a period back when
+    that rank fails the period test. There a rank equal to a[0] adds no
+    rotation to test: a necklace whose last rank is its first has every
+    rank equal. That last tree is no less than a[1], since the reversal
+    read from a[0] meets it where a has a[1], so the expansion just before
+    it pushes only the sizes whose greatest tree reaches a[1].
 
     Each kept tuple's Kf is the integer N = l * Kf that `kf_from_stats`
     folds. With sizes s_i and prefix sums P_k = s_0 + ... + s_k, the pairs
@@ -264,14 +239,12 @@ def _unit(args) -> UnitResult:
             # the last tree has `left` vertices and prefix sum n
             s1 += t * left
             base = num - n * t * t * left + s1 * s1
-            bounds = _last_tree_bounds(a, t)
-            if bounds is None:
+            least = _reversal_bound(a, t, 0, one)
+            if least is None:
                 continue
-            least, bad = bounds
             ranks = by_size[left] if hub else hubs_by_size[left]
-            for r in ranks[bisect_left(ranks, max(least, low_rank)):]:
-                if r in bad or (r == low_rank and l % p):
-                    continue
+            # low_rank keeps the period p, so it passes iff p divides l
+            for r in ranks[bisect_left(ranks, max(least, low_rank + (l % p > 0))):]:
                 a[t] = r
                 keep(base + l * terms[r])
             continue
@@ -304,7 +277,7 @@ def _unit(args) -> UnitResult:
         i = bisect_left(ranks, low_rank)
         if i == len(ranks):
             continue
-        least = _fill_bound(a, t, m, one)
+        least = _reversal_bound(a, t, m, one)
         if least is None:
             continue
         a[t + 1:] = ones[t + 1:]
@@ -331,7 +304,7 @@ def _unit(args) -> UnitResult:
     return UnitResult(l, count, low, list(map(key, lows)), high, list(map(key, highs)), rows)
 
 
-def _units(n: int, ls: list[int]) -> list[tuple[int, int]]:
+def _units(n: int, ls: range) -> list[tuple[int, int]]:
     """Work units (l, size of the first tree of the canonical tuple)."""
     return [(l, first) for l in ls for first in range(1, n - l + 2)]
 
@@ -360,11 +333,12 @@ def _run_units(n, delta, l_filter, exact, cap, workers, keep_rows):
 
 
 # Runs with fewer classes are faster in one process: a second worker's start
-# and its own catalogs cost more than it saves. Measured with
-# tools/bench_pool_reuse.py (BENCH_pool_reuse.json: 2-core x86-64, Python
-# 3.11.7, medians of 9 alternated fresh runs, one worker against two):
-# `search --n 13`, 13,999 classes, 0.25 s against 0.28 s; `search --n 14`,
-# 39,260 classes, 0.45 s against 0.40 s.
+# and its own catalogs cost more than it saves. Measured with a pool on every
+# two-worker run (BENCH_pool_reuse.json: 2-core x86-64, Python 3.11.7,
+# medians of 9 alternated fresh runs, one worker against two): `search --n
+# 13`, 13,999 classes, 0.25 s against 0.28 s; `search --n 14`, 39,260
+# classes, 0.45 s against 0.40 s. The one- and two-worker commands of
+# tools/bench_enumerate.py follow it since (BENCH_enumerate.json).
 POOL_MIN_CLASSES = 20_000
 
 
@@ -494,15 +468,16 @@ def unicyclic_extremes(
 # ---------------------------------------------------------------------------
 # size: the one class count that every enumeration is checked against
 
-def _cycle_lengths(n: int, delta: int | None, exact: bool, l_filter: int | None) -> list[int]:
+def _cycle_lengths(n: int, delta: int | None, exact: bool, l_filter: int | None) -> range:
     """The cycle lengths a run enumerates, in increasing order."""
     # under delta = 2 every hanging tree is the one-vertex tree, so l = n;
     # a hub on the cycle needs delta - 2 tree vertices and one off it
     # delta + 1, so no class of max degree exactly delta has l > n - delta + 2
     l_min = 3 if delta is None or delta > 2 else n if delta == 2 else n + 1
     l_max = min(n, n - delta + 2) if delta is not None and exact else n
-    ls = [l_filter] if l_filter is not None else range(l_min, n + 1)
-    return [l for l in ls if max(3, l_min) <= l <= l_max]
+    if l_filter is not None:
+        l_min, l_max = max(l_min, l_filter), min(l_max, l_filter)
+    return range(max(3, l_min), l_max + 1)
 
 
 def _tree_counts(delta: int | None):
@@ -543,7 +518,7 @@ def _power(q: list[int], j: int, deg: int) -> list[int]:
     return p
 
 
-def _cycle_index_count(n: int, ls: list[int], h: list[int]) -> int:
+def _cycle_index_count(n: int, ls: range, h: list[int]) -> int:
     """The coefficient of z^n in Z(D_l) with x_k = H(z^k), summed over the
     cycle lengths l in ls, for a hanging-tree series h = [0, h_1, ...] up to
     z^(n - ls[0] + 1).

@@ -4,10 +4,12 @@ A *shape* is the label-free form of a rooted tree, held as its AHU code
 (Aho, Hopcroft & Ullman): a vertex is "(" + its children's codes in
 sorted order + ")", so `b"()"` is a single vertex and a code on k vertices
 is 2k bytes long. `rooted_shapes(k)` is the catalog of all shapes on k
-vertices, in byte order of their codes. It builds each shape by
-largest-child attachment, one concatenation of two smaller shapes' codes,
-and folds the shape's numbers from theirs as it goes; the enumeration
-reads them from there (`shape_record`).
+vertices, in byte order of their codes, and `rooted_shapes(k, c)` the
+part of it whose every vertex has at most c children. It builds each
+shape by largest-child attachment, one concatenation of two smaller
+shapes' codes, and folds the shape's numbers from theirs as it goes; the
+enumeration reads them from there (`shape_record`), and applies any other
+bound, such as a hanging tree's root bound, as a filter on those records.
 
 Labeled trees (the hanging trees of an input graph, or a whole input
 tree) never enter the catalog. `orient` turns one into a parents-first
@@ -61,18 +63,15 @@ def path_shape(k: int) -> Shape:
 
 
 @cache
-def rooted_shapes(
-    n: int, children: int | None = None, root_children: int | None = None
-) -> Mapping[Shape, ShapeRecord]:
+def rooted_shapes(n: int, children: int | None = None) -> Mapping[Shape, ShapeRecord]:
     """All rooted trees on n vertices up to isomorphism, in byte order of
     their codes: code -> record.
 
-    With `children`, only the trees whose every non-root vertex has at
-    most that many children, and whose root has at most `root_children`
-    (default `children`). The trees hanging from a cycle vertex of a graph
-    with max degree at most delta are `rooted_shapes(n, delta - 1, delta - 2)`;
-    a root bound below `children` filters the root-children field of
-    `rooted_shapes(n, children)`.
+    With `children`, only the trees whose every vertex, the root included,
+    has at most that many children. The trees hanging from a cycle vertex
+    of a graph with max degree at most delta are those of
+    `rooted_shapes(n, delta - 1)` whose root has at most delta - 2 children
+    (record field 3), the filter `search._alphabet` applies.
 
     A tree is built by largest-child attachment (Beyer & Hedetniemi): its
     first child T, the least code and so the largest subtree in their
@@ -85,23 +84,16 @@ def rooted_shapes(
     shares it.
     """
     c = n if children is None else children
-    r = c if root_children is None else root_children
-    if r < 0:
+    if c < 0:
         return MappingProxyType({})
-    if c >= n - 2 and r >= n - 1 and (children, root_children) != (None, None):
+    if c >= n - 1 and children is not None:
         return rooted_shapes(n)  # no bound binds on n vertices
-    if r < c:
-        return MappingProxyType(
-            {code: rec for code, rec in rooted_shapes(n, c).items() if rec[3] <= r})
-    if root_children is not None and r == c:
-        return rooted_shapes(n, c)  # one cache entry per catalog
     if n == 1:
         return MappingProxyType({b"()": (1, 0, 0, 0, 0)})
     sub = () if children is None else (c,)
-    rest_bound = sub if r == c else (c, r)
     runs = []
     for s in range(1, n):  # the size of T
-        rest = [item for item in rooted_shapes(n - s, *rest_bound).items() if item[1][3] < r]
+        rest = [item for item in rooted_shapes(n - s, *sub).items() if item[1][3] < c]
         codes = [code for code, _ in rest]
         for first, (fs, fd, fw, froot, finner) in rooted_shapes(s, *sub).items():
             head = b"(" + first

@@ -409,6 +409,22 @@ def test_search_refuses_oversized_runs_up_front(capsys, argv):
     assert err == f"error: more than {argv[-1]} isomorphism classes\n"
 
 
+def test_a_huge_n_is_refused_within_a_small_address_space():
+    # the cycle lengths stay a range, so n = 10^9 reaches the cap check
+    # with no list of 10^9 lengths behind it
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {k: v for k, v in os.environ.items() if k != "KFX_CAP"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-m", "kfx.cli", "search", "--n", "1000000000"],
+                          capture_output=True, text=True, env=env, preexec_fn=limit, timeout=60)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == "error: more than 5000000 isomorphism classes\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["search", "--n", "20", "--delta", "4", "--cap", "1000"], "more than 1000 isomorphism classes"),
     (["conjecture", "--n", "20", "--delta", "4"], "more than 5000000 isomorphism classes"),

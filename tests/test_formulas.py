@@ -121,6 +121,22 @@ def test_conjecture_formula_ii():
         assert conj_min_formula_ii(11, 3, x) == kirchhoff_index(make_conj_min_ii(11, 3, x))
 
 
+def test_conjecture_formula_ii_matches_its_hub_pair_sum():
+    # the closed form against the hub-pair sum written as a loop
+    for delta in (3, 4, 7):
+        p = delta - 2
+        for l in range(3, 40):
+            for x in range(1, l + 1):
+                value = (
+                    F(l**3 - l, 12)
+                    + x * p * (delta - 3)
+                    + x * p * (F(l * l - 1, 6) + l)
+                    + x * (x - 1) * p * p
+                    + F(p * p * sum(i * (l - i) * (x - i) for i in range(1, x)), l)
+                )
+                assert conj_min_formula_ii(l + x * p, delta, x) == value, (l, x, delta)
+
+
 def test_conj_ii_x_range():
     assert list(conj_ii_x_range(12, 4)) == [4]
     assert list(conj_ii_x_range(12, 5)) == [3]

@@ -654,23 +654,12 @@ def test_rows_match_a_per_class_recomputation():
                     n, delta, l_filter, exact)
 
 
-def test_last_tree_bounds_against_the_reversal_test():
-    """For every necklace over four ranks whose last rank is not its first,
-    `_last_tree_bounds` of its prefix accepts the last rank iff no rotation
-    of the reversal is less than the necklace."""
-    from itertools import product
-
-    from kfx.search import _last_tree_bounds
-
-    for l in range(3, 8):
-        for a in map(list, product(range(4), repeat=l)):
-            if a[-1] == a[0] or any(a[i:] + a[:i] < a for i in range(1, l)):
-                continue
-            b = a[::-1]
-            canonical = all(b[i:] + b[:i] >= a for i in range(l))
-            bounds = _last_tree_bounds(a, l - 1)
-            accepted = bounds is not None and a[-1] >= bounds[0] and a[-1] not in bounds[1]
-            assert accepted == canonical, a
+def test_a_last_rank_that_keeps_the_period_needs_it_to_divide_l():
+    # a last rank equal to the one a period back leaves a necklace only if
+    # the period divides l; the reversal test almost always rejects such a
+    # tuple anyway, and the first run found where it does not is (17, 4)
+    # on a 7-cycle, past the brute force's reach
+    assert unicyclic_extremes(17, 4, 7).count == class_count(17, 4, True, 7) == 25265
 
 
 def test_units_match_a_brute_force_over_every_tuple():
@@ -691,26 +680,32 @@ def test_units_match_a_brute_force_over_every_tuple():
                         l, *brute_force_unit(n, l, first, delta, exact)), (n, l, first, delta, exact)
 
 
-def test_fill_bound_against_the_reversal_test():
+def test_reversal_bound_against_the_reversal_test():
     """For every prefix over ranks 0..3, with 3 the one-vertex tree, every
-    rank r below 3 and every fill of m ones, `_fill_bound` of the prefix
-    accepts r iff no rotation of the reversal of a[:t] + [r] + [3] * m that
-    starts at a copy of a[0] in the prefix is less than that tuple."""
+    m = 0..3 ones after r, and every rank r >= a[0] (below 3 when m > 0),
+    `_reversal_bound` of the prefix accepts r iff no rotation of the
+    reversal of a[:t] + [r] + [3] * m that starts at a copy of a[0] in the
+    prefix is less than that tuple. When no rank of the prefix is below
+    a[0], as in a prenecklace, the other rotations start with a greater
+    rank or at r = a[0], so for r != a[0] this is the whole reversal test."""
     from itertools import product
 
-    from kfx.search import _fill_bound
+    from kfx.search import _reversal_bound
 
     one = 3
     for t in range(1, 7):
         for prefix in map(list, product(range(one + 1), repeat=t)):
             if prefix[0] == one:
                 continue
-            for m in range(1, 4):
-                least = _fill_bound(prefix + [0] * (m + 1), t, m, one)
-                for r in range(prefix[0], one):
+            for m in range(4):
+                # the zeros stand in for a[t:], which the bound must not read
+                least = _reversal_bound(prefix + [0] * (m + 1), t, m, one)
+                for r in range(prefix[0], one if m else one + 1):
                     a = prefix + [r] + [one] * m
                     b = a[::-1]
                     l = len(a)
                     starts = [l - 1 - j for j in range(t) if a[j] == a[0]]
                     canonical = all(b[i:] + b[:i] >= a for i in starts)
+                    if r != a[0] and min(prefix) == a[0]:
+                        assert canonical == all(b[i:] + b[:i] >= a for i in range(l)), a
                     assert (least is not None and r >= least) == canonical, (a, least)

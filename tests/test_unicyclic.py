@@ -169,14 +169,16 @@ def test_rooted_shape_counts_to_15():
 
 
 def test_every_catalog_lists_its_codes_in_byte_order():
-    """Every catalog up to 14 vertices, under every child bound c and
-    root bound r <= c (c = k is no bound), is strictly increasing as bytes:
-    `_alphabet` merges these lists into rank order."""
+    """Every catalog up to 14 vertices, under every child bound c (c = k is
+    no bound) and filtered as `_alphabet` does on every root bound r <= c,
+    is strictly increasing as bytes: `_alphabet` merges these lists into
+    rank order."""
     try:
         for k in range(1, 15):
             for c in range(-1, k + 1):
+                catalog = rooted_shapes(k, c)
                 for r in range(-1, c + 1):
-                    codes = list(rooted_shapes(k, c, r))
+                    codes = [code for code, rec in catalog.items() if rec[3] <= r]
                     assert all(x < y for x, y in zip(codes, codes[1:])), (k, c, r)
     finally:
         rooted_shapes.cache_clear()  # release the bounded catalogs
@@ -185,8 +187,10 @@ def test_every_catalog_lists_its_codes_in_byte_order():
 def test_tree_counts_are_the_bounded_catalog_sizes():
     # the series `class_count` reads counts the trees `_alphabet` catalogs
     for delta in (None, *range(1, 12)):
-        planted, hanging = ((), ()) if delta is None else ((delta - 1,), (delta - 1, delta - 2))
-        expected = [(len(rooted_shapes(k, *planted)), len(rooted_shapes(k, *hanging))) for k in range(1, 12)]
+        bound, root_max = ((), 11) if delta is None else ((delta - 1,), delta - 2)
+        catalogs = [rooted_shapes(k, *bound) for k in range(1, 12)]
+        expected = [(len(catalog), sum(rec[3] <= root_max for rec in catalog.values()))
+                    for catalog in catalogs]
         assert list(islice(_tree_counts(delta), 11)) == expected, delta
     assert [h for _, h in islice(_tree_counts(None), 20)] == A000081[1:]
 
@@ -261,16 +265,18 @@ def test_tree_distance_within_repr():
 
 
 def test_bounded_catalog_equals_the_filtered_catalog():
-    """`rooted_shapes(k, c, r)` lists the trees of the full catalog whose
-    non-root vertices have at most c children (degree c + 1) and whose
-    root has at most r, in the same order and with the same records."""
+    """`rooted_shapes(k, c)`, filtered as `_alphabet` does on a root bound
+    r, lists the trees of the full catalog whose non-root vertices have at
+    most c children (degree c + 1) and whose root has at most r, in the
+    same order and with the same records."""
     try:
         for k in range(1, 15):
             full = list(rooted_shapes(k).items())
             for delta in range(0, 17):
                 for c, r in ((delta - 1, delta - 2), (delta - 1, delta - 1)):
                     expected = [(code, rec) for code, rec in full if rec[3] <= r and rec[4] <= c + 1]
-                    assert list(rooted_shapes(k, c, r).items()) == expected, (k, c, r)
+                    got = [(code, rec) for code, rec in rooted_shapes(k, c).items() if rec[3] <= r]
+                    assert got == expected, (k, c, r)
     finally:
         rooted_shapes.cache_clear()  # release the bounded catalogs
 

@@ -17,11 +17,18 @@ holds:
   enumerate operations of `perfbench/` (`ENUMERATE`) and larger runs
   (`LARGE`): the two largest degree-bounded conjectures at n = 18, the
   largest run the default cap admits at n = 19, the unfiltered n = 16, a
-  large-delta run whose catalog dwarfs its classes, and two long cycles.
+  large-delta run whose catalog dwarfs its classes, and two long cycles;
+  and the one- and two-worker runs (`CROSSOVER`) that show from which
+  class count a second worker pays (`search.POOL_MIN_CLASSES`).
 * `in_process`: per (n, delta, exact), the median seconds of one cold
   `search._alphabet` call, which builds the tree catalog, and of one walk
   of every work unit through `search._unit`, which counts the classes
   and reduces their Kf without keeping rows.
+* `check_lemma_properties_8_s`: the median seconds of one cold
+  `suites.check_lemma_properties(8)` call.
+
+Earlier one- and two-worker rows, with the number of pools a verify pass
+started, are in `BENCH_pool_reuse.json`.
 """
 from __future__ import annotations
 
@@ -51,6 +58,21 @@ LARGE = [
     ["search", "--n", "200", "--l", "196"],
     ["search", "--n", "1200", "--l", "1198"],
 ]
+# `verify --suite all`, then with one and two workers each: the two verify
+# suites perfbench runs with two, searches from n = 12 to 16, and
+# degree-filtered ones at n = 14 and 15
+CROSSOVER = [["verify", "--suite", "all", "--seed", "501"]] + [
+    [*a, "--workers", w] for a in (
+        ["verify", "--suite", "lemmas"],
+        ["verify", "--suite", "theorem", "--n-max", "9"],
+        ["search", "--n", "12"],
+        ["search", "--n", "13"],
+        ["search", "--n", "14"],
+        ["search", "--n", "16"],
+        ["search", "--n", "14", "--delta", "3"],
+        ["search", "--n", "14", "--delta", "4"],
+        ["search", "--n", "15", "--delta", "4"],
+    ) for w in ("1", "2")]
 LAYERS = [(14, None, True), (14, 4, True), (14, 4, False), (16, None, True), (18, 3, True)]
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_enumerate.json"
 
@@ -71,6 +93,13 @@ count = sum(search._unit((n, l, first, delta, exact, top, False)).count
             for l, first in search._units(n, ls))
 print(json.dumps({"alphabet_s": alphabet, "units_s": time.perf_counter() - t, "classes": count}))
 """
+TIME_LEMMAS = """
+import time
+from kfx.suites import check_lemma_properties
+t = time.perf_counter()
+check_lemma_properties(8)
+print(time.perf_counter() - t)
+"""
 
 
 def _env(src: str) -> dict:
@@ -90,10 +119,14 @@ def _cli(src: str, argv: list[str]) -> tuple[float, float]:
     return wall, usage.ru_maxrss / 1024
 
 
+def _python(src: str, code: str, argv: list[str] = ()) -> str:
+    return subprocess.run([sys.executable, "-c", code, *argv], env=_env(src), check=True,
+                          capture_output=True, text=True).stdout
+
+
 def _layers(src: str, n: int, delta: int | None, exact: bool) -> dict:
     argv = [str(n), "-" if delta is None else str(delta), "1" if exact else "0"]
-    return json.loads(subprocess.run([sys.executable, "-c", TIME_LAYERS, *argv], env=_env(src),
-                                     check=True, capture_output=True, text=True).stdout)
+    return json.loads(_python(src, TIME_LAYERS, argv))
 
 
 def _median(values: list[float], digits: int) -> float:
@@ -120,16 +153,18 @@ def main(argv: list[str]) -> int:
     if report["host"] != host:
         print(f"{OUTPUT.name} holds rows from {report['host']}, not {host}", file=sys.stderr)
         return 2
-    commands = [" ".join(a) for a in ENUMERATE + LARGE]
+    commands = [" ".join(a) for a in ENUMERATE + LARGE + CROSSOVER]
     cli = {label: {c: [] for c in commands} for label in checkouts}
     layers = {label: {run: [] for run in LAYERS} for label in checkouts}
+    lemmas = {label: [] for label in checkouts}
     for round_ in range(repeat):
         order = list(checkouts.items())
         for label, src in order[::-1] if round_ % 2 else order:
-            for a in ENUMERATE + LARGE:
+            for a in ENUMERATE + LARGE + CROSSOVER:
                 cli[label][" ".join(a)].append(_cli(src, a))
             for run in LAYERS:
                 layers[label][run].append(_layers(src, *run))
+            lemmas[label].append(float(_python(src, TIME_LEMMAS)))
     rows = []
     for label in checkouts:
         runs = cli[label]
@@ -147,6 +182,7 @@ def main(argv: list[str]) -> int:
                 "alphabet_s": _median([s["alphabet_s"] for s in samples], 4),
                 "units_s": _median([s["units_s"] for s in samples], 4),
             } for (n, delta, exact), samples in layers[label].items()],
+            "check_lemma_properties_8_s": _median(lemmas[label], 4),
         })
     report["rows"] += rows
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
