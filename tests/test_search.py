@@ -680,10 +680,10 @@ def test_units_match_a_brute_force_over_every_tuple():
                         l, *brute_force_unit(n, l, first, delta, exact)), (n, l, first, delta, exact)
 
 
-def test_reversal_bound_against_the_reversal_test():
+def check_reversal_bound(ms):
     """For every prefix over ranks 0..3, with 3 the one-vertex tree, every
-    m = 0..3 ones after r, and every rank r >= a[0] (below 3 when m > 0),
-    `_reversal_bound` of the prefix accepts r iff no rotation of the
+    number m in `ms` of ones after r, and every rank r >= a[0] (below 3 when
+    m > 0), `_reversal_bound` of the prefix accepts r iff no rotation of the
     reversal of a[:t] + [r] + [3] * m that starts at a copy of a[0] in the
     prefix is less than that tuple. When no rank of the prefix is below
     a[0], as in a prenecklace, the other rotations start with a greater
@@ -697,7 +697,7 @@ def test_reversal_bound_against_the_reversal_test():
         for prefix in map(list, product(range(one + 1), repeat=t)):
             if prefix[0] == one:
                 continue
-            for m in range(4):
+            for m in ms:
                 # the zeros stand in for a[t:], which the bound must not read
                 least = _reversal_bound(prefix + [0] * (m + 1), t, m, one)
                 for r in range(prefix[0], one if m else one + 1):
@@ -709,3 +709,29 @@ def test_reversal_bound_against_the_reversal_test():
                     if r != a[0] and min(prefix) == a[0]:
                         assert canonical == all(b[i:] + b[:i] >= a for i in range(l)), a
                     assert (least is not None and r >= least) == canonical, (a, least)
+
+
+def test_last_tree_bounds_against_the_reversal_test():
+    """The last position is `_reversal_bound`'s m = 0 case: over every
+    prefix, and for every necklace over four ranks whose last rank is not
+    its first, the bound of its prefix accepts the last rank iff no
+    rotation of the reversal is less than the necklace."""
+    from itertools import product
+
+    from kfx.search import _reversal_bound
+
+    check_reversal_bound([0])
+    for l in range(3, 8):
+        for a in map(list, product(range(4), repeat=l)):
+            if a[-1] == a[0] or any(a[i:] + a[:i] < a for i in range(1, l)):
+                continue
+            b = a[::-1]
+            canonical = all(b[i:] + b[:i] >= a for i in range(l))
+            least = _reversal_bound(a, l - 1, 0, 3)
+            assert (least is not None and a[-1] >= least) == canonical, a
+
+
+def test_fill_bound_against_the_reversal_test():
+    """A fill is `_reversal_bound`'s m = 1..3 case: a rank r below the
+    one-vertex tree followed by m ones."""
+    check_reversal_bound([1, 2, 3])
