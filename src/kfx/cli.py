@@ -343,11 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.workers < 1:
             raise ParameterError(f"--workers must be >= 1, got {args.workers}")
         args.cap = _cap(args.cap)
-        from .search import worker_pool
-
-        # every enumeration of the command shares one process pool, closed on return
-        with worker_pool(args.workers):
-            return args.fn(args)
+        return args.fn(args)
     except GraphParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

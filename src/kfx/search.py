@@ -9,9 +9,10 @@ as its canonical tuple, the least of the tuple's l rotations and l
 reflections, so nothing is deduplicated. The space partitions into
 disjoint work units by (l, size of the first tree), which is also what a
 worker process runs. A run of fewer than `POOL_MIN_CLASSES` classes runs
-its units in the calling process whatever the worker count, and no run
-uses more processes than the machine has CPUs; results are deterministic
-regardless of worker count.
+its units in the calling process whatever the worker count; a larger one
+with workers starts a pool of its own once its tree catalog is built, and
+no run uses more processes than the machine has CPUs. Results are
+deterministic regardless of worker count.
 
 Each unit computes every class's Kf as it is generated, as the exact
 integer N = l * Kf, and reduces its classes in place: it returns its class
@@ -29,11 +30,9 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice
-from math import gcd
 from typing import NamedTuple
 
 from .errors import DEFAULT_CAP, CapExceededError
@@ -313,84 +312,44 @@ def _run_units(n, delta, l_filter, exact, cap, workers, keep_rows):
     """Yield every work unit's result, in unit order.
 
     The run's class count is compared with `cap` once, before any catalog
-    is built: more classes raise CapExceededError. A count below
-    `POOL_MIN_CLASSES` runs every unit in this process, whatever `workers`
-    says.
+    is built: more classes raise CapExceededError. The units run on a
+    pool of min(`workers`, CPU count) processes, the run's own, when that
+    and the unit count are at least 2 and the class count is at least
+    `POOL_MIN_CLASSES`; otherwise in this process.
     """
     count = class_count(n, delta, exact, l_filter, cap)
     if count > cap:
         raise CapExceededError(f"more than {cap} isomorphism classes")
-    if count < POOL_MIN_CLASSES:
-        workers = 1
     ls = _cycle_lengths(n, delta, exact, l_filter)
     if not ls:
         return
     top = n - ls[0] + 1
-    _alphabet(n, delta, exact, top)  # before a pool started here forks
+    _alphabet(n, delta, exact, top)  # before the pool forks, so every worker inherits it
     args = [(n, l, first, delta, exact, top, keep_rows) for l, first in _units(n, ls)]
-    with worker_pool(workers) as imap:
-        yield from imap(_unit, args)
+    processes = min(workers, os.cpu_count() or 1)
+    if count < POOL_MIN_CLASSES or processes < 2 or len(args) < 2:
+        yield from map(_unit, args)
+        return
+    with Pool(processes) as pool:  # terminated on exit, also when the consumer stops early
+        yield from pool.imap(_unit, args)
 
 
-# Runs with fewer classes are faster in one process: a second worker's start
-# and its own catalogs cost more than it saves. Measured with a pool on every
-# two-worker run (BENCH_pool_reuse.json: 2-core x86-64, Python 3.11.7,
+# Runs with fewer classes are faster in one process: starting a pool of its
+# own costs a run more than a second worker saves. Measured with a pool on
+# every two-worker run (BENCH_pool_reuse.json: 2-core x86-64, Python 3.11.7,
 # medians of 9 alternated fresh runs, one worker against two): `search --n
 # 13`, 13,999 classes, 0.25 s against 0.28 s; `search --n 14`, 39,260
-# classes, 0.45 s against 0.40 s. The one- and two-worker commands of
-# tools/bench_enumerate.py follow it since (BENCH_enumerate.json).
+# classes, 0.45 s against 0.40 s. tools/bench_enumerate.py times the
+# two-worker runs below it with the minimum lowered (BENCH_enumerate.json).
 POOL_MIN_CLASSES = 20_000
 
 
 def Pool(processes: int):
-    """A `multiprocessing.Pool`, imported when the first pool starts, so
+    """A `multiprocessing.Pool`, imported when a run first starts one, so
     runs that stay in one process never load `multiprocessing`."""
     from multiprocessing import Pool
 
     return Pool(processes)
-
-
-_slot: list | None = None  # [the pool or None] while a `worker_pool` block is open
-
-
-@contextmanager
-def worker_pool(workers: int):
-    """Yield an `imap(fn, items)` that runs on min(`workers`, CPU count)
-    processes, sharing one process pool among every enumeration inside the
-    outermost block; with fewer than two processes, or fewer than two
-    items, it is the built-in `map`.
-
-    Blocks nest: the outermost owns the pool and terminates it on exit,
-    exceptions included. Inner blocks (each `_run_units` opens one, with
-    one worker for a run below `POOL_MIN_CLASSES`) that leave this process
-    reuse it, with the process count it started with. The pool starts at
-    the first imap that leaves this process, so its workers inherit that
-    run's `_alphabet`; later runs' workers rebuild theirs through the
-    `_alphabet` cache.
-    """
-    global _slot
-    owner = _slot is None
-    if owner:
-        _slot = [None]
-    slot = _slot
-
-    processes = min(workers, os.cpu_count() or 1)
-
-    def imap(fn, items: list):
-        if processes < 2 or len(items) < 2:
-            return map(fn, items)
-        if slot[0] is None:
-            slot[0] = Pool(processes)
-        return slot[0].imap(fn, items)
-
-    try:
-        yield imap
-    finally:
-        if owner:
-            _slot = None
-            if slot[0] is not None:
-                slot[0].terminate()
-                slot[0].join()
 
 
 def unicyclic_rows(
@@ -518,6 +477,22 @@ def _power(q: list[int], j: int, deg: int) -> list[int]:
     return p
 
 
+def _divisor_totients(l: int) -> list[tuple[int, int]]:
+    """(d, phi(d)) for every divisor d of l, from l's prime factors found by
+    trial division up to sqrt(l)."""
+    pairs, p = [(1, 1)], 2
+    while l > 1:
+        p = p if p * p <= l else l  # past sqrt(l), what is left is prime
+        powers = [(1, 1)]  # (p^k, phi(p^k))
+        while l % p == 0:
+            l //= p
+            powers.append((powers[-1][0] * p, powers[-1][0] * (p - 1)))
+        if len(powers) > 1:
+            pairs = [(d * q, phi * u) for d, phi in pairs for q, u in powers]
+        p += 1
+    return pairs
+
+
 def _cycle_index_count(n: int, ls: range, h: list[int]) -> int:
     """The coefficient of z^n in Z(D_l) with x_k = H(z^k), summed over the
     cycle lengths l in ls, for a hanging-tree series h = [0, h_1, ...] up to
@@ -537,8 +512,7 @@ def _cycle_index_count(n: int, ls: range, h: list[int]) -> int:
 
         # 4l Z(D_l): rotations give 2 sum_{d | l} phi(d) x_d^(l/d); reflections
         # give 2l x_1 x_2^((l-1)/2) for odd l, l (x_2^(l/2) + x_1^2 x_2^(l/2-1)) for even l
-        scaled = 2 * sum(sum(gcd(i, d) == 1 for i in range(d)) * x([1], d, l // d)
-                         for d in range(1, l + 1) if l % d == 0)
+        scaled = 2 * sum(phi * x([1], d, l // d) for d, phi in _divisor_totients(l))
         if l % 2:
             scaled += 2 * l * x(q, 2, l // 2)
         else:

@@ -566,14 +566,14 @@ def test_workers_are_capped_at_the_cpu_count(capsys, monkeypatch, pooled):
         def __init__(self, processes):
             sizes.append(processes)
 
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
         def imap(self, fn, items):
             return map(fn, items)
-
-        def terminate(self):
-            pass
-
-        def join(self):
-            pass
 
     monkeypatch.setattr(kfx.search, "Pool", InlinePool)
     _, one, _ = run(capsys, "search", "--n", "9", "--dump-all", "--workers", "1")
@@ -597,20 +597,32 @@ def test_two_workers_list_the_rows_of_one(capsys, at_most, pooled):
 
 
 @pytest.mark.parametrize("suite", [["theorem", "--n-max", "9"], ["lemmas"]])
-def test_verify_starts_one_pool_per_command(capsys, request, pool_starts, suite):
+def test_verify_starts_one_pool_per_pooled_run(capsys, monkeypatch, request, pool_starts, suite):
     import multiprocessing
 
+    import kfx.search
+
     # every run of these suites is below POOL_MIN_CLASSES, so two workers
-    # start no pool; with the minimum at 0 they start one for the command
+    # start no pool; with the minimum at 0 each run of two or more units
+    # starts its own
+    units = []  # per run, its unit count
+    real = kfx.search._units
+
+    def counted(n, ls):
+        units.append(len(real(n, ls)))
+        return real(n, ls)
+
+    monkeypatch.setattr(kfx.search, "_units", counted)
     outputs = {}
     for pools in (0, 1):
         if pools:
             request.getfixturevalue("pooled")
         for workers in ("1", "2"):
-            del pool_starts[:]
+            del pool_starts[:], units[:]
             code, out, err = run(capsys, "verify", "--suite", *suite, "--workers", workers)
             assert code == 0 and err == ""
-            assert len(pool_starts) == (pools if workers == "2" else 0)
+            pooled_runs = sum(u >= 2 for u in units) if pools and workers == "2" else 0
+            assert pool_starts == [(2,)] * pooled_runs and len(units) > 1
             assert not multiprocessing.active_children()
             outputs[pools, workers] = out
     assert len(set(outputs.values())) == 1

@@ -586,26 +586,58 @@ def test_formula_only_theorem_decomposes_once(monkeypatch):
     assert calls == [700]
 
 
-def test_worker_pool_is_shared_and_closed(pool_starts, pooled):
+def test_each_pooled_run_starts_and_closes_its_own_pool(monkeypatch, pool_starts, pooled):
     import multiprocessing
+    import os
 
-    from kfx.search import unicyclic_extremes, worker_pool
+    import kfx.search
+    from kfx.search import _run_units
 
-    # one pool per library call when no block is open
+    # one pool per run, gone when the run returns
     assert unicyclic_extremes(9, workers=2) == unicyclic_extremes(9)
-    assert len(pool_starts) == 1 and not multiprocessing.active_children()
-    # one pool for every call inside a block, gone when the block exits
-    with worker_pool(2):
-        assert unicyclic_extremes(9, 4, workers=2) == unicyclic_extremes(9, 4)
-        assert unicyclic_extremes(10, workers=2) == unicyclic_extremes(10)
-    assert len(pool_starts) == 2 and not multiprocessing.active_children()
-    # also when the block exits by an exception
-    with pytest.raises(RuntimeError):
-        with worker_pool(2):
-            unicyclic_extremes(9, workers=2)
-            assert multiprocessing.active_children()
-            raise RuntimeError
+    assert unicyclic_extremes(9, 4, workers=2) == unicyclic_extremes(9, 4)
+    assert pool_starts == [(2,), (2,)] and not multiprocessing.active_children()
+    # ... when its consumer stops reading early
+    results = _run_units(10, None, None, True, DEFAULT_CAP, 2, False)
+    assert next(results).l == 3 and multiprocessing.active_children()
+    results.close()
     assert len(pool_starts) == 3 and not multiprocessing.active_children()
+    # ... and when a unit raises in a worker
+    parent, real = os.getpid(), kfx.search._unit
+
+    def failing(args):
+        if os.getpid() != parent and args[1:3] == (4, 2):
+            raise RuntimeError("unit failed in a worker")
+        return real(args)
+
+    # pickled by reference, so the workers look it up as kfx.search._unit
+    failing.__module__, failing.__qualname__ = real.__module__, real.__qualname__
+    monkeypatch.setattr(kfx.search, "_unit", failing)
+    with pytest.raises(RuntimeError, match="in a worker"):
+        unicyclic_extremes(9, workers=2)
+    assert len(pool_starts) == 4 and not multiprocessing.active_children()
+
+
+def test_divisor_totients_match_a_scan_of_every_divisor():
+    from math import gcd
+
+    from kfx.search import _divisor_totients
+
+    for l in range(1, 401):
+        pairs = _divisor_totients(l)
+        reference = {d: sum(gcd(i, d) == 1 for i in range(d))
+                     for d in range(1, l + 1) if l % d == 0}
+        assert len(pairs) == len(reference) and dict(pairs) == reference
+
+
+def test_a_long_cycle_is_counted_without_scanning_its_length():
+    import time
+
+    # a scan of every d <= l took 0.56 s at l = 999,999
+    t = time.perf_counter()
+    assert class_count(10**9 + 1, None, True, 10**9) == 1
+    assert class_count(10**6, None, True, 999_999) == 1
+    assert time.perf_counter() - t < 1.0
 
 
 def test_alphabet_reads_the_bounded_catalog():

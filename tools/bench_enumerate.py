@@ -19,7 +19,11 @@ holds:
   largest run the default cap admits at n = 19, the unfiltered n = 16, a
   large-delta run whose catalog dwarfs its classes, and two long cycles;
   and the one- and two-worker runs (`CROSSOVER`) that show from which
-  class count a second worker pays (`search.POOL_MIN_CLASSES`).
+  class count a second worker pays (`search.POOL_MIN_CLASSES`). A run
+  below that minimum stays in one process whatever the worker count, so
+  the two-worker rows of `BELOW_MINIMUM` run with the minimum lowered to
+  0 in process, as `tests/conftest.py` does, and their keys end in
+  `(pool minimum 0)`.
 * `in_process`: per (n, delta, exact), the median seconds of one cold
   `search._alphabet` call, which builds the tree catalog, and of one walk
   of every work unit through `search._unit`, which counts the classes
@@ -27,8 +31,8 @@ holds:
 * `check_lemma_properties_8_s`: the median seconds of one cold
   `suites.check_lemma_properties(8)` call.
 
-Earlier one- and two-worker rows, with the number of pools a verify pass
-started, are in `BENCH_pool_reuse.json`.
+Earlier one- and two-worker rows, with a pool on every two-worker run and
+the number of pools a verify pass started, are in `BENCH_pool_reuse.json`.
 """
 from __future__ import annotations
 
@@ -58,19 +62,27 @@ LARGE = [
     ["search", "--n", "200", "--l", "196"],
     ["search", "--n", "1200", "--l", "1198"],
 ]
-# `verify --suite all`, then with one and two workers each: the two verify
-# suites perfbench runs with two, searches from n = 12 to 16, and
-# degree-filtered ones at n = 14 and 15
+# the commands whose every run is below `search.POOL_MIN_CLASSES`: the two
+# verify suites perfbench runs with two workers, searches at n = 12 and 13,
+# and degree-filtered ones at n = 14
+BELOW_MINIMUM = [
+    ["verify", "--suite", "lemmas"],
+    ["verify", "--suite", "theorem", "--n-max", "9"],
+    ["search", "--n", "12"],
+    ["search", "--n", "13"],
+    ["search", "--n", "14", "--delta", "3"],
+    ["search", "--n", "14", "--delta", "4"],
+]
+# `verify --suite all`, then with one and two workers each: the commands
+# below the minimum, two verify passes that start a pool per run past it
+# (theorem: 6 runs, lemmas: 2), and searches with more classes
 CROSSOVER = [["verify", "--suite", "all", "--seed", "501"]] + [
     [*a, "--workers", w] for a in (
-        ["verify", "--suite", "lemmas"],
-        ["verify", "--suite", "theorem", "--n-max", "9"],
-        ["search", "--n", "12"],
-        ["search", "--n", "13"],
+        *BELOW_MINIMUM,
+        ["verify", "--suite", "theorem", "--n-max", "16"],
+        ["verify", "--suite", "lemmas", "--n-max", "15"],
         ["search", "--n", "14"],
         ["search", "--n", "16"],
-        ["search", "--n", "14", "--delta", "3"],
-        ["search", "--n", "14", "--delta", "4"],
         ["search", "--n", "15", "--delta", "4"],
     ) for w in ("1", "2")]
 LAYERS = [(14, None, True), (14, 4, True), (14, 4, False), (16, None, True), (18, 3, True)]
@@ -93,6 +105,13 @@ count = sum(search._unit((n, l, first, delta, exact, top, False)).count
             for l, first in search._units(n, ls))
 print(json.dumps({"alphabet_s": alphabet, "units_s": time.perf_counter() - t, "classes": count}))
 """
+# `python -m kfx.cli` for the arguments after it, with every run pooled
+POOLED_CLI = """
+import sys
+from kfx import cli, search
+search.POOL_MIN_CLASSES = 0
+sys.exit(cli.main(sys.argv[1:]))
+"""
 TIME_LEMMAS = """
 import time
 from kfx.suites import check_lemma_properties
@@ -106,10 +125,21 @@ def _env(src: str) -> dict:
     return dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONDONTWRITEBYTECODE="1")
 
 
+def _pooled(argv: list[str]) -> bool:
+    """Whether `argv` is a two-worker run of `BELOW_MINIMUM`."""
+    return argv[-2:] == ["--workers", "2"] and argv[:-2] in BELOW_MINIMUM
+
+
+def _key(argv: list[str]) -> str:
+    return " ".join(argv) + (" (pool minimum 0)" if _pooled(argv) else "")
+
+
 def _cli(src: str, argv: list[str]) -> tuple[float, float]:
-    """Wall seconds and peak RSS (MiB) of one `python -m kfx.cli` run."""
+    """Wall seconds and peak RSS (MiB) of one `python -m kfx.cli` run, or
+    of `POOLED_CLI` for a two-worker run of `BELOW_MINIMUM`."""
     t = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "kfx.cli", *argv], env=_env(src),
+    entry = ["-c", POOLED_CLI] if _pooled(argv) else ["-m", "kfx.cli"]
+    proc = subprocess.Popen([sys.executable, *entry, *argv], env=_env(src),
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - t
@@ -153,7 +183,7 @@ def main(argv: list[str]) -> int:
     if report["host"] != host:
         print(f"{OUTPUT.name} holds rows from {report['host']}, not {host}", file=sys.stderr)
         return 2
-    commands = [" ".join(a) for a in ENUMERATE + LARGE + CROSSOVER]
+    commands = [_key(a) for a in ENUMERATE + LARGE + CROSSOVER]
     cli = {label: {c: [] for c in commands} for label in checkouts}
     layers = {label: {run: [] for run in LAYERS} for label in checkouts}
     lemmas = {label: [] for label in checkouts}
@@ -161,7 +191,7 @@ def main(argv: list[str]) -> int:
         order = list(checkouts.items())
         for label, src in order[::-1] if round_ % 2 else order:
             for a in ENUMERATE + LARGE + CROSSOVER:
-                cli[label][" ".join(a)].append(_cli(src, a))
+                cli[label][_key(a)].append(_cli(src, a))
             for run in LAYERS:
                 layers[label][run].append(_layers(src, *run))
             lemmas[label].append(float(_python(src, TIME_LEMMAS)))
@@ -174,7 +204,7 @@ def main(argv: list[str]) -> int:
             "label": label,
             "cli": {c: {"wall_s": _median([w for w, _ in runs[c]], 3),
                         "peak_rss_mib": _median([m for _, m in runs[c]], 1)} for c in commands},
-            "enumerate_pass_s": round(sum(statistics.median(w for w, _ in runs[" ".join(a)])
+            "enumerate_pass_s": round(sum(statistics.median(w for w, _ in runs[_key(a)])
                                           for a in ENUMERATE), 3),
             "in_process": [{
                 "n": n, "delta": delta, "exact": exact,
