@@ -116,11 +116,11 @@ def cmd_compute(args) -> int:
     g = _read_graph(args.input)
     g.require_connected()
     record = {"n": g.n, "m": g.m, "max_degree": max_degree(g)}
-    u = engine_input(g, args.engine)  # one decomposition for every field
-    record.update(_value_fields(args, "kf", kirchhoff_index(u, args.engine)))
-    record["wiener"] = wiener_index(u, args.engine)
+    u = engine_input(g, args.engine)  # one decomposition or elimination for every field
+    record.update(_value_fields(args, "kf", kirchhoff_index(u)))
+    record["wiener"] = wiener_index(u)
     if args.vertex is not None:
-        record.update(_value_fields(args, f"kf_v{args.vertex}", kf_vertex(u, args.vertex, args.engine)))
+        record.update(_value_fields(args, f"kf_v{args.vertex}", kf_vertex(u, args.vertex)))
     _emit_record(args, record, list(record))
     return EXIT_OK
 

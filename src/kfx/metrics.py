@@ -1,6 +1,12 @@
 """Exact resistance distances, Kirchhoff index, and Wiener index.
 
-Two independent engines compute effective resistances:
+Two independent engines compute effective resistances, and
+`engine_input(g, engine)` is the one place that picks between them: it
+returns g as that engine reads it, a `UnicyclicRepr` or an `Adjugate`.
+`kirchhoff_index`, `kf_vertex`, `wiener_index`, `resistance` and
+`resistance_table` take what it returns (or a graph, which they pass
+through it under "auto") and answer by its type, so several quantities of
+one graph share one decomposition or one elimination.
 
 * the *oracle* engine works on any connected graph: one fraction-free
   (Bareiss) elimination of the grounded Laplacian gives the spanning-tree
@@ -16,10 +22,12 @@ Two independent engines compute effective resistances:
   the shape catalog already holds. `kf_vertex` reroots the same numbers
   at one vertex in O(n) (Klein & Randic, "Resistance distance", 1993).
   `resistance_numerator` answers single pairs as the integer l R(a, b)
-  from the positions and depths the representation holds;
-  `resistance_structural` and `resistance_table` divide it by l.
+  from the positions and depths the representation holds.
   A tree is the representation's l = 1 case, one tree rooted at vertex 0:
   every cross-tree term is zero, and resistance is distance.
+
+`resistance(g, a, b)` is the one resistance function: l R over l from a
+decomposition, tau R over tau from an adjugate.
 
 The engine cross-check (`kfx.suites.engine_equivalence_suite`) compares
 the two engines' integer numerators, l R from `resistance_numerator` and
@@ -52,8 +60,7 @@ __all__ = [
     "Adjugate",
     "det_bareiss",
     "spanning_tree_count",
-    "resistance_oracle",
-    "resistance_structural",
+    "resistance",
     "resistance_numerator",
     "kirchhoff_index",
     "kf_vertex",
@@ -185,38 +192,41 @@ def _grounded_adjugate(g: Graph | UnicyclicRepr | Adjugate) -> Adjugate:
     return Adjugate(g, tau, [[0] * g.n] + [[0, *row] for row in adj], at)
 
 
-def _pick_engine(g: Graph | UnicyclicRepr | Adjugate, engine: str) -> str:
-    """Validate `engine`; name the one that answers for g: structural or oracle.
-
-    A graph with n - 1 or n edges goes to the structural engine untested:
-    `_as_repr` raises NotConnectedError if it is not connected, within the
-    passes it makes anyway. An `Adjugate` is the oracle's."""
-    if engine not in ("auto", "oracle", "structural"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine != "oracle":
-        if isinstance(g, UnicyclicRepr) or (isinstance(g, Graph) and g.m in (g.n - 1, g.n)):
-            return "structural"
-        if engine == "structural":
-            raise EngineMismatchError("structural engine needs a tree or unicyclic graph")
-    return "oracle"
-
-
 def _vertices(g: Graph | UnicyclicRepr | Adjugate) -> Mapping[int, int] | range:
     """The vertex labels g answers for, without an elimination."""
     return (g.position if isinstance(g, UnicyclicRepr)
             else g.at if isinstance(g, Adjugate) else range(g.n))
 
 
-def resistance_oracle(g: Graph | UnicyclicRepr | Adjugate, a: int, b: int) -> Fraction:
-    """Effective resistance between a and b with unit resistors per edge:
-    (spanning 2-forests separating a and b) / (spanning trees)."""
-    if a == b:
-        raise ValueError("resistance requires two distinct vertices")
-    vertices = _vertices(g)
-    if a not in vertices or b not in vertices:
-        raise ValueError("vertex out of range")
-    oracle = _grounded_adjugate(g)
-    return Fraction(oracle.numerator(a, b), oracle.tau)
+def engine_input(
+    g: Graph | UnicyclicRepr | Adjugate, engine: str = "auto"
+) -> UnicyclicRepr | Adjugate:
+    """g as `engine` reads it: its cycle/tree decomposition where the
+    structural engine answers, else its grounded adjugate. The one engine
+    choice: the quantities below answer from what it returns.
+
+    engine: "oracle" (any connected graph), "structural" (trees and
+    unicyclic graphs), or "auto" (structural where applicable), under
+    which a decomposition or an adjugate passes through unchanged. A graph
+    with n - 1 or n edges goes to the structural engine untested: its
+    decomposition raises NotConnectedError if it is not connected, within
+    the passes it makes anyway.
+    """
+    if engine not in ("auto", "oracle", "structural"):
+        raise ValueError(f"unknown engine {engine!r}")
+    if engine != "oracle":
+        if isinstance(g, UnicyclicRepr):
+            return g
+        if isinstance(g, Graph) and g.m == g.n:
+            return decompose_unicyclic(g)
+        if isinstance(g, Graph) and g.m == g.n - 1:
+            order, parent = orient(g.adj, 0, [False] * g.n)
+            if len(order) != g.n:
+                raise NotConnectedError(f"graph on {g.n} vertices is not connected")
+            return UnicyclicRepr([0], [(order, parent)])
+        if engine == "structural":
+            raise EngineMismatchError("structural engine needs a tree or unicyclic graph")
+    return _grounded_adjugate(g)
 
 
 def resistance_numerator(u: UnicyclicRepr, a: int, b: int) -> int:
@@ -242,51 +252,34 @@ def resistance_numerator(u: UnicyclicRepr, a: int, b: int) -> int:
     return u.l * dist
 
 
-def resistance_structural(u: UnicyclicRepr, a: int, b: int) -> Fraction:
-    """Resistance in a tree or unicyclic graph from its cycle/tree
-    decomposition: `resistance_numerator` over l."""
+def resistance(g: Graph | UnicyclicRepr | Adjugate, a: int, b: int) -> Fraction:
+    """Effective resistance between vertices a and b with unit resistors
+    per edge: `resistance_numerator` over l from a decomposition, or
+    (spanning 2-forests separating a and b) / (spanning trees) from an
+    adjugate."""
     if a == b:
         raise ValueError("resistance requires two distinct vertices")
-    if a not in u.position or b not in u.position:
-        raise ValueError("vertex not in graph")
-    return Fraction(resistance_numerator(u, a, b), u.l)
+    vertices = _vertices(g)
+    for v in (a, b):
+        if v not in vertices:
+            raise ValueError(f"vertex {v} not in graph")
+    u = engine_input(g)
+    if isinstance(u, UnicyclicRepr):
+        return Fraction(resistance_numerator(u, a, b), u.l)
+    return Fraction(u.numerator(a, b), u.tau)
 
 
-def _as_repr(g: Graph | UnicyclicRepr) -> UnicyclicRepr:
-    """g's cycle/tree decomposition; a graph with n - 1 edges is a tree,
-    the l = 1 case, oriented from vertex 0."""
-    if isinstance(g, UnicyclicRepr):
-        return g
-    if g.m != g.n - 1:
-        return decompose_unicyclic(g)
-    order, parent = orient(g.adj, 0, [False] * g.n)
-    if len(order) != g.n:
-        raise NotConnectedError(f"graph on {g.n} vertices is not connected")
-    return UnicyclicRepr([0], [(order, parent)])
-
-
-def engine_input(g: Graph | UnicyclicRepr, engine: str = "auto") -> UnicyclicRepr | Adjugate:
-    """g as `engine` reads it: its cycle/tree decomposition where the
-    structural engine answers (for a tree, l = 1 with the whole tree
-    hanging from vertex 0), else its grounded adjugate. Several quantities
-    of one graph then share one decomposition or one elimination."""
-    return _as_repr(g) if _pick_engine(g, engine) == "structural" else _grounded_adjugate(g)
-
-
-def kirchhoff_index(g: Graph | UnicyclicRepr | Adjugate, engine: str = "auto") -> Fraction:
-    """Sum of resistance distances over all unordered pairs.
-
-    engine: "oracle" (any connected graph), "structural" (trees and
-    unicyclic graphs), or "auto" (structural where applicable).
-    """
-    if _pick_engine(g, engine) == "structural":
-        u = _as_repr(g)
+def kirchhoff_index(g: Graph | UnicyclicRepr | Adjugate) -> Fraction:
+    """Sum of resistance distances over all unordered pairs, by the engine
+    `engine_input` picks."""
+    u = engine_input(g)
+    if isinstance(u, UnicyclicRepr):
         return kf_from_stats(u.l, u.tree_stats)
-    _, tau, adj, _ = _grounded_adjugate(g)  # Kf = (n tr A - 1'A1) / tau
+    _, tau, adj, _ = u  # Kf = (n tr A - 1'A1) / tau
     return Fraction(sum(len(adj) * row[i] - sum(row) for i, row in enumerate(adj)), tau)
 
 
-def kf_vertex(g: Graph | UnicyclicRepr | Adjugate, v: int, engine: str = "auto") -> Fraction:
+def kf_vertex(g: Graph | UnicyclicRepr | Adjugate, v: int) -> Fraction:
     """Transmission of v: sum of resistances from v to every other vertex.
 
     The structural engine reroots the tree stats at v. For v at depth h in
@@ -299,8 +292,8 @@ def kf_vertex(g: Graph | UnicyclicRepr | Adjugate, v: int, engine: str = "auto")
     """
     if v not in _vertices(g):
         raise ParameterError(f"vertex {v} not in graph")
-    if _pick_engine(g, engine) == "structural":
-        u = _as_repr(g)
+    u = engine_input(g)
+    if isinstance(u, UnicyclicRepr):
         i, k = u.position[v]
         parent = u.tree_parents[i]
         sub = [1] * len(parent)
@@ -313,7 +306,7 @@ def kf_vertex(g: Graph | UnicyclicRepr | Adjugate, v: int, engine: str = "auto")
             k = parent[k]
         cross = sum(s * abs(i - j) * (u.l - abs(i - j)) for j, (s, _, _) in enumerate(u.tree_stats))
         return Fraction(total * u.l + cross, u.l)
-    _, tau, adj, at = _grounded_adjugate(g)
+    _, tau, adj, at = u
     v = at[v]
     trace = sum(row[i] for i, row in enumerate(adj))
     return Fraction(len(adj) * adj[v][v] + trace - 2 * sum(adj[v]), tau)
@@ -368,19 +361,14 @@ def wiener_from_stats(l: int, stats) -> int:
     return within + cross
 
 
-def wiener_index(g: Graph | UnicyclicRepr | Adjugate, engine: str = "auto") -> int:
-    """Sum of shortest-path distances over all unordered pairs.
-
-    Engines as in `kirchhoff_index`: trees and unicyclic graphs take it
-    from their per-tree stats in O(n); "oracle" and every other graph run
-    `graph.wiener`, a BFS from every vertex.
-    """
-    if _pick_engine(g, engine) == "structural":
-        u = _as_repr(g)
+def wiener_index(g: Graph | UnicyclicRepr | Adjugate) -> int:
+    """Sum of shortest-path distances over all unordered pairs: from the
+    per-tree stats in O(n) where `engine_input` picks the structural
+    engine, else `graph.wiener`, a BFS from every vertex."""
+    u = engine_input(g)
+    if isinstance(u, UnicyclicRepr):
         return wiener_from_stats(u.l, u.tree_stats)
-    if isinstance(g, UnicyclicRepr):
-        return wiener(g.to_graph()[0])
-    return wiener(g.graph if isinstance(g, Adjugate) else g)
+    return wiener(u.graph)
 
 
 def kf_from_shapes(l: int, shapes) -> Fraction:
@@ -389,15 +377,8 @@ def kf_from_shapes(l: int, shapes) -> Fraction:
     return kf_from_stats(l, [shape_record(s)[:3] for s in shapes])
 
 
-def resistance_table(
-    g: Graph | UnicyclicRepr | Adjugate, engine: str = "auto"
-) -> dict[tuple[int, int], Fraction]:
+def resistance_table(g: Graph | UnicyclicRepr | Adjugate) -> dict[tuple[int, int], Fraction]:
     """Resistance of every vertex pair (a, b), a < b, by the engine
-    `kirchhoff_index` uses."""
-    if _pick_engine(g, engine) == "structural":
-        u = _as_repr(g)
-        pairs = combinations(sorted(u.position), 2)
-        return {(a, b): resistance_structural(u, a, b) for a, b in pairs}
-    oracle = _grounded_adjugate(g)
-    pairs = combinations(sorted(oracle.at), 2)
-    return {(a, b): Fraction(oracle.numerator(a, b), oracle.tau) for a, b in pairs}
+    `engine_input` picks."""
+    u = engine_input(g)
+    return {(a, b): resistance(u, a, b) for a, b in combinations(sorted(_vertices(u)), 2)}

@@ -330,26 +330,34 @@ def _run_units(n, delta, l_filter, exact, cap, workers, keep_rows):
     if count < POOL_MIN_CLASSES or processes < 2 or len(args) < 2:
         yield from map(_unit, args)
         return
-    with Pool(processes) as pool:  # terminated on exit, also when the consumer stops early
-        yield from pool.imap(_unit, args)
+    pool = Pool(processes)
+    try:
+        yield from pool.map(_unit, args)
+    finally:  # also when the consumer stops early, a unit raises or a worker dies
+        pool.shutdown(cancel_futures=True)
 
 
-# Runs with fewer classes are faster in one process: starting a pool of its
-# own costs a run more than a second worker saves. Measured with a pool on
-# every two-worker run (BENCH_pool_reuse.json: 2-core x86-64, Python 3.11.7,
-# medians of 9 alternated fresh runs, one worker against two): `search --n
-# 13`, 13,999 classes, 0.25 s against 0.28 s; `search --n 14`, 39,260
-# classes, 0.45 s against 0.40 s. tools/bench_enumerate.py times the
-# two-worker runs below it with the minimum lowered (BENCH_enumerate.json).
-POOL_MIN_CLASSES = 20_000
+# Runs with fewer classes gain little or nothing from a pool of their own:
+# starting it costs about what a second worker saves. tools/bench_enumerate.py
+# runs each CROSSOVER command with one and two workers back to back, taking
+# turns to go first (BENCH_enumerate.json: 2-core x86-64, Python 3.11.7, 15
+# rounds each in the "after" and "before" rows). Two workers were faster in
+# 3 and 9 rounds of `search --n 14` (39,260 classes), 11 and 9 of `search
+# --n 15 --delta 4` (49,053), 10 and 11 of `search --n 15 --at-most --delta
+# 4` (60,077), and 12 to 15 of every search from 60,366 classes up: the
+# crossover lies between 39,260 and 60,077 classes.
+POOL_MIN_CLASSES = 50_000
 
 
 def Pool(processes: int):
-    """A `multiprocessing.Pool`, imported when a run first starts one, so
-    runs that stay in one process never load `multiprocessing`."""
-    from multiprocessing import Pool
+    """A process pool whose workers are forked, so they inherit the catalog
+    `_alphabet` holds. It is imported when a run first starts one, so runs
+    that stay in one process never load `multiprocessing`. A worker that
+    dies breaks the pool: its `map` raises BrokenProcessPool."""
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
 
-    return Pool(processes)
+    return ProcessPoolExecutor(processes, mp_context=get_context("fork"))
 
 
 def unicyclic_rows(

@@ -120,7 +120,7 @@ def verify_theorem(
     try:
         found = unicyclic_extremes(n, delta, cap=cap, workers=workers)
     except CapExceededError:
-        best = kirchhoff_index(extremal, "structural")
+        best = kirchhoff_index(extremal)
         mode, count, arg = "formula-only", 1, [expected_code]
         notes.append("parameter space beyond the enumeration cap; compared the"
                      " constructed extremal graph against the closed-form bound")

@@ -535,7 +535,7 @@ def test_one_worker_enumeration_loads_no_multiprocessing(tmp_path, argv):
     for workers in ("1", "2"):
         added = modules_added_by([*argv, "--workers", workers], tmp_path)
         assert "kfx.search" in added
-        assert not added & {"multiprocessing", "dataclasses"}
+        assert not added & {"multiprocessing", "concurrent.futures.process", "dataclasses"}
         outputs[workers] = (tmp_path / "payload").read_bytes()
     assert outputs["1"] == outputs["2"]
 
@@ -545,11 +545,12 @@ def test_a_run_past_the_pool_minimum_starts_one_pool(capsys, monkeypatch, pool_s
 
     from kfx.search import POOL_MIN_CLASSES, class_count
 
-    assert class_count(13) < POOL_MIN_CLASSES <= class_count(14)
+    assert class_count(15, 4) < POOL_MIN_CLASSES <= class_count(15, 4, exact=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     outputs = {}
     for workers in ("1", "2"):
-        code, outputs[workers], err = run(capsys, "search", "--n", "14", "--workers", workers)
+        code, outputs[workers], err = run(capsys, "search", "--n", "15", "--at-most",
+                                          "--delta", "4", "--workers", workers)
         assert code == 0 and err == ""
     assert pool_starts == [(2,)] and not multiprocessing.active_children()
     assert outputs["1"] == outputs["2"]
@@ -566,14 +567,11 @@ def test_workers_are_capped_at_the_cpu_count(capsys, monkeypatch, pooled):
         def __init__(self, processes):
             sizes.append(processes)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            pass
-
-        def imap(self, fn, items):
+        def map(self, fn, items):
             return map(fn, items)
+
+        def shutdown(self, cancel_futures):
+            pass
 
     monkeypatch.setattr(kfx.search, "Pool", InlinePool)
     _, one, _ = run(capsys, "search", "--n", "9", "--dump-all", "--workers", "1")
@@ -626,6 +624,40 @@ def test_verify_starts_one_pool_per_pooled_run(capsys, monkeypatch, request, poo
             assert not multiprocessing.active_children()
             outputs[pools, workers] = out
     assert len(set(outputs.values())) == 1
+
+
+def test_a_killed_worker_ends_the_run(capsys, monkeypatch, pooled):
+    import multiprocessing
+    import signal
+
+    import kfx.search
+
+    parent, real = os.getpid(), kfx.search._unit
+
+    def killed(args):
+        if os.getpid() != parent and args[1:3] == (4, 2):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(args)
+
+    # pickled by reference, so the workers look it up as kfx.search._unit
+    killed.__module__, killed.__qualname__ = real.__module__, real.__qualname__
+    monkeypatch.setattr(kfx.search, "_unit", killed)
+
+    def hung(*_):
+        raise TimeoutError("the run still waits for the killed worker")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)  # a run that waits forever fails here instead of hanging
+    try:
+        start = time.monotonic()
+        code, out, err = run(capsys, "search", "--n", "10", "--workers", "2")
+        elapsed = time.monotonic() - start
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out) == (5, "") and elapsed < 10
+    assert err.startswith("error: internal: BrokenProcessPool: ") and err.count("\n") == 1
+    assert not multiprocessing.active_children()
 
 
 def test_cap_exit_leaves_no_worker(capsys, pool_starts):

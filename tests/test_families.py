@@ -19,7 +19,7 @@ from kfx.families import (
 )
 from kfx.formulas import conj_min_formula_i, conj_min_formula_ii, kf_b_formula
 from kfx.graph import is_unicyclic, max_degree, wiener
-from kfx.metrics import kirchhoff_index
+from kfx.metrics import engine_input, kirchhoff_index
 from kfx.unicyclic import canonical_code, decompose_unicyclic, tree_canonical_code
 
 F = Fraction
@@ -32,7 +32,7 @@ def code_of(g):
 def test_cycle_and_path():
     assert make_cycle(3).m == 3
     assert make_path(2).m == 1
-    assert kirchhoff_index(make_cycle(5), "oracle") == 10
+    assert kirchhoff_index(engine_input(make_cycle(5), "oracle")) == 10
     with pytest.raises(ParameterError):
         make_cycle(2)
     with pytest.raises(ParameterError):
@@ -40,7 +40,7 @@ def test_cycle_and_path():
 
 
 def test_s_n_l():
-    assert kirchhoff_index(make_s_n_l(4, 3), "oracle") == F(19, 3)
+    assert kirchhoff_index(engine_input(make_s_n_l(4, 3), "oracle")) == F(19, 3)
     assert code_of(make_s_n_l(6, 6)) == code_of(make_cycle(6))
     assert max_degree(make_s_n_l(5, 3)) == 4
     with pytest.raises(ParameterError):
@@ -96,7 +96,7 @@ def test_graph_b_value_and_sign():
 
 def test_p3_extremal():
     assert kirchhoff_index(make_p3_extremal(5, 3)) == F(44, 3)
-    assert kirchhoff_index(make_p3_extremal(100, 96), "structural") == F(30925, 3)
+    assert kirchhoff_index(engine_input(make_p3_extremal(100, 96), "structural")) == F(30925, 3)
     assert code_of(make_p3_extremal(4, 3)) == code_of(make_s_n_l(4, 3))
     with pytest.raises(ParameterError):
         make_p3_extremal(3, 3)
@@ -105,7 +105,7 @@ def test_p3_extremal():
 def test_conj_min_i():
     g = make_conj_min_i(5, 3)
     assert code_of(g) == code_of(make_s_n_l(5, 4))  # C_4 + pendant
-    assert kirchhoff_index(g, "oracle") == F(23, 2) == conj_min_formula_i(5, 3)
+    assert kirchhoff_index(engine_input(g, "oracle")) == F(23, 2) == conj_min_formula_i(5, 3)
     assert code_of(make_conj_min_i(8, 3)) == code_of(make_s_n_l(8, 7))
 
 

@@ -6,7 +6,7 @@ import pytest
 from kfx.errors import NotConnectedError, NotUnicyclicError
 from kfx.families import make_cycle, make_p_n_l, make_s_n_l
 from kfx.graph import Graph, wiener
-from kfx.metrics import resistance_structural
+from kfx.metrics import resistance
 from kfx.search import _tree_counts
 from kfx.suites import random_unicyclic
 from kfx.unicyclic import (
@@ -259,9 +259,9 @@ def test_tree_distance_within_repr():
                 dist = g.bfs_distances(a)
                 for b in nodes:
                     if a != b:
-                        assert resistance_structural(u, a, b) == dist[b]
+                        assert resistance(u, a, b) == dist[b]
     u = decompose_unicyclic(make_p_n_l(7, 3))
-    assert resistance_structural(u, 6, 0) == 4
+    assert resistance(u, 6, 0) == 4
 
 
 def test_bounded_catalog_equals_the_filtered_catalog():

@@ -18,12 +18,16 @@ holds:
   (`LARGE`): the two largest degree-bounded conjectures at n = 18, the
   largest run the default cap admits at n = 19, the unfiltered n = 16, a
   large-delta run whose catalog dwarfs its classes, and two long cycles;
-  and the one- and two-worker runs (`CROSSOVER`) that show from which
-  class count a second worker pays (`search.POOL_MIN_CLASSES`). A run
-  below that minimum stays in one process whatever the worker count, so
-  the two-worker rows of `BELOW_MINIMUM` run with the minimum lowered to
-  0 in process, as `tests/conftest.py` does, and their keys end in
-  `(pool minimum 0)`.
+  `verify --suite all` (`VERIFY_ALL`); and the one- and two-worker runs
+  (`CROSSOVER`) that show from which class count a second worker pays
+  (`search.POOL_MIN_CLASSES`). A run below that minimum stays in one
+  process whatever the worker count, so in `CROSSOVER` the two-worker
+  rows of `BELOW_MINIMUM` run with the minimum lowered to 0 in process,
+  as `tests/conftest.py` does, and their keys end in `(pool minimum 0)`;
+  the same command in `ENUMERATE` runs as perfbench runs it.
+* `two_workers_faster`: per command of `CROSSOVER`, in how many of the R
+  rounds its two-worker run took less wall time than its one-worker run.
+  The two run back to back, and take turns to go first.
 * `in_process`: per (n, delta, exact), the median seconds of one cold
   `search._alphabet` call, which builds the tree catalog, and of one walk
   of every work unit through `search._unit`, which counts the classes
@@ -63,28 +67,33 @@ LARGE = [
     ["search", "--n", "1200", "--l", "1198"],
 ]
 # the commands whose every run is below `search.POOL_MIN_CLASSES`: the two
-# verify suites perfbench runs with two workers, searches at n = 12 and 13,
-# and degree-filtered ones at n = 14
+# verify suites perfbench runs with two workers, searches at n = 12 to 14,
+# and degree-filtered ones at n = 14 and 15, up to (15, 4) with 49,053
+# classes
 BELOW_MINIMUM = [
     ["verify", "--suite", "lemmas"],
     ["verify", "--suite", "theorem", "--n-max", "9"],
     ["search", "--n", "12"],
     ["search", "--n", "13"],
+    ["search", "--n", "14"],
     ["search", "--n", "14", "--delta", "3"],
     ["search", "--n", "14", "--delta", "4"],
+    ["search", "--n", "15", "--delta", "4"],
 ]
-# `verify --suite all`, then with one and two workers each: the commands
-# below the minimum, two verify passes that start a pool per run past it
-# (theorem: 6 runs, lemmas: 2), and searches with more classes
-CROSSOVER = [["verify", "--suite", "all", "--seed", "501"]] + [
-    [*a, "--workers", w] for a in (
-        *BELOW_MINIMUM,
-        ["verify", "--suite", "theorem", "--n-max", "16"],
-        ["verify", "--suite", "lemmas", "--n-max", "15"],
-        ["search", "--n", "14"],
-        ["search", "--n", "16"],
-        ["search", "--n", "15", "--delta", "4"],
-    ) for w in ("1", "2")]
+VERIFY_ALL = ["verify", "--suite", "all", "--seed", "501"]
+# the commands run with one and two workers: those below the minimum, two
+# verify passes that start a pool per run past it (theorem: 2 runs,
+# lemmas: 1), and searches from 60,077 classes up
+CROSSOVER = [
+    *BELOW_MINIMUM,
+    ["verify", "--suite", "theorem", "--n-max", "16"],
+    ["verify", "--suite", "lemmas", "--n-max", "15"],
+    ["search", "--n", "15", "--at-most", "--delta", "4"],
+    ["search", "--n", "17", "--delta", "3"],
+    ["search", "--n", "15", "--at-most", "--delta", "5"],
+    ["search", "--n", "15"],
+    ["search", "--n", "16"],
+]
 LAYERS = [(14, None, True), (14, 4, True), (14, 4, False), (16, None, True), (18, 3, True)]
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_enumerate.json"
 
@@ -125,20 +134,26 @@ def _env(src: str) -> dict:
     return dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONDONTWRITEBYTECODE="1")
 
 
-def _pooled(argv: list[str]) -> bool:
-    """Whether `argv` is a two-worker run of `BELOW_MINIMUM`."""
-    return argv[-2:] == ["--workers", "2"] and argv[:-2] in BELOW_MINIMUM
+def _round(round_: int) -> list[tuple[list[str], bool]]:
+    """(argv, pooled) of every command, in the order round `round_` runs
+    them: the one- and two-worker runs of each `CROSSOVER` command take
+    turns to go first. Pooled are its two-worker runs of `BELOW_MINIMUM`."""
+    runs = [(a, False) for a in ENUMERATE + LARGE + [VERIFY_ALL]]
+    for a in CROSSOVER:
+        pair = [([*a, "--workers", "1"], False), ([*a, "--workers", "2"], a in BELOW_MINIMUM)]
+        runs += pair[::-1] if round_ % 2 else pair
+    return runs
 
 
-def _key(argv: list[str]) -> str:
-    return " ".join(argv) + (" (pool minimum 0)" if _pooled(argv) else "")
+def _key(argv: list[str], pooled: bool) -> str:
+    return " ".join(argv) + (" (pool minimum 0)" if pooled else "")
 
 
-def _cli(src: str, argv: list[str]) -> tuple[float, float]:
+def _cli(src: str, argv: list[str], pooled: bool) -> tuple[float, float]:
     """Wall seconds and peak RSS (MiB) of one `python -m kfx.cli` run, or
-    of `POOLED_CLI` for a two-worker run of `BELOW_MINIMUM`."""
+    of `POOLED_CLI` if `pooled`."""
     t = time.perf_counter()
-    entry = ["-c", POOLED_CLI] if _pooled(argv) else ["-m", "kfx.cli"]
+    entry = ["-c", POOLED_CLI] if pooled else ["-m", "kfx.cli"]
     proc = subprocess.Popen([sys.executable, *entry, *argv], env=_env(src),
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
@@ -183,15 +198,15 @@ def main(argv: list[str]) -> int:
     if report["host"] != host:
         print(f"{OUTPUT.name} holds rows from {report['host']}, not {host}", file=sys.stderr)
         return 2
-    commands = [_key(a) for a in ENUMERATE + LARGE + CROSSOVER]
+    commands = [_key(*run) for run in _round(0)]
     cli = {label: {c: [] for c in commands} for label in checkouts}
     layers = {label: {run: [] for run in LAYERS} for label in checkouts}
     lemmas = {label: [] for label in checkouts}
     for round_ in range(repeat):
         order = list(checkouts.items())
         for label, src in order[::-1] if round_ % 2 else order:
-            for a in ENUMERATE + LARGE + CROSSOVER:
-                cli[label][_key(a)].append(_cli(src, a))
+            for run in _round(round_):
+                cli[label][_key(*run)].append(_cli(src, *run))
             for run in LAYERS:
                 layers[label][run].append(_layers(src, *run))
             lemmas[label].append(float(_python(src, TIME_LEMMAS)))
@@ -204,7 +219,12 @@ def main(argv: list[str]) -> int:
             "label": label,
             "cli": {c: {"wall_s": _median([w for w, _ in runs[c]], 3),
                         "peak_rss_mib": _median([m for _, m in runs[c]], 1)} for c in commands},
-            "enumerate_pass_s": round(sum(statistics.median(w for w, _ in runs[_key(a)])
+            "two_workers_faster": {
+                " ".join(a): sum(two < one for (one, _), (two, _) in zip(
+                    runs[_key([*a, "--workers", "1"], False)],
+                    runs[_key([*a, "--workers", "2"], a in BELOW_MINIMUM)]))
+                for a in CROSSOVER},
+            "enumerate_pass_s": round(sum(statistics.median(w for w, _ in runs[_key(a, False)])
                                           for a in ENUMERATE), 3),
             "in_process": [{
                 "n": n, "delta": delta, "exact": exact,
