@@ -39,9 +39,9 @@ The Wiener index W follows the same split (`wiener_index`): on trees and
 unicyclic graphs it comes from the same per-tree pass and one O(l) sum
 over the cycle with cycle distances in place of resistances
 (`wiener_from_stats`); the two cycle sums share their within-tree part.
-The oracle engine and every graph with a cycle count other than 0 or 1
-keep `graph.wiener`, a BFS from every vertex, which is also the tests'
-reference.
+An adjugate and every graph with a cycle count other than 0 or 1 keep
+`graph.wiener`, a BFS from every vertex with no elimination, which is
+also the tests' reference.
 
 Everything is exact: resistances are `fractions.Fraction`, distances are
 plain ints. No floating point anywhere.
@@ -364,11 +364,13 @@ def wiener_from_stats(l: int, stats) -> int:
 def wiener_index(g: Graph | UnicyclicRepr | Adjugate) -> int:
     """Sum of shortest-path distances over all unordered pairs: from the
     per-tree stats in O(n) where `engine_input` picks the structural
-    engine, else `graph.wiener`, a BFS from every vertex."""
+    engine, else (an adjugate too) `graph.wiener`, a BFS with no elimination."""
+    if isinstance(g, Adjugate):
+        return wiener(g.graph)
+    if isinstance(g, Graph) and g.m not in (g.n - 1, g.n):
+        return wiener(g)
     u = engine_input(g)
-    if isinstance(u, UnicyclicRepr):
-        return wiener_from_stats(u.l, u.tree_stats)
-    return wiener(u.graph)
+    return wiener_from_stats(u.l, u.tree_stats)
 
 
 def kf_from_shapes(l: int, shapes) -> Fraction:

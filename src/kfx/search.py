@@ -333,20 +333,25 @@ def _run_units(n, delta, l_filter, exact, cap, workers, keep_rows):
     pool = Pool(processes)
     try:
         yield from pool.map(_unit, args)
-    finally:  # also when the consumer stops early, a unit raises or a worker dies
-        pool.shutdown(cancel_futures=True)
+    except BaseException:  # the consumer stops early, a unit raises or a worker dies:
+        # stop without waiting for the units under way (Python 3.14's `terminate_workers`);
+        # cancel first, so the pool drops the units not started before its workers die
+        workers, manager = tuple(pool._processes.values()), pool._executor_manager_thread
+        pool.shutdown(wait=False, cancel_futures=True)
+        for worker in workers:
+            worker.terminate()
+        if manager is not None:
+            manager.join()  # it reaps the workers
+        raise
+    pool.shutdown()
 
 
-# Runs with fewer classes gain little or nothing from a pool of their own:
-# starting it costs about what a second worker saves. tools/bench_enumerate.py
-# runs each CROSSOVER command with one and two workers back to back, taking
-# turns to go first (BENCH_enumerate.json: 2-core x86-64, Python 3.11.7, 15
-# rounds each in the "after" and "before" rows). Two workers were faster in
-# 3 and 9 rounds of `search --n 14` (39,260 classes), 11 and 9 of `search
-# --n 15 --delta 4` (49,053), 10 and 11 of `search --n 15 --at-most --delta
-# 4` (60,077), and 12 to 15 of every search from 60,366 classes up: the
-# crossover lies between 39,260 and 60,077 classes.
-POOL_MIN_CLASSES = 50_000
+# Runs with fewer classes gain nothing from a pool of their own. In the two
+# "after" rows of tools/bench_enumerate.py (BENCH_enumerate.json: 2-core
+# x86-64, Python 3.11.7, 15 rounds each, one and two workers back to back),
+# two workers were faster in 9 of 30 rounds of `search --n 14` (39,260
+# classes) and in 21 of 30 of `search --n 15 --delta 4` (49,053).
+POOL_MIN_CLASSES = 45_000
 
 
 def Pool(processes: int):

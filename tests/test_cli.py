@@ -545,12 +545,12 @@ def test_a_run_past_the_pool_minimum_starts_one_pool(capsys, monkeypatch, pool_s
 
     from kfx.search import POOL_MIN_CLASSES, class_count
 
-    assert class_count(15, 4) < POOL_MIN_CLASSES <= class_count(15, 4, exact=False)
+    assert class_count(14) < POOL_MIN_CLASSES <= class_count(15, 4)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     outputs = {}
     for workers in ("1", "2"):
-        code, outputs[workers], err = run(capsys, "search", "--n", "15", "--at-most",
-                                          "--delta", "4", "--workers", workers)
+        code, outputs[workers], err = run(capsys, "search", "--n", "15", "--delta", "4",
+                                          "--workers", workers)
         assert code == 0 and err == ""
     assert pool_starts == [(2,)] and not multiprocessing.active_children()
     assert outputs["1"] == outputs["2"]
@@ -570,7 +570,7 @@ def test_workers_are_capped_at_the_cpu_count(capsys, monkeypatch, pooled):
         def map(self, fn, items):
             return map(fn, items)
 
-        def shutdown(self, cancel_futures):
+        def shutdown(self):
             pass
 
     monkeypatch.setattr(kfx.search, "Pool", InlinePool)

@@ -336,6 +336,9 @@ def test_each_oracle_entry_point_runs_one_elimination(monkeypatch):
         calls.clear()
         fn(oracle)  # quantities of one graph share its elimination
         assert calls == []
+    # W is a BFS on any graph the oracle takes: no elimination
+    assert wiener_index(k5) == wiener_index(oracle) == 10
+    assert calls == []
 
 
 def test_oracle_beyond_per_pair_sizes():
@@ -355,6 +358,7 @@ def test_oracle_entry_points_reject_disconnected():
     for fn in (
         lambda: engine_input(g, "oracle"),
         lambda: kirchhoff_index(g),
+        lambda: wiener_index(g),
         lambda: kf_vertex(g, 0),
         lambda: resistance_table(g),
         lambda: resistance(g, 0, 1),
@@ -433,9 +437,8 @@ def test_wiener_index_matches_bfs_on_trees():
         t = random_tree(n, rng)
         structural = engine_input(t, "structural")
         assert wiener_index(t) == wiener_index(structural) == wiener(t)
-        if n <= 60:  # the oracle eliminates: O(n^3)
-            assert wiener_index(engine_input(t, "oracle")) == wiener(t)
-            assert wiener_index(engine_input(structural, "oracle")) == wiener(t)  # l = 1 to_graph
+        assert wiener_index(engine_input(t, "oracle")) == wiener(t)
+        assert wiener_index(engine_input(structural, "oracle")) == wiener(t)  # l = 1 to_graph
         # the l = 1 representation: transmissions and resistances are distances
         dist = [t.bfs_distances(v) for v in range(n)]
         for v in range(n):
@@ -455,9 +458,8 @@ def test_wiener_index_matches_bfs_on_unicyclic_graphs():
         expected = wiener(g)
         assert wiener_index(g) == wiener_index(engine_input(g, "structural")) == expected
         assert wiener_index(u) == expected
-        if n <= 60:  # the oracle eliminates: O(n^3)
-            assert wiener_index(engine_input(u, "oracle")) == expected
-            assert wiener_index(engine_input(g, "oracle")) == expected
+        assert wiener_index(engine_input(u, "oracle")) == expected
+        assert wiener_index(engine_input(g, "oracle")) == expected
     for l in range(3, 12):
         cycle = make_cycle(l)
         assert wiener_index(cycle) == wiener(cycle) == (l**3 - l % 2 * l) // 8

@@ -590,6 +590,7 @@ def test_formula_only_theorem_decomposes_once(monkeypatch):
 def test_each_pooled_run_starts_and_closes_its_own_pool(monkeypatch, pool_starts, pooled):
     import multiprocessing
     import os
+    import time
 
     import kfx.search
     from kfx.search import _run_units
@@ -598,24 +599,38 @@ def test_each_pooled_run_starts_and_closes_its_own_pool(monkeypatch, pool_starts
     assert unicyclic_extremes(9, workers=2) == unicyclic_extremes(9)
     assert unicyclic_extremes(9, 4, workers=2) == unicyclic_extremes(9, 4)
     assert pool_starts == [(2,), (2,)] and not multiprocessing.active_children()
-    # ... when its consumer stops reading early
-    results = _run_units(10, None, None, True, DEFAULT_CAP, 2, False)
-    assert next(results).l == 3 and multiprocessing.active_children()
-    results.close()
-    assert len(pool_starts) == 3 and not multiprocessing.active_children()
-    # ... and when a unit raises in a worker
+    # ... when its consumer stops reading early, and when a unit raises in
+    # a worker; in both, without waiting for the units under way, which
+    # here take 30 s each
     parent, real = os.getpid(), kfx.search._unit
+
+    def slow(args):
+        if os.getpid() != parent and args[1:3] != (3, 1):
+            time.sleep(30)
+        return real(args)
 
     def failing(args):
         if os.getpid() != parent and args[1:3] == (4, 2):
             raise RuntimeError("unit failed in a worker")
+        if os.getpid() != parent and args[1:3] > (4, 2):
+            time.sleep(30)
         return real(args)
 
-    # pickled by reference, so the workers look it up as kfx.search._unit
-    failing.__module__, failing.__qualname__ = real.__module__, real.__qualname__
+    for unit in (slow, failing):
+        # pickled by reference, so the workers look it up as kfx.search._unit
+        unit.__module__, unit.__qualname__ = real.__module__, real.__qualname__
+    monkeypatch.setattr(kfx.search, "_unit", slow)
+    results = _run_units(10, None, None, True, DEFAULT_CAP, 2, False)
+    assert next(results).l == 3 and multiprocessing.active_children()
+    start = time.monotonic()
+    results.close()
+    assert time.monotonic() - start < 10
+    assert len(pool_starts) == 3 and not multiprocessing.active_children()
     monkeypatch.setattr(kfx.search, "_unit", failing)
+    start = time.monotonic()
     with pytest.raises(RuntimeError, match="in a worker"):
         unicyclic_extremes(9, workers=2)
+    assert time.monotonic() - start < 10
     assert len(pool_starts) == 4 and not multiprocessing.active_children()
 
 

@@ -68,8 +68,7 @@ LARGE = [
 ]
 # the commands whose every run is below `search.POOL_MIN_CLASSES`: the two
 # verify suites perfbench runs with two workers, searches at n = 12 to 14,
-# and degree-filtered ones at n = 14 and 15, up to (15, 4) with 49,053
-# classes
+# up to 39,260 classes, and degree-filtered ones at n = 14
 BELOW_MINIMUM = [
     ["verify", "--suite", "lemmas"],
     ["verify", "--suite", "theorem", "--n-max", "9"],
@@ -78,14 +77,14 @@ BELOW_MINIMUM = [
     ["search", "--n", "14"],
     ["search", "--n", "14", "--delta", "3"],
     ["search", "--n", "14", "--delta", "4"],
-    ["search", "--n", "15", "--delta", "4"],
 ]
 VERIFY_ALL = ["verify", "--suite", "all", "--seed", "501"]
-# the commands run with one and two workers: those below the minimum, two
-# verify passes that start a pool per run past it (theorem: 2 runs,
-# lemmas: 1), and searches from 60,077 classes up
+# the commands run with one and two workers: those below the minimum,
+# searches from 49,053 classes up, and two verify passes that start a pool
+# per run past it
 CROSSOVER = [
     *BELOW_MINIMUM,
+    ["search", "--n", "15", "--delta", "4"],
     ["verify", "--suite", "theorem", "--n-max", "16"],
     ["verify", "--suite", "lemmas", "--n-max", "15"],
     ["search", "--n", "15", "--at-most", "--delta", "4"],
