@@ -10,7 +10,6 @@ MemoryError; reported as one `error: internal: <Type>: <message>` line).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -20,13 +19,12 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import DEFAULT_CAP, CapExceededError, GraphParseError, KfxError, ParameterError
-from .families import FAMILY_NAMES, FamilyParams
 from .graph import format_edge_list, max_degree, parse_edge_list
 from .metrics import engine_input, kf_vertex, kirchhoff_index, wiener_index
 
-# `formulas`, `search` and `suites` are imported in the commands that use
-# them, so `compute` and `family` load none of them, and `search` loads no
-# suite.
+# `families`, `formulas`, `search` and `suites` are imported in the
+# commands that use them, and `csv` where CSV is written, so `compute`
+# loads none of them and `search` loads no suite and no family builder.
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -83,16 +81,23 @@ def _read_graph(path: str):
         return parse_edge_list(fh.read())
 
 
+def _csv(header: list[str], rows) -> str:
+    """The header and rows as CSV text."""
+    import csv
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _emit_record(args, record: dict, field_order: list[str]) -> None:
     """Render one flat record as table, csv, or json."""
     if args.format == "json":
         _write(args, dump_json(record))
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(field_order)
-        writer.writerow([record[k] for k in field_order])
-        _write(args, buf.getvalue())
+        _write(args, _csv(field_order, [[record[k] for k in field_order]]))
     else:
         width = max(len(k) for k in field_order)
         lines = [f"{k:<{width}}  {record[k]}" for k in field_order]
@@ -126,6 +131,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_family(args) -> int:
+    from .families import FamilyParams
+
     params = FamilyParams(
         family=args.name, n=args.n, l=args.l, delta=args.delta, x=args.x, hub_pos=args.hub_pos
     )
@@ -164,12 +171,9 @@ def cmd_search(args) -> int:
     if args.dump_all:
         rows = unicyclic_rows(*enum)
         if rows:
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(["canonical_code", "cycle_length", "kf"])
-            for code, l, _, num in rows:
-                writer.writerow([code.decode("ascii"), l, rational_str(Fraction(num, l))])
-            _write(args, buf.getvalue())
+            _write(args, _csv(["canonical_code", "cycle_length", "kf"],
+                              ([code.decode("ascii"), l, rational_str(Fraction(num, l))]
+                               for code, l, _, num in rows)))
             return EXIT_OK
         count, pick, arg = 0, None, []  # no class: the JSON report below
     else:
@@ -278,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_display(p)
 
     p = command("family", cmd_family, "generate a named family member")
-    p.add_argument("--name", required=True, choices=FAMILY_NAMES)
+    p.add_argument("--name", required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--l", type=int)
     p.add_argument("--delta", type=int)

@@ -2,7 +2,8 @@
 
 All generators emit the standard vertex numbering: cycle vertices first
 (0..l-1 in cycle order), then tail-path vertices outward from the cycle,
-then pendant vertices. Outputs are byte-reproducible.
+then pendant vertices. Outputs are byte-reproducible. `FAMILIES` names
+each family, with its builder and the parameters that builder takes.
 """
 from __future__ import annotations
 
@@ -10,20 +11,6 @@ from typing import NamedTuple
 
 from .errors import ParameterError
 from .graph import Graph
-
-FAMILY_NAMES = (
-    "cycle",
-    "path",
-    "snl",
-    "pnl",
-    "broom",
-    "pfamily",
-    "graph-a",
-    "graph-b",
-    "p3",
-    "conj-i",
-    "conj-ii",
-)
 
 
 class FamilyParams(NamedTuple):
@@ -41,37 +28,18 @@ class FamilyParams(NamedTuple):
 
 
 def build_family(p: FamilyParams) -> Graph:
-    if p.family == "cycle":
-        return make_cycle(_req(p.l if p.l is not None else p.n, "l"))
-    if p.family == "path":
-        return make_path(_req(p.n, "n"))
-    if p.family == "snl":
-        return make_s_n_l(_req(p.n, "n"), _req(p.l, "l"))
-    if p.family == "pnl":
-        return make_p_n_l(_req(p.n, "n"), _req(p.l, "l"))
-    if p.family == "broom":
-        return make_t_n_delta(_req(p.n, "n"), _req(p.delta, "delta"))
-    if p.family == "pfamily":
-        return make_p_family_member(
-            _req(p.n, "n"), _req(p.l, "l"), _req(p.delta, "delta"), _req(p.hub_pos, "hub-pos")
-        )
-    if p.family == "graph-a":
-        return make_graph_a(_req(p.n, "n"), _req(p.l, "l"), _req(p.delta, "delta"))
-    if p.family == "graph-b":
-        return make_graph_b(_req(p.n, "n"), _req(p.l, "l"), _req(p.delta, "delta"))
-    if p.family == "p3":
-        return make_p3_extremal(_req(p.n, "n"), _req(p.delta, "delta"))
-    if p.family == "conj-i":
-        return make_conj_min_i(_req(p.n, "n"), _req(p.delta, "delta"))
-    if p.family == "conj-ii":
-        return make_conj_min_ii(_req(p.n, "n"), _req(p.delta, "delta"), _req(p.x, "x"))
-    raise ParameterError(f"unknown family {p.family!r}")
-
-
-def _req(value: int | None, name: str) -> int:
-    if value is None:
-        raise ParameterError(f"family requires parameter --{name}")
-    return value
+    """The member of `FAMILIES` that p names, built from the fields its
+    builder takes; a cycle's l defaults to its n."""
+    if p.family not in FAMILIES:
+        raise ParameterError(f"unknown family {p.family!r}; known: {', '.join(FAMILIES)}")
+    builder, fields = FAMILIES[p.family]
+    if p.family == "cycle" and p.l is None:
+        p = p._replace(l=p.n)
+    args = [getattr(p, f) for f in fields]
+    for f, value in zip(fields, args):
+        if value is None:
+            raise ParameterError(f"family requires parameter --{f.replace('_', '-')}")
+    return builder(*args)
 
 
 def _cycle_edges(l: int) -> list[tuple[int, int]]:
@@ -223,3 +191,19 @@ def make_conj_min_ii(n: int, delta: int, x: int) -> Graph:
             edges.append((hub, v))
             v += 1
     return Graph(n, edges)
+
+
+# name -> (builder, the FamilyParams fields it takes, in argument order)
+FAMILIES = {
+    "cycle": (make_cycle, ("l",)),
+    "path": (make_path, ("n",)),
+    "snl": (make_s_n_l, ("n", "l")),
+    "pnl": (make_p_n_l, ("n", "l")),
+    "broom": (make_t_n_delta, ("n", "delta")),
+    "pfamily": (make_p_family_member, ("n", "l", "delta", "hub_pos")),
+    "graph-a": (make_graph_a, ("n", "l", "delta")),
+    "graph-b": (make_graph_b, ("n", "l", "delta")),
+    "p3": (make_p3_extremal, ("n", "delta")),
+    "conj-i": (make_conj_min_i, ("n", "delta")),
+    "conj-ii": (make_conj_min_ii, ("n", "delta", "x")),
+}

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import DEFAULT_CAP, CapExceededError, ParameterError
-from .families import make_p3_extremal, make_p_family_member, make_t_n_delta
+from .families import make_p_family_member, make_t_n_delta
 from .formulas import (
     conj_ii_x_range,
     conj_min_formula_i,
@@ -23,16 +23,24 @@ from .formulas import (
     wiener_broom_formula,
 )
 from .graph import Graph
-from .metrics import engine_input, kf_from_shapes, kirchhoff_index, resistance_numerator
+from .metrics import (
+    engine_input,
+    kf_from_shapes,
+    kf_from_stats,
+    kirchhoff_index,
+    resistance_numerator,
+)
 from .search import _hanging_degree, unicyclic_extremes, unicyclic_rows
 from .unicyclic import (
     Shape,
     canonical_code,
+    code_parents,
     decompose_unicyclic,
     path_shape,
     rooted_shapes,
     shape_record,
     tree_canonical_code,
+    tree_stats,
     unicyclic_from_shapes,
 )
 
@@ -111,16 +119,19 @@ def verify_theorem(
     exactly `delta` (cycle lengths satisfying n >= l+delta-2) equals the
     closed-form bound, attained uniquely by the triangle extremal graph.
 
-    Runs past the enumeration cap compare the constructed extremal graph
-    with the bound instead (formula-only mode)."""
+    The maximiser's canonical code is written from its trees: vertex 0 of
+    the triangle carries a path on n - delta vertices and delta - 3
+    pendants, and the other two are bare. Runs past the enumeration cap
+    compare the Kf folded from those trees with the bound instead
+    (formula-only mode), building no graph."""
     bound = theorem_bound(n, delta)  # raises ParameterError outside its range
-    extremal = decompose_unicyclic(make_p3_extremal(n, delta))
-    expected_code = canonical_code(extremal).decode("ascii")
+    shapes = (b"(" + path_shape(n - delta) + b"()" * (delta - 3) + b")", b"()", b"()")
+    expected_code = "3:" + b"".join(shapes).decode("ascii")
     notes: list[str] = []
     try:
         found = unicyclic_extremes(n, delta, cap=cap, workers=workers)
     except CapExceededError:
-        best = kirchhoff_index(extremal)
+        best = kf_from_stats(3, [tree_stats(code_parents(s)) for s in shapes])
         mode, count, arg = "formula-only", 1, [expected_code]
         notes.append("parameter space beyond the enumeration cap; compared the"
                      " constructed extremal graph against the closed-form bound")

@@ -425,6 +425,26 @@ def test_a_huge_n_is_refused_within_a_small_address_space():
     assert proc.stderr == "error: more than 5000000 isomorphism classes\n"
 
 
+def test_a_formula_only_theorem_at_n_4000000_fits_a_small_address_space():
+    # formula-only folds Kf from the extremal graph's three trees and builds
+    # no graph: under 1 GiB of address space and 60 s (about 4 s and 230 MiB
+    # peak on a 2-core x86-64 host; the built graph ran out of memory)
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {k: v for k, v in os.environ.items() if k != "KFX_CAP"}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run([sys.executable, "-m", "kfx.cli", "verify", "--suite", "theorem",
+                           "--n", "4000000", "--delta", "5"],
+                          capture_output=True, text=True, env=env, preexec_fn=limit, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rep = json.loads(proc.stdout)["theorem"][0]
+    assert (rep["mode"], rep["verdict"]) == ("formula-only", "match")
+    assert rep["expected_code"] == "3:(" + "(" * 3999995 + ")" * 3999995 + "()())()()"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["search", "--n", "20", "--delta", "4", "--cap", "1000"], "more than 1000 isomorphism classes"),
     (["conjecture", "--n", "20", "--delta", "4"], "more than 5000000 isomorphism classes"),
@@ -509,10 +529,21 @@ def test_compute_and_family_load_no_enumeration_stack(tmp_path):
     path.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
     added = modules_added_by(["compute", "--input", str(path)], tmp_path)
     assert "kfx.metrics" in added
-    assert not added & {"kfx.search", "kfx.suites", "kfx.formulas", "multiprocessing", "dataclasses"}
+    assert not added & {"kfx.search", "kfx.suites", "kfx.formulas", "kfx.families", "csv",
+                        "multiprocessing", "dataclasses"}
+    added = modules_added_by(["search", "--n", "10"], tmp_path)
+    assert "kfx.search" in added
+    assert not added & {"kfx.families", "kfx.suites", "csv"}
     added = modules_added_by(["family", "--name", "cycle", "--n", "5"], tmp_path)
     assert "kfx.families" in added
     assert not added & {"kfx.search", "kfx.suites", "multiprocessing"}
+
+
+def test_an_unknown_family_exits_3_and_lists_the_known_names(capsys):
+    code, out, err = run(capsys, "family", "--name", "bogus")
+    assert (code, out) == (3, "")
+    assert err == ("error: unknown family 'bogus'; known: cycle, path, snl, pnl, broom,"
+                   " pfamily, graph-a, graph-b, p3, conj-i, conj-ii\n")
 
 
 def test_the_enumerator_loads_no_suite_or_graph_construction():

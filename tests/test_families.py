@@ -4,6 +4,7 @@ import pytest
 
 from kfx.errors import ParameterError
 from kfx.families import (
+    FAMILIES,
     FamilyParams,
     make_conj_min_i,
     make_conj_min_ii,
@@ -142,8 +143,62 @@ def test_family_params_dispatch():
     assert code_of(g) == code_of(make_p3_extremal(6, 3))
     with pytest.raises(ParameterError):
         FamilyParams(family="p3", n=6).build()
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^unknown family 'nope'; known: cycle, path, "):
         FamilyParams(family="nope", n=6).build()
+
+
+# each family name and the builder call it stands for, given every parameter
+NAMED_BUILDERS = {
+    "cycle": lambda n, l, delta, x, hub_pos: make_cycle(l),
+    "path": lambda n, l, delta, x, hub_pos: make_path(n),
+    "snl": lambda n, l, delta, x, hub_pos: make_s_n_l(n, l),
+    "pnl": lambda n, l, delta, x, hub_pos: make_p_n_l(n, l),
+    "broom": lambda n, l, delta, x, hub_pos: make_t_n_delta(n, delta),
+    "pfamily": lambda n, l, delta, x, hub_pos: make_p_family_member(n, l, delta, hub_pos),
+    "graph-a": lambda n, l, delta, x, hub_pos: make_graph_a(n, l, delta),
+    "graph-b": lambda n, l, delta, x, hub_pos: make_graph_b(n, l, delta),
+    "p3": lambda n, l, delta, x, hub_pos: make_p3_extremal(n, delta),
+    "conj-i": lambda n, l, delta, x, hub_pos: make_conj_min_i(n, delta),
+    "conj-ii": lambda n, l, delta, x, hub_pos: make_conj_min_ii(n, delta, x),
+}
+
+
+def outcome(build):
+    try:
+        return build()
+    except ParameterError as exc:
+        return str(exc)
+
+
+def test_every_family_builds_what_its_builder_builds():
+    assert list(FAMILIES) == list(NAMED_BUILDERS)
+    built = 0
+    for n in range(4, 10):
+        for l in range(3, n + 1):
+            for delta in range(3, n):
+                for x in (1, 2):
+                    for hub_pos in range(0, n - l - delta + 3):
+                        params = {"n": n, "l": l, "delta": delta, "x": x, "hub_pos": hub_pos}
+                        for name, builder in NAMED_BUILDERS.items():
+                            got = outcome(FamilyParams(name, **params).build)
+                            assert got == outcome(lambda: builder(**params)), (name, params)
+                            built += not isinstance(got, str)
+    assert built > 1000
+    # a cycle reads --n when --l is absent, and --l first
+    assert FamilyParams("cycle", n=6).build() == make_cycle(6)
+    assert FamilyParams("cycle", n=6, l=5).build() == make_cycle(5)
+
+
+def test_a_missing_parameter_is_named():
+    full = {"n": 12, "l": 4, "delta": 4, "x": 2, "hub_pos": 1}
+    for name, (_, fields) in FAMILIES.items():
+        for f in fields:
+            params = {k: v for k, v in full.items() if k != f}
+            if name == "cycle":
+                params.pop("n")
+            with pytest.raises(ParameterError) as info:
+                FamilyParams(name, **params).build()
+            assert str(info.value) == f"family requires parameter --{f.replace('_', '-')}"
 
 
 def test_family_params_is_an_immutable_value():

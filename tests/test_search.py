@@ -568,23 +568,40 @@ def test_lemma_suite_builds_each_pendant_tadpole_once(monkeypatch):
     assert len(set(calls)) == len(calls) == 50
 
 
-def test_formula_only_theorem_decomposes_once(monkeypatch):
+def test_formula_only_theorem_builds_no_graph(monkeypatch):
+    import kfx.graph
     import kfx.metrics
     import kfx.suites
     import kfx.unicyclic
 
-    real = kfx.unicyclic.decompose_unicyclic
     calls = []
+    real_init = kfx.graph.Graph.__init__
 
-    def counted(g):
-        calls.append(g.n)
-        return real(g)
+    def counted_init(self, *args):
+        calls.append("Graph")
+        real_init(self, *args)
 
     for module in (kfx.unicyclic, kfx.metrics, kfx.suites):
-        monkeypatch.setattr(module, "decompose_unicyclic", counted)
+        monkeypatch.setattr(module, "decompose_unicyclic", lambda g: calls.append("decompose"))
+    monkeypatch.setattr(kfx.graph.Graph, "__init__", counted_init)
     rep = verify_theorem(700, 5)
     assert rep.mode == "formula-only" and rep.verdict == "match"
-    assert calls == [700]
+    assert calls == []
+
+
+def test_theorem_code_and_kf_come_from_the_extremal_trees():
+    # formula-only (cap 0) writes the maximiser's code from its trees and
+    # folds its Kf from them; both equal those of the built graph
+    from kfx.families import make_p3_extremal
+    from kfx.metrics import kirchhoff_index
+
+    for n in range(4, 41):
+        for delta in range(3, n):
+            u = decompose_unicyclic(make_p3_extremal(n, delta))
+            rep = verify_theorem(n, delta, cap=0)
+            assert rep.mode == "formula-only" and rep.verdict == "match"
+            assert rep.expected_code == canonical_code(u).decode("ascii")
+            assert rep.extremal_value == kirchhoff_index(u)
 
 
 def test_each_pooled_run_starts_and_closes_its_own_pool(monkeypatch, pool_starts, pooled):
