@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -258,7 +257,7 @@ def _add_display(sub: argparse.ArgumentParser) -> None:
 
 def _add_enumeration(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--cap", type=int, default=None, help="enumeration class cap")
+    sub.add_argument("--cap", type=int, default=DEFAULT_CAP, help="enumeration class cap")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,20 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cap(cap: int | None) -> int:
-    """The enumeration cap: `--cap`, else `KFX_CAP`, else the default."""
-    source = "--cap"
-    if cap is None:
-        source, raw = "KFX_CAP", os.environ.get("KFX_CAP", str(DEFAULT_CAP))
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ParameterError(f"KFX_CAP must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise ParameterError(f"{source} must be >= 0, got {cap}")
-    return cap
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -346,7 +331,8 @@ def main(argv: list[str] | None = None) -> int:
             return args.fn(args)
         if args.workers < 1:
             raise ParameterError(f"--workers must be >= 1, got {args.workers}")
-        args.cap = _cap(args.cap)
+        if args.cap < 0:
+            raise ParameterError(f"--cap must be >= 0, got {args.cap}")
         return args.fn(args)
     except GraphParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

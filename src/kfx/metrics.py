@@ -73,28 +73,24 @@ __all__ = [
 ]
 
 
-def det_bareiss(rows: list[list[int]], alongside: list[list[int]] | None = None) -> int:
+def det_bareiss(rows: list[list[int]], adjugate: list[list[int]] | None = None) -> int:
     """Determinant of a square integer matrix M by fraction-free elimination.
 
-    All intermediate quantities stay integral; divisions are exact. Rows in
-    `alongside` (one per row of M) go through the same Gauss-Jordan steps
-    in place and end as adj(M) B, B being their value on entry (unspecified
-    if det M = 0); B = I gives the adjugate. `rows` is not modified.
+    All intermediate quantities stay integral; divisions are exact. A list
+    given as `adjugate` is filled with adj(M) (unspecified if det M = 0):
+    the identity goes through the same Gauss-Jordan steps beside M. `rows`
+    is not modified.
 
-    A column of B joins the elimination at the first step whose pivot row
-    is nonzero in it; until then every step has only scaled it, so it is
-    B's column times the last pivot. Identity column k thus joins at the
-    step that pivots on M's row k, not at step 0.
+    Identity column k joins the elimination at the step that pivots on M's
+    row k, as `prev` in the pivot row: until then every step has only
+    scaled it, and it is nonzero in M's row k alone.
 
     A row whose entry in the pivot column is already zero is only scaled by
     pivot / prev, and left alone when the two are equal.
     """
     n = len(rows)
     a = [list(row) for row in rows]
-    at = list(range(n))  # the row of M (and of B) now at each position
-    extra = alongside or []
-    waiting = [True] * (len(extra[0]) if extra else 0)
-    joined: list[int] = []  # columns of B in the order they joined
+    at = list(range(n))  # the row of M now at each position
     sign = prev = 1
     for k in range(n):
         if a[k][k] == 0:
@@ -106,14 +102,9 @@ def det_bareiss(rows: list[list[int]], alongside: list[list[int]] | None = None)
                     break
             else:
                 return 0
-        if extra:
-            new = [j for j, x in enumerate(extra[at[k]]) if x and waiting[j]]
-            for j in new:
-                waiting[j] = False
-            joined += new
-            for j in new:
-                for row, i in zip(a, at):
-                    row.append(prev * extra[i][j])
+        if adjugate is not None:
+            for i, row in enumerate(a):
+                row.append(prev if i == k else 0)
         pivot = a[k][k]
         tail = a[k][k + 1:]
         for i, row in enumerate(a):
@@ -126,10 +117,9 @@ def det_bareiss(rows: list[list[int]], alongside: list[list[int]] | None = None)
             elif pivot != prev:
                 row[k + 1:] = [pivot * x // prev for x in row[k + 1:]]
         prev = pivot
-    for out, row in zip(extra, a):
-        out[:] = [0] * len(waiting)
-        for j, x in zip(joined, row[n:]):
-            out[j] = sign * x
+    if adjugate is not None:  # identity column at[i] sits at n + i
+        cols = sorted(range(n), key=at.__getitem__)
+        adjugate[:] = [[sign * row[n + i] for i in cols] for row in a]
     return sign * prev
 
 
@@ -185,7 +175,7 @@ def _grounded_adjugate(g: Graph | UnicyclicRepr | Adjugate) -> Adjugate:
     if isinstance(g, Adjugate):
         return g
     g, at = g.to_graph() if isinstance(g, UnicyclicRepr) else (g, range(g.n))
-    adj = [[int(i == j) for j in range(g.n - 1)] for i in range(g.n - 1)]
+    adj: list[list[int]] = []
     tau = det_bareiss(_grounded_laplacian(g), adj)
     if tau == 0:
         raise NotConnectedError(f"graph on {g.n} vertices is not connected")

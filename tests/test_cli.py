@@ -1,6 +1,5 @@
 import argparse
 import hashlib
-import io
 import json
 import os
 import subprocess
@@ -220,26 +219,17 @@ def test_output_flag(capsys, tmp_path):
     assert json.loads(target.read_text())["value"] == "10/1"
 
 
-def test_cap_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("KFX_CAP", "5")
-    code, _, _ = run(capsys, "search", "--n", "9")
-    assert code == 4
-    code, _, _ = run(capsys, "search", "--n", "9", "--cap", "1000000")
-    assert code == 0
-
-
-@pytest.mark.parametrize("argv", [["search", "--n", "5"], ["compute", "--input", "-"]])
-def test_cap_env_var_not_an_integer(capsys, monkeypatch, argv):
-    # an unreadable KFX_CAP is an invalid parameter (exit 3), not a traceback,
-    # for the commands that enumerate; compute enumerates nothing and ignores it
+def test_the_environment_changes_no_run(capsys, monkeypatch):
+    # the cap comes from --cap alone: an ambient KFX_CAP, valid or not, is ignored
+    monkeypatch.delenv("KFX_CAP", raising=False)
+    theorem = ["verify", "--suite", "theorem", "--n-max", "6"]
+    unset = run(capsys, *theorem)
+    search = run(capsys, "search", "--n", "5")
+    assert unset[0] == search[0] == 0
+    monkeypatch.setenv("KFX_CAP", "3")
+    assert run(capsys, *theorem) == unset
     monkeypatch.setenv("KFX_CAP", "abc")
-    monkeypatch.setattr("sys.stdin", io.StringIO("3 3\n0 1\n1 2\n0 2\n"))
-    code, out, err = run(capsys, *argv)
-    if argv[0] == "compute":
-        assert (code, err) == (0, "") and "\nkf          2\n" in out
-    else:
-        assert (code, out) == (3, "")
-        assert err == "error: KFX_CAP must be an integer, got 'abc'\n"
+    assert run(capsys, "search", "--n", "5") == search
 
 
 @pytest.mark.parametrize("given", [["--n", "700"], ["--delta", "5"]])
@@ -286,31 +276,30 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, argv):
 ONLY_THEOREM = "verify takes --n and --delta only with --suite theorem, without --n-max"
 
 
-@pytest.mark.parametrize("argv, kfx_cap, message", [
-    (["verify", "--suite", "lemmas", "--n", "12", "--delta", "5"], None, ONLY_THEOREM),
-    (["verify", "--n", "6", "--delta", "3"], None, ONLY_THEOREM),
-    (["verify", "--suite", "theorem", "--n", "6", "--delta", "3", "--n-max", "9"], None,
-     ONLY_THEOREM),
-    (["verify", "--suite", "engines", "--random", "-1"], None, "--random must be >= 0, got -1"),
-    (["search", "--n", "8", "--workers", "0"], None, "--workers must be >= 1, got 0"),
-    (["search", "--n", "6", "--workers", "-3"], None, "--workers must be >= 1, got -3"),
-    (["search", "--n", "6", "--cap", "-1"], None, "--cap must be >= 0, got -1"),
-    (["conjecture", "--n", "6", "--delta", "3"], "-1", "KFX_CAP must be >= 0, got -1"),
-    (["formula", "--name", "kf-cycle", "--l", "5", "--variant", "printed"], None,
+INVALID_PARAMETERS = [
+    (["verify", "--suite", "lemmas", "--n", "12", "--delta", "5"], ONLY_THEOREM),
+    (["verify", "--n", "6", "--delta", "3"], ONLY_THEOREM),
+    (["verify", "--suite", "theorem", "--n", "6", "--delta", "3", "--n-max", "9"], ONLY_THEOREM),
+    (["verify", "--suite", "engines", "--random", "-1"], "--random must be >= 0, got -1"),
+    (["search", "--n", "8", "--workers", "0"], "--workers must be >= 1, got 0"),
+    (["search", "--n", "6", "--workers", "-3"], "--workers must be >= 1, got -3"),
+    (["search", "--n", "6", "--cap", "-1"], "--cap must be >= 0, got -1"),
+    (["conjecture", "--n", "6", "--delta", "3", "--cap", "-1"], "--cap must be >= 0, got -1"),
+    (["formula", "--name", "kf-cycle", "--l", "5", "--variant", "printed"],
      "--variant applies to formula kf-b only, not kf-cycle"),
-    (["verify", "--suite", "theorem", "--n-max", "3"], None,
+    (["verify", "--suite", "theorem", "--n-max", "3"],
      "--n-max must be >= 4 for suite theorem, got 3"),
-    (["verify", "--suite", "lemmas", "--n-max", "0"], None,
-     "--n-max must be >= 4 for suite lemmas, got 0"),
-    (["verify", "--n-max", "3"], None, "--n-max must be >= 4 for suite all, got 3"),
-    (["verify", "--suite", "engines", "--n-max", "2"], None,
+    (["verify", "--suite", "lemmas", "--n-max", "0"], "--n-max must be >= 4 for suite lemmas, got 0"),
+    (["verify", "--n-max", "3"], "--n-max must be >= 4 for suite all, got 3"),
+    (["verify", "--suite", "engines", "--n-max", "2"],
      "--n-max must be >= 3 for suite engines, got 2"),
-])
-def test_out_of_range_input_is_an_invalid_parameter(capsys, monkeypatch, argv, kfx_cap, message):
-    if kfx_cap is None:
-        monkeypatch.delenv("KFX_CAP", raising=False)
-    else:
-        monkeypatch.setenv("KFX_CAP", kfx_cap)
+]
+
+
+# the ids the cases have long had in test reports, kept stable
+@pytest.mark.parametrize("argv, message", INVALID_PARAMETERS,
+                         ids=[f"argv{i}-None-{m}" for i, (_, m) in enumerate(INVALID_PARAMETERS)])
+def test_out_of_range_input_is_an_invalid_parameter(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (3, "", f"error: {message}\n")
 
@@ -409,40 +398,55 @@ def test_search_refuses_oversized_runs_up_front(capsys, argv):
     assert err == f"error: more than {argv[-1]} isomorphism classes\n"
 
 
-def test_a_huge_n_is_refused_within_a_small_address_space():
-    # the cycle lengths stay a range, so n = 10^9 reaches the cap check
-    # with no list of 10^9 lengths behind it
-    import resource
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    env = {k: v for k, v in os.environ.items() if k != "KFX_CAP"}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-m", "kfx.cli", "search", "--n", "1000000000"],
-                          capture_output=True, text=True, env=env, preexec_fn=limit, timeout=60)
-    assert (proc.returncode, proc.stdout) == (4, "")
-    assert proc.stderr == "error: more than 5000000 isomorphism classes\n"
-
-
-def test_a_formula_only_theorem_at_n_4000000_fits_a_small_address_space():
-    # formula-only folds Kf from the extremal graph's three trees and builds
-    # no graph: under 1 GiB of address space and 60 s (about 4 s and 230 MiB
-    # peak on a 2-core x86-64 host; the built graph ran out of memory)
-    import resource
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    env = {k: v for k, v in os.environ.items() if k != "KFX_CAP"}
-    env["PYTHONPATH"] = str(SRC)
-    proc = subprocess.run([sys.executable, "-m", "kfx.cli", "verify", "--suite", "theorem",
-                           "--n", "4000000", "--delta", "5"],
-                          capture_output=True, text=True, env=env, preexec_fn=limit, timeout=60)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    rep = json.loads(proc.stdout)["theorem"][0]
+def _theorem_at_4000000(out: str) -> None:
+    rep = json.loads(out)["theorem"][0]
     assert (rep["mode"], rep["verdict"]) == ("formula-only", "match")
     assert rep["expected_code"] == "3:(" + "(" * 3999995 + ")" * 3999995 + "()())()()"
+
+
+def _long_cycle(out: str) -> None:
+    payload = json.loads(out)
+    assert (payload["graph_count"], payload["extremal_value"]) == (601, "287526191/2")
+
+
+CAPPED = ("", "error: more than 5000000 isomorphism classes\n")
+
+
+# Each command runs under a 1 GiB RLIMIT_AS, which is the memory gate: peak
+# RSS is not bounded here, because a child forked from the pytest process
+# reports its parent's size as its own. Each row: argv, exit code, the
+# expected (stdout, stderr) or a check of stdout with stderr empty, and a
+# time bound in seconds, generous against the times on a 2-core x86-64 host.
+SMALL_ADDRESS_SPACE = [
+    # the cycle lengths stay a range, so n = 10^9 reaches the cap check with
+    # no list of 10^9 lengths behind it (about 0.15 s)
+    (["search", "--n", "1000000000"], 4, CAPPED, 30),
+    (["search", "--n", "1000000000", "--delta", "5"], 4, CAPPED, 30),
+    # formula-only folds Kf from the extremal graph's three trees and builds
+    # no graph (about 4 s and 230 MiB; the built graph ran out of memory)
+    (["verify", "--suite", "theorem", "--n", "4000000", "--delta", "5"], 0,
+     _theorem_at_4000000, 60),
+    (["search", "--n", "1200", "--l", "1198"], 0, _long_cycle, 30),  # about 0.17 s
+]
+
+
+@pytest.mark.parametrize("argv, code, expect, seconds", SMALL_ADDRESS_SPACE,
+                         ids=[" ".join(argv) for argv, *_ in SMALL_ADDRESS_SPACE])
+def test_fits_a_small_address_space(argv, code, expect, seconds):
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "kfx.cli", *argv], capture_output=True,
+                          text=True, env=env, preexec_fn=limit, timeout=seconds)
+    assert proc.returncode == code, proc.stderr
+    if callable(expect):
+        assert proc.stderr == ""
+        expect(proc.stdout)
+    else:
+        assert (proc.stdout, proc.stderr) == expect
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -453,7 +457,6 @@ def test_cap_is_checked_before_any_catalog(capsys, monkeypatch, argv, message):
     def no_catalog(*args):
         raise AssertionError("tree catalog built")
 
-    monkeypatch.delenv("KFX_CAP", raising=False)
     monkeypatch.setattr("kfx.search._alphabet", no_catalog)
     code, out, err = run(capsys, *argv)
     assert code == 4

@@ -82,6 +82,28 @@ def test_p_family_member_shapes():
         make_p_family_member(6, 3, 4, 1)
 
 
+def test_every_p_family_member_has_max_degree_delta():
+    # on the grid 4 <= n < 30: each member's hub has degree delta and no
+    # other vertex more than 3, and the one refusal is the tail-end hub at
+    # n = l + delta - 1, whose tail would be empty
+    built, refused = 0, set()
+    for n in range(4, 30):
+        for l in range(3, n + 1):
+            for delta in range(3, n):
+                for hub_pos in range(0, n - l - delta + 3):
+                    try:
+                        g = make_p_family_member(n, l, delta, hub_pos)
+                    except ParameterError as exc:
+                        assert str(exc) == "requested degree unreachable at this position"
+                        refused.add((n, l, delta, hub_pos))
+                        continue
+                    assert max_degree(g) == delta, (n, l, delta, hub_pos)
+                    built += 1
+    assert refused == {(l + delta - 1, l, delta, 1) for l in range(3, 28)
+                       for delta in range(3, 31 - l)}
+    assert built == 23426
+
+
 def test_graph_a_matches_triangle_extremal():
     for n, delta in [(6, 3), (8, 4), (10, 5)]:
         assert code_of(make_graph_a(n, 3, delta)) == code_of(make_p3_extremal(n, delta))
