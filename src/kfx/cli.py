@@ -166,9 +166,11 @@ def cmd_formula(args) -> int:
 def cmd_search(args) -> int:
     from .search import unicyclic_extremes, unicyclic_rows
 
+    if args.n < 3:
+        raise ParameterError(f"--n must be >= 3, got {args.n}")  # no unicyclic graph is smaller
     enum = (args.n, args.delta, args.l, not args.at_most, args.cap, args.workers)
     if args.dump_all:
-        rows = unicyclic_rows(*enum)
+        rows = sorted(unicyclic_rows(*enum))
         if rows:
             _write(args, _csv(["canonical_code", "cycle_length", "kf"],
                               ([code.decode("ascii"), l, rational_str(Fraction(num, l))]
@@ -194,6 +196,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .search import class_count
     from .suites import check_lemma_properties, engine_equivalence_suite, verify_theorem
 
     if (args.n is None) != (args.delta is None):
@@ -205,6 +208,10 @@ def cmd_verify(args) -> int:
         raise ParameterError(f"--n-max must be >= {floor} for suite {args.suite}, got {args.n_max}")
     if args.random < 0:
         raise ParameterError(f"--random must be >= 0, got {args.random}")
+    n_max = args.n_max if args.n_max is not None else 8  # of the lemma and engine sweeps
+    # the class count grows with n, so n_max meets the cap before any section runs
+    if args.suite != "theorem" and class_count(n_max, cap=args.cap) > args.cap:
+        raise CapExceededError(f"more than {args.cap} isomorphism classes")
     payload: dict = {"suite": args.suite}
     mismatch = False
     if args.suite in ("theorem", "all"):
@@ -212,15 +219,14 @@ def cmd_verify(args) -> int:
         if args.n is not None:
             pairs = [(args.n, args.delta)]
         else:
-            n_max = args.n_max if args.n_max is not None else 9
-            pairs = [(n, d) for n in range(4, n_max + 1) for d in range(3, n)]
+            top = args.n_max if args.n_max is not None else 9
+            pairs = [(n, d) for n in range(4, top + 1) for d in range(3, n)]
         for n, d in pairs:
             rep = verify_theorem(n, d, cap=args.cap, workers=args.workers)
             reports.append(rep.to_dict())
             if rep.verdict != "match":
                 mismatch = True
         payload["theorem"] = reports
-    n_max = args.n_max if args.n_max is not None else 8
     if args.suite in ("engines", "all"):
         section = engine_equivalence_suite(n_max, args.random, args.seed, cap=args.cap)
         payload["engines"] = section

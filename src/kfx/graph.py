@@ -18,20 +18,8 @@ class Graph:
     __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if n < 1:
-            raise ValueError(f"vertex count must be positive, got {n}")
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
+        self.edges: tuple[tuple[int, int], ...] = _checked_edges(n, edges)
         nbr: list[list[int]] = [[] for _ in range(n)]
         for u, v in self.edges:
             nbr[u].append(v)
@@ -93,6 +81,24 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _checked_edges(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The edges as sorted (u, v) pairs with u < v; ValueError for n < 1, a
+    loop, an endpoint outside 0..n-1 or a repeated edge."""
+    if n < 1:
+        raise ValueError(f"vertex count must be positive, got {n}")
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise ValueError(f"duplicate edge {e}")
+        seen.add(e)
+    return tuple(sorted(seen))
+
+
 def max_degree(g: Graph) -> int:
     return max(len(a) for a in g.adj)
 
@@ -115,19 +121,12 @@ def wiener(g: Graph) -> int:
     return total
 
 
-def wiener_vertex(g: Graph, v: int) -> int:
-    """Sum of shortest-path distances from v to every other vertex."""
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
-    g.require_connected()
-    return sum(g.bfs_distances(v))
-
-
 def parse_edge_list(text: str) -> Graph:
     """Parse the artifact's edge-list format.
 
     First data line is `n m`, then m lines `u v` (0-based). `#` starts a
-    comment; blank lines are ignored.
+    comment; blank lines are ignored. Fewer than n - 1 valid edges raise
+    NotConnectedError before any per-vertex list is built.
     """
     lines: Iterator[list[str]] = (
         stripped.split()
@@ -155,6 +154,9 @@ def parse_edge_list(text: str) -> Graph:
     if len(edges) != m:
         raise GraphParseError(f"header announced {m} edges, found {len(edges)}")
     try:
+        if m < n - 1:  # no graph this sparse is connected
+            _checked_edges(n, edges)
+            raise NotConnectedError(f"graph on {n} vertices is not connected")
         return Graph(n, edges)
     except ValueError as exc:
         raise GraphParseError(str(exc)) from None

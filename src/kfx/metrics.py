@@ -3,10 +3,10 @@
 Two independent engines compute effective resistances, and
 `engine_input(g, engine)` is the one place that picks between them: it
 returns g as that engine reads it, a `UnicyclicRepr` or an `Adjugate`.
-`kirchhoff_index`, `kf_vertex`, `wiener_index`, `resistance` and
-`resistance_table` take what it returns (or a graph, which they pass
-through it under "auto") and answer by its type, so several quantities of
-one graph share one decomposition or one elimination.
+`kirchhoff_index`, `kf_vertex`, `wiener_index` and `resistance` take what
+it returns (or a graph, which they pass through it under "auto") and
+answer by its type, so several quantities of one graph share one
+decomposition or one elimination.
 
 * the *oracle* engine works on any connected graph: one fraction-free
   (Bareiss) elimination of the grounded Laplacian gives the spanning-tree
@@ -17,9 +17,8 @@ one graph share one decomposition or one elimination.
   cut-vertex decomposition: tree distances in series with the two
   parallel cycle arcs. A `UnicyclicRepr` folds every hanging tree once
   into its (size, root depth sum, Wiener index); Kf is one O(l) sum over
-  the cycle from those (`kf_from_stats`), and the same sum serves
-  enumerated tuples of shape codes (`kf_from_shapes`), whose tree numbers
-  the shape catalog already holds. `kf_vertex` reroots the same numbers
+  the cycle from those (`kf_from_stats`), the sum that enumeration folds
+  from the shape catalog's records. `kf_vertex` reroots the same numbers
   at one vertex in O(n) (Klein & Randic, "Resistance distance", 1993).
   `resistance_numerator` answers single pairs as the integer l R(a, b)
   from the positions and depths the representation holds.
@@ -49,27 +48,24 @@ plain ints. No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import Mapping, NamedTuple
 
 from .errors import EngineMismatchError, NotConnectedError, ParameterError
 from .graph import Graph, wiener
-from .unicyclic import UnicyclicRepr, decompose_unicyclic, orient, shape_record
+from .unicyclic import UnicyclicRepr, decompose_unicyclic, orient
 
 __all__ = [
     "Adjugate",
     "det_bareiss",
-    "spanning_tree_count",
     "resistance",
     "resistance_numerator",
     "kirchhoff_index",
     "kf_vertex",
     "engine_input",
-    "kf_from_shapes",
     "kf_from_stats",
     "wiener_index",
     "wiener_from_stats",
-    "resistance_table",
 ]
 
 
@@ -132,11 +128,6 @@ def _grounded_laplacian(g: Graph) -> list[list[int]]:
         lap[u][u] += 1
         lap[v][v] += 1
     return [row[1:] for row in lap[1:]]
-
-
-def spanning_tree_count(g: Graph) -> int:
-    """Matrix-tree theorem: determinant of any principal Laplacian minor."""
-    return det_bareiss(_grounded_laplacian(g))
 
 
 class Adjugate(NamedTuple):
@@ -361,16 +352,3 @@ def wiener_index(g: Graph | UnicyclicRepr | Adjugate) -> int:
         return wiener(g)
     u = engine_input(g)
     return wiener_from_stats(u.l, u.tree_stats)
-
-
-def kf_from_shapes(l: int, shapes) -> Fraction:
-    """Kirchhoff index of the unicyclic graph given by an l-tuple of
-    rooted-tree shapes, from their catalog records."""
-    return kf_from_stats(l, [shape_record(s)[:3] for s in shapes])
-
-
-def resistance_table(g: Graph | UnicyclicRepr | Adjugate) -> dict[tuple[int, int], Fraction]:
-    """Resistance of every vertex pair (a, b), a < b, by the engine
-    `engine_input` picks."""
-    u = engine_input(g)
-    return {(a, b): resistance(u, a, b) for a, b in combinations(sorted(_vertices(u)), 2)}

@@ -18,7 +18,7 @@ Each unit computes every class's Kf as it is generated, as the exact
 integer N = l * Kf, and reduces its classes in place: it returns its class
 count and its least and greatest N with the codes reaching them.
 `unicyclic_extremes` merges these reductions, so its memory does not grow
-with the class count; only `unicyclic_rows` lists every class.
+with the class count; `unicyclic_rows` yields each unit's rows as it ends.
 
 The enumeration cap counts classes. Every run compares one number with
 it, before any tree catalog is built: the number of classes it
@@ -33,7 +33,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import DEFAULT_CAP, CapExceededError
 from .unicyclic import Shape, ShapeRecord, rooted_shapes
@@ -330,18 +330,21 @@ def _run_units(n, delta, l_filter, exact, cap, workers, keep_rows):
     if count < POOL_MIN_CLASSES or processes < 2 or len(args) < 2:
         yield from map(_unit, args)
         return
+    from multiprocessing import active_children
+
+    before = set(active_children())
     pool = Pool(processes)
     try:
-        yield from pool.map(_unit, args)
+        futures = [pool.submit(_unit, a) for a in args][::-1]  # the first forks the workers
+        while futures:
+            yield futures.pop().result()
     except BaseException:  # the consumer stops early, a unit raises or a worker dies:
-        # stop without waiting for the units under way (Python 3.14's `terminate_workers`);
-        # cancel first, so the pool drops the units not started before its workers die
-        workers, manager = tuple(pool._processes.values()), pool._executor_manager_thread
-        pool.shutdown(wait=False, cancel_futures=True)
-        for worker in workers:
+        # stop without waiting for the units under way; the pool, finding its
+        # workers gone, fails the units left and reaps them. None is cancelled:
+        # Python 3.11's pool raises InvalidStateError failing a cancelled one
+        for worker in set(active_children()) - before:
             worker.terminate()
-        if manager is not None:
-            manager.join()  # it reaps the workers
+        pool.shutdown()
         raise
     pool.shutdown()
 
@@ -358,7 +361,7 @@ def Pool(processes: int):
     """A process pool whose workers are forked, so they inherit the catalog
     `_alphabet` holds. It is imported when a run first starts one, so runs
     that stay in one process never load `multiprocessing`. A worker that
-    dies breaks the pool: its `map` raises BrokenProcessPool."""
+    dies breaks the pool: reading a unit not yet done raises BrokenProcessPool."""
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
@@ -372,17 +375,15 @@ def unicyclic_rows(
     exact: bool = True,
     cap: int = DEFAULT_CAP,
     workers: int = 1,
-) -> list[Row]:
-    """A (code, l, shapes, N = l * Kf) row per isomorphism class of
+) -> Iterator[Row]:
+    """Yield a (code, l, shapes, N = l * Kf) row per isomorphism class of
     connected unicyclic graphs on n vertices (max degree exactly `delta`
-    when given, or at most `delta` with exact=False), sorted by canonical
-    code; the shapes are the class's canonical tuple, and
-    `unicyclic_from_shapes` builds its graph. Runs with more than `cap`
-    classes raise CapExceededError."""
-    rows = [row for result in _run_units(n, delta, l_filter, exact, cap, workers, True)
-            for row in result.rows]
-    rows.sort()
-    return rows
+    when given, or at most `delta` with exact=False), one work unit's rows
+    at a time, in unit order and unsorted; the shapes are the class's
+    canonical tuple, and `unicyclic_from_shapes` builds its graph. Runs
+    with more than `cap` classes raise CapExceededError."""
+    for result in _run_units(n, delta, l_filter, exact, cap, workers, True):
+        yield from result.rows
 
 
 class Extremes(NamedTuple):
@@ -432,7 +433,7 @@ def unicyclic_extremes(
     workers: int = 1,
 ) -> Extremes:
     """The class count and the least and greatest Kf of the classes
-    `unicyclic_rows` would list, with their codes. Each work unit
+    `unicyclic_rows` would yield, with their codes. Each work unit
     reduces its own classes, so no class map is built."""
     return _merge(_run_units(n, delta, l_filter, exact, cap, workers, False))
 

@@ -1,18 +1,20 @@
 """Test-only oracles for the enumeration in `kfx.search`: a labeled brute
 force that never walks shape tuples, a brute force over every tree tuple
 of one work unit, one representative per free-tree class, a code-keyed
-view of `unicyclic_rows`, and the rooted-tree counts as a literal table."""
+view of `unicyclic_rows`, a class's Kf from its shape tuple, and the
+rooted-tree counts as a literal table."""
 from functools import cache
 from itertools import combinations, product
 
 from kfx.graph import Graph
-from kfx.metrics import kf_from_shapes
+from kfx.metrics import kf_from_stats
 from kfx.search import unicyclic_rows
 from kfx.unicyclic import (
     canonical_code,
     code_parents,
     decompose_unicyclic,
     rooted_shapes,
+    shape_record,
     tree_canonical_code,
     unicyclic_from_shapes,
 )
@@ -24,8 +26,14 @@ A000081 = [0, 1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973, 87
 
 def unicyclic_classes(*args, **kwargs) -> dict:
     """{code: (l, shapes)} for the rows `unicyclic_rows(*args, **kwargs)`
-    lists, in the same order."""
+    yields, in the same order."""
     return {code: (l, shapes) for code, l, shapes, _ in unicyclic_rows(*args, **kwargs)}
+
+
+def kf_from_shapes(l: int, shapes):
+    """Kf of the unicyclic graph given by an l-tuple of rooted-tree shapes,
+    from their catalog records."""
+    return kf_from_stats(l, [shape_record(s)[:3] for s in shapes])
 
 
 def brute_force_unicyclic_codes(n: int) -> set[bytes]:

@@ -136,9 +136,15 @@ def test_search_outputs(capsys):
     assert len(lines) == 6  # header + 5 classes
 
 
+def test_dump_all_lists_the_classes_in_code_order(capsys):
+    code, out, _ = run(capsys, "search", "--n", "9", "--dump-all")
+    codes = [line.split(",")[0] for line in out.splitlines()[1:]]
+    assert code == 0 and len(codes) == 240 and codes == sorted(codes)
+
+
 @pytest.mark.parametrize("argv, n, delta, l_filter, objective", [
     (["--n", "6", "--l", "9"], 6, "null", 9, "max"),
-    (["--n", "2", "--objective", "min"], 2, "null", "null", "min"),
+    (["--n", "3", "--delta", "4", "--objective", "min"], 3, 4, "null", "min"),
     (["--n", "5", "--delta", "1", "--dump-all"], 5, 1, "null", "max"),  # JSON, no CSV header
 ])
 def test_search_without_classes_prints_an_empty_report(capsys, argv, n, delta, l_filter, objective):
@@ -196,6 +202,19 @@ def test_verify_all_stdout_is_pinned(capsys):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "e610704c16767178c47f4e2d2f66678c1a7f6ec21f17e74c505c3c7a0ce038f9"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_lemmas_stdout_is_pinned(capsys, request, workers):
+    # the rows reach the suite unsorted, one unit at a time, and with two
+    # workers from a pool of every run; the digest pins each count and each
+    # violation list in order, such as the hub violations at n = 12 and 13
+    if workers == "2":
+        request.getfixturevalue("pooled")
+    code, out, _ = run(capsys, "verify", "--suite", "lemmas", "--n-max", "13", "--workers", workers)
+    assert code == 1
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "6cb061fcde916223b1e3f5d0e63ca48aa24f49e99a2b076957eee4ff89653ce6"
 
 
 def test_conjecture_exit_codes(capsys):
@@ -293,6 +312,9 @@ INVALID_PARAMETERS = [
     (["verify", "--n-max", "3"], "--n-max must be >= 4 for suite all, got 3"),
     (["verify", "--suite", "engines", "--n-max", "2"],
      "--n-max must be >= 3 for suite engines, got 2"),
+    # below 3 vertices no graph is unicyclic; an empty --l filter stays exit 0
+    (["search", "--n", "-5"], "--n must be >= 3, got -5"),
+    (["search", "--n", "2", "--objective", "min"], "--n must be >= 3, got 2"),
 ]
 
 
@@ -411,6 +433,10 @@ def _long_cycle(out: str) -> None:
 
 CAPPED = ("", "error: more than 5000000 isomorphism classes\n")
 
+# stdin of every row: a graph header announcing 30,000,000 vertices and no
+# edges, which only `compute --input -` reads
+SPARSE_HEADER = "30000000 0\n"
+
 
 # Each command runs under a 1 GiB RLIMIT_AS, which is the memory gate: peak
 # RSS is not bounded here, because a child forked from the pytest process
@@ -427,6 +453,12 @@ SMALL_ADDRESS_SPACE = [
     (["verify", "--suite", "theorem", "--n", "4000000", "--delta", "5"], 0,
      _theorem_at_4000000, 60),
     (["search", "--n", "1200", "--l", "1198"], 0, _long_cycle, 30),  # about 0.17 s
+    # too few edges to be connected: refused before a list per vertex is built
+    (["compute", "--input", "-"], 3, ("", "error: graph on 30000000 vertices is not connected\n"), 10),
+    # the sweeps meet the cap at their largest n, before their first (about 0.2 s)
+    (["verify", "--suite", "lemmas", "--n-max", "19"], 4, CAPPED, 10),
+    (["verify", "--suite", "engines", "--n-max", "19"], 4, CAPPED, 10),
+    (["verify", "--suite", "all", "--n-max", "19"], 4, CAPPED, 10),
 ]
 
 
@@ -440,7 +472,8 @@ def test_fits_a_small_address_space(argv, code, expect, seconds):
 
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-m", "kfx.cli", *argv], capture_output=True,
-                          text=True, env=env, preexec_fn=limit, timeout=seconds)
+                          text=True, env=env, preexec_fn=limit, timeout=seconds,
+                          input=SPARSE_HEADER)
     assert proc.returncode == code, proc.stderr
     if callable(expect):
         assert proc.stderr == ""
@@ -591,18 +624,23 @@ def test_a_run_past_the_pool_minimum_starts_one_pool(capsys, monkeypatch, pool_s
 
 
 def test_workers_are_capped_at_the_cpu_count(capsys, monkeypatch, pooled):
+    from concurrent.futures import Future
+
     import kfx.search
 
     sizes = []
 
     class InlinePool:
-        """Records the process count it is asked for and maps in this process."""
+        """Records the process count it is asked for and runs each unit in
+        this process as it is submitted."""
 
         def __init__(self, processes):
             sizes.append(processes)
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, item):
+            done = Future()
+            done.set_result(fn(item))
+            return done
 
         def shutdown(self):
             pass

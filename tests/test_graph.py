@@ -8,7 +8,6 @@ from kfx.graph import (
     max_degree,
     parse_edge_list,
     wiener,
-    wiener_vertex,
 )
 
 
@@ -34,7 +33,7 @@ def test_wiener_examples():
     assert wiener(make_path(4)) == 10  # C(5,3)
     star4 = Graph(4, [(0, 1), (0, 2), (0, 3)])
     assert wiener(star4) == 9
-    assert wiener_vertex(make_path(5), 0) == 10  # 1+2+3+4
+    assert sum(make_path(5).bfs_distances(0)) == 10  # 1+2+3+4
 
 
 def test_wiener_requires_connected():
@@ -70,6 +69,14 @@ def test_parser_accepts_comments_and_blank_lines():
 )
 def test_parser_rejects_malformed(text):
     with pytest.raises(GraphParseError):
+        parse_edge_list(text)
+
+
+@pytest.mark.parametrize("text", ["5 2\n0 1\n2 3\n", "30000000 0\n", "30000000 1\n0 29999999\n"],
+                         ids=["two components", "no edge", "one edge"])
+def test_parser_rejects_too_few_edges_to_connect(text):
+    # fewer than n - 1 edges: refused before a list per vertex is built
+    with pytest.raises(NotConnectedError, match=r"^graph on \d+ vertices is not connected$"):
         parse_edge_list(text)
 
 
