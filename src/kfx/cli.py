@@ -209,9 +209,8 @@ def cmd_verify(args) -> int:
     if args.random < 0:
         raise ParameterError(f"--random must be >= 0, got {args.random}")
     n_max = args.n_max if args.n_max is not None else 8  # of the lemma and engine sweeps
-    # the class count grows with n, so n_max meets the cap before any section runs
-    if args.suite != "theorem" and class_count(n_max, cap=args.cap) > args.cap:
-        raise CapExceededError(f"more than {args.cap} isomorphism classes")
+    if args.suite != "theorem":  # the class count grows with n: n_max meets the cap first
+        class_count(n_max, cap=args.cap)
     payload: dict = {"suite": args.suite}
     mismatch = False
     if args.suite in ("theorem", "all"):

@@ -29,4 +29,5 @@ class EngineMismatchError(KfxError):
 
 
 class CapExceededError(KfxError):
-    """Enumeration produced more isomorphism classes than the configured cap."""
+    """An enumeration would pass its cap, by its class count or its catalog
+    size; `search.class_count` raises it before any catalog is built."""

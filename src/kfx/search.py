@@ -20,11 +20,11 @@ count and its least and greatest N with the codes reaching them.
 `unicyclic_extremes` merges these reductions, so its memory does not grow
 with the class count; `unicyclic_rows` yields each unit's rows as it ends.
 
-The enumeration cap counts classes. Every run compares one number with
-it, before any tree catalog is built: the number of classes it
-enumerates, exactly, from the dihedral cycle index (`class_count`). A
-catalog-size guard also refuses an exactly-delta run whose catalog would
-hold more trees of one size than the cap, before its count is settled.
+The enumeration cap counts classes, and `class_count` is where a run
+meets it, before any tree catalog is built: it returns the run's exact
+class count, from the dihedral cycle index, or raises CapExceededError as
+soon as it knows that the run passes the cap, either because its classes
+do or because its catalog would hold more trees of one size than the cap.
 """
 from __future__ import annotations
 
@@ -36,17 +36,10 @@ from itertools import chain, islice
 from typing import Iterator, NamedTuple
 
 from .errors import DEFAULT_CAP, CapExceededError
-from .unicyclic import Shape, ShapeRecord, rooted_shapes
+from .unicyclic import Shape, hanging_degree, rooted_shapes
 
 # ---------------------------------------------------------------------------
 # enumeration
-
-def _hanging_degree(record: ShapeRecord) -> int:
-    """Largest graph degree in a hanging tree, from its catalog record: its
-    root sits on the cycle, so the root's degree is its child count + 2."""
-    _, _, _, root, inner = record
-    return max(root + 2, inner)
-
 
 @lru_cache(maxsize=1)
 def _alphabet(n: int, delta: int | None, exact: bool, top: int):
@@ -79,7 +72,7 @@ def _alphabet(n: int, delta: int | None, exact: bool, top: int):
     if delta is not None and exact:
         # every admissible tree has degree <= delta, so a tuple's max degree
         # is exactly delta iff one of its trees reaches it
-        hubs = frozenset(r for r, rec in enumerate(records) if _hanging_degree(rec) == delta)
+        hubs = frozenset(r for r, rec in enumerate(records) if hanging_degree(rec) == delta)
         hubs_by_size = [[r for r in ranks if r in hubs] for ranks in by_size]
     terms = [w + (n - s) * d for s, d, w, _, _ in records]
     return codes, by_size, hubs, hubs_by_size, terms
@@ -311,15 +304,12 @@ def _units(n: int, ls: range) -> list[tuple[int, int]]:
 def _run_units(n, delta, l_filter, exact, cap, workers, keep_rows):
     """Yield every work unit's result, in unit order.
 
-    The run's class count is compared with `cap` once, before any catalog
-    is built: more classes raise CapExceededError. The units run on a
-    pool of min(`workers`, CPU count) processes, the run's own, when that
-    and the unit count are at least 2 and the class count is at least
-    `POOL_MIN_CLASSES`; otherwise in this process.
+    `class_count` meets `cap` first, before any catalog is built. The
+    units run on a pool of min(`workers`, CPU count) processes, the run's
+    own, when that and the unit count are at least 2 and the class count
+    is at least `POOL_MIN_CLASSES`; otherwise in this process.
     """
     count = class_count(n, delta, exact, l_filter, cap)
-    if count > cap:
-        raise CapExceededError(f"more than {cap} isomorphism classes")
     ls = _cycle_lengths(n, delta, exact, l_filter)
     if not ls:
         return
@@ -380,8 +370,8 @@ def unicyclic_rows(
     connected unicyclic graphs on n vertices (max degree exactly `delta`
     when given, or at most `delta` with exact=False), one work unit's rows
     at a time, in unit order and unsorted; the shapes are the class's
-    canonical tuple, and `unicyclic_from_shapes` builds its graph. Runs
-    with more than `cap` classes raise CapExceededError."""
+    canonical tuple, and `unicyclic_from_shapes` builds its graph. A run
+    past `cap`, as `class_count` rules, raises CapExceededError at once."""
     for result in _run_units(n, delta, l_filter, exact, cap, workers, True):
         yield from result.rows
 
@@ -551,38 +541,34 @@ def class_count(
     hanging trees under delta (`_tree_counts`); exactly delta is at most
     delta less at most delta - 1.
 
-    With `cap`, a count past it returns as soon as it is settled. With l
-    the shortest cycle and top = n - l + 1, each tree on k <= top vertices
-    that may hang from a cycle vertex is a class of its own, with the other
-    tree vertices as a path hung next to it. For exactly delta so is each
-    planted tree on k <= top - delta + 2 vertices under a root with
-    delta - 3 more leaves. An exactly-delta count still open when the
-    hanging trees on k vertices pass the cap raises CapExceededError, the
-    catalog-size guard: its catalog would hold them all, and its count
-    could take series as long as its largest tree. Each of those trees is
-    a class without delta, so the run had more than `cap` classes by that
-    count too.
+    With `cap`, the count returned is exact: a run known to pass the cap
+    raises CapExceededError at once. With l the shortest cycle and
+    top = n - l + 1, each tree on k <= top vertices that may hang from a
+    cycle vertex is a class of its own, with the other tree vertices as a
+    path hung next to it; for exactly delta so is each planted tree on
+    k <= top - delta + 2 vertices under a root with delta - 3 more leaves.
+    An exactly-delta run is also refused when its hanging trees on a
+    larger k pass the cap, the catalog-size guard: its catalog would hold
+    them all, and its count could take series as long as its largest tree.
+    Each of those trees is a class without delta, so the run had more than
+    `cap` classes by that count too.
     """
     ls = _cycle_lengths(n, delta, exact, l_filter)
-    if not ls:
-        return 0
-    if delta is not None and delta < 3:
-        return len(ls)  # the n-cycle
-    top = n - ls[0] + 1
-    hub = delta is not None and exact
-    h = [0]
-    for k, (planted, hanging) in zip(range(1, top + 1), _tree_counts(delta)):
-        h.append(hanging)
-        if cap is None:
-            continue
-        if not hub and hanging > cap:
-            return hanging
-        if hub and planted > cap and k <= top - delta + 2:
-            return planted
-        if hub and hanging > cap:
-            raise CapExceededError(f"more than {cap} rooted trees on {k} vertices")
-    total = _cycle_index_count(n, ls, h)
-    if hub:
-        below = [0, *(hanging for _, hanging in islice(_tree_counts(delta - 1), top))]
-        total -= _cycle_index_count(n, ls, below)
+    total = len(ls)  # no cycle length, or under delta < 3 the n-cycle alone
+    if total and (delta is None or delta > 2):
+        top = n - ls[0] + 1
+        hub = delta is not None and exact
+        h = [0]
+        for k, (planted, hanging) in zip(range(1, top + 1), _tree_counts(delta)):
+            h.append(hanging)
+            own = not hub or k <= top - delta + 2  # these trees are classes of their own
+            if cap is not None and (planted if hub and own else hanging) > cap:
+                raise CapExceededError(f"more than {cap} " + (
+                    "isomorphism classes" if own else f"rooted trees on {k} vertices"))
+        total = _cycle_index_count(n, ls, h)
+        if hub:
+            below = [0, *(hanging for _, hanging in islice(_tree_counts(delta - 1), top))]
+            total -= _cycle_index_count(n, ls, below)
+    if cap is not None and total > cap:
+        raise CapExceededError(f"more than {cap} isomorphism classes")
     return total

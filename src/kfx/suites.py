@@ -29,18 +29,18 @@ from .metrics import (
     kirchhoff_index,
     resistance_numerator,
 )
-from .search import _hanging_degree, unicyclic_extremes, unicyclic_rows
+from .search import unicyclic_extremes, unicyclic_rows
 from .unicyclic import (
     Shape,
     ShapeRecord,
     canonical_code,
-    code_parents,
     decompose_unicyclic,
+    hanging_degree,
+    merge_stats,
     path_shape,
     rooted_shapes,
     shape_record,
     tree_canonical_code,
-    tree_stats,
     unicyclic_from_shapes,
 )
 
@@ -122,8 +122,9 @@ def verify_theorem(
     The maximiser's canonical code is written from its trees: vertex 0 of
     the triangle carries a path on n - delta vertices and delta - 3
     pendants, and the other two are bare. Runs past the enumeration cap
-    compare the Kf folded from those trees with the bound instead
-    (formula-only mode), building no graph."""
+    compare the bound with the Kf folded from those trees' numbers instead
+    (formula-only mode): the path's, hung under vertex 0, then each
+    pendant's. That builds no graph and reads no code."""
     bound = theorem_bound(n, delta)  # raises ParameterError outside its range
     shapes = (b"(" + path_shape(n - delta) + b"()" * (delta - 3) + b")", b"()", b"()")
     expected_code = "3:" + b"".join(shapes).decode("ascii")
@@ -131,7 +132,11 @@ def verify_theorem(
     try:
         found = unicyclic_extremes(n, delta, cap=cap, workers=workers)
     except CapExceededError:
-        best = kf_from_stats(3, [tree_stats(code_parents(s)) for s in shapes])
+        k = n - delta  # the path's size, root depth sum and Wiener index, as in `_path_gain`
+        hub = merge_stats(1, 0, 0, k, k * (k - 1) // 2, (k**3 - k) // 6)
+        for _ in range(delta - 3):
+            hub = merge_stats(*hub, 1, 0, 0)
+        best = kf_from_stats(3, [hub, (1, 0, 0), (1, 0, 0)])
         mode, count, arg = "formula-only", 1, [expected_code]
         notes.append("parameter space beyond the enumeration cap; compared the"
                      " constructed extremal graph against the closed-form bound")
@@ -273,7 +278,7 @@ def check_lemma_properties(
             for s in shapes:
                 if s not in trees:
                     rec = shape_record(s)
-                    trees[s] = (_hanging_degree(rec), _path_gain(n, rec), s != path_shape(rec[0]))
+                    trees[s] = (hanging_degree(rec), _path_gain(n, rec), s != path_shape(rec[0]))
             degrees, gains, bent = zip(*map(trees.__getitem__, shapes))
             key, total = (max(degrees), l), sum(gains)
             if key not in greatest or num > greatest[key][0]:

@@ -50,7 +50,14 @@ Shape = bytes  # AHU code of a rooted tree
 ShapeRecord = tuple[int, int, int, int, int]
 
 
-def _merge(size: int, depth_sum: int, wien: int, cs: int, cd: int, cw: int):
+def hanging_degree(record: ShapeRecord) -> int:
+    """Largest graph degree in a hanging tree, from its catalog record: its
+    root sits on the cycle, so the root's degree is its child count + 2."""
+    _, _, _, root, inner = record
+    return max(root + 2, inner)
+
+
+def merge_stats(size: int, depth_sum: int, wien: int, cs: int, cd: int, cw: int):
     """(size, depth sum, Wiener) after hanging a subtree (cs, cd, cw) below
     the root; every new pair's path runs through the root."""
     below = cd + cs  # distances from this root into the subtree
@@ -99,7 +106,7 @@ def rooted_shapes(n: int, children: int | None = None) -> Mapping[Shape, ShapeRe
             head = b"(" + first
             deg = max(froot + 1, finner)
             runs += [(head + code[1:],
-                      (*_merge(size, d, w, fs, fd, fw), root + 1, max(inner, deg)))
+                      (*merge_stats(size, d, w, fs, fd, fw), root + 1, max(inner, deg)))
                      for code, (size, d, w, root, inner) in rest[bisect_left(codes, head):]]
     runs.sort()  # merges the sorted runs, one per size of T
     return MappingProxyType(dict(runs))
@@ -137,7 +144,7 @@ def tree_stats(parent: Sequence[int]) -> tuple[int, int, int]:
     stats = [(1, 0, 0)] * len(parent)
     for k in range(len(parent) - 1, 0, -1):
         p = parent[k]
-        stats[p] = _merge(*stats[p], *stats[k])
+        stats[p] = merge_stats(*stats[p], *stats[k])
         stats[k] = None  # folded into its parent's
     return stats[0]
 

@@ -420,10 +420,13 @@ def test_search_refuses_oversized_runs_up_front(capsys, argv):
     assert err == f"error: more than {argv[-1]} isomorphism classes\n"
 
 
-def _theorem_at_4000000(out: str) -> None:
-    rep = json.loads(out)["theorem"][0]
-    assert (rep["mode"], rep["verdict"]) == ("formula-only", "match")
-    assert rep["expected_code"] == "3:(" + "(" * 3999995 + ")" * 3999995 + "()())()()"
+def _formula_only_p3(n: int):
+    """A check of a `verify --suite theorem --n n --delta 5` report."""
+    def check(out: str) -> None:
+        rep = json.loads(out)["theorem"][0]
+        assert (rep["mode"], rep["verdict"]) == ("formula-only", "match")
+        assert rep["expected_code"] == "3:(" + "(" * (n - 5) + ")" * (n - 5) + "()())()()"
+    return check
 
 
 def _long_cycle(out: str) -> None:
@@ -448,10 +451,12 @@ SMALL_ADDRESS_SPACE = [
     # no list of 10^9 lengths behind it (about 0.15 s)
     (["search", "--n", "1000000000"], 4, CAPPED, 30),
     (["search", "--n", "1000000000", "--delta", "5"], 4, CAPPED, 30),
-    # formula-only folds Kf from the extremal graph's three trees and builds
-    # no graph (about 4 s and 230 MiB; the built graph ran out of memory)
+    # formula-only folds Kf from the extremal trees' numbers, with no graph
+    # and no list per vertex (about 0.3 s at 62 MiB and 1.2 s at 207 MiB)
     (["verify", "--suite", "theorem", "--n", "4000000", "--delta", "5"], 0,
-     _theorem_at_4000000, 60),
+     _formula_only_p3(4000000), 60),
+    (["verify", "--suite", "theorem", "--n", "20000000", "--delta", "5"], 0,
+     _formula_only_p3(20000000), 30),
     (["search", "--n", "1200", "--l", "1198"], 0, _long_cycle, 30),  # about 0.17 s
     # too few edges to be connected: refused before a list per vertex is built
     (["compute", "--input", "-"], 3, ("", "error: graph on 30000000 vertices is not connected\n"), 10),

@@ -313,34 +313,32 @@ def test_class_count_is_the_enumerated_count():
 
 
 def test_class_count_early_exit_keeps_cap_decisions():
-    for n in range(1, 30):
-        for l_filter in (None, *range(3, n + 1)):
-            full = class_count(n, l_filter=l_filter)
-            for cap in (0, 10, 10**3, 10**6):
-                early = class_count(n, l_filter=l_filter, cap=cap)
-                assert (early > cap) == (full > cap), (n, l_filter, cap)
-                assert early == full or full > cap
-    # every degree filter and exactness: every cycle length below n = 18,
-    # the shortest two and longest two up to n = 25
-    for n in range(1, 26):
-        for delta, exact in _filters(n):
-            for l_filter in (None, *range(3, n + 1)) if n < 18 else (None, 3, 4, n - 1, n):
-                full = class_count(n, delta, exact, l_filter)
-                for cap in (0, 10, 10**3, 10**6):
-                    try:
-                        early = class_count(n, delta, exact, l_filter, cap)
-                    except CapExceededError:
-                        # exactly delta, refused by the catalog: some
-                        # catalog size holds more trees than the cap, and
-                        # the run had more classes without delta
-                        assert exact and delta is not None, (n, delta, l_filter, cap)
-                        top = n - (l_filter or 3) + 1
-                        sizes = [h for _, h in islice(_tree_counts(delta), top)]
-                        assert max(sizes) > cap, (n, delta, l_filter, cap)
-                        assert class_count(n, l_filter=l_filter) > cap, (n, delta, l_filter, cap)
-                        continue
-                    assert (early > cap) == (full > cap), (n, delta, exact, l_filter, cap)
-                    assert early == full or full > cap
+    # with a cap, the count is exact or CapExceededError is raised: every
+    # cycle length up to n = 29 without a degree filter; with every degree
+    # filter and exactness, every cycle length below n = 18, the shortest
+    # two and longest two up to n = 25
+    grid = [(n, None, True, l) for n in range(1, 30) for l in (None, *range(3, n + 1))]
+    grid += [(n, delta, exact, l) for n in range(1, 26) for delta, exact in _filters(n)
+             for l in ((None, *range(3, n + 1)) if n < 18 else (None, 3, 4, n - 1, n))]
+    for n, delta, exact, l_filter in grid:
+        full = class_count(n, delta, exact, l_filter)
+        for cap in (0, 10, 10**3, 10**6):
+            case = (n, delta, exact, l_filter, cap)
+            try:
+                assert class_count(n, delta, exact, l_filter, cap) == full <= cap, case
+            except CapExceededError as exc:
+                if str(exc) == f"more than {cap} isomorphism classes":
+                    assert full > cap, case
+                    continue
+                # exactly delta, refused by the catalog: some catalog size
+                # holds more trees than the cap, and the run had more
+                # classes without delta
+                assert str(exc).startswith(f"more than {cap} rooted trees on "), case
+                assert exact and delta is not None, case
+                top = n - (l_filter or 3) + 1
+                sizes = [h for _, h in islice(_tree_counts(delta), top)]
+                assert max(sizes) > cap, case
+                assert class_count(n, l_filter=l_filter) > cap, case
 
 
 def test_a_catalog_past_the_cap_is_refused_only_where_the_classes_were():
@@ -596,7 +594,9 @@ def test_formula_only_theorem_builds_no_graph(monkeypatch):
         real_init(self, *args)
 
     for module in (kfx.unicyclic, kfx.metrics, kfx.suites):
-        monkeypatch.setattr(module, "decompose_unicyclic", lambda g: calls.append("decompose"))
+        for name in ("decompose_unicyclic", "code_parents", "tree_stats"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
     monkeypatch.setattr(kfx.graph.Graph, "__init__", counted_init)
     rep = verify_theorem(700, 5)
     assert rep.mode == "formula-only" and rep.verdict == "match"
@@ -688,16 +688,16 @@ def test_a_long_cycle_is_counted_without_scanning_its_length():
 
 
 def test_alphabet_reads_the_bounded_catalog():
-    from kfx.search import _alphabet, _hanging_degree
-    from kfx.unicyclic import rooted_shapes, shape_record
+    from kfx.search import _alphabet
+    from kfx.unicyclic import hanging_degree, rooted_shapes, shape_record
 
     for n, top in [(10, 8), (12, 10), (14, 12)]:
         full = sorted(code for k in range(1, top + 1) for code in rooted_shapes(k))
         for delta in range(0, top + 3):
             for exact in (True, False):
                 codes, by_size, hubs, hubs_by_size, terms = _alphabet(n, delta, exact, top)
-                degree = [_hanging_degree(shape_record(c)) for c in codes]
-                assert codes == [c for c in full if _hanging_degree(shape_record(c)) <= delta]
+                degree = [hanging_degree(shape_record(c)) for c in codes]
+                assert codes == [c for c in full if hanging_degree(shape_record(c)) <= delta]
                 assert by_size == [[r for r, c in enumerate(codes) if len(c) == 2 * k]
                                    for k in range(top + 1)]
                 assert terms == [w + (n - s) * d for s, d, w, _, _ in map(shape_record, codes)]
@@ -712,14 +712,14 @@ def test_rows_match_a_per_class_recomputation():
     """Every degree- and cycle-filtered run lists exactly the unfiltered
     rows that pass its filters, each with N = l * kf_from_shapes."""
     from oracles import kf_from_shapes
-    from kfx.search import _hanging_degree, unicyclic_rows
-    from kfx.unicyclic import shape_record
+    from kfx.search import unicyclic_rows
+    from kfx.unicyclic import hanging_degree, shape_record
 
     for n in range(3, 13):
         rows = sorted(unicyclic_rows(n))
         for code, l, shapes, num in rows:
             assert num == l * kf_from_shapes(l, shapes), code
-        degree = {row[0]: max(_hanging_degree(shape_record(s)) for s in row[2]) for row in rows}
+        degree = {row[0]: max(hanging_degree(shape_record(s)) for s in row[2]) for row in rows}
         filters = [(None, True)] + [(d, e) for d in range(0, n + 2) for e in (True, False)]
         for delta, exact in filters:
             for l_filter in [None, *range(2, n + 2)]:
