@@ -168,9 +168,9 @@ def cmd_search(args) -> int:
 
     if args.n < 3:
         raise ParameterError(f"--n must be >= 3, got {args.n}")  # no unicyclic graph is smaller
-    enum = (args.n, args.delta, args.l, not args.at_most, args.cap, args.workers)
+    enum = (args.n, args.delta, args.l, not args.at_most, args.cap)
     if args.dump_all:
-        rows = sorted(unicyclic_rows(*enum))
+        rows = sorted(unicyclic_rows(*enum, args.workers))
         if rows:
             _write(args, _csv(["canonical_code", "cycle_length", "kf"],
                               ([code.decode("ascii"), l, rational_str(Fraction(num, l))]
@@ -221,7 +221,7 @@ def cmd_verify(args) -> int:
             top = args.n_max if args.n_max is not None else 9
             pairs = [(n, d) for n in range(4, top + 1) for d in range(3, n)]
         for n, d in pairs:
-            rep = verify_theorem(n, d, cap=args.cap, workers=args.workers)
+            rep = verify_theorem(n, d, cap=args.cap)
             reports.append(rep.to_dict())
             if rep.verdict != "match":
                 mismatch = True
@@ -244,7 +244,7 @@ def cmd_verify(args) -> int:
 def cmd_conjecture(args) -> int:
     from .suites import probe_conjecture
 
-    rep = probe_conjecture(args.n, args.delta, cap=args.cap, workers=args.workers)
+    rep = probe_conjecture(args.n, args.delta, cap=args.cap)
     _write(args, dump_json(rep.to_dict()))
     return EXIT_MISMATCH if rep.verdict == "mismatch" else EXIT_OK
 

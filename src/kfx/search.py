@@ -4,21 +4,23 @@ paper's claims on these classes are in `kfx.suites`.
 
 Enumeration works directly in decomposition space: a unicyclic graph is
 its cycle length l and the l-tuple of rooted-tree shapes (AHU codes from
-the shape catalog) hanging from the cycle. Each class is generated once,
-as its canonical tuple, the least of the tuple's l rotations and l
-reflections, so nothing is deduplicated. The space partitions into
-disjoint work units by (l, size of the first tree), which is also what a
-worker process runs. A run of fewer than `POOL_MIN_CLASSES` classes runs
-its units in the calling process whatever the worker count; a larger one
-with workers starts a pool of its own once its tree catalog is built, and
-no run uses more processes than the machine has CPUs. Results are
-deterministic regardless of worker count.
+an alphabet of hanging trees) hanging from the cycle. Each class is
+generated once, as its canonical tuple, the least of the tuple's l
+rotations and l reflections, so nothing is deduplicated. The space
+partitions into disjoint work units by (l, size of the first tree).
 
 Each unit computes every class's Kf as it is generated, as the exact
-integer N = l * Kf, and reduces its classes in place: it returns its class
-count and its least and greatest N with the codes reaching them.
-`unicyclic_extremes` merges these reductions, so its memory does not grow
-with the class count; `unicyclic_rows` yields each unit's rows as it ends.
+integer N = l * Kf, and reduces its classes in place: it returns their
+least and greatest N with the codes reaching them.
+`unicyclic_rows` walks the alphabet of every allowed tree, from the shape
+catalog, and yields each unit's rows as it ends. A row run of fewer than
+`POOL_MIN_CLASSES` classes runs its units in the calling process whatever
+the worker count; a larger one with workers starts a pool of its own once
+its catalog is built, and no run uses more processes than the machine has
+CPUs. Rows are deterministic regardless of worker count.
+`unicyclic_extremes` walks, in the calling process, the alphabet of the
+trees of least and greatest term per size, which a DP builds with no
+catalog: only their tuples can reach the extremes.
 
 The enumeration cap counts classes, and `class_count` is where a run
 meets it, before any tree catalog is built: it returns the run's exact
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left, bisect_right
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice
@@ -41,8 +44,100 @@ from .unicyclic import Shape, hanging_degree, rooted_shapes
 # ---------------------------------------------------------------------------
 # enumeration
 
+def _extreme_trees(n: int, delta: int | None, exact: bool, top: int) -> dict[Shape, tuple[int, bool]]:
+    """The hanging trees on 1..top vertices that a class of least or
+    greatest Kf on n vertices can hold, built with no catalog: code ->
+    (term, whether it has a vertex of degree `delta`, a hub).
+
+    A tree's term W + (n - s) D is the sum, over its non-root vertices v,
+    of s_v (n - s_v), s_v the size of v's subtree; so it is the sum, over
+    the root's children c, of c's own term plus s_c (n - s_c). A vertex
+    has at most delta - 1 children, delta - 2 at the root, and is a hub
+    with exactly that many. For each size and each objective, a DP over
+    child multisets finds the best term of the admissible trees and, in an
+    exactly-delta run, of the hub trees. A tree reaching either has only
+    such extreme trees as children: a child swapped for a better one of
+    its size, a hub if it was the tree's only one, would leave a better
+    tree. So the multisets of extreme children are searched, pruned by the
+    DP's best rest, for every tree reaching each extreme, ties included.
+    """
+    planted_max, root_max = (top, top) if delta is None else (delta - 1, delta - 2)
+    hubbed = delta is not None and exact
+    widest = max(0, min(planted_max, top - 1))  # the most children a vertex can have here
+
+    def least(values):
+        return min((v for v in values if v is not None), default=None)
+
+    found: dict[Shape, tuple[int, bool]] = {}
+    for sign in (1, -1):  # least, then greatest: the search minimizes sign * term
+        # the extreme planted trees as (size k, code, sign * (term + k (n - k)),
+        # hub), and per k that value at its best and at its best over hubs
+        items: list[tuple[int, Shape, int, bool]] = []
+        best: list[int | None] = [None] * top
+        best_hub: list[int | None] = [None] * top
+        # [j][s]: the least sum of best values of exactly j, and of at most j,
+        # planted children on s vertices in all
+        exactly = [[0] + [None] * (top - 1)] + [[None] * top for _ in range(widest)]
+        most = [[0] + [None] * (top - 1) for _ in range(widest + 1)]
+
+        def extreme(children: int, s: int, hub: bool) -> tuple[int | None, dict]:
+            """The best sign * term of the trees on s + 1 vertices whose
+            root has at most `children` children (hub trees with `hub`),
+            and code -> (sign * term, hub) of every tree reaching it."""
+            if children < 0:
+                return None, {}
+            if not hub:
+                target = most[min(children, widest)][s]
+            else:  # the root saturated, or one hub child beside the best rest
+                rest = most[min(children - 1, widest)] if children else [None] * top
+                target = least([exactly[children][s] if children <= widest else None] + [
+                    v + rest[s - k] for k, v in enumerate(best_hub[:s + 1])
+                    if v is not None and rest[s - k] is not None])
+            trees: dict[Shape, tuple[int, bool]] = {}
+            chosen: list[tuple[int, Shape, int, bool]] = []
+
+            def walk(i: int, left: int, total: int) -> None:
+                if not left:
+                    is_hub = hubbed and (len(chosen) == children or any(c[3] for c in chosen))
+                    if total == target and (is_hub or not hub):
+                        trees[b"(" + b"".join(sorted(c[1] for c in chosen)) + b")"] = (total, is_hub)
+                    return
+                room = min(children - len(chosen) - 1, widest)
+                for x in range(i, len(items) if room >= 0 else 0):
+                    k, _, v, _ = items[x]
+                    bound = most[room][left - k] if k <= left else None
+                    if bound is not None and total + v + bound <= target:
+                        chosen.append(items[x])
+                        walk(x, left - k, total + v)
+                        chosen.pop()
+
+            if target is not None:
+                walk(0, s, 0)
+            return target, trees
+
+        for k in range(1, top + 1):
+            for hub in (False, True) if hubbed else (False,):
+                trees = extreme(root_max, k - 1, hub)[1]
+                found.update((code, (sign * v, h)) for code, (v, h) in trees.items())
+            if k == top:
+                break
+            planted: dict[Shape, tuple[int, bool]] = {}
+            for hub in (False, True) if hubbed else (False,):
+                target, trees = extreme(planted_max, k - 1, hub)
+                if target is not None:
+                    (best_hub if hub else best)[k] = target + sign * k * (n - k)
+                planted.update(trees)
+            items += [(k, code, v + sign * k * (n - k), h) for code, (v, h) in sorted(planted.items())]
+            # column k of the sums, now that the planted trees on k vertices are known
+            for j in range(1, widest + 1):
+                exactly[j][k] = least(exactly[j - 1][k - c] + best[c] for c in range(1, k + 1)
+                                      if best[c] is not None and exactly[j - 1][k - c] is not None)
+                most[j][k] = least([most[j - 1][k], exactly[j][k]])
+    return found
+
+
 @lru_cache(maxsize=1)
-def _alphabet(n: int, delta: int | None, exact: bool, top: int):
+def _alphabet(n: int, delta: int | None, exact: bool, top: int, rows: bool):
     """The hanging trees of sizes 1..top allowed under `delta`, in byte
     order: (codes, their ranks grouped by size, the ranks of the trees of
     degree exactly `delta` or None when any tuple qualifies, those ranks
@@ -50,31 +145,41 @@ def _alphabet(n: int, delta: int | None, exact: bool, top: int):
     vertices with Wiener index W and root depth sum D adds to Kf on n
     vertices, as in `kf_from_stats`).
 
-    Under `delta` the trees come from `rooted_shapes(k, delta - 1)`, whose
-    every vertex has at most delta - 1 children, less those whose root
-    has more than delta - 2, read from each record: the one place the
-    root bound is applied. Each size comes in
-    byte order, and the sizes are merged, so rank order is code order and
+    With `rows`, the alphabet of row runs, every allowed tree: under
+    `delta` the trees come from `rooted_shapes(k, delta - 1)`, whose every
+    vertex has at most delta - 1 children, less those whose root has more
+    than delta - 2, read from each record. Without it, the alphabet of
+    extremes runs, only the trees of least and greatest term per size
+    (`_extreme_trees`), built with no catalog. Each size comes in byte
+    order, and the sizes are merged, so rank order is code order and
     comparing rank tuples compares code tuples. The last code is b"()",
     the one-vertex tree, whose degree 2 is the least a hanging tree has,
     so it is allowed whenever any tree is. Built once per call; forked
     pool workers inherit it.
     """
-    bound, root_max = ((), top) if delta is None else ((delta - 1,), delta - 2)
-    catalogs = [rooted_shapes(k, *bound) for k in range(1, top + 1)]
-    codes = sorted(chain.from_iterable(  # merges the sorted per-size runs
-        [code for code, rec in catalog.items() if rec[3] <= root_max] for catalog in catalogs))
-    records = [catalogs[(len(code) >> 1) - 1][code] for code in codes]
+    hubbed = delta is not None and exact
+    if rows:
+        bound, root_max = ((), top) if delta is None else ((delta - 1,), delta - 2)
+        catalogs = [rooted_shapes(k, *bound) for k in range(1, top + 1)]
+        codes = sorted(chain.from_iterable(  # merges the sorted per-size runs
+            [code for code, rec in catalog.items() if rec[3] <= root_max] for catalog in catalogs))
+        records = [catalogs[(len(code) >> 1) - 1][code] for code in codes]
+        terms = [w + (n - s) * d for s, d, w, _, _ in records]
+        is_hub = [hanging_degree(rec) == delta for rec in records] if hubbed else None
+    else:
+        trees = _extreme_trees(n, delta, exact, top)
+        codes = sorted(trees)
+        terms = [trees[code][0] for code in codes]
+        is_hub = [trees[code][1] for code in codes]
     by_size: list[list[int]] = [[] for _ in range(top + 1)]
-    for rank, (s, _, _, _, _) in enumerate(records):
-        by_size[s].append(rank)
+    for rank, code in enumerate(codes):
+        by_size[len(code) >> 1].append(rank)
     hubs = hubs_by_size = None
-    if delta is not None and exact:
+    if hubbed:
         # every admissible tree has degree <= delta, so a tuple's max degree
         # is exactly delta iff one of its trees reaches it
-        hubs = frozenset(r for r, rec in enumerate(records) if hanging_degree(rec) == delta)
+        hubs = frozenset(r for r, hub in enumerate(is_hub) if hub)
         hubs_by_size = [[r for r in ranks if r in hubs] for ranks in by_size]
-    terms = [w + (n - s) * d for s, d, w, _, _ in records]
     return codes, by_size, hubs, hubs_by_size, terms
 
 
@@ -82,12 +187,13 @@ Row = tuple[bytes, int, tuple[Shape, ...], int]  # code, l, shapes, N = l * Kf
 
 
 class UnitResult(NamedTuple):
-    """What one work unit found: its cycle length, its class count, the
-    least and greatest Kf numerator N = l * Kf with the codes reaching
-    each, and a (code, l, shapes, N) row per class when rows were asked."""
+    """What one work unit found over the classes it generated, every class
+    for a row run and the classes of extreme-term trees alone for an
+    extremes run: its cycle length, the least and greatest Kf numerator
+    N = l * Kf with the codes reaching each, and a (code, l, shapes, N)
+    row per class when rows were asked."""
 
     l: int
-    count: int
     low: int | None
     low_codes: list[bytes]
     high: int | None
@@ -130,7 +236,10 @@ def _reversal_bound(a: list[int], t: int, m: int, one: int) -> int | None:
 
 def _unit(args) -> UnitResult:
     """The classes whose canonical tuple has length l and starts with a tree
-    on `first` vertices; the canonical tuple is the class's representative.
+    on `first` vertices, all of whose trees are in the alphabet
+    `_alphabet(n, delta, exact, top, keep_rows)`: every allowed tree when
+    rows are kept, the extreme-term trees otherwise. The canonical tuple is
+    the class's representative.
 
     A canonical tuple is the least of its l rotations and l reflections.
     Tuples of ranks are grown as prenecklaces (Fredricksen, Kessler &
@@ -174,7 +283,7 @@ def _unit(args) -> UnitResult:
     least hub, which its fill or last tree always is.
     """
     n, l, first, delta, exact, top, keep_rows = args
-    codes, by_size, hubs, hubs_by_size, terms = _alphabet(n, delta, exact, top)
+    codes, by_size, hubs, hubs_by_size, terms = _alphabet(n, delta, exact, top, keep_rows)
     one = len(codes) - 1  # the rank of b"()"
     ones = [one] * l
     # with one-vertex trees at positions t..l-1: their part of the first
@@ -186,15 +295,13 @@ def _unit(args) -> UnitResult:
     hub_size = 0 if hubs is None else next((k for k, rs in enumerate(hubs_by_size) if rs), n + 1)
     greatest = [ranks[-1] if ranks else -1 for ranks in by_size]  # per size
     a = [0] * l
-    count = 0
     low = high = None
     lows: list[list[int]] = []
     highs: list[list[int]] = []
     rows: list[Row] = []
 
     def keep(num: int) -> None:
-        nonlocal count, low, lows, high, highs
-        count += 1
+        nonlocal low, lows, high, highs
         if low is None or num < low:
             low, lows = num, [a[:]]
         elif num == low:
@@ -293,7 +400,7 @@ def _unit(args) -> UnitResult:
     def key(ranks: list[int]) -> bytes:
         return b"%d:" % l + b"".join(map(codes.__getitem__, ranks))
 
-    return UnitResult(l, count, low, list(map(key, lows)), high, list(map(key, highs)), rows)
+    return UnitResult(l, low, list(map(key, lows)), high, list(map(key, highs)), rows)
 
 
 def _units(n: int, ls: range) -> list[tuple[int, int]]:
@@ -301,21 +408,30 @@ def _units(n: int, ls: range) -> list[tuple[int, int]]:
     return [(l, first) for l in ls for first in range(1, n - l + 2)]
 
 
-def _run_units(n, delta, l_filter, exact, cap, workers, keep_rows):
-    """Yield every work unit's result, in unit order.
+def _unit_args(n, delta, l_filter, exact, rows) -> list[tuple]:
+    """The arguments of every work unit of a run, in unit order, once the
+    alphabet they read is built: every allowed tree for a row run, the
+    extreme trees for an extremes run."""
+    ls = _cycle_lengths(n, delta, exact, l_filter)
+    if not ls:
+        return []
+    top = n - ls[0] + 1
+    _alphabet(n, delta, exact, top, rows)  # before a pool forks, so every worker inherits it
+    return [(n, l, first, delta, exact, top, rows) for l, first in _units(n, ls)]
+
+
+def _run_units(n, delta, l_filter, exact, cap, workers):
+    """Yield every work unit's result with rows, in unit order.
 
     `class_count` meets `cap` first, before any catalog is built. The
     units run on a pool of min(`workers`, CPU count) processes, the run's
     own, when that and the unit count are at least 2 and the class count
-    is at least `POOL_MIN_CLASSES`; otherwise in this process.
+    is at least `POOL_MIN_CLASSES`; otherwise in this process. The pool
+    holds at most two units per process submitted ahead of the reader, so
+    a slow reader holds only their rows.
     """
     count = class_count(n, delta, exact, l_filter, cap)
-    ls = _cycle_lengths(n, delta, exact, l_filter)
-    if not ls:
-        return
-    top = n - ls[0] + 1
-    _alphabet(n, delta, exact, top)  # before the pool forks, so every worker inherits it
-    args = [(n, l, first, delta, exact, top, keep_rows) for l, first in _units(n, ls)]
+    args = _unit_args(n, delta, l_filter, exact, True)
     processes = min(workers, os.cpu_count() or 1)
     if count < POOL_MIN_CLASSES or processes < 2 or len(args) < 2:
         yield from map(_unit, args)
@@ -324,10 +440,14 @@ def _run_units(n, delta, l_filter, exact, cap, workers, keep_rows):
 
     before = set(active_children())
     pool = Pool(processes)
+    units = iter(args)
     try:
-        futures = [pool.submit(_unit, a) for a in args][::-1]  # the first forks the workers
-        while futures:
-            yield futures.pop().result()
+        # the first submission forks the workers
+        ahead = deque(pool.submit(_unit, a) for a in islice(units, 2 * processes))
+        while ahead:
+            result = ahead.popleft().result()
+            ahead.extend(pool.submit(_unit, a) for a in islice(units, 1))  # one more in its place
+            yield result
     except BaseException:  # the consumer stops early, a unit raises or a worker dies:
         # stop without waiting for the units under way; the pool, finding its
         # workers gone, fails the units left and reaps them. None is cancelled:
@@ -372,7 +492,7 @@ def unicyclic_rows(
     at a time, in unit order and unsorted; the shapes are the class's
     canonical tuple, and `unicyclic_from_shapes` builds its graph. A run
     past `cap`, as `class_count` rules, raises CapExceededError at once."""
-    for result in _run_units(n, delta, l_filter, exact, cap, workers, True):
+    for result in _run_units(n, delta, l_filter, exact, cap, workers):
         yield from result.rows
 
 
@@ -387,17 +507,15 @@ class Extremes(NamedTuple):
     high_codes: list[str]
 
 
-def _merge(results) -> Extremes:
-    """Fold work-unit results into one Extremes; units of different cycle
-    lengths compare their numerators as Kf = N / l."""
-    count = 0
+def _merge(count: int, results) -> Extremes:
+    """Fold work-unit results into one Extremes of `count` classes; units
+    of different cycle lengths compare their numerators as Kf = N / l."""
     low = high = None
     lows: list[bytes] = []
     highs: list[bytes] = []
     for r in results:
-        if not r.count:
+        if r.low is None:
             continue
-        count += r.count
         kf = Fraction(r.low, r.l)
         if low is None or kf < low:
             low, lows = kf, list(r.low_codes)
@@ -420,12 +538,23 @@ def unicyclic_extremes(
     l_filter: int | None = None,
     exact: bool = True,
     cap: int = DEFAULT_CAP,
-    workers: int = 1,
 ) -> Extremes:
     """The class count and the least and greatest Kf of the classes
-    `unicyclic_rows` would yield, with their codes. Each work unit
-    reduces its own classes, so no class map is built."""
-    return _merge(_run_units(n, delta, l_filter, exact, cap, workers, False))
+    `unicyclic_rows` would yield, with their codes.
+
+    The count is `class_count`'s, which meets `cap`. The extremes come
+    from the work units run, in this process, over the alphabet of the
+    trees of least and greatest term per size: with its cycle length and
+    tree sizes fixed, a class's N = l * Kf is l times the sum of its trees'
+    terms plus a function of the sizes alone, so a class of least N holds
+    only trees of least term for their sizes, bar one hub of least term
+    among hubs where the degree must be exactly `delta`, and a class of
+    greatest N likewise. A tuple is canonical or not whatever the
+    alphabet, so the units over that sub-alphabet generate exactly the
+    classes all of whose trees are in it, every extreme class among them.
+    """
+    count = class_count(n, delta, exact, l_filter, cap)
+    return _merge(count, map(_unit, _unit_args(n, delta, l_filter, exact, False)))
 
 
 # ---------------------------------------------------------------------------

@@ -112,9 +112,7 @@ class ExtremalReport(NamedTuple):
         }
 
 
-def verify_theorem(
-    n: int, delta: int, cap: int = DEFAULT_CAP, workers: int = 1
-) -> ExtremalReport:
+def verify_theorem(n: int, delta: int, cap: int = DEFAULT_CAP) -> ExtremalReport:
     """Check that the Kf maximum over unicyclic graphs with max degree
     exactly `delta` (cycle lengths satisfying n >= l+delta-2) equals the
     closed-form bound, attained uniquely by the triangle extremal graph.
@@ -130,7 +128,7 @@ def verify_theorem(
     expected_code = "3:" + b"".join(shapes).decode("ascii")
     notes: list[str] = []
     try:
-        found = unicyclic_extremes(n, delta, cap=cap, workers=workers)
+        found = unicyclic_extremes(n, delta, cap=cap)
     except CapExceededError:
         k = n - delta  # the path's size, root depth sum and Wiener index, as in `_path_gain`
         hub = merge_stats(1, 0, 0, k, k * (k - 1) // 2, (k**3 - k) // 6)
@@ -169,15 +167,13 @@ def conjecture_branch(n: int, delta: int) -> str:
     return "ii"
 
 
-def probe_conjecture(
-    n: int, delta: int, cap: int = DEFAULT_CAP, workers: int = 1
-) -> ExtremalReport:
+def probe_conjecture(n: int, delta: int, cap: int = DEFAULT_CAP) -> ExtremalReport:
     """Brute-force minimum Kf over unicyclic graphs with max degree
     exactly `delta`, compared against the conjectured closed form.
     Mismatches are reported, never suppressed."""
     if delta < 3 or n < delta + 1:
         raise ParameterError(f"need delta >= 3 and n >= delta+1, got n={n}, delta={delta}")
-    found = unicyclic_extremes(n, delta, cap=cap, workers=workers)
+    found = unicyclic_extremes(n, delta, cap=cap)
     best, arg = found.low, found.low_codes
     branch = conjecture_branch(n, delta)
     notes: list[str] = []

@@ -62,7 +62,7 @@ def test_acceptance_2_theorem_sweep():
     t0 = time.monotonic()
     for n in range(4, 10):
         for delta in range(3, n):
-            rep = verify_theorem(n, delta, workers=2)
+            rep = verify_theorem(n, delta)
             assert rep.mode == "enumerated"
             assert rep.verdict == "match", (n, delta, rep)
             assert rep.extremal_value == theorem_bound(n, delta)
@@ -117,7 +117,7 @@ def test_acceptance_5_conjecture_probes():
             assert kf_i == conj_min_formula_i(n, delta)
     mismatch_log = []
     for n, delta in [(12, 4), (12, 5)]:
-        rep = probe_conjecture(n, delta, workers=2)
+        rep = probe_conjecture(n, delta)
         assert rep.branch == "ii"
         assert rep.verdict in ("match", "mismatch")
         if rep.verdict == "mismatch":

@@ -429,6 +429,13 @@ def _formula_only_p3(n: int):
     return check
 
 
+def _graph_count(count: int):
+    """A check of a search report's class count."""
+    def check(out: str) -> None:
+        assert json.loads(out)["graph_count"] == count
+    return check
+
+
 def _long_cycle(out: str) -> None:
     payload = json.loads(out)
     assert (payload["graph_count"], payload["extremal_value"]) == (601, "287526191/2")
@@ -458,6 +465,11 @@ SMALL_ADDRESS_SPACE = [
     (["verify", "--suite", "theorem", "--n", "20000000", "--delta", "5"], 0,
      _formula_only_p3(20000000), 30),
     (["search", "--n", "1200", "--l", "1198"], 0, _long_cycle, 30),  # about 0.17 s
+    # extremes walk only tuples of term-extreme trees and build no catalog,
+    # which would hold 2,466,051 trees for (20, 6) (about 0.7 s) and nearly
+    # every rooted tree on up to 17 vertices for (19, 10) (about 0.16 s)
+    (["search", "--n", "20", "--delta", "6"], 0, _graph_count(3066398), 20),
+    (["search", "--n", "19", "--delta", "10"], 0, _graph_count(12754), 20),
     # too few edges to be connected: refused before a list per vertex is built
     (["compute", "--input", "-"], 3, ("", "error: graph on 30000000 vertices is not connected\n"), 10),
     # the sweeps meet the cap at their largest n, before their first (about 0.2 s)
@@ -602,7 +614,7 @@ def test_the_enumerator_loads_no_suite_or_graph_construction():
 @pytest.mark.parametrize("argv", [["search", "--n", "10"],
                                   ["verify", "--suite", "theorem", "--n-max", "6"]])
 def test_one_worker_enumeration_loads_no_multiprocessing(tmp_path, argv):
-    # two workers stay in one process too: these runs are below POOL_MIN_CLASSES
+    # two workers stay in one process too: extremes runs never start a pool
     outputs = {}
     for workers in ("1", "2"):
         added = modules_added_by([*argv, "--workers", workers], tmp_path)
@@ -622,7 +634,7 @@ def test_a_run_past_the_pool_minimum_starts_one_pool(capsys, monkeypatch, pool_s
     outputs = {}
     for workers in ("1", "2"):
         code, outputs[workers], err = run(capsys, "search", "--n", "15", "--delta", "4",
-                                          "--workers", workers)
+                                          "--dump-all", "--workers", workers)
         assert code == 0 and err == ""
     assert pool_starts == [(2,)] and not multiprocessing.active_children()
     assert outputs["1"] == outputs["2"]
@@ -678,8 +690,8 @@ def test_verify_starts_one_pool_per_pooled_run(capsys, monkeypatch, request, poo
     import kfx.search
 
     # every run of these suites is below POOL_MIN_CLASSES, so two workers
-    # start no pool; with the minimum at 0 each run of two or more units
-    # starts its own
+    # start no pool; with the minimum at 0 each row run of two or more
+    # units starts its own, and the theorem suite's extremes runs none
     units = []  # per run, its unit count
     real = kfx.search._units
 
@@ -696,7 +708,8 @@ def test_verify_starts_one_pool_per_pooled_run(capsys, monkeypatch, request, poo
             del pool_starts[:], units[:]
             code, out, err = run(capsys, "verify", "--suite", *suite, "--workers", workers)
             assert code == 0 and err == ""
-            pooled_runs = sum(u >= 2 for u in units) if pools and workers == "2" else 0
+            rows = suite[0] == "lemmas" and pools and workers == "2"
+            pooled_runs = sum(u >= 2 for u in units) if rows else 0
             assert pool_starts == [(2,)] * pooled_runs and len(units) > 1
             assert not multiprocessing.active_children()
             outputs[pools, workers] = out
@@ -727,7 +740,7 @@ def test_a_killed_worker_ends_the_run(capsys, monkeypatch, pooled):
     signal.alarm(30)  # a run that waits forever fails here instead of hanging
     try:
         start = time.monotonic()
-        code, out, err = run(capsys, "search", "--n", "10", "--workers", "2")
+        code, out, err = run(capsys, "search", "--n", "10", "--dump-all", "--workers", "2")
         elapsed = time.monotonic() - start
     finally:
         signal.alarm(0)

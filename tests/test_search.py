@@ -298,14 +298,19 @@ def _filters(n: int):
 
 
 def test_class_count_is_the_enumerated_count():
+    # the rows count the catalog enumeration; an extremes run reports
+    # `class_count` itself
+    def rows(*args):
+        return sum(1 for _ in unicyclic_rows(*args))
+
     for n in range(3, 12):
         for delta, exact in _filters(n):
             for l_filter in (None, *range(3, n + 1)):
-                found = unicyclic_extremes(n, delta, l_filter, exact).count
+                found = rows(n, delta, l_filter, exact)
                 assert class_count(n, delta, exact, l_filter) == found, (n, delta, exact, l_filter)
     for n in range(12, 15):
         for delta, exact in _filters(n):
-            assert class_count(n, delta, exact) == unicyclic_extremes(n, delta, None, exact).count
+            assert class_count(n, delta, exact) == rows(n, delta, None, exact)
     # the runs named in the README, and the cap and pool decisions that read them
     assert (class_count(19, 4), class_count(20, 4), class_count(22, 3)) == (2787168, 7641518, 4497283)
     assert (class_count(14, 3), class_count(14, 4), class_count(15, 4)) == (4765, 17799, 49053)
@@ -437,18 +442,25 @@ def _reference_extremes(classes: dict) -> tuple:
 
 
 def test_unit_reductions_match_materialized_classes(pooled):
+    """The extremes of every run, walked over the term-extreme trees alone,
+    equal those of its classes from the rows over the whole catalog, for
+    every degree filter and cycle length at n <= 12, in well under 60 s
+    (about 3.5 s on a 2-core x86-64 host)."""
+    import time
+
     from kfx.search import unicyclic_extremes
     from kfx.unicyclic import unicyclic_from_shapes
 
+    start = time.monotonic()
     for n in range(3, 13):
         classes = unicyclic_classes(n)
         degree = {
             code: max_degree(unicyclic_from_shapes(l, shapes).to_graph()[0])
             for code, (l, shapes) in classes.items()
         }
-        filters = [(None, True)] + [(d, e) for d in range(2, n) for e in (True, False)]
+        filters = [(None, True)] + [(d, e) for d in range(0, n + 2) for e in (True, False)]
         for delta, exact in filters:
-            for l_filter in [None, *range(3, n + 1)]:
+            for l_filter in [None, *range(2, n + 2)]:
                 kept = {
                     code: (l, shapes) for code, (l, shapes) in classes.items()
                     if (l_filter is None or l == l_filter)
@@ -456,10 +468,11 @@ def test_unit_reductions_match_materialized_classes(pooled):
                 }
                 got = unicyclic_extremes(n, delta, l_filter, exact)
                 assert tuple(got) == _reference_extremes(kept), (n, delta, exact, l_filter)
+    assert time.monotonic() - start < 60
     for args in [(12,), (12, 4), (11, 4, None, False), (12, None, 5), (10, 3, 6, False)]:
         one = unicyclic_extremes(*args)
-        assert unicyclic_extremes(*args, workers=2) == one
         assert tuple(one) == _reference_extremes(unicyclic_classes(*args))
+        assert tuple(one) == _reference_extremes(unicyclic_classes(*args, workers=2))
 
 
 def test_class_rows_carry_exact_kf_numerators():
@@ -627,8 +640,8 @@ def test_each_pooled_run_starts_and_closes_its_own_pool(monkeypatch, pool_starts
     from kfx.search import _run_units
 
     # one pool per run, gone when the run returns
-    assert unicyclic_extremes(9, workers=2) == unicyclic_extremes(9)
-    assert unicyclic_extremes(9, 4, workers=2) == unicyclic_extremes(9, 4)
+    assert list(unicyclic_rows(9, workers=2)) == list(unicyclic_rows(9))
+    assert list(unicyclic_rows(9, 4, workers=2)) == list(unicyclic_rows(9, 4))
     assert pool_starts == [(2,), (2,)] and not multiprocessing.active_children()
     # ... when its consumer stops reading early, and when a unit raises in
     # a worker; in both, without waiting for the units under way, which
@@ -651,7 +664,7 @@ def test_each_pooled_run_starts_and_closes_its_own_pool(monkeypatch, pool_starts
         # pickled by reference, so the workers look it up as kfx.search._unit
         unit.__module__, unit.__qualname__ = real.__module__, real.__qualname__
     monkeypatch.setattr(kfx.search, "_unit", slow)
-    results = _run_units(10, None, None, True, DEFAULT_CAP, 2, False)
+    results = _run_units(10, None, None, True, DEFAULT_CAP, 2)
     assert next(results).l == 3 and multiprocessing.active_children()
     start = time.monotonic()
     results.close()
@@ -660,9 +673,42 @@ def test_each_pooled_run_starts_and_closes_its_own_pool(monkeypatch, pool_starts
     monkeypatch.setattr(kfx.search, "_unit", failing)
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="in a worker"):
-        unicyclic_extremes(9, workers=2)
+        list(unicyclic_rows(9, workers=2))
     assert time.monotonic() - start < 10
     assert len(pool_starts) == 4 and not multiprocessing.active_children()
+
+
+def test_the_pool_holds_two_units_per_process_ahead_of_the_reader(monkeypatch, pooled):
+    import kfx.search
+
+    outstanding = []  # per future submitted and not yet read, one entry
+    most = []
+
+    class Done:
+        def __init__(self, value):
+            self.value = value
+            outstanding.append(self)
+            most.append(len(outstanding))
+
+        def result(self):
+            outstanding.remove(self)
+            return self.value
+
+    class InlinePool:
+        """Runs each unit in this process as it is submitted."""
+
+        def __init__(self, processes):
+            assert processes == 2
+
+        def submit(self, fn, item):
+            return Done(fn(item))
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(kfx.search, "Pool", InlinePool)
+    assert list(unicyclic_rows(12, workers=2)) == list(unicyclic_rows(12))
+    assert max(most) == 4 and not outstanding
 
 
 def test_divisor_totients_match_a_scan_of_every_divisor():
@@ -695,7 +741,7 @@ def test_alphabet_reads_the_bounded_catalog():
         full = sorted(code for k in range(1, top + 1) for code in rooted_shapes(k))
         for delta in range(0, top + 3):
             for exact in (True, False):
-                codes, by_size, hubs, hubs_by_size, terms = _alphabet(n, delta, exact, top)
+                codes, by_size, hubs, hubs_by_size, terms = _alphabet(n, delta, exact, top, True)
                 degree = [hanging_degree(shape_record(c)) for c in codes]
                 assert codes == [c for c in full if hanging_degree(shape_record(c)) <= delta]
                 assert by_size == [[r for r, c in enumerate(codes) if len(c) == 2 * k]
@@ -706,6 +752,46 @@ def test_alphabet_reads_the_bounded_catalog():
                     assert hubs_by_size == [[r for r in ranks if r in hubs] for ranks in by_size]
                 else:
                     assert hubs is None and hubs_by_size is None
+
+
+def test_the_extremal_alphabet_is_the_catalog_trees_of_extreme_term():
+    """The DP's alphabet holds, per size, exactly the catalog's trees of
+    least and greatest term, and in an exactly-delta run also the hub
+    trees of least and greatest term among hubs, ties included, with the
+    catalog's terms and hub marks, for every top <= 14, delta and
+    exactness."""
+    from kfx.search import _alphabet
+
+    for top in range(1, 15):
+        n = top + 2  # the catalog size of a run whose shortest cycle is a triangle
+        for delta in (None, *range(0, top + 3)):
+            for exact in (True, False):
+                codes, by_size, hubs, _, terms = _alphabet(n, delta, exact, top, True)
+                kept = set()
+                for ranks in by_size:
+                    for group in (ranks, [r for r in ranks if hubs is not None and r in hubs]):
+                        if group:
+                            ends = {min(terms[r] for r in group), max(terms[r] for r in group)}
+                            kept.update(r for r in group if terms[r] in ends)
+                expected = sorted(kept)
+                got = _alphabet(n, delta, exact, top, False)
+                assert got[0] == [codes[r] for r in expected], (n, delta, exact)
+                assert got[4] == [terms[r] for r in expected], (n, delta, exact)
+                assert got[2] == (None if hubs is None else
+                                  {i for i, r in enumerate(expected) if r in hubs}), (n, delta, exact)
+
+
+@pytest.mark.parametrize("args, low, low_codes, high, high_codes", [
+    ((14,), F(479, 3), ["3:(()()()()()()()()()()())()()"],
+     F(1304, 3), ["3:(((((((((((())))))))))))()()"]),
+    ((16,), F(643, 3), ["3:(()()()()()()()()()()()()())()()"],
+     F(1969, 3), ["3:(((((((((((((())))))))))))))()()"]),
+    ((18, 4), F(723, 2), ["6:(()())(()())(()())(()())(()())(()())"],
+     F(914), ["3:((((((((((((((())))))))))))))())()()"]),
+])
+def test_pinned_extremes(args, low, low_codes, high, high_codes):
+    # values and codes of the full enumeration before the extremal alphabet
+    assert tuple(unicyclic_extremes(*args)) == (class_count(*args), low, low_codes, high, high_codes)
 
 
 def test_rows_match_a_per_class_recomputation():
@@ -738,11 +824,11 @@ def test_a_last_rank_that_keeps_the_period_needs_it_to_divide_l():
     # the period divides l; the reversal test almost always rejects such a
     # tuple anyway, and the first run found where it does not is (17, 4)
     # on a 7-cycle, past the brute force's reach
-    assert unicyclic_extremes(17, 4, 7).count == class_count(17, 4, True, 7) == 25265
+    assert sum(1 for _ in unicyclic_rows(17, 4, 7)) == class_count(17, 4, True, 7) == 25265
 
 
 def test_units_match_a_brute_force_over_every_tuple():
-    """Every work unit's count, extremes, codes and rows equal a brute
+    """Every work unit's class count, extremes, codes and rows equal a brute
     force that tries every tree tuple of the unit, for every degree filter
     at n <= 12."""
     from kfx.search import _unit
@@ -754,7 +840,7 @@ def test_units_match_a_brute_force_over_every_tuple():
             for l in range(3, n + 1):
                 for first in range(1, n - l + 2):
                     got = _unit((n, l, first, delta, exact, top, True))
-                    assert (got.l, got.count, got.low, sorted(got.low_codes), got.high,
+                    assert (got.l, len(got.rows), got.low, sorted(got.low_codes), got.high,
                             sorted(got.high_codes), sorted(got.rows)) == (
                         l, *brute_force_unit(n, l, first, delta, exact)), (n, l, first, delta, exact)
 

@@ -16,10 +16,12 @@ holds:
   reports it for the command's process. The commands are the six
   enumerate operations of `perfbench/` (`ENUMERATE`) and larger runs
   (`LARGE`): the two largest degree-bounded conjectures at n = 18, the
-  largest run the default cap admits at n = 19, the unfiltered n = 16, a
-  large-delta run whose catalog dwarfs its classes, and two long cycles;
-  `verify --suite all` (`VERIFY_ALL`); and the one- and two-worker runs
-  (`CROSSOVER`) that show from which class count a second worker pays
+  largest run the default cap admits at n = 19, the unfiltered n = 16,
+  two large-delta runs whose catalogs dwarf their classes, two long
+  cycles and the theorem suite to n = 16; `verify --suite all`
+  (`VERIFY_ALL`); and the one- and two-worker row runs (`CROSSOVER`:
+  `search --dump-all` and the lemma suite, the runs a pool serves) that
+  show from which class count a second worker pays
   (`search.POOL_MIN_CLASSES`). A run below that minimum stays in one
   process whatever the worker count, so in `CROSSOVER` the two-worker
   rows of `BELOW_MINIMUM` run with the minimum lowered to 0 in process,
@@ -29,9 +31,13 @@ holds:
   rounds its two-worker run took less wall time than its one-worker run.
   The two run back to back, and take turns to go first.
 * `in_process`: per (n, delta, exact), the median seconds of one cold
-  `search._alphabet` call, which builds the tree catalog, and of one walk
-  of every work unit through `search._unit`, which counts the classes
-  and reduces their Kf without keeping rows.
+  `search._alphabet` call building the alphabet an extremes run reads
+  (the extreme-term trees where the checkout has them, its fifth
+  argument; the whole tree catalog before), and of one walk of every work
+  unit through `search._unit` over it, which reduces the classes' Kf
+  without keeping rows; `classes` is the run's class count
+  (`search.class_count`) and `alphabet_trees` the number of trees in
+  that alphabet.
 * `check_lemma_properties_8_s`: the median seconds of one cold
   `suites.check_lemma_properties(8)` call.
 
@@ -63,55 +69,59 @@ LARGE = [
     ["conjecture", "--n", "19", "--delta", "4"],
     ["search", "--n", "16"],
     ["search", "--n", "19", "--delta", "10"],
+    ["search", "--n", "20", "--delta", "6"],
     ["search", "--n", "200", "--l", "196"],
     ["search", "--n", "1200", "--l", "1198"],
+    ["verify", "--suite", "theorem", "--n-max", "16"],
 ]
-# the commands whose every run is below `search.POOL_MIN_CLASSES`: the two
-# verify suites perfbench runs with two workers, searches at n = 12 to 14,
-# up to 39,260 classes, and degree-filtered ones at n = 14
+# the row runs whose every run is below `search.POOL_MIN_CLASSES`: the
+# lemma suite perfbench runs with two workers, row listings at n = 12 to
+# 14, up to 39,260 classes, and degree-filtered ones at n = 14
 BELOW_MINIMUM = [
     ["verify", "--suite", "lemmas"],
-    ["verify", "--suite", "theorem", "--n-max", "9"],
-    ["search", "--n", "12"],
-    ["search", "--n", "13"],
-    ["search", "--n", "14"],
-    ["search", "--n", "14", "--delta", "3"],
-    ["search", "--n", "14", "--delta", "4"],
+    ["search", "--n", "12", "--dump-all"],
+    ["search", "--n", "13", "--dump-all"],
+    ["search", "--n", "14", "--dump-all"],
+    ["search", "--n", "14", "--delta", "3", "--dump-all"],
+    ["search", "--n", "14", "--delta", "4", "--dump-all"],
 ]
 VERIFY_ALL = ["verify", "--suite", "all", "--seed", "501"]
-# the commands run with one and two workers: those below the minimum,
-# searches from 49,053 classes up, and two verify passes that start a pool
+# the row runs made with one and two workers: those below the minimum,
+# row listings from 49,053 classes up, and a lemma pass that starts a pool
 # per run past it
 CROSSOVER = [
     *BELOW_MINIMUM,
-    ["search", "--n", "15", "--delta", "4"],
-    ["verify", "--suite", "theorem", "--n-max", "16"],
-    ["verify", "--suite", "lemmas", "--n-max", "15"],
-    ["search", "--n", "15", "--at-most", "--delta", "4"],
-    ["search", "--n", "17", "--delta", "3"],
-    ["search", "--n", "15", "--at-most", "--delta", "5"],
-    ["search", "--n", "15"],
-    ["search", "--n", "16"],
+    ["search", "--n", "15", "--delta", "4", "--dump-all"],
+    ["verify", "--suite", "lemmas", "--n-max", "16"],
+    ["search", "--n", "15", "--at-most", "--delta", "4", "--dump-all"],
+    ["search", "--n", "17", "--delta", "3", "--dump-all"],
+    ["search", "--n", "15", "--at-most", "--delta", "5", "--dump-all"],
+    ["search", "--n", "15", "--dump-all"],
+    ["search", "--n", "16", "--dump-all"],
 ]
 LAYERS = [(14, None, True), (14, 4, True), (14, 4, False), (16, None, True), (18, 3, True)]
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_enumerate.json"
 
-# Times one cold `_alphabet` and one walk of every unit for the run given
-# as argv (n, delta or "-", exact as 0/1), over the cycle lengths and with
-# the catalog size `_run_units` would use, and prints them as JSON.
+# Times one cold `_alphabet` and one walk of every unit for the extremes
+# run given as argv (n, delta or "-", exact as 0/1), over the cycle lengths
+# and with the alphabet size that run uses, and prints them as JSON.
 TIME_LAYERS = """
-import json, sys, time
+import inspect, json, sys, time
 from kfx import search
 n, delta, exact = int(sys.argv[1]), None if sys.argv[2] == "-" else int(sys.argv[2]), sys.argv[3] == "1"
 ls = search._cycle_lengths(n, delta, exact, None)
 top = n - ls[0] + 1
+extremal = (False,) if len(inspect.signature(search._alphabet).parameters) == 5 else ()
 t = time.perf_counter()
-search._alphabet(n, delta, exact, top)
+search._alphabet(n, delta, exact, top, *extremal)
 alphabet = time.perf_counter() - t
 t = time.perf_counter()
-count = sum(search._unit((n, l, first, delta, exact, top, False)).count
-            for l, first in search._units(n, ls))
-print(json.dumps({"alphabet_s": alphabet, "units_s": time.perf_counter() - t, "classes": count}))
+for l, first in search._units(n, ls):
+    search._unit((n, l, first, delta, exact, top, False))
+units = time.perf_counter() - t
+trees = len(search._alphabet(n, delta, exact, top, *extremal)[0])
+print(json.dumps({"alphabet_s": alphabet, "units_s": units, "alphabet_trees": trees,
+                  "classes": search.class_count(n, delta, exact)}))
 """
 # `python -m kfx.cli` for the arguments after it, with every run pooled
 POOLED_CLI = """
@@ -228,6 +238,7 @@ def main(argv: list[str]) -> int:
             "in_process": [{
                 "n": n, "delta": delta, "exact": exact,
                 "classes": samples[0]["classes"],
+                "alphabet_trees": samples[0]["alphabet_trees"],
                 "alphabet_s": _median([s["alphabet_s"] for s in samples], 4),
                 "units_s": _median([s["units_s"] for s in samples], 4),
             } for (n, delta, exact), samples in layers[label].items()],
