@@ -15,15 +15,16 @@ import json
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from math import gcd
 
 from . import __version__
 from .errors import DEFAULT_CAP, CapExceededError, GraphParseError, KfxError, ParameterError
 from .graph import format_edge_list, max_degree, parse_edge_list
-from .metrics import engine_input, kf_vertex, kirchhoff_index, wiener_index
 
-# `families`, `formulas`, `search` and `suites` are imported in the
-# commands that use them, and `csv` where CSV is written, so `compute`
-# loads none of them and `search` loads no suite and no family builder.
+# `families`, `formulas`, `metrics`, `search` and `suites` are imported in
+# the commands that use them, and `csv` where CSV is written, so `compute`
+# loads no enumeration and `search` loads no suite, no family builder and
+# no Kf engine.
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -36,6 +37,13 @@ EXIT_INTERNAL = 5
 def rational_str(value: Fraction | int) -> str:
     f = Fraction(value)
     return f"{f.numerator}/{f.denominator}"
+
+
+def _lowest_terms(num: int, den: int) -> str:
+    """num/den for den > 0 as `rational_str` writes it, with one gcd and
+    no Fraction."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 def display_rational(value: Fraction | int, mixed: bool = False) -> str:
@@ -117,6 +125,8 @@ def _value_fields(args, name: str, value: Fraction | int) -> dict:
 # subcommands
 
 def cmd_compute(args) -> int:
+    from .metrics import engine_input, kf_vertex, kirchhoff_index, wiener_index
+
     g = _read_graph(args.input)
     g.require_connected()
     record = {"n": g.n, "m": g.m, "max_degree": max_degree(g)}
@@ -170,10 +180,10 @@ def cmd_search(args) -> int:
         raise ParameterError(f"--n must be >= 3, got {args.n}")  # no unicyclic graph is smaller
     enum = (args.n, args.delta, args.l, not args.at_most, args.cap)
     if args.dump_all:
-        rows = sorted(unicyclic_rows(*enum, args.workers))
+        rows = sorted(unicyclic_rows(*enum))
         if rows:
             _write(args, _csv(["canonical_code", "cycle_length", "kf"],
-                              ([code.decode("ascii"), l, rational_str(Fraction(num, l))]
+                              ([code.decode("ascii"), l, _lowest_terms(num, l)]
                                for code, l, _, num in rows)))
             return EXIT_OK
         count, pick, arg = 0, None, []  # no class: the JSON report below
@@ -232,7 +242,7 @@ def cmd_verify(args) -> int:
         if section["violations"]:
             mismatch = True
     if args.suite in ("lemmas", "all"):
-        section = check_lemma_properties(n_max, cap=args.cap, workers=args.workers)
+        section = check_lemma_properties(n_max, cap=args.cap)
         payload["lemmas"] = section
         if not section["ok"]:
             mismatch = True
@@ -261,7 +271,8 @@ def _add_display(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_enumeration(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=int, default=1,
+                     help="no effect, every run uses one process; must be >= 1")
     sub.add_argument("--cap", type=int, default=DEFAULT_CAP, help="enumeration class cap")
 
 

@@ -12,15 +12,12 @@ partitions into disjoint work units by (l, size of the first tree).
 Each unit computes every class's Kf as it is generated, as the exact
 integer N = l * Kf, and reduces its classes in place: it returns their
 least and greatest N with the codes reaching them.
-`unicyclic_rows` walks the alphabet of every allowed tree, from the shape
-catalog, and yields each unit's rows as it ends. A row run of fewer than
-`POOL_MIN_CLASSES` classes runs its units in the calling process whatever
-the worker count; a larger one with workers starts a pool of its own once
-its catalog is built, and no run uses more processes than the machine has
-CPUs. Rows are deterministic regardless of worker count.
-`unicyclic_extremes` walks, in the calling process, the alphabet of the
-trees of least and greatest term per size, which a DP builds with no
-catalog: only their tuples can reach the extremes.
+Every unit runs in the calling process, one at a time as its reader
+asks for it. `unicyclic_rows` walks the alphabet of every allowed tree,
+from the shape catalog, and yields each unit's rows as it ends.
+`unicyclic_extremes` walks the alphabet of the trees of least and
+greatest term per size, which a DP builds with no catalog: only their
+tuples can reach the extremes.
 
 The enumeration cap counts classes, and `class_count` is where a run
 meets it, before any tree catalog is built: it returns the run's exact
@@ -30,9 +27,7 @@ do or because its catalog would hold more trees of one size than the cap.
 """
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
-from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice
@@ -154,8 +149,7 @@ def _alphabet(n: int, delta: int | None, exact: bool, top: int, rows: bool):
     order, and the sizes are merged, so rank order is code order and
     comparing rank tuples compares code tuples. The last code is b"()",
     the one-vertex tree, whose degree 2 is the least a hanging tree has,
-    so it is allowed whenever any tree is. Built once per call; forked
-    pool workers inherit it.
+    so it is allowed whenever any tree is. Built once per call.
     """
     hubbed = delta is not None and exact
     if rows:
@@ -409,73 +403,14 @@ def _units(n: int, ls: range) -> list[tuple[int, int]]:
 
 
 def _unit_args(n, delta, l_filter, exact, rows) -> list[tuple]:
-    """The arguments of every work unit of a run, in unit order, once the
-    alphabet they read is built: every allowed tree for a row run, the
+    """The arguments of every work unit of a run, in unit order: `rows`
+    picks the alphabet they read, every allowed tree for a row run, the
     extreme trees for an extremes run."""
     ls = _cycle_lengths(n, delta, exact, l_filter)
     if not ls:
         return []
     top = n - ls[0] + 1
-    _alphabet(n, delta, exact, top, rows)  # before a pool forks, so every worker inherits it
     return [(n, l, first, delta, exact, top, rows) for l, first in _units(n, ls)]
-
-
-def _run_units(n, delta, l_filter, exact, cap, workers):
-    """Yield every work unit's result with rows, in unit order.
-
-    `class_count` meets `cap` first, before any catalog is built. The
-    units run on a pool of min(`workers`, CPU count) processes, the run's
-    own, when that and the unit count are at least 2 and the class count
-    is at least `POOL_MIN_CLASSES`; otherwise in this process. The pool
-    holds at most two units per process submitted ahead of the reader, so
-    a slow reader holds only their rows.
-    """
-    count = class_count(n, delta, exact, l_filter, cap)
-    args = _unit_args(n, delta, l_filter, exact, True)
-    processes = min(workers, os.cpu_count() or 1)
-    if count < POOL_MIN_CLASSES or processes < 2 or len(args) < 2:
-        yield from map(_unit, args)
-        return
-    from multiprocessing import active_children
-
-    before = set(active_children())
-    pool = Pool(processes)
-    units = iter(args)
-    try:
-        # the first submission forks the workers
-        ahead = deque(pool.submit(_unit, a) for a in islice(units, 2 * processes))
-        while ahead:
-            result = ahead.popleft().result()
-            ahead.extend(pool.submit(_unit, a) for a in islice(units, 1))  # one more in its place
-            yield result
-    except BaseException:  # the consumer stops early, a unit raises or a worker dies:
-        # stop without waiting for the units under way; the pool, finding its
-        # workers gone, fails the units left and reaps them. None is cancelled:
-        # Python 3.11's pool raises InvalidStateError failing a cancelled one
-        for worker in set(active_children()) - before:
-            worker.terminate()
-        pool.shutdown()
-        raise
-    pool.shutdown()
-
-
-# Runs with fewer classes gain nothing from a pool of their own. In the two
-# "after" rows of tools/bench_enumerate.py (BENCH_enumerate.json: 2-core
-# x86-64, Python 3.11.7, 15 rounds each, one and two workers back to back),
-# two workers were faster in 9 of 30 rounds of `search --n 14` (39,260
-# classes) and in 21 of 30 of `search --n 15 --delta 4` (49,053).
-POOL_MIN_CLASSES = 45_000
-
-
-def Pool(processes: int):
-    """A process pool whose workers are forked, so they inherit the catalog
-    `_alphabet` holds. It is imported when a run first starts one, so runs
-    that stay in one process never load `multiprocessing`. A worker that
-    dies breaks the pool: reading a unit not yet done raises BrokenProcessPool."""
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    return ProcessPoolExecutor(processes, mp_context=get_context("fork"))
 
 
 def unicyclic_rows(
@@ -484,15 +419,16 @@ def unicyclic_rows(
     l_filter: int | None = None,
     exact: bool = True,
     cap: int = DEFAULT_CAP,
-    workers: int = 1,
 ) -> Iterator[Row]:
     """Yield a (code, l, shapes, N = l * Kf) row per isomorphism class of
     connected unicyclic graphs on n vertices (max degree exactly `delta`
     when given, or at most `delta` with exact=False), one work unit's rows
     at a time, in unit order and unsorted; the shapes are the class's
     canonical tuple, and `unicyclic_from_shapes` builds its graph. A run
-    past `cap`, as `class_count` rules, raises CapExceededError at once."""
-    for result in _run_units(n, delta, l_filter, exact, cap, workers):
+    past `cap`, as `class_count` rules, raises CapExceededError before any
+    catalog is built."""
+    class_count(n, delta, exact, l_filter, cap)
+    for result in map(_unit, _unit_args(n, delta, l_filter, exact, True)):
         yield from result.rows
 
 
@@ -661,7 +597,7 @@ def class_count(
     l_filter: int | None = None,
     cap: int | None = None,
 ) -> int:
-    """The number of classes `_run_units` enumerates: unicyclic graphs on n
+    """The number of classes `unicyclic_rows` yields: unicyclic graphs on n
     vertices with max degree exactly `delta` (at most `delta` with
     exact=False, any without `delta`), on an `l_filter` cycle when given.
 

@@ -252,7 +252,6 @@ def check_lemma_properties(
     n_max: int,
     tree_n_max: int = 11,
     cap: int = DEFAULT_CAP,
-    workers: int = 1,
 ) -> dict:
     """Empirical sweep of the structural lemmas over all enumerable
     instances up to n_max (unicyclic) and tree_n_max (trees).
@@ -270,7 +269,7 @@ def check_lemma_properties(
         trees: dict[Shape, tuple[int, int, bool]] = {}  # degree, `_path_gain`, not a path
         greatest: dict[tuple[int, int], tuple[int, set[bytes]]] = {}  # greatest l Kf, its codes
         violations: list[str] = []
-        for code, l, shapes, num in unicyclic_rows(n, cap=cap, workers=workers):
+        for code, l, shapes, num in unicyclic_rows(n, cap=cap):
             for s in shapes:
                 if s not in trees:
                     rec = shape_record(s)

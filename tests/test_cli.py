@@ -169,7 +169,7 @@ def test_verify_theorem_json_and_determinism(capsys):
     assert payload["theorem"][0]["formula_value"] == "28/1"
 
 
-def test_verify_workers_byte_identical(capsys, pooled):
+def test_verify_workers_byte_identical(capsys):
     base = ["verify", "--suite", "theorem", "--n", "7", "--delta", "3"]
     _, one, _ = run(capsys, *base, "--workers", "1")
     _, two, _ = run(capsys, *base, "--workers", "2")
@@ -205,12 +205,10 @@ def test_verify_all_stdout_is_pinned(capsys):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_verify_lemmas_stdout_is_pinned(capsys, request, workers):
-    # the rows reach the suite unsorted, one unit at a time, and with two
-    # workers from a pool of every run; the digest pins each count and each
-    # violation list in order, such as the hub violations at n = 12 and 13
-    if workers == "2":
-        request.getfixturevalue("pooled")
+def test_verify_lemmas_stdout_is_pinned(capsys, workers):
+    # the rows reach the suite unsorted, one unit at a time; the digest pins
+    # each count and each violation list in order, such as the hub
+    # violations at n = 12 and 13
     code, out, _ = run(capsys, "verify", "--suite", "lemmas", "--n-max", "13", "--workers", workers)
     assert code == 1
     digest = hashlib.sha256(out.encode()).hexdigest()
@@ -586,10 +584,10 @@ def test_compute_and_family_load_no_enumeration_stack(tmp_path):
                         "multiprocessing", "dataclasses"}
     added = modules_added_by(["search", "--n", "10"], tmp_path)
     assert "kfx.search" in added
-    assert not added & {"kfx.families", "kfx.suites", "csv"}
+    assert not added & {"kfx.families", "kfx.suites", "kfx.metrics", "csv"}
     added = modules_added_by(["family", "--name", "cycle", "--n", "5"], tmp_path)
     assert "kfx.families" in added
-    assert not added & {"kfx.search", "kfx.suites", "multiprocessing"}
+    assert not added & {"kfx.search", "kfx.suites", "kfx.metrics", "multiprocessing"}
 
 
 def test_an_unknown_family_exits_3_and_lists_the_known_names(capsys):
@@ -612,68 +610,22 @@ def test_the_enumerator_loads_no_suite_or_graph_construction():
 
 
 @pytest.mark.parametrize("argv", [["search", "--n", "10"],
-                                  ["verify", "--suite", "theorem", "--n-max", "6"]])
+                                  ["verify", "--suite", "theorem", "--n-max", "6"],
+                                  ["search", "--n", "10", "--dump-all"],
+                                  ["verify", "--suite", "lemmas", "--n-max", "6"]])
 def test_one_worker_enumeration_loads_no_multiprocessing(tmp_path, argv):
-    # two workers stay in one process too: extremes runs never start a pool
+    # two workers stay in one process too, in extremes runs and row runs
     outputs = {}
     for workers in ("1", "2"):
         added = modules_added_by([*argv, "--workers", workers], tmp_path)
         assert "kfx.search" in added
-        assert not added & {"multiprocessing", "concurrent.futures.process", "dataclasses"}
+        assert not added & {"multiprocessing", "concurrent.futures", "dataclasses"}
         outputs[workers] = (tmp_path / "payload").read_bytes()
     assert outputs["1"] == outputs["2"]
 
 
-def test_a_run_past_the_pool_minimum_starts_one_pool(capsys, monkeypatch, pool_starts):
-    import multiprocessing
-
-    from kfx.search import POOL_MIN_CLASSES, class_count
-
-    assert class_count(14) < POOL_MIN_CLASSES <= class_count(15, 4)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    outputs = {}
-    for workers in ("1", "2"):
-        code, outputs[workers], err = run(capsys, "search", "--n", "15", "--delta", "4",
-                                          "--dump-all", "--workers", workers)
-        assert code == 0 and err == ""
-    assert pool_starts == [(2,)] and not multiprocessing.active_children()
-    assert outputs["1"] == outputs["2"]
-
-
-def test_workers_are_capped_at_the_cpu_count(capsys, monkeypatch, pooled):
-    from concurrent.futures import Future
-
-    import kfx.search
-
-    sizes = []
-
-    class InlinePool:
-        """Records the process count it is asked for and runs each unit in
-        this process as it is submitted."""
-
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def submit(self, fn, item):
-            done = Future()
-            done.set_result(fn(item))
-            return done
-
-        def shutdown(self):
-            pass
-
-    monkeypatch.setattr(kfx.search, "Pool", InlinePool)
-    _, one, _ = run(capsys, "search", "--n", "9", "--dump-all", "--workers", "1")
-    for cpus, requested in ((2, [2]), (1, []), (None, [])):
-        del sizes[:]
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        code, out, err = run(capsys, "search", "--n", "9", "--dump-all", "--workers", "100000")
-        assert code == 0 and err == "" and out == one
-        assert sizes == requested
-
-
 @pytest.mark.parametrize("at_most", [[], ["--at-most"]])
-def test_two_workers_list_the_rows_of_one(capsys, at_most, pooled):
+def test_two_workers_list_the_rows_of_one(capsys, at_most):
     outputs = {}
     for workers in ("1", "2"):
         code, outputs[workers], err = run(capsys, "search", "--n", "13", "--delta", "4", *at_most,
@@ -683,76 +635,36 @@ def test_two_workers_list_the_rows_of_one(capsys, at_most, pooled):
     assert outputs["1"].count("\n") > 6_000
 
 
-@pytest.mark.parametrize("suite", [["theorem", "--n-max", "9"], ["lemmas"]])
-def test_verify_starts_one_pool_per_pooled_run(capsys, monkeypatch, request, pool_starts, suite):
-    import multiprocessing
-
-    import kfx.search
-
-    # every run of these suites is below POOL_MIN_CLASSES, so two workers
-    # start no pool; with the minimum at 0 each row run of two or more
-    # units starts its own, and the theorem suite's extremes runs none
-    units = []  # per run, its unit count
-    real = kfx.search._units
-
-    def counted(n, ls):
-        units.append(len(real(n, ls)))
-        return real(n, ls)
-
-    monkeypatch.setattr(kfx.search, "_units", counted)
-    outputs = {}
-    for pools in (0, 1):
-        if pools:
-            request.getfixturevalue("pooled")
-        for workers in ("1", "2"):
-            del pool_starts[:], units[:]
-            code, out, err = run(capsys, "verify", "--suite", *suite, "--workers", workers)
-            assert code == 0 and err == ""
-            rows = suite[0] == "lemmas" and pools and workers == "2"
-            pooled_runs = sum(u >= 2 for u in units) if rows else 0
-            assert pool_starts == [(2,)] * pooled_runs and len(units) > 1
-            assert not multiprocessing.active_children()
-            outputs[pools, workers] = out
-    assert len(set(outputs.values())) == 1
+def test_workers_are_capped_at_the_cpu_count(tmp_path):
+    # every run uses one process: a worker count far past any CPU count
+    # starts none and prints the rows of one worker
+    argv = ["search", "--n", "9", "--dump-all"]
+    modules_added_by(argv, tmp_path)
+    one = (tmp_path / "payload").read_bytes()
+    added = modules_added_by([*argv, "--workers", "100000"], tmp_path)
+    assert not added & {"multiprocessing", "concurrent.futures"}
+    assert (tmp_path / "payload").read_bytes() == one
 
 
-def test_a_killed_worker_ends_the_run(capsys, monkeypatch, pooled):
-    import multiprocessing
-    import signal
-
-    import kfx.search
-
-    parent, real = os.getpid(), kfx.search._unit
-
-    def killed(args):
-        if os.getpid() != parent and args[1:3] == (4, 2):
-            os.kill(os.getpid(), signal.SIGKILL)
-        return real(args)
-
-    # pickled by reference, so the workers look it up as kfx.search._unit
-    killed.__module__, killed.__qualname__ = real.__module__, real.__qualname__
-    monkeypatch.setattr(kfx.search, "_unit", killed)
-
-    def hung(*_):
-        raise TimeoutError("the run still waits for the killed worker")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(30)  # a run that waits forever fails here instead of hanging
-    try:
-        start = time.monotonic()
-        code, out, err = run(capsys, "search", "--n", "10", "--dump-all", "--workers", "2")
-        elapsed = time.monotonic() - start
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert (code, out) == (5, "") and elapsed < 10
-    assert err.startswith("error: internal: BrokenProcessPool: ") and err.count("\n") == 1
-    assert not multiprocessing.active_children()
-
-
-def test_cap_exit_leaves_no_worker(capsys, pool_starts):
+def test_cap_exit_leaves_no_worker(capsys):
     import multiprocessing
 
     code, out, err = run(capsys, "search", "--n", "22", "--cap", "1000", "--workers", "2")
     assert code == 4 and out == "" and err.startswith("error: more than 1000")
-    assert not pool_starts and not multiprocessing.active_children()
+    assert not multiprocessing.active_children()
+
+
+def test_dump_all_kf_is_the_kirchhoff_index_of_each_class(capsys):
+    from oracles import unicyclic_classes
+
+    from kfx.metrics import kirchhoff_index
+    from kfx.unicyclic import unicyclic_from_shapes
+
+    code, out, _ = run(capsys, "search", "--n", "9", "--dump-all")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    classes = unicyclic_classes(9)
+    assert code == 0 and len(rows) == len(classes) == 240
+    for text, l, kf in rows:
+        cycle, shapes = classes[text.encode("ascii")]
+        g, _ = unicyclic_from_shapes(cycle, shapes).to_graph()
+        assert (int(l), kf) == (cycle, rational_str(kirchhoff_index(g))), text

@@ -74,11 +74,10 @@ def test_enumeration_soundness():
         assert canonical_code(decompose_unicyclic(g)) == canonical_code(u)
 
 
-def test_determinism_and_worker_independence(pooled):
+def test_determinism_and_worker_independence():
     a = unicyclic_classes(8)
     b = unicyclic_classes(8)
-    c = unicyclic_classes(8, workers=2)
-    assert list(a.items()) == list(b.items()) == list(c.items())
+    assert list(a.items()) == list(b.items())
 
 
 def test_tree_classes():
@@ -311,7 +310,7 @@ def test_class_count_is_the_enumerated_count():
     for n in range(12, 15):
         for delta, exact in _filters(n):
             assert class_count(n, delta, exact) == rows(n, delta, None, exact)
-    # the runs named in the README, and the cap and pool decisions that read them
+    # the runs named in the README, and the cap decisions that read them
     assert (class_count(19, 4), class_count(20, 4), class_count(22, 3)) == (2787168, 7641518, 4497283)
     assert (class_count(14, 3), class_count(14, 4), class_count(15, 4)) == (4765, 17799, 49053)
     assert class_count(100000, 2) == class_count(100000, 2, False) == 1
@@ -404,9 +403,10 @@ def test_representatives_are_canonical_tuples():
             assert canonical_code(unicyclic_from_shapes(l, shapes)) == code
 
 
-def test_worker_count_keeps_filtered_items(pooled):
-    one = unicyclic_classes(11, 4, l_filter=4)
-    assert list(unicyclic_classes(11, 4, l_filter=4, workers=2).items()) == list(one.items())
+def test_worker_count_keeps_filtered_items():
+    # a cycle-length filter keeps the classes of that length, in order
+    every = [(code, c) for code, c in unicyclic_classes(11, 4).items() if c[0] == 4]
+    assert list(unicyclic_classes(11, 4, l_filter=4).items()) == every
 
 
 def test_long_cycle_enumeration():
@@ -441,7 +441,7 @@ def _reference_extremes(classes: dict) -> tuple:
     )
 
 
-def test_unit_reductions_match_materialized_classes(pooled):
+def test_unit_reductions_match_materialized_classes():
     """The extremes of every run, walked over the term-extreme trees alone,
     equal those of its classes from the rows over the whole catalog, for
     every degree filter and cycle length at n <= 12, in well under 60 s
@@ -472,7 +472,6 @@ def test_unit_reductions_match_materialized_classes(pooled):
     for args in [(12,), (12, 4), (11, 4, None, False), (12, None, 5), (10, 3, 6, False)]:
         one = unicyclic_extremes(*args)
         assert tuple(one) == _reference_extremes(unicyclic_classes(*args))
-        assert tuple(one) == _reference_extremes(unicyclic_classes(*args, workers=2))
 
 
 def test_class_rows_carry_exact_kf_numerators():
@@ -629,86 +628,6 @@ def test_theorem_code_and_kf_come_from_the_extremal_trees():
             assert rep.mode == "formula-only" and rep.verdict == "match"
             assert rep.expected_code == canonical_code(u).decode("ascii")
             assert rep.extremal_value == kirchhoff_index(u)
-
-
-def test_each_pooled_run_starts_and_closes_its_own_pool(monkeypatch, pool_starts, pooled):
-    import multiprocessing
-    import os
-    import time
-
-    import kfx.search
-    from kfx.search import _run_units
-
-    # one pool per run, gone when the run returns
-    assert list(unicyclic_rows(9, workers=2)) == list(unicyclic_rows(9))
-    assert list(unicyclic_rows(9, 4, workers=2)) == list(unicyclic_rows(9, 4))
-    assert pool_starts == [(2,), (2,)] and not multiprocessing.active_children()
-    # ... when its consumer stops reading early, and when a unit raises in
-    # a worker; in both, without waiting for the units under way, which
-    # here take 30 s each
-    parent, real = os.getpid(), kfx.search._unit
-
-    def slow(args):
-        if os.getpid() != parent and args[1:3] != (3, 1):
-            time.sleep(30)
-        return real(args)
-
-    def failing(args):
-        if os.getpid() != parent and args[1:3] == (4, 2):
-            raise RuntimeError("unit failed in a worker")
-        if os.getpid() != parent and args[1:3] > (4, 2):
-            time.sleep(30)
-        return real(args)
-
-    for unit in (slow, failing):
-        # pickled by reference, so the workers look it up as kfx.search._unit
-        unit.__module__, unit.__qualname__ = real.__module__, real.__qualname__
-    monkeypatch.setattr(kfx.search, "_unit", slow)
-    results = _run_units(10, None, None, True, DEFAULT_CAP, 2)
-    assert next(results).l == 3 and multiprocessing.active_children()
-    start = time.monotonic()
-    results.close()
-    assert time.monotonic() - start < 10
-    assert len(pool_starts) == 3 and not multiprocessing.active_children()
-    monkeypatch.setattr(kfx.search, "_unit", failing)
-    start = time.monotonic()
-    with pytest.raises(RuntimeError, match="in a worker"):
-        list(unicyclic_rows(9, workers=2))
-    assert time.monotonic() - start < 10
-    assert len(pool_starts) == 4 and not multiprocessing.active_children()
-
-
-def test_the_pool_holds_two_units_per_process_ahead_of_the_reader(monkeypatch, pooled):
-    import kfx.search
-
-    outstanding = []  # per future submitted and not yet read, one entry
-    most = []
-
-    class Done:
-        def __init__(self, value):
-            self.value = value
-            outstanding.append(self)
-            most.append(len(outstanding))
-
-        def result(self):
-            outstanding.remove(self)
-            return self.value
-
-    class InlinePool:
-        """Runs each unit in this process as it is submitted."""
-
-        def __init__(self, processes):
-            assert processes == 2
-
-        def submit(self, fn, item):
-            return Done(fn(item))
-
-        def shutdown(self):
-            pass
-
-    monkeypatch.setattr(kfx.search, "Pool", InlinePool)
-    assert list(unicyclic_rows(12, workers=2)) == list(unicyclic_rows(12))
-    assert max(most) == 4 and not outstanding
 
 
 def test_divisor_totients_match_a_scan_of_every_divisor():

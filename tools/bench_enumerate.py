@@ -18,18 +18,9 @@ holds:
   (`LARGE`): the two largest degree-bounded conjectures at n = 18, the
   largest run the default cap admits at n = 19, the unfiltered n = 16,
   two large-delta runs whose catalogs dwarf their classes, two long
-  cycles and the theorem suite to n = 16; `verify --suite all`
-  (`VERIFY_ALL`); and the one- and two-worker row runs (`CROSSOVER`:
-  `search --dump-all` and the lemma suite, the runs a pool serves) that
-  show from which class count a second worker pays
-  (`search.POOL_MIN_CLASSES`). A run below that minimum stays in one
-  process whatever the worker count, so in `CROSSOVER` the two-worker
-  rows of `BELOW_MINIMUM` run with the minimum lowered to 0 in process,
-  as `tests/conftest.py` does, and their keys end in `(pool minimum 0)`;
-  the same command in `ENUMERATE` runs as perfbench runs it.
-* `two_workers_faster`: per command of `CROSSOVER`, in how many of the R
-  rounds its two-worker run took less wall time than its one-worker run.
-  The two run back to back, and take turns to go first.
+  cycles, the theorem suite to n = 16, and two row runs, the listing at
+  n = 16 and the lemma suite to n = 16; and `verify --suite all`
+  (`VERIFY_ALL`).
 * `in_process`: per (n, delta, exact), the median seconds of one cold
   `search._alphabet` call building the alphabet an extremes run reads
   (the extreme-term trees where the checkout has them, its fifth
@@ -41,8 +32,10 @@ holds:
 * `check_lemma_properties_8_s`: the median seconds of one cold
   `suites.check_lemma_properties(8)` call.
 
-Earlier one- and two-worker rows, with a pool on every two-worker run and
-the number of pools a verify pass started, are in `BENCH_pool_reuse.json`.
+Earlier rows also hold one- and two-worker row runs (`two_workers_faster`,
+and keys ending in `(pool minimum 0)`), from checkouts whose row runs
+could start a process pool; rows with a pool on every two-worker run and
+the number of pools a verify pass started are in `BENCH_pool_reuse.json`.
 """
 from __future__ import annotations
 
@@ -73,32 +66,11 @@ LARGE = [
     ["search", "--n", "200", "--l", "196"],
     ["search", "--n", "1200", "--l", "1198"],
     ["verify", "--suite", "theorem", "--n-max", "16"],
-]
-# the row runs whose every run is below `search.POOL_MIN_CLASSES`: the
-# lemma suite perfbench runs with two workers, row listings at n = 12 to
-# 14, up to 39,260 classes, and degree-filtered ones at n = 14
-BELOW_MINIMUM = [
-    ["verify", "--suite", "lemmas"],
-    ["search", "--n", "12", "--dump-all"],
-    ["search", "--n", "13", "--dump-all"],
-    ["search", "--n", "14", "--dump-all"],
-    ["search", "--n", "14", "--delta", "3", "--dump-all"],
-    ["search", "--n", "14", "--delta", "4", "--dump-all"],
+    ["search", "--n", "16", "--dump-all"],
+    ["verify", "--suite", "lemmas", "--n-max", "16"],
 ]
 VERIFY_ALL = ["verify", "--suite", "all", "--seed", "501"]
-# the row runs made with one and two workers: those below the minimum,
-# row listings from 49,053 classes up, and a lemma pass that starts a pool
-# per run past it
-CROSSOVER = [
-    *BELOW_MINIMUM,
-    ["search", "--n", "15", "--delta", "4", "--dump-all"],
-    ["verify", "--suite", "lemmas", "--n-max", "16"],
-    ["search", "--n", "15", "--at-most", "--delta", "4", "--dump-all"],
-    ["search", "--n", "17", "--delta", "3", "--dump-all"],
-    ["search", "--n", "15", "--at-most", "--delta", "5", "--dump-all"],
-    ["search", "--n", "15", "--dump-all"],
-    ["search", "--n", "16", "--dump-all"],
-]
+COMMANDS = ENUMERATE + LARGE + [VERIFY_ALL]
 LAYERS = [(14, None, True), (14, 4, True), (14, 4, False), (16, None, True), (18, 3, True)]
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_enumerate.json"
 
@@ -123,13 +95,6 @@ trees = len(search._alphabet(n, delta, exact, top, *extremal)[0])
 print(json.dumps({"alphabet_s": alphabet, "units_s": units, "alphabet_trees": trees,
                   "classes": search.class_count(n, delta, exact)}))
 """
-# `python -m kfx.cli` for the arguments after it, with every run pooled
-POOLED_CLI = """
-import sys
-from kfx import cli, search
-search.POOL_MIN_CLASSES = 0
-sys.exit(cli.main(sys.argv[1:]))
-"""
 TIME_LEMMAS = """
 import time
 from kfx.suites import check_lemma_properties
@@ -143,27 +108,10 @@ def _env(src: str) -> dict:
     return dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONDONTWRITEBYTECODE="1")
 
 
-def _round(round_: int) -> list[tuple[list[str], bool]]:
-    """(argv, pooled) of every command, in the order round `round_` runs
-    them: the one- and two-worker runs of each `CROSSOVER` command take
-    turns to go first. Pooled are its two-worker runs of `BELOW_MINIMUM`."""
-    runs = [(a, False) for a in ENUMERATE + LARGE + [VERIFY_ALL]]
-    for a in CROSSOVER:
-        pair = [([*a, "--workers", "1"], False), ([*a, "--workers", "2"], a in BELOW_MINIMUM)]
-        runs += pair[::-1] if round_ % 2 else pair
-    return runs
-
-
-def _key(argv: list[str], pooled: bool) -> str:
-    return " ".join(argv) + (" (pool minimum 0)" if pooled else "")
-
-
-def _cli(src: str, argv: list[str], pooled: bool) -> tuple[float, float]:
-    """Wall seconds and peak RSS (MiB) of one `python -m kfx.cli` run, or
-    of `POOLED_CLI` if `pooled`."""
+def _cli(src: str, argv: list[str]) -> tuple[float, float]:
+    """Wall seconds and peak RSS (MiB) of one `python -m kfx.cli` run."""
     t = time.perf_counter()
-    entry = ["-c", POOLED_CLI] if pooled else ["-m", "kfx.cli"]
-    proc = subprocess.Popen([sys.executable, *entry, *argv], env=_env(src),
+    proc = subprocess.Popen([sys.executable, "-m", "kfx.cli", *argv], env=_env(src),
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - t
@@ -207,15 +155,15 @@ def main(argv: list[str]) -> int:
     if report["host"] != host:
         print(f"{OUTPUT.name} holds rows from {report['host']}, not {host}", file=sys.stderr)
         return 2
-    commands = [_key(*run) for run in _round(0)]
+    commands = [" ".join(a) for a in COMMANDS]
     cli = {label: {c: [] for c in commands} for label in checkouts}
     layers = {label: {run: [] for run in LAYERS} for label in checkouts}
     lemmas = {label: [] for label in checkouts}
     for round_ in range(repeat):
         order = list(checkouts.items())
         for label, src in order[::-1] if round_ % 2 else order:
-            for run in _round(round_):
-                cli[label][_key(*run)].append(_cli(src, *run))
+            for a in COMMANDS:
+                cli[label][" ".join(a)].append(_cli(src, a))
             for run in LAYERS:
                 layers[label][run].append(_layers(src, *run))
             lemmas[label].append(float(_python(src, TIME_LEMMAS)))
@@ -228,12 +176,7 @@ def main(argv: list[str]) -> int:
             "label": label,
             "cli": {c: {"wall_s": _median([w for w, _ in runs[c]], 3),
                         "peak_rss_mib": _median([m for _, m in runs[c]], 1)} for c in commands},
-            "two_workers_faster": {
-                " ".join(a): sum(two < one for (one, _), (two, _) in zip(
-                    runs[_key([*a, "--workers", "1"], False)],
-                    runs[_key([*a, "--workers", "2"], a in BELOW_MINIMUM)]))
-                for a in CROSSOVER},
-            "enumerate_pass_s": round(sum(statistics.median(w for w, _ in runs[_key(a, False)])
+            "enumerate_pass_s": round(sum(statistics.median(w for w, _ in runs[" ".join(a)])
                                           for a in ENUMERATE), 3),
             "in_process": [{
                 "n": n, "delta": delta, "exact": exact,
