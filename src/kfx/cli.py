@@ -13,18 +13,18 @@ import argparse
 import io
 import json
 import sys
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from itertools import islice
 from math import gcd
+from typing import Iterable, Iterator
 
 from . import __version__
 from .errors import DEFAULT_CAP, CapExceededError, GraphParseError, KfxError, ParameterError
-from .graph import format_edge_list, max_degree, parse_edge_list
 
-# `families`, `formulas`, `metrics`, `search` and `suites` are imported in
-# the commands that use them, and `csv` where CSV is written, so `compute`
-# loads no enumeration and `search` loads no suite, no family builder and
-# no Kf engine.
+# `families`, `formulas`, `graph`, `metrics`, `search` and `suites` are
+# imported in the commands that use them, `csv` where CSV is written and
+# `decimal` where decimals are, so `compute` loads no enumeration and
+# `search` loads no suite, no family builder, no graph and no Kf engine.
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -60,6 +60,8 @@ def display_rational(value: Fraction | int, mixed: bool = False) -> str:
 
 def decimal_str(value: Fraction, digits: int) -> str:
     """Decimal rendering, correctly rounded half-even to `digits` places."""
+    from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+
     if digits < 0:
         raise ParameterError("decimal digits must be >= 0")
     with localcontext() as ctx:
@@ -73,30 +75,35 @@ def dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write(args, text: str) -> None:
+def _write(args, text: str | Iterable[str]) -> None:
+    """Write the text, or each of its chunks, to --output or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _read_graph(path: str):
+    from .graph import parse_edge_list
+
     if path == "-":
         return parse_edge_list(sys.stdin.read())
     with open(path) as fh:
         return parse_edge_list(fh.read())
 
 
-def _csv(header: list[str], rows) -> str:
-    """The header and rows as CSV text."""
+def _csv(header: list[str], rows: Iterable) -> Iterator[str]:
+    """The header and rows as CSV text, 10,000 rows a chunk."""
     import csv
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    rows, chunk = iter(rows), [header]
+    while chunk:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(chunk)
+        yield buf.getvalue()
+        chunk = list(islice(rows, 10_000))
 
 
 def _emit_record(args, record: dict, field_order: list[str]) -> None:
@@ -125,6 +132,7 @@ def _value_fields(args, name: str, value: Fraction | int) -> dict:
 # subcommands
 
 def cmd_compute(args) -> int:
+    from .graph import max_degree
     from .metrics import engine_input, kf_vertex, kirchhoff_index, wiener_index
 
     g = _read_graph(args.input)
@@ -141,6 +149,7 @@ def cmd_compute(args) -> int:
 
 def cmd_family(args) -> int:
     from .families import FamilyParams
+    from .graph import format_edge_list
 
     params = FamilyParams(
         family=args.name, n=args.n, l=args.l, delta=args.delta, x=args.x, hub_pos=args.hub_pos
@@ -180,17 +189,15 @@ def cmd_search(args) -> int:
         raise ParameterError(f"--n must be >= 3, got {args.n}")  # no unicyclic graph is smaller
     enum = (args.n, args.delta, args.l, not args.at_most, args.cap)
     if args.dump_all:
-        rows = sorted(unicyclic_rows(*enum))
+        rows = sorted((code, l, num) for code, l, _, num in unicyclic_rows(*enum))
         if rows:
             _write(args, _csv(["canonical_code", "cycle_length", "kf"],
                               ([code.decode("ascii"), l, _lowest_terms(num, l)]
-                               for code, l, _, num in rows)))
+                               for code, l, num in rows)))
             return EXIT_OK
         count, pick, arg = 0, None, []  # no class: the JSON report below
     else:
-        ext = unicyclic_extremes(*enum)
-        count = ext.count
-        pick, arg = (ext.high, ext.high_codes) if args.objective == "max" else (ext.low, ext.low_codes)
+        count, pick, arg = unicyclic_extremes(*enum, objective=args.objective)
     payload = {
         "kind": "search",
         "n": args.n,

@@ -10,14 +10,14 @@ rotations and l reflections, so nothing is deduplicated. The space
 partitions into disjoint work units by (l, size of the first tree).
 
 Each unit computes every class's Kf as it is generated, as the exact
-integer N = l * Kf, and reduces its classes in place: it returns their
-least and greatest N with the codes reaching them.
-Every unit runs in the calling process, one at a time as its reader
-asks for it. `unicyclic_rows` walks the alphabet of every allowed tree,
-from the shape catalog, and yields each unit's rows as it ends.
-`unicyclic_extremes` walks the alphabet of the trees of least and
-greatest term per size, which a DP builds with no catalog: only their
-tuples can reach the extremes.
+integer N = l * Kf. Every unit runs in the calling process, one at a
+time as its reader asks for it. `unicyclic_rows` walks the alphabet of
+every allowed tree, from the shape catalog, and yields each unit's rows
+as it ends. `unicyclic_extremes` answers one objective, the least or the
+greatest Kf: its units walk the alphabet of the trees of that
+objective's extreme term per size, which a DP builds with no catalog,
+since only their tuples can reach that extreme, and each unit returns
+its extreme N with the codes reaching it.
 
 The enumeration cap counts classes, and `class_count` is where a run
 meets it, before any tree catalog is built: it returns the run's exact
@@ -33,28 +33,29 @@ from functools import lru_cache
 from itertools import chain, islice
 from typing import Iterator, NamedTuple
 
-from .errors import DEFAULT_CAP, CapExceededError
-from .unicyclic import Shape, hanging_degree, rooted_shapes
+from .errors import DEFAULT_CAP, CapExceededError, ParameterError
 
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _extreme_trees(n: int, delta: int | None, exact: bool, top: int) -> dict[Shape, tuple[int, bool]]:
-    """The hanging trees on 1..top vertices that a class of least or
-    greatest Kf on n vertices can hold, built with no catalog: code ->
-    (term, whether it has a vertex of degree `delta`, a hub).
+def _extreme_trees(n: int, delta: int | None, exact: bool, top: int,
+                   sign: int) -> dict[bytes, tuple[int, bool]]:
+    """The hanging trees on 1..top vertices that a class of least Kf
+    (sign 1) or greatest Kf (sign -1) on n vertices can hold, built with no
+    catalog: code -> (term, whether it has a vertex of degree `delta`, a
+    hub).
 
     A tree's term W + (n - s) D is the sum, over its non-root vertices v,
     of s_v (n - s_v), s_v the size of v's subtree; so it is the sum, over
     the root's children c, of c's own term plus s_c (n - s_c). A vertex
     has at most delta - 1 children, delta - 2 at the root, and is a hub
-    with exactly that many. For each size and each objective, a DP over
-    child multisets finds the best term of the admissible trees and, in an
-    exactly-delta run, of the hub trees. A tree reaching either has only
-    such extreme trees as children: a child swapped for a better one of
-    its size, a hub if it was the tree's only one, would leave a better
-    tree. So the multisets of extreme children are searched, pruned by the
-    DP's best rest, for every tree reaching each extreme, ties included.
+    with exactly that many. For each size, a DP over child multisets finds
+    the least sign * term of the admissible trees and, in an exactly-delta
+    run, of the hub trees. A tree reaching either has only such extreme
+    trees as children: a child swapped for a better one of its size, a hub
+    if it was the tree's only one, would leave a better tree. So the
+    multisets of extreme children are searched, pruned by the DP's best
+    rest, for every tree reaching each extreme, ties included.
     """
     planted_max, root_max = (top, top) if delta is None else (delta - 1, delta - 2)
     hubbed = delta is not None and exact
@@ -63,76 +64,75 @@ def _extreme_trees(n: int, delta: int | None, exact: bool, top: int) -> dict[Sha
     def least(values):
         return min((v for v in values if v is not None), default=None)
 
-    found: dict[Shape, tuple[int, bool]] = {}
-    for sign in (1, -1):  # least, then greatest: the search minimizes sign * term
-        # the extreme planted trees as (size k, code, sign * (term + k (n - k)),
-        # hub), and per k that value at its best and at its best over hubs
-        items: list[tuple[int, Shape, int, bool]] = []
-        best: list[int | None] = [None] * top
-        best_hub: list[int | None] = [None] * top
-        # [j][s]: the least sum of best values of exactly j, and of at most j,
-        # planted children on s vertices in all
-        exactly = [[0] + [None] * (top - 1)] + [[None] * top for _ in range(widest)]
-        most = [[0] + [None] * (top - 1) for _ in range(widest + 1)]
+    found: dict[bytes, tuple[int, bool]] = {}
+    # the extreme planted trees as (size k, code, sign * (term + k (n - k)),
+    # hub), and per k that value at its best and at its best over hubs
+    items: list[tuple[int, bytes, int, bool]] = []
+    best: list[int | None] = [None] * top
+    best_hub: list[int | None] = [None] * top
+    # [j][s]: the least sum of best values of exactly j, and of at most j,
+    # planted children on s vertices in all
+    exactly = [[0] + [None] * (top - 1)] + [[None] * top for _ in range(widest)]
+    most = [[0] + [None] * (top - 1) for _ in range(widest + 1)]
 
-        def extreme(children: int, s: int, hub: bool) -> tuple[int | None, dict]:
-            """The best sign * term of the trees on s + 1 vertices whose
-            root has at most `children` children (hub trees with `hub`),
-            and code -> (sign * term, hub) of every tree reaching it."""
-            if children < 0:
-                return None, {}
-            if not hub:
-                target = most[min(children, widest)][s]
-            else:  # the root saturated, or one hub child beside the best rest
-                rest = most[min(children - 1, widest)] if children else [None] * top
-                target = least([exactly[children][s] if children <= widest else None] + [
-                    v + rest[s - k] for k, v in enumerate(best_hub[:s + 1])
-                    if v is not None and rest[s - k] is not None])
-            trees: dict[Shape, tuple[int, bool]] = {}
-            chosen: list[tuple[int, Shape, int, bool]] = []
+    def extreme(children: int, s: int, hub: bool) -> tuple[int | None, dict]:
+        """The best sign * term of the trees on s + 1 vertices whose
+        root has at most `children` children (hub trees with `hub`),
+        and code -> (sign * term, hub) of every tree reaching it."""
+        if children < 0:
+            return None, {}
+        if not hub:
+            target = most[min(children, widest)][s]
+        else:  # the root saturated, or one hub child beside the best rest
+            rest = most[min(children - 1, widest)] if children else [None] * top
+            target = least([exactly[children][s] if children <= widest else None] + [
+                v + rest[s - k] for k, v in enumerate(best_hub[:s + 1])
+                if v is not None and rest[s - k] is not None])
+        trees: dict[bytes, tuple[int, bool]] = {}
+        chosen: list[tuple[int, bytes, int, bool]] = []
 
-            def walk(i: int, left: int, total: int) -> None:
-                if not left:
-                    is_hub = hubbed and (len(chosen) == children or any(c[3] for c in chosen))
-                    if total == target and (is_hub or not hub):
-                        trees[b"(" + b"".join(sorted(c[1] for c in chosen)) + b")"] = (total, is_hub)
-                    return
-                room = min(children - len(chosen) - 1, widest)
-                for x in range(i, len(items) if room >= 0 else 0):
-                    k, _, v, _ = items[x]
-                    bound = most[room][left - k] if k <= left else None
-                    if bound is not None and total + v + bound <= target:
-                        chosen.append(items[x])
-                        walk(x, left - k, total + v)
-                        chosen.pop()
+        def walk(i: int, left: int, total: int) -> None:
+            if not left:
+                is_hub = hubbed and (len(chosen) == children or any(c[3] for c in chosen))
+                if total == target and (is_hub or not hub):
+                    trees[b"(" + b"".join(sorted(c[1] for c in chosen)) + b")"] = (total, is_hub)
+                return
+            room = min(children - len(chosen) - 1, widest)
+            for x in range(i, len(items) if room >= 0 else 0):
+                k, _, v, _ = items[x]
+                bound = most[room][left - k] if k <= left else None
+                if bound is not None and total + v + bound <= target:
+                    chosen.append(items[x])
+                    walk(x, left - k, total + v)
+                    chosen.pop()
 
+        if target is not None:
+            walk(0, s, 0)
+        return target, trees
+
+    for k in range(1, top + 1):
+        for hub in (False, True) if hubbed else (False,):
+            trees = extreme(root_max, k - 1, hub)[1]
+            found.update((code, (sign * v, h)) for code, (v, h) in trees.items())
+        if k == top:
+            break
+        planted: dict[bytes, tuple[int, bool]] = {}
+        for hub in (False, True) if hubbed else (False,):
+            target, trees = extreme(planted_max, k - 1, hub)
             if target is not None:
-                walk(0, s, 0)
-            return target, trees
-
-        for k in range(1, top + 1):
-            for hub in (False, True) if hubbed else (False,):
-                trees = extreme(root_max, k - 1, hub)[1]
-                found.update((code, (sign * v, h)) for code, (v, h) in trees.items())
-            if k == top:
-                break
-            planted: dict[Shape, tuple[int, bool]] = {}
-            for hub in (False, True) if hubbed else (False,):
-                target, trees = extreme(planted_max, k - 1, hub)
-                if target is not None:
-                    (best_hub if hub else best)[k] = target + sign * k * (n - k)
-                planted.update(trees)
-            items += [(k, code, v + sign * k * (n - k), h) for code, (v, h) in sorted(planted.items())]
-            # column k of the sums, now that the planted trees on k vertices are known
-            for j in range(1, widest + 1):
-                exactly[j][k] = least(exactly[j - 1][k - c] + best[c] for c in range(1, k + 1)
-                                      if best[c] is not None and exactly[j - 1][k - c] is not None)
-                most[j][k] = least([most[j - 1][k], exactly[j][k]])
+                (best_hub if hub else best)[k] = target + sign * k * (n - k)
+            planted.update(trees)
+        items += [(k, code, v + sign * k * (n - k), h) for code, (v, h) in sorted(planted.items())]
+        # column k of the sums, now that the planted trees on k vertices are known
+        for j in range(1, widest + 1):
+            exactly[j][k] = least(exactly[j - 1][k - c] + best[c] for c in range(1, k + 1)
+                                  if best[c] is not None and exactly[j - 1][k - c] is not None)
+            most[j][k] = least([most[j - 1][k], exactly[j][k]])
     return found
 
 
 @lru_cache(maxsize=1)
-def _alphabet(n: int, delta: int | None, exact: bool, top: int, rows: bool):
+def _alphabet(n: int, delta: int | None, exact: bool, top: int, objective: str | None):
     """The hanging trees of sizes 1..top allowed under `delta`, in byte
     order: (codes, their ranks grouped by size, the ranks of the trees of
     degree exactly `delta` or None when any tuple qualifies, those ranks
@@ -140,19 +140,23 @@ def _alphabet(n: int, delta: int | None, exact: bool, top: int, rows: bool):
     vertices with Wiener index W and root depth sum D adds to Kf on n
     vertices, as in `kf_from_stats`).
 
-    With `rows`, the alphabet of row runs, every allowed tree: under
-    `delta` the trees come from `rooted_shapes(k, delta - 1)`, whose every
-    vertex has at most delta - 1 children, less those whose root has more
-    than delta - 2, read from each record. Without it, the alphabet of
-    extremes runs, only the trees of least and greatest term per size
-    (`_extreme_trees`), built with no catalog. Each size comes in byte
-    order, and the sizes are merged, so rank order is code order and
+    With no `objective`, the alphabet of row runs, every allowed tree:
+    under `delta` the trees come from `rooted_shapes(k, delta - 1)`, whose
+    every vertex has at most delta - 1 children, less those whose root has
+    more than delta - 2, read from each record. With objective "min" or
+    "max", the alphabet of an extremes run, only the trees of that
+    objective's extreme term per size, and in an exactly-delta run the hub
+    trees of extreme term among hubs, ties included (`_extreme_trees`),
+    built with no catalog: mostly one tree per size. Each size comes in
+    byte order, and the sizes are merged, so rank order is code order and
     comparing rank tuples compares code tuples. The last code is b"()",
     the one-vertex tree, whose degree 2 is the least a hanging tree has,
     so it is allowed whenever any tree is. Built once per call.
     """
     hubbed = delta is not None and exact
-    if rows:
+    if objective is None:
+        from .unicyclic import hanging_degree, rooted_shapes
+
         bound, root_max = ((), top) if delta is None else ((delta - 1,), delta - 2)
         catalogs = [rooted_shapes(k, *bound) for k in range(1, top + 1)]
         codes = sorted(chain.from_iterable(  # merges the sorted per-size runs
@@ -161,7 +165,7 @@ def _alphabet(n: int, delta: int | None, exact: bool, top: int, rows: bool):
         terms = [w + (n - s) * d for s, d, w, _, _ in records]
         is_hub = [hanging_degree(rec) == delta for rec in records] if hubbed else None
     else:
-        trees = _extreme_trees(n, delta, exact, top)
+        trees = _extreme_trees(n, delta, exact, top, 1 if objective == "min" else -1)
         codes = sorted(trees)
         terms = [trees[code][0] for code in codes]
         is_hub = [trees[code][1] for code in codes]
@@ -177,21 +181,18 @@ def _alphabet(n: int, delta: int | None, exact: bool, top: int, rows: bool):
     return codes, by_size, hubs, hubs_by_size, terms
 
 
-Row = tuple[bytes, int, tuple[Shape, ...], int]  # code, l, shapes, N = l * Kf
+Row = tuple[bytes, int, tuple[bytes, ...], int]  # code, l, shapes, N = l * Kf
 
 
 class UnitResult(NamedTuple):
-    """What one work unit found over the classes it generated, every class
-    for a row run and the classes of extreme-term trees alone for an
-    extremes run: its cycle length, the least and greatest Kf numerator
-    N = l * Kf with the codes reaching each, and a (code, l, shapes, N)
-    row per class when rows were asked."""
+    """What one work unit found over the classes it generated: its cycle
+    length, and in an extremes run its objective's extreme numerator
+    N = l * Kf with the codes reaching it (None and [] otherwise), or in a
+    row run a (code, l, shapes, N) row per class."""
 
     l: int
-    low: int | None
-    low_codes: list[bytes]
-    high: int | None
-    high_codes: list[bytes]
+    num: int | None
+    codes: list[bytes]
     rows: list[Row]
 
 
@@ -231,9 +232,11 @@ def _reversal_bound(a: list[int], t: int, m: int, one: int) -> int | None:
 def _unit(args) -> UnitResult:
     """The classes whose canonical tuple has length l and starts with a tree
     on `first` vertices, all of whose trees are in the alphabet
-    `_alphabet(n, delta, exact, top, keep_rows)`: every allowed tree when
-    rows are kept, the extreme-term trees otherwise. The canonical tuple is
-    the class's representative.
+    `_alphabet(n, delta, exact, top, objective)`: every allowed tree in a
+    row run (no objective), which keeps a row per class, and otherwise the
+    objective's extreme-term trees, over whose classes the unit keeps only
+    the least N ("min") or the greatest ("max"). The canonical tuple is the
+    class's representative.
 
     A canonical tuple is the least of its l rotations and l reflections.
     Tuples of ranks are grown as prenecklaces (Fredricksen, Kessler &
@@ -276,8 +279,8 @@ def _unit(args) -> UnitResult:
     without one takes only hubs once no later tree can be as large as the
     least hub, which its fill or last tree always is.
     """
-    n, l, first, delta, exact, top, keep_rows = args
-    codes, by_size, hubs, hubs_by_size, terms = _alphabet(n, delta, exact, top, keep_rows)
+    n, l, first, delta, exact, top, objective = args
+    codes, by_size, hubs, hubs_by_size, terms = _alphabet(n, delta, exact, top, objective)
     one = len(codes) - 1  # the rank of b"()"
     ones = [one] * l
     # with one-vertex trees at positions t..l-1: their part of the first
@@ -289,24 +292,21 @@ def _unit(args) -> UnitResult:
     hub_size = 0 if hubs is None else next((k for k, rs in enumerate(hubs_by_size) if rs), n + 1)
     greatest = [ranks[-1] if ranks else -1 for ranks in by_size]  # per size
     a = [0] * l
-    low = high = None
-    lows: list[list[int]] = []
-    highs: list[list[int]] = []
+    best = None
+    reaching: list[list[int]] = []
     rows: list[Row] = []
 
-    def keep(num: int) -> None:
-        nonlocal low, lows, high, highs
-        if low is None or num < low:
-            low, lows = num, [a[:]]
-        elif num == low:
-            lows.append(a[:])
-        if high is None or num > high:
-            high, highs = num, [a[:]]
-        elif num == high:
-            highs.append(a[:])
-        if keep_rows:
+    if objective is None:
+        def keep(num: int) -> None:
             shapes = tuple(map(codes.__getitem__, a))
             rows.append((b"%d:" % l + b"".join(shapes), l, shapes, num))
+    else:
+        def keep(num: int) -> None:
+            nonlocal best, reaching
+            if num == best:
+                reaching.append(a[:])
+            elif best is None or (num < best) == (objective == "min"):
+                best, reaching = num, [a[:]]
 
     # (position, rank, period of the tuple up to it, vertices left after it,
     #  l * (sum of terms + sum_k P_k (n - P_k)) - n sum_i i^2 s_i and
@@ -394,7 +394,7 @@ def _unit(args) -> UnitResult:
     def key(ranks: list[int]) -> bytes:
         return b"%d:" % l + b"".join(map(codes.__getitem__, ranks))
 
-    return UnitResult(l, low, list(map(key, lows)), high, list(map(key, highs)), rows)
+    return UnitResult(l, best, list(map(key, reaching)), rows)
 
 
 def _units(n: int, ls: range) -> list[tuple[int, int]]:
@@ -402,15 +402,15 @@ def _units(n: int, ls: range) -> list[tuple[int, int]]:
     return [(l, first) for l in ls for first in range(1, n - l + 2)]
 
 
-def _unit_args(n, delta, l_filter, exact, rows) -> list[tuple]:
-    """The arguments of every work unit of a run, in unit order: `rows`
-    picks the alphabet they read, every allowed tree for a row run, the
-    extreme trees for an extremes run."""
+def _unit_args(n, delta, l_filter, exact, objective) -> list[tuple]:
+    """The arguments of every work unit of a run, in unit order: the
+    `objective` picks the alphabet they read, every allowed tree for a row
+    run (None), that objective's extreme trees for an extremes run."""
     ls = _cycle_lengths(n, delta, exact, l_filter)
     if not ls:
         return []
     top = n - ls[0] + 1
-    return [(n, l, first, delta, exact, top, rows) for l, first in _units(n, ls)]
+    return [(n, l, first, delta, exact, top, objective) for l, first in _units(n, ls)]
 
 
 def unicyclic_rows(
@@ -428,44 +428,34 @@ def unicyclic_rows(
     past `cap`, as `class_count` rules, raises CapExceededError before any
     catalog is built."""
     class_count(n, delta, exact, l_filter, cap)
-    for result in map(_unit, _unit_args(n, delta, l_filter, exact, True)):
+    for result in map(_unit, _unit_args(n, delta, l_filter, exact, None)):
         yield from result.rows
 
 
 class Extremes(NamedTuple):
-    """A class count with the least and greatest Kf over those classes and
-    the sorted codes reaching each (None and [] when there is no class)."""
+    """A class count, the least or greatest Kf over those classes, and the
+    sorted codes reaching it (None and [] when there is no class)."""
 
     count: int
-    low: Fraction | None
-    low_codes: list[str]
-    high: Fraction | None
-    high_codes: list[str]
+    value: Fraction | None
+    codes: list[str]
 
 
-def _merge(count: int, results) -> Extremes:
-    """Fold work-unit results into one Extremes of `count` classes; units
-    of different cycle lengths compare their numerators as Kf = N / l."""
-    low = high = None
-    lows: list[bytes] = []
-    highs: list[bytes] = []
+def _merge(count: int, objective: str, results) -> Extremes:
+    """Fold work-unit results into one Extremes of `count` classes for the
+    objective; units of different cycle lengths compare their numerators
+    as Kf = N / l."""
+    best = None
+    codes: list[bytes] = []
     for r in results:
-        if r.low is None:
+        if r.num is None:
             continue
-        kf = Fraction(r.low, r.l)
-        if low is None or kf < low:
-            low, lows = kf, list(r.low_codes)
-        elif kf == low:
-            lows += r.low_codes
-        kf = Fraction(r.high, r.l)
-        if high is None or kf > high:
-            high, highs = kf, list(r.high_codes)
-        elif kf == high:
-            highs += r.high_codes
-    return Extremes(
-        count, low, sorted(c.decode("ascii") for c in lows),
-        high, sorted(c.decode("ascii") for c in highs),
-    )
+        kf = Fraction(r.num, r.l)
+        if kf == best:
+            codes += r.codes
+        elif best is None or (kf < best) == (objective == "min"):
+            best, codes = kf, list(r.codes)
+    return Extremes(count, best, sorted(c.decode("ascii") for c in codes))
 
 
 def unicyclic_extremes(
@@ -474,23 +464,27 @@ def unicyclic_extremes(
     l_filter: int | None = None,
     exact: bool = True,
     cap: int = DEFAULT_CAP,
+    *,
+    objective: str,
 ) -> Extremes:
-    """The class count and the least and greatest Kf of the classes
-    `unicyclic_rows` would yield, with their codes.
+    """The class count and the least (objective "min") or greatest ("max")
+    Kf of the classes `unicyclic_rows` would yield, with their codes.
 
-    The count is `class_count`'s, which meets `cap`. The extremes come
+    The count is `class_count`'s, which meets `cap`. The extreme comes
     from the work units run, in this process, over the alphabet of the
-    trees of least and greatest term per size: with its cycle length and
-    tree sizes fixed, a class's N = l * Kf is l times the sum of its trees'
-    terms plus a function of the sizes alone, so a class of least N holds
-    only trees of least term for their sizes, bar one hub of least term
-    among hubs where the degree must be exactly `delta`, and a class of
-    greatest N likewise. A tuple is canonical or not whatever the
+    trees of the objective's extreme term per size: with its cycle length
+    and tree sizes fixed, a class's N = l * Kf is l times the sum of its
+    trees' terms plus a function of the sizes alone, so a class of least N
+    holds only trees of least term for their sizes, bar one hub of least
+    term among hubs where the degree must be exactly `delta`, and a class
+    of greatest N likewise. A tuple is canonical or not whatever the
     alphabet, so the units over that sub-alphabet generate exactly the
     classes all of whose trees are in it, every extreme class among them.
     """
+    if objective not in ("min", "max"):
+        raise ParameterError(f"objective must be 'min' or 'max', got {objective!r}")
     count = class_count(n, delta, exact, l_filter, cap)
-    return _merge(count, map(_unit, _unit_args(n, delta, l_filter, exact, False)))
+    return _merge(count, objective, map(_unit, _unit_args(n, delta, l_filter, exact, objective)))
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ def verify_theorem(n: int, delta: int, cap: int = DEFAULT_CAP) -> ExtremalReport
     expected_code = "3:" + b"".join(shapes).decode("ascii")
     notes: list[str] = []
     try:
-        found = unicyclic_extremes(n, delta, cap=cap)
+        found = unicyclic_extremes(n, delta, cap=cap, objective="max")
     except CapExceededError:
         k = n - delta  # the path's size, root depth sum and Wiener index, as in `_path_gain`
         hub = merge_stats(1, 0, 0, k, k * (k - 1) // 2, (k**3 - k) // 6)
@@ -139,7 +139,7 @@ def verify_theorem(n: int, delta: int, cap: int = DEFAULT_CAP) -> ExtremalReport
         notes.append("parameter space beyond the enumeration cap; compared the"
                      " constructed extremal graph against the closed-form bound")
     else:
-        mode, count, best, arg = "enumerated", found.count, found.high, found.high_codes
+        mode, count, best, arg = "enumerated", found.count, found.value, found.codes
     verdict = (
         "match"
         if best == bound and arg == [expected_code]
@@ -173,8 +173,7 @@ def probe_conjecture(n: int, delta: int, cap: int = DEFAULT_CAP) -> ExtremalRepo
     Mismatches are reported, never suppressed."""
     if delta < 3 or n < delta + 1:
         raise ParameterError(f"need delta >= 3 and n >= delta+1, got n={n}, delta={delta}")
-    found = unicyclic_extremes(n, delta, cap=cap)
-    best, arg = found.low, found.low_codes
+    count, best, arg = unicyclic_extremes(n, delta, cap=cap, objective="min")
     branch = conjecture_branch(n, delta)
     notes: list[str] = []
     formula: Fraction | None = None
@@ -214,7 +213,7 @@ def probe_conjecture(n: int, delta: int, cap: int = DEFAULT_CAP) -> ExtremalRepo
         objective="min",
         mode="enumerated",
         branch=branch,
-        graph_count=found.count,
+        graph_count=count,
         extremal_value=best,
         argext_codes=arg,
         formula_value=formula,

@@ -93,21 +93,14 @@ def _canonical_tuples(n: int, l: int) -> list[tuple]:
     return found
 
 
-def brute_force_unit(n: int, l: int, first: int, delta=None, exact: bool = True) -> tuple:
-    """What the work unit (l, first) of a run on n vertices reports, by
+def brute_force_unit(n: int, l: int, first: int, delta=None, exact: bool = True) -> list:
+    """The rows of the work unit (l, first) of a run on n vertices, by
     brute force: the canonical tuples whose first tree has `first`
     vertices and whose max degree is exactly `delta` (at most `delta` with
-    exact=False, any without). Returns (count, least N, its sorted codes,
-    greatest N, its sorted codes, sorted rows) with N = l * Kf."""
-    rows = sorted(
+    exact=False, any without), as sorted (code, l, shapes, N = l * Kf)."""
+    return sorted(
         (b"%d:" % l + b"".join(shapes), l, shapes, num)
         for shapes, degree, num in _canonical_tuples(n, l)
         if len(shapes[0]) == 2 * first
         and (delta is None or (degree == delta if exact else degree <= delta))
     )
-    if not rows:
-        return 0, None, [], None, [], []
-    low = min(row[3] for row in rows)
-    high = max(row[3] for row in rows)
-    return (len(rows), low, [row[0] for row in rows if row[3] == low],
-            high, [row[0] for row in rows if row[3] == high], rows)

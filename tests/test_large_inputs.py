@@ -120,12 +120,12 @@ def test_enumerating_the_100000_cycle():
     # n-cycle; its canonical check costs no more than its tuple
     n = 100_000
     for args in ((n, 2), (n, 2, None, False), (n, None, n)):
-        found = unicyclic_extremes(*args)
-        assert (found.count, found.low, found.high) == (1, Fraction(n**3 - n, 12), Fraction(n**3 - n, 12))
-        assert found.low_codes == [f"{n}:" + "()" * n]
+        for objective in ("min", "max"):
+            found = unicyclic_extremes(*args, objective=objective)
+            assert found == (1, Fraction(n**3 - n, 12), [f"{n}:" + "()" * n])
     for args in ((n, 3), (n, 5), (n, None), (n, n - 10), (n, n // 2, None, False)):
         with pytest.raises(CapExceededError):
-            unicyclic_extremes(*args)
+            unicyclic_extremes(*args, objective="max")
 
 
 def test_code_memory_stays_linear():

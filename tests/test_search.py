@@ -425,27 +425,24 @@ def test_least_rotation_against_all_rotations():
         assert s[k:] + s[:k] == min(s[i:] + s[:i] for i in range(len(s))), s
 
 
-def _reference_extremes(classes: dict) -> tuple:
-    """Count, min Kf, its codes, max Kf, its codes, from materialized
+def _reference_extremes(classes: dict, objective: str) -> tuple:
+    """Count, the objective's extreme Kf and its codes, from materialized
     classes through `kf_from_shapes`."""
     from oracles import kf_from_shapes
 
     kf = {code.decode("ascii"): kf_from_shapes(l, shapes) for code, (l, shapes) in classes.items()}
     if not kf:
-        return 0, None, [], None, []
-    low, high = min(kf.values()), max(kf.values())
-    return (
-        len(kf),
-        low, sorted(c for c, v in kf.items() if v == low),
-        high, sorted(c for c, v in kf.items() if v == high),
-    )
+        return 0, None, []
+    best = (min if objective == "min" else max)(kf.values())
+    return len(kf), best, sorted(c for c, v in kf.items() if v == best)
 
 
 def test_unit_reductions_match_materialized_classes():
-    """The extremes of every run, walked over the term-extreme trees alone,
-    equal those of its classes from the rows over the whole catalog, for
-    every degree filter and cycle length at n <= 12, in well under 60 s
-    (about 3.5 s on a 2-core x86-64 host)."""
+    """The least and the greatest Kf of every run, each walked over its own
+    objective's term-extreme trees alone, equal those of its classes from
+    the rows over the whole catalog, for every degree filter and cycle
+    length at n <= 12, in well under 60 s (about 3.5 s on a 2-core x86-64
+    host)."""
     import time
 
     from kfx.search import unicyclic_extremes
@@ -466,12 +463,15 @@ def test_unit_reductions_match_materialized_classes():
                     if (l_filter is None or l == l_filter)
                     and (delta is None or (degree[code] == delta if exact else degree[code] <= delta))
                 }
-                got = unicyclic_extremes(n, delta, l_filter, exact)
-                assert tuple(got) == _reference_extremes(kept), (n, delta, exact, l_filter)
+                for objective in ("min", "max"):
+                    got = unicyclic_extremes(n, delta, l_filter, exact, objective=objective)
+                    assert tuple(got) == _reference_extremes(kept, objective), (
+                        n, delta, exact, l_filter, objective)
     assert time.monotonic() - start < 60
     for args in [(12,), (12, 4), (11, 4, None, False), (12, None, 5), (10, 3, 6, False)]:
-        one = unicyclic_extremes(*args)
-        assert tuple(one) == _reference_extremes(unicyclic_classes(*args))
+        for objective in ("min", "max"):
+            one = unicyclic_extremes(*args, objective=objective)
+            assert tuple(one) == _reference_extremes(unicyclic_classes(*args), objective)
 
 
 def test_class_rows_carry_exact_kf_numerators():
@@ -660,7 +660,7 @@ def test_alphabet_reads_the_bounded_catalog():
         full = sorted(code for k in range(1, top + 1) for code in rooted_shapes(k))
         for delta in range(0, top + 3):
             for exact in (True, False):
-                codes, by_size, hubs, hubs_by_size, terms = _alphabet(n, delta, exact, top, True)
+                codes, by_size, hubs, hubs_by_size, terms = _alphabet(n, delta, exact, top, None)
                 degree = [hanging_degree(shape_record(c)) for c in codes]
                 assert codes == [c for c in full if hanging_degree(shape_record(c)) <= delta]
                 assert by_size == [[r for r, c in enumerate(codes) if len(c) == 2 * k]
@@ -674,10 +674,10 @@ def test_alphabet_reads_the_bounded_catalog():
 
 
 def test_the_extremal_alphabet_is_the_catalog_trees_of_extreme_term():
-    """The DP's alphabet holds, per size, exactly the catalog's trees of
-    least and greatest term, and in an exactly-delta run also the hub
-    trees of least and greatest term among hubs, ties included, with the
-    catalog's terms and hub marks, for every top <= 14, delta and
+    """Each objective's DP alphabet holds, per size, exactly the catalog's
+    trees of that objective's extreme term, and in an exactly-delta run
+    also the hub trees of that extreme term among hubs, ties included,
+    with the catalog's terms and hub marks, for every top <= 14, delta and
     exactness."""
     from kfx.search import _alphabet
 
@@ -685,19 +685,21 @@ def test_the_extremal_alphabet_is_the_catalog_trees_of_extreme_term():
         n = top + 2  # the catalog size of a run whose shortest cycle is a triangle
         for delta in (None, *range(0, top + 3)):
             for exact in (True, False):
-                codes, by_size, hubs, _, terms = _alphabet(n, delta, exact, top, True)
-                kept = set()
-                for ranks in by_size:
-                    for group in (ranks, [r for r in ranks if hubs is not None and r in hubs]):
-                        if group:
-                            ends = {min(terms[r] for r in group), max(terms[r] for r in group)}
-                            kept.update(r for r in group if terms[r] in ends)
-                expected = sorted(kept)
-                got = _alphabet(n, delta, exact, top, False)
-                assert got[0] == [codes[r] for r in expected], (n, delta, exact)
-                assert got[4] == [terms[r] for r in expected], (n, delta, exact)
-                assert got[2] == (None if hubs is None else
-                                  {i for i, r in enumerate(expected) if r in hubs}), (n, delta, exact)
+                codes, by_size, hubs, _, terms = _alphabet(n, delta, exact, top, None)
+                for objective, pick in (("min", min), ("max", max)):
+                    kept = set()
+                    for ranks in by_size:
+                        for group in (ranks, [r for r in ranks if hubs is not None and r in hubs]):
+                            if group:
+                                end = pick(terms[r] for r in group)
+                                kept.update(r for r in group if terms[r] == end)
+                    expected = sorted(kept)
+                    got = _alphabet(n, delta, exact, top, objective)
+                    case = (n, delta, exact, objective)
+                    assert got[0] == [codes[r] for r in expected], case
+                    assert got[4] == [terms[r] for r in expected], case
+                    assert got[2] == (None if hubs is None else
+                                      {i for i, r in enumerate(expected) if r in hubs}), case
 
 
 @pytest.mark.parametrize("args, low, low_codes, high, high_codes", [
@@ -710,7 +712,14 @@ def test_the_extremal_alphabet_is_the_catalog_trees_of_extreme_term():
 ])
 def test_pinned_extremes(args, low, low_codes, high, high_codes):
     # values and codes of the full enumeration before the extremal alphabet
-    assert tuple(unicyclic_extremes(*args)) == (class_count(*args), low, low_codes, high, high_codes)
+    count = class_count(*args)
+    assert tuple(unicyclic_extremes(*args, objective="min")) == (count, low, low_codes)
+    assert tuple(unicyclic_extremes(*args, objective="max")) == (count, high, high_codes)
+
+
+def test_an_unknown_objective_is_refused():
+    with pytest.raises(ParameterError):
+        unicyclic_extremes(8, objective="minimum")
 
 
 def test_rows_match_a_per_class_recomputation():
@@ -747,9 +756,9 @@ def test_a_last_rank_that_keeps_the_period_needs_it_to_divide_l():
 
 
 def test_units_match_a_brute_force_over_every_tuple():
-    """Every work unit's class count, extremes, codes and rows equal a brute
-    force that tries every tree tuple of the unit, for every degree filter
-    at n <= 12."""
+    """Every work unit's rows equal those of a brute force that tries every
+    tree tuple of the unit, for every degree filter at n <= 12; a row run
+    reduces its rows to no extreme."""
     from kfx.search import _unit
 
     for n in range(3, 13):
@@ -758,10 +767,10 @@ def test_units_match_a_brute_force_over_every_tuple():
         for delta, exact in filters:
             for l in range(3, n + 1):
                 for first in range(1, n - l + 2):
-                    got = _unit((n, l, first, delta, exact, top, True))
-                    assert (got.l, len(got.rows), got.low, sorted(got.low_codes), got.high,
-                            sorted(got.high_codes), sorted(got.rows)) == (
-                        l, *brute_force_unit(n, l, first, delta, exact)), (n, l, first, delta, exact)
+                    got = _unit((n, l, first, delta, exact, top, None))
+                    assert (got.l, got.num, got.codes, sorted(got.rows)) == (
+                        l, None, [], brute_force_unit(n, l, first, delta, exact)), (
+                        n, l, first, delta, exact)
 
 
 def check_reversal_bound(ms):

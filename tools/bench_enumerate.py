@@ -16,19 +16,24 @@ holds:
   reports it for the command's process. The commands are the six
   enumerate operations of `perfbench/` (`ENUMERATE`) and larger runs
   (`LARGE`): the two largest degree-bounded conjectures at n = 18, the
-  largest run the default cap admits at n = 19, the unfiltered n = 16,
-  two large-delta runs whose catalogs dwarf their classes, two long
-  cycles, the theorem suite to n = 16, and two row runs, the listing at
-  n = 16 and the lemma suite to n = 16; and `verify --suite all`
-  (`VERIFY_ALL`).
-* `in_process`: per (n, delta, exact), the median seconds of one cold
-  `search._alphabet` call building the alphabet an extremes run reads
-  (the extreme-term trees where the checkout has them, its fifth
-  argument; the whole tree catalog before), and of one walk of every work
-  unit through `search._unit` over it, which reduces the classes' Kf
-  without keeping rows; `classes` is the run's class count
-  (`search.class_count`) and `alphabet_trees` the number of trees in
-  that alphabet.
+  largest run the default cap admits at n = 19, the unfiltered n = 16
+  and n = 18, two large-delta runs whose catalogs dwarf their classes,
+  two long cycles, the theorem suite to n = 16, and two row runs, the
+  listing at n = 16 and the lemma suite to n = 16; and `verify --suite
+  all` (`VERIFY_ALL`).
+* `in_process`: per (n, delta, exact, objective), the median seconds of
+  one cold `search._alphabet` call building the alphabet an extremes run
+  reads, and of one walk of every work unit through `search._unit` over
+  it, which reduces the classes' Kf without keeping rows. The alphabet is
+  the objective's extreme-term trees where `_alphabet` takes an
+  `objective`, and the extreme-term trees of both objectives where it
+  takes `rows` (whose units reduce to both extremes); rows from before
+  either, over the whole tree catalog, were written by earlier versions
+  of this script. `classes` is the run's class count
+  (`search.class_count`), `alphabet_trees` the number of trees in that
+  alphabet and `tuples_walked` the number of tuples the units kept, each
+  one call of `_unit`'s `keep`, counted in a second, untimed walk under
+  `sys.setprofile`.
 * `check_lemma_properties_8_s`: the median seconds of one cold
   `suites.check_lemma_properties(8)` call.
 
@@ -61,6 +66,7 @@ LARGE = [
     ["conjecture", "--n", "18", "--delta", "4"],
     ["conjecture", "--n", "19", "--delta", "4"],
     ["search", "--n", "16"],
+    ["search", "--n", "18"],
     ["search", "--n", "19", "--delta", "10"],
     ["search", "--n", "20", "--delta", "6"],
     ["search", "--n", "200", "--l", "196"],
@@ -71,29 +77,45 @@ LARGE = [
 ]
 VERIFY_ALL = ["verify", "--suite", "all", "--seed", "501"]
 COMMANDS = ENUMERATE + LARGE + [VERIFY_ALL]
-LAYERS = [(14, None, True), (14, 4, True), (14, 4, False), (16, None, True), (18, 3, True)]
+# (n, delta, exact, objective) as the operation of that run asks for it
+LAYERS = [(14, None, True, "max"), (14, 4, True, "min"), (14, 4, False, "max"),
+          (16, None, True, "max"), (18, 3, True, "min"), (19, 4, True, "min")]
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_enumerate.json"
 
 # Times one cold `_alphabet` and one walk of every unit for the extremes
-# run given as argv (n, delta or "-", exact as 0/1), over the cycle lengths
-# and with the alphabet size that run uses, and prints them as JSON.
+# run given as argv (n, delta or "-", exact as 0/1, objective), over the
+# cycle lengths and with the alphabet that run uses, counts the tuples a
+# second walk keeps, and prints them as JSON.
 TIME_LAYERS = """
 import inspect, json, sys, time
 from kfx import search
 n, delta, exact = int(sys.argv[1]), None if sys.argv[2] == "-" else int(sys.argv[2]), sys.argv[3] == "1"
+# the objective, or rows=False where `_alphabet` serves both objectives at once
+which = sys.argv[4] if "objective" in inspect.signature(search._alphabet).parameters else False
 ls = search._cycle_lengths(n, delta, exact, None)
 top = n - ls[0] + 1
-extremal = (False,) if len(inspect.signature(search._alphabet).parameters) == 5 else ()
+units = [(n, l, first, delta, exact, top, which) for l, first in search._units(n, ls)]
 t = time.perf_counter()
-search._alphabet(n, delta, exact, top, *extremal)
+search._alphabet(n, delta, exact, top, which)
 alphabet = time.perf_counter() - t
 t = time.perf_counter()
-for l, first in search._units(n, ls):
-    search._unit((n, l, first, delta, exact, top, False))
-units = time.perf_counter() - t
-trees = len(search._alphabet(n, delta, exact, top, *extremal)[0])
-print(json.dumps({"alphabet_s": alphabet, "units_s": units, "alphabet_trees": trees,
-                  "classes": search.class_count(n, delta, exact)}))
+for args in units:
+    search._unit(args)
+walk = time.perf_counter() - t
+walked = 0
+
+def count(frame, event, arg):
+    global walked
+    if event == "call" and frame.f_code.co_name == "keep":
+        walked += 1
+
+sys.setprofile(count)
+for args in units:
+    search._unit(args)
+sys.setprofile(None)
+trees = len(search._alphabet(n, delta, exact, top, which)[0])
+print(json.dumps({"alphabet_s": alphabet, "units_s": walk, "alphabet_trees": trees,
+                  "tuples_walked": walked, "classes": search.class_count(n, delta, exact)}))
 """
 TIME_LEMMAS = """
 import time
@@ -126,8 +148,8 @@ def _python(src: str, code: str, argv: list[str] = ()) -> str:
                           capture_output=True, text=True).stdout
 
 
-def _layers(src: str, n: int, delta: int | None, exact: bool) -> dict:
-    argv = [str(n), "-" if delta is None else str(delta), "1" if exact else "0"]
+def _layers(src: str, n: int, delta: int | None, exact: bool, objective: str) -> dict:
+    argv = [str(n), "-" if delta is None else str(delta), "1" if exact else "0", objective]
     return json.loads(_python(src, TIME_LAYERS, argv))
 
 
@@ -179,12 +201,13 @@ def main(argv: list[str]) -> int:
             "enumerate_pass_s": round(sum(statistics.median(w for w, _ in runs[" ".join(a)])
                                           for a in ENUMERATE), 3),
             "in_process": [{
-                "n": n, "delta": delta, "exact": exact,
+                "n": n, "delta": delta, "exact": exact, "objective": objective,
                 "classes": samples[0]["classes"],
                 "alphabet_trees": samples[0]["alphabet_trees"],
+                "tuples_walked": samples[0]["tuples_walked"],
                 "alphabet_s": _median([s["alphabet_s"] for s in samples], 4),
                 "units_s": _median([s["units_s"] for s in samples], 4),
-            } for (n, delta, exact), samples in layers[label].items()],
+            } for (n, delta, exact, objective), samples in layers[label].items()],
             "check_lemma_properties_8_s": _median(lemmas[label], 4),
         })
     report["rows"] += rows
