@@ -9,15 +9,16 @@ generated once, as its canonical tuple, the least of the tuple's l
 rotations and l reflections, so nothing is deduplicated. The space
 partitions into disjoint work units by (l, size of the first tree).
 
-Each unit computes every class's Kf as it is generated, as the exact
-integer N = l * Kf. Every unit runs in the calling process, one at a
-time as its reader asks for it. `unicyclic_rows` walks the alphabet of
-every allowed tree, from the shape catalog, and yields each unit's rows
-as it ends. `unicyclic_extremes` answers one objective, the least or the
-greatest Kf: its units walk the alphabet of the trees of that
+A unit is a walk: it computes every class's Kf as it is generated, as
+the exact integer N = l * Kf, and hands the tuple and N to the `keep` of
+its run, which owns what is kept. A run builds its alphabet once and
+walks its units in the calling process, one at a time as its reader
+asks. `unicyclic_rows` walks every allowed tree, from the shape catalog,
+and yields each unit's rows as it ends. `unicyclic_extremes` answers one
+objective, the least or the greatest Kf: it walks the trees of that
 objective's extreme term per size, which a DP builds with no catalog,
-since only their tuples can reach that extreme, and each unit returns
-its extreme N with the codes reaching it.
+since only their tuples can reach that extreme, and folds each unit's
+extreme N into one extreme.
 
 The enumeration cap counts classes, and `class_count` is where a run
 meets it, before any tree catalog is built: it returns the run's exact
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, islice
 from typing import Iterator, NamedTuple
 
@@ -131,7 +131,6 @@ def _extreme_trees(n: int, delta: int | None, exact: bool, top: int,
     return found
 
 
-@lru_cache(maxsize=1)
 def _alphabet(n: int, delta: int | None, exact: bool, top: int, objective: str | None):
     """The hanging trees of sizes 1..top allowed under `delta`, in byte
     order: (codes, their ranks grouped by size, the ranks of the trees of
@@ -151,7 +150,7 @@ def _alphabet(n: int, delta: int | None, exact: bool, top: int, objective: str |
     byte order, and the sizes are merged, so rank order is code order and
     comparing rank tuples compares code tuples. The last code is b"()",
     the one-vertex tree, whose degree 2 is the least a hanging tree has,
-    so it is allowed whenever any tree is. Built once per call.
+    so it is allowed whenever any tree is. A run builds it once.
     """
     hubbed = delta is not None and exact
     if objective is None:
@@ -182,18 +181,6 @@ def _alphabet(n: int, delta: int | None, exact: bool, top: int, objective: str |
 
 
 Row = tuple[bytes, int, tuple[bytes, ...], int]  # code, l, shapes, N = l * Kf
-
-
-class UnitResult(NamedTuple):
-    """What one work unit found over the classes it generated: its cycle
-    length, and in an extremes run its objective's extreme numerator
-    N = l * Kf with the codes reaching it (None and [] otherwise), or in a
-    row run a (code, l, shapes, N) row per class."""
-
-    l: int
-    num: int | None
-    codes: list[bytes]
-    rows: list[Row]
 
 
 def _reversal_bound(a: list[int], t: int, m: int, one: int) -> int | None:
@@ -229,14 +216,13 @@ def _reversal_bound(a: list[int], t: int, m: int, one: int) -> int | None:
     return least
 
 
-def _unit(args) -> UnitResult:
-    """The classes whose canonical tuple has length l and starts with a tree
-    on `first` vertices, all of whose trees are in the alphabet
-    `_alphabet(n, delta, exact, top, objective)`: every allowed tree in a
-    row run (no objective), which keeps a row per class, and otherwise the
-    objective's extreme-term trees, over whose classes the unit keeps only
-    the least N ("min") or the greatest ("max"). The canonical tuple is the
-    class's representative.
+def _unit(n: int, l: int, first: int, alphabet, keep) -> None:
+    """Walk the classes on n vertices whose canonical tuple has length l
+    and starts with a tree on `first` vertices, all of whose trees are in
+    `alphabet`, as `_alphabet` builds it, and call keep(a, N) for each: a
+    is the class's canonical tuple, as ranks into the alphabet's codes, and
+    N = l * Kf. The walk reuses a, so a keep that holds on to it copies it.
+    The canonical tuple is the class's representative.
 
     A canonical tuple is the least of its l rotations and l reflections.
     Tuples of ranks are grown as prenecklaces (Fredricksen, Kessler &
@@ -265,22 +251,21 @@ def _unit(args) -> UnitResult:
     read from a[0] meets it where a has a[1], so the expansion just before
     it pushes only the sizes whose greatest tree reaches a[1].
 
-    Each kept tuple's Kf is the integer N = l * Kf that `kf_from_stats`
+    Each tuple's Kf is the integer N = l * Kf that `kf_from_stats`
     folds. With sizes s_i and prefix sums P_k = s_0 + ... + s_k, the pairs
     i < j sum s_i s_j (j - i) to sum_k P_k (n - P_k), and s_i s_j (j - i)^2
     to n sum_i i^2 s_i - (sum_i i s_i)^2, so
     N = l (sum_i term_i + sum_k P_k (n - P_k)) - n sum_i i^2 s_i
     + (sum_i i s_i)^2. Every stack entry carries the first part and
     sum_i i s_i over its prefix, each placed tree adding its share, so a
-    kept tuple costs a few additions. The one-vertex trees of a fill have
+    tuple costs a few additions. The one-vertex trees of a fill have
     no tree term, and their part of each sum is in closed form, as is a
     last tree's beside its term. In exact-delta runs an entry also carries
     whether its prefix holds a tree of degree delta (a hub): a prefix
     without one takes only hubs once no later tree can be as large as the
     least hub, which its fill or last tree always is.
     """
-    n, l, first, delta, exact, top, objective = args
-    codes, by_size, hubs, hubs_by_size, terms = _alphabet(n, delta, exact, top, objective)
+    codes, by_size, hubs, hubs_by_size, terms = alphabet
     one = len(codes) - 1  # the rank of b"()"
     ones = [one] * l
     # with one-vertex trees at positions t..l-1: their part of the first
@@ -292,21 +277,6 @@ def _unit(args) -> UnitResult:
     hub_size = 0 if hubs is None else next((k for k, rs in enumerate(hubs_by_size) if rs), n + 1)
     greatest = [ranks[-1] if ranks else -1 for ranks in by_size]  # per size
     a = [0] * l
-    best = None
-    reaching: list[list[int]] = []
-    rows: list[Row] = []
-
-    if objective is None:
-        def keep(num: int) -> None:
-            shapes = tuple(map(codes.__getitem__, a))
-            rows.append((b"%d:" % l + b"".join(shapes), l, shapes, num))
-    else:
-        def keep(num: int) -> None:
-            nonlocal best, reaching
-            if num == best:
-                reaching.append(a[:])
-            elif best is None or (num < best) == (objective == "min"):
-                best, reaching = num, [a[:]]
 
     # (position, rank, period of the tuple up to it, vertices left after it,
     #  l * (sum of terms + sum_k P_k (n - P_k)) - n sum_i i^2 s_i and
@@ -318,7 +288,7 @@ def _unit(args) -> UnitResult:
         c += fill_num[1] + fill_s1[1] ** 2
         for r in by_size[first] if hubs is None else hubs_by_size[first]:
             a[0] = r
-            keep(c + l * terms[r])
+            keep(a, c + l * terms[r])
         stack = []
     else:
         stack = [(0, r, 1, rest, c + l * terms[r], 0, hubs is None or r in hubs)
@@ -339,7 +309,7 @@ def _unit(args) -> UnitResult:
             # low_rank keeps the period p, so it passes iff p divides l
             for r in ranks[bisect_left(ranks, max(least, low_rank + (l % p > 0))):]:
                 a[t] = r
-                keep(base + l * terms[r])
+                keep(a, base + l * terms[r])
             continue
         m = l - t - 1  # the positions after t, each left at least one vertex
         fill = left - m  # the size at t that leaves exactly one for each
@@ -385,32 +355,16 @@ def _unit(args) -> UnitResult:
                 # a rank equal to a[0] starts one more rotation of the
                 # reversal: a[t], ..., a[0], then the ones
                 if low_rank != a[0] or a[t::-1] >= a[:t + 1]:
-                    keep(c + l * terms[low_rank])
+                    keep(a, c + l * terms[low_rank])
             i += 1
         for r in ranks[max(i, bisect_left(ranks, least)):]:
             a[t] = r
-            keep(c + l * terms[r])
-
-    def key(ranks: list[int]) -> bytes:
-        return b"%d:" % l + b"".join(map(codes.__getitem__, ranks))
-
-    return UnitResult(l, best, list(map(key, reaching)), rows)
+            keep(a, c + l * terms[r])
 
 
 def _units(n: int, ls: range) -> list[tuple[int, int]]:
     """Work units (l, size of the first tree of the canonical tuple)."""
     return [(l, first) for l in ls for first in range(1, n - l + 2)]
-
-
-def _unit_args(n, delta, l_filter, exact, objective) -> list[tuple]:
-    """The arguments of every work unit of a run, in unit order: the
-    `objective` picks the alphabet they read, every allowed tree for a row
-    run (None), that objective's extreme trees for an extremes run."""
-    ls = _cycle_lengths(n, delta, exact, l_filter)
-    if not ls:
-        return []
-    top = n - ls[0] + 1
-    return [(n, l, first, delta, exact, top, objective) for l, first in _units(n, ls)]
 
 
 def unicyclic_rows(
@@ -426,10 +380,22 @@ def unicyclic_rows(
     at a time, in unit order and unsorted; the shapes are the class's
     canonical tuple, and `unicyclic_from_shapes` builds its graph. A run
     past `cap`, as `class_count` rules, raises CapExceededError before any
-    catalog is built."""
+    catalog is built, and one within it builds its catalog once."""
     class_count(n, delta, exact, l_filter, cap)
-    for result in map(_unit, _unit_args(n, delta, l_filter, exact, None)):
-        yield from result.rows
+    ls = _cycle_lengths(n, delta, exact, l_filter)
+    if not ls:
+        return
+    alphabet = _alphabet(n, delta, exact, n - ls[0] + 1, None)
+    codes = alphabet[0]
+
+    def keep(a: list[int], num: int) -> None:
+        shapes = tuple(map(codes.__getitem__, a))
+        rows.append((b"%d:" % l + b"".join(shapes), l, shapes, num))
+
+    for l, first in _units(n, ls):
+        rows: list[Row] = []
+        _unit(n, l, first, alphabet, keep)
+        yield from rows
 
 
 class Extremes(NamedTuple):
@@ -439,23 +405,6 @@ class Extremes(NamedTuple):
     count: int
     value: Fraction | None
     codes: list[str]
-
-
-def _merge(count: int, objective: str, results) -> Extremes:
-    """Fold work-unit results into one Extremes of `count` classes for the
-    objective; units of different cycle lengths compare their numerators
-    as Kf = N / l."""
-    best = None
-    codes: list[bytes] = []
-    for r in results:
-        if r.num is None:
-            continue
-        kf = Fraction(r.num, r.l)
-        if kf == best:
-            codes += r.codes
-        elif best is None or (kf < best) == (objective == "min"):
-            best, codes = kf, list(r.codes)
-    return Extremes(count, best, sorted(c.decode("ascii") for c in codes))
 
 
 def unicyclic_extremes(
@@ -471,7 +420,7 @@ def unicyclic_extremes(
     Kf of the classes `unicyclic_rows` would yield, with their codes.
 
     The count is `class_count`'s, which meets `cap`. The extreme comes
-    from the work units run, in this process, over the alphabet of the
+    from the work units walked, in this process, over the alphabet of the
     trees of the objective's extreme term per size: with its cycle length
     and tree sizes fixed, a class's N = l * Kf is l times the sum of its
     trees' terms plus a function of the sizes alone, so a class of least N
@@ -480,11 +429,37 @@ def unicyclic_extremes(
     of greatest N likewise. A tuple is canonical or not whatever the
     alphabet, so the units over that sub-alphabet generate exactly the
     classes all of whose trees are in it, every extreme class among them.
+    The run builds that alphabet once, keeps each unit's extreme N with
+    the tuples reaching it, and compares units as Kf = N / l.
     """
     if objective not in ("min", "max"):
         raise ParameterError(f"objective must be 'min' or 'max', got {objective!r}")
     count = class_count(n, delta, exact, l_filter, cap)
-    return _merge(count, objective, map(_unit, _unit_args(n, delta, l_filter, exact, objective)))
+    low = objective == "min"
+    ls = _cycle_lengths(n, delta, exact, l_filter)
+    alphabet = _alphabet(n, delta, exact, n - ls[0] + 1, objective) if ls else None
+
+    def keep(a: list[int], num: int) -> None:
+        nonlocal best, reaching
+        if num == best:
+            reaching.append(a[:])
+        elif best is None or (num < best) == low:
+            best, reaching = num, [a[:]]
+
+    value = None
+    codes: list[bytes] = []
+    for l, first in _units(n, ls):
+        best, reaching = None, []  # the unit's extreme N and the tuples reaching it
+        _unit(n, l, first, alphabet, keep)
+        if best is None:
+            continue
+        kf = Fraction(best, l)
+        found = [b"%d:" % l + b"".join(map(alphabet[0].__getitem__, a)) for a in reaching]
+        if kf == value:
+            codes += found
+        elif value is None or (kf < value) == low:
+            value, codes = kf, found
+    return Extremes(count, value, sorted(c.decode("ascii") for c in codes))
 
 
 # ---------------------------------------------------------------------------

@@ -3,46 +3,22 @@
 minimisers (`probe_conjecture`), the supporting lemmas
 (`check_lemma_properties`) and the structural engine against the
 determinant oracle (`engine_equivalence_suite`). Mismatches are reported,
-never suppressed.
+never suppressed. Each suite imports the layers it runs, so `conjecture`
+loads no graph, catalog or Kf engine module.
 """
 from __future__ import annotations
 
-import heapq
-import random
 from fractions import Fraction
-from itertools import combinations
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DEFAULT_CAP, CapExceededError, ParameterError
-from .families import make_p_family_member, make_t_n_delta
-from .formulas import (
-    conj_ii_x_range,
-    conj_min_formula_i,
-    conj_min_formula_ii,
-    theorem_bound,
-    wiener_broom_formula,
-)
-from .graph import Graph
-from .metrics import (
-    engine_input,
-    kf_from_stats,
-    kirchhoff_index,
-    resistance_numerator,
-)
 from .search import unicyclic_extremes, unicyclic_rows
-from .unicyclic import (
-    Shape,
-    ShapeRecord,
-    canonical_code,
-    decompose_unicyclic,
-    hanging_degree,
-    merge_stats,
-    path_shape,
-    rooted_shapes,
-    shape_record,
-    tree_canonical_code,
-    unicyclic_from_shapes,
-)
+
+if TYPE_CHECKING:  # the annotations' names; each suite imports what it runs
+    import random
+
+    from .graph import Graph
+    from .unicyclic import Shape, ShapeRecord
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +26,11 @@ from .unicyclic import (
 
 def random_unicyclic(n: int, rng: random.Random) -> Graph:
     """Random connected unicyclic graph: Pruefer tree plus one extra edge."""
+    import heapq
+    from itertools import combinations
+
+    from .graph import Graph
+
     if n < 3:
         raise ParameterError(f"need n >= 3, got {n}")
     if n == 3:
@@ -123,6 +104,9 @@ def verify_theorem(n: int, delta: int, cap: int = DEFAULT_CAP) -> ExtremalReport
     compare the bound with the Kf folded from those trees' numbers instead
     (formula-only mode): the path's, hung under vertex 0, then each
     pendant's. That builds no graph and reads no code."""
+    from .formulas import theorem_bound
+    from .unicyclic import merge_stats, path_shape
+
     bound = theorem_bound(n, delta)  # raises ParameterError outside its range
     shapes = (b"(" + path_shape(n - delta) + b"()" * (delta - 3) + b")", b"()", b"()")
     expected_code = "3:" + b"".join(shapes).decode("ascii")
@@ -130,6 +114,8 @@ def verify_theorem(n: int, delta: int, cap: int = DEFAULT_CAP) -> ExtremalReport
     try:
         found = unicyclic_extremes(n, delta, cap=cap, objective="max")
     except CapExceededError:
+        from .metrics import kf_from_stats
+
         k = n - delta  # the path's size, root depth sum and Wiener index, as in `_path_gain`
         hub = merge_stats(1, 0, 0, k, k * (k - 1) // 2, (k**3 - k) // 6)
         for _ in range(delta - 3):
@@ -171,6 +157,8 @@ def probe_conjecture(n: int, delta: int, cap: int = DEFAULT_CAP) -> ExtremalRepo
     """Brute-force minimum Kf over unicyclic graphs with max degree
     exactly `delta`, compared against the conjectured closed form.
     Mismatches are reported, never suppressed."""
+    from .formulas import conj_ii_x_range, conj_min_formula_i, conj_min_formula_ii
+
     if delta < 3 or n < delta + 1:
         raise ParameterError(f"need delta >= 3 and n >= delta+1, got n={n}, delta={delta}")
     count, best, arg = unicyclic_extremes(n, delta, cap=cap, objective="min")
@@ -235,6 +223,8 @@ def _pendant_tadpoles(n: int, l: int, delta: int):
     vertex is one more pendant of the hub), and for max_pos = 1 the degree
     is unreachable there.
     """
+    from .families import make_p_family_member
+
     for hub_pos in range(max(n - l - delta + 2, 1)):
         yield make_p_family_member(n, l, delta, hub_pos)
 
@@ -260,6 +250,20 @@ def check_lemma_properties(
     within each n; each pendant tadpole is built and decomposed once.
     Returns a report dict; `ok` is True iff no lemma saw a violation.
     """
+    from .families import make_t_n_delta
+    from .formulas import wiener_broom_formula
+    from .metrics import kirchhoff_index
+    from .unicyclic import (
+        canonical_code,
+        decompose_unicyclic,
+        hanging_degree,
+        path_shape,
+        rooted_shapes,
+        shape_record,
+        tree_canonical_code,
+        unicyclic_from_shapes,
+    )
+
     path: dict = {"checked": 0, "violations": [], "non_strict_changes": 0}
     tadpole: dict = {"checked": 0, "violations": []}
     hub: dict = {"checked": 0, "violations": [], "ties": 0}
@@ -358,6 +362,12 @@ def engine_equivalence_suite(n_max: int, samples: int, seed: int, cap: int = DEF
     length) and tau R (oracle, tau the spanning-tree count) by
     cross-multiplication, and Kf times tau is compared with the sum of the
     tau R: exact, with one fraction per graph, and tau = l is not assumed."""
+    import random
+    from itertools import combinations
+
+    from .metrics import engine_input, kirchhoff_index, resistance_numerator
+    from .unicyclic import decompose_unicyclic, unicyclic_from_shapes
+
     checked_pairs = 0
     graphs = 0
     mismatches: list[str] = []

@@ -590,6 +590,17 @@ def test_compute_and_family_load_no_enumeration_stack(tmp_path):
     added = modules_added_by(["family", "--name", "cycle", "--n", "5"], tmp_path)
     assert "kfx.families" in added
     assert not added & {"kfx.search", "kfx.suites", "kfx.metrics", "multiprocessing"}
+    # each suite imports what it runs
+    added = modules_added_by(["conjecture", "--n", "14", "--delta", "4"], tmp_path)
+    assert "kfx.suites" in added
+    assert not added & {"kfx.families", "kfx.graph", "kfx.metrics", "kfx.unicyclic"}
+    added = modules_added_by(["verify", "--suite", "theorem", "--n-max", "6"], tmp_path)
+    assert "kfx.suites" in added
+    assert not added & {"kfx.families", "kfx.metrics"}
+    added = modules_added_by(["verify", "--suite", "theorem", "--n", "700", "--delta", "5"],
+                             tmp_path)
+    assert "kfx.metrics" in added  # formula-only folds the maximiser's Kf
+    assert "kfx.families" not in added
 
 
 def test_an_unknown_family_exits_3_and_lists_the_known_names(capsys):

@@ -190,20 +190,20 @@ def test_engine_equivalence_suite_small():
 
 
 def _suite_with_one_wrong_class(monkeypatch, name, corrupt):
-    """Run engine_equivalence_suite(5, 0, 1) with `kfx.suites.<name>`
+    """Run engine_equivalence_suite(5, 0, 1) with `kfx.metrics.<name>`
     answering corrupt(answer, *args) on one n = 5 class and rightly on the
     others; return that class's label and the suite's violations."""
-    import kfx.suites
+    import kfx.metrics
 
     code = sorted(unicyclic_rows(5))[2][0]
-    original = getattr(kfx.suites, name)
+    original = getattr(kfx.metrics, name)
 
     def patched(g, *args):
         answer = original(g, *args)
         u = g if isinstance(g, UnicyclicRepr) else decompose_unicyclic(g)
         return corrupt(answer, *args) if canonical_code(u) == code else answer
 
-    monkeypatch.setattr(kfx.suites, name, patched)
+    monkeypatch.setattr(kfx.metrics, name, patched)
     return f"n=5 {code.decode('ascii')}", engine_equivalence_suite(5, 0, 1)["violations"]
 
 
@@ -221,9 +221,12 @@ def test_engine_suite_reports_a_wrong_kirchhoff_index(monkeypatch):
 
 def test_engine_suite_reports_an_oracle_with_a_wrong_tree_count(monkeypatch):
     """tau doubled but A kept halves every oracle resistance, which a check
-    assuming tau = l (comparing l R with tau R directly) would miss."""
+    assuming tau = l (comparing l R with tau R directly) would miss. Only
+    the oracle's input is corrupted: `kirchhoff_index` also calls
+    `engine_input`, for the structural engine."""
     label, violations = _suite_with_one_wrong_class(
-        monkeypatch, "engine_input", lambda adj, engine: adj._replace(tau=2 * adj.tau))
+        monkeypatch, "engine_input",
+        lambda adj, engine="auto": adj._replace(tau=2 * adj.tau) if engine == "oracle" else adj)
     assert violations == [label]
 
 
@@ -578,16 +581,16 @@ def test_pendant_tadpoles_are_distinct():
 
 def test_lemma_suite_builds_each_pendant_tadpole_once(monkeypatch):
     # one decomposition of each member serves both tadpole checks
-    import kfx.suites
+    import kfx.families
 
-    real = kfx.suites.make_p_family_member
+    real = kfx.families.make_p_family_member
     calls = []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(kfx.suites, "make_p_family_member", counted)
+    monkeypatch.setattr(kfx.families, "make_p_family_member", counted)
     check_lemma_properties(8)
     assert len(set(calls)) == len(calls) == 50
 
@@ -756,21 +759,46 @@ def test_a_last_rank_that_keeps_the_period_needs_it_to_divide_l():
 
 
 def test_units_match_a_brute_force_over_every_tuple():
-    """Every work unit's rows equal those of a brute force that tries every
-    tree tuple of the unit, for every degree filter at n <= 12; a row run
-    reduces its rows to no extreme."""
-    from kfx.search import _unit
+    """Every work unit's rows, collected by a keep passed to the walk,
+    equal those of a brute force that tries every tree tuple of the unit,
+    for every degree filter at n <= 12."""
+    from kfx.search import _alphabet, _unit
 
     for n in range(3, 13):
         top = n - 2  # the catalog of a run whose shortest cycle is a triangle
         filters = [(None, True)] + [(d, e) for d in range(2, n + 1) for e in (True, False)]
         for delta, exact in filters:
+            alphabet = _alphabet(n, delta, exact, top, None)
             for l in range(3, n + 1):
                 for first in range(1, n - l + 2):
-                    got = _unit((n, l, first, delta, exact, top, None))
-                    assert (got.l, got.num, got.codes, sorted(got.rows)) == (
-                        l, None, [], brute_force_unit(n, l, first, delta, exact)), (
+                    rows = []
+
+                    def keep(a, num):
+                        shapes = tuple(alphabet[0][r] for r in a)
+                        rows.append((b"%d:" % l + b"".join(shapes), l, shapes, num))
+
+                    assert _unit(n, l, first, alphabet, keep) is None
+                    assert sorted(rows) == brute_force_unit(n, l, first, delta, exact), (
                         n, l, first, delta, exact)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: unicyclic_extremes(12, objective="min"),
+    lambda: list(unicyclic_rows(9)),
+], ids=["extremes", "rows"])
+def test_a_run_builds_its_alphabet_once(monkeypatch, run):
+    import kfx.search
+
+    real = kfx.search._alphabet
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kfx.search, "_alphabet", counted)
+    run()
+    assert len(calls) == 1
 
 
 def check_reversal_bound(ms):

@@ -24,18 +24,22 @@ holds:
 * `in_process`: per (n, delta, exact, objective), the median seconds of
   one cold `search._alphabet` call building the alphabet an extremes run
   reads, and of one walk of every work unit through `search._unit` over
-  it, which reduces the classes' Kf without keeping rows. The alphabet is
-  the objective's extreme-term trees where `_alphabet` takes an
-  `objective`, and the extreme-term trees of both objectives where it
+  it, which reduces the classes' Kf without keeping rows. Where `_unit`
+  takes the alphabet and a `keep`, the walk passes a `keep` that reduces
+  each unit to its extreme as `unicyclic_extremes` does; where it takes
+  one packed tuple, it reads a cached alphabet and reduces in place. The
+  alphabet is the objective's extreme-term trees where `_alphabet` takes
+  an `objective`, and the extreme-term trees of both objectives where it
   takes `rows` (whose units reduce to both extremes); rows from before
   either, over the whole tree catalog, were written by earlier versions
   of this script. `classes` is the run's class count
   (`search.class_count`), `alphabet_trees` the number of trees in that
   alphabet and `tuples_walked` the number of tuples the units kept, each
-  one call of `_unit`'s `keep`, counted in a second, untimed walk under
+  one call of a `keep`, counted in a second, untimed walk under
   `sys.setprofile`.
 * `check_lemma_properties_8_s`: the median seconds of one cold
-  `suites.check_lemma_properties(8)` call.
+  `suites.check_lemma_properties(8)` call, with the modules the suite
+  runs imported beforehand, untimed, as `kfx.suites` once imported them.
 
 Earlier rows also hold one- and two-worker row runs (`two_workers_faster`,
 and keys ending in `(pool minimum 0)`), from checkouts whose row runs
@@ -94,14 +98,36 @@ n, delta, exact = int(sys.argv[1]), None if sys.argv[2] == "-" else int(sys.argv
 which = sys.argv[4] if "objective" in inspect.signature(search._alphabet).parameters else False
 ls = search._cycle_lengths(n, delta, exact, None)
 top = n - ls[0] + 1
-units = [(n, l, first, delta, exact, top, which) for l, first in search._units(n, ls)]
+units = search._units(n, ls)
+low = which == "min"
+
+
+def keep(a, num):  # one unit's extreme N and the tuples reaching it, as `unicyclic_extremes` keeps them
+    global best, reaching
+    if num == best:
+        reaching.append(a[:])
+    elif best is None or (num < best) == low:
+        best, reaching = num, [a[:]]
+
+
+def walk(alphabet):
+    global best, reaching
+    for l, first in units:
+        if alphabet is None:  # `_unit` takes packed arguments and reads a cached alphabet
+            search._unit((n, l, first, delta, exact, top, which))
+        else:
+            best, reaching = None, []
+            search._unit(n, l, first, alphabet, keep)
+
+
 t = time.perf_counter()
-search._alphabet(n, delta, exact, top, which)
-alphabet = time.perf_counter() - t
+alphabet = search._alphabet(n, delta, exact, top, which)
+alphabet_s = time.perf_counter() - t
+if "keep" not in inspect.signature(search._unit).parameters:
+    alphabet = None
 t = time.perf_counter()
-for args in units:
-    search._unit(args)
-walk = time.perf_counter() - t
+walk(alphabet)
+walk_s = time.perf_counter() - t
 walked = 0
 
 def count(frame, event, arg):
@@ -110,15 +136,15 @@ def count(frame, event, arg):
         walked += 1
 
 sys.setprofile(count)
-for args in units:
-    search._unit(args)
+walk(alphabet)
 sys.setprofile(None)
 trees = len(search._alphabet(n, delta, exact, top, which)[0])
-print(json.dumps({"alphabet_s": alphabet, "units_s": walk, "alphabet_trees": trees,
+print(json.dumps({"alphabet_s": alphabet_s, "units_s": walk_s, "alphabet_trees": trees,
                   "tuples_walked": walked, "classes": search.class_count(n, delta, exact)}))
 """
 TIME_LEMMAS = """
 import time
+import kfx.families, kfx.formulas, kfx.metrics, kfx.unicyclic
 from kfx.suites import check_lemma_properties
 t = time.perf_counter()
 check_lemma_properties(8)
