@@ -25,7 +25,8 @@ class NotUnicyclicError(KfxError):
 
 
 class EngineMismatchError(KfxError):
-    """Structural engine given a graph it cannot handle."""
+    """An engine given an input it cannot read: the structural engine a
+    graph that is neither a tree nor unicyclic, the oracle a decomposition."""
 
 
 class CapExceededError(KfxError):

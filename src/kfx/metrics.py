@@ -136,14 +136,13 @@ class Adjugate(NamedTuple):
     without vertex 0) and `adj` is A = tau L0^-1 with a zero row and column
     back at vertex 0. A[a][b] counts the 2-tree spanning forests with 0 in
     one tree and a, b in the other, so R(a, b) = (A[a][a] + A[b][b] -
-    2 A[a][b]) / tau (all-minors matrix-tree theorem). `at` maps each vertex
-    of the graph given to its index. The oracle engine reads it in place of
-    the graph, so several quantities share one elimination."""
+    2 A[a][b]) / tau (all-minors matrix-tree theorem), for vertices a, b
+    of `graph`. The oracle engine reads it in place of the graph, so
+    several quantities share one elimination."""
 
     graph: Graph
     tau: int
     adj: list[list[int]]
-    at: Mapping[int, int] | range
 
     @property
     def n(self) -> int:
@@ -154,29 +153,25 @@ class Adjugate(NamedTuple):
         return self.graph.m
 
     def numerator(self, a: int, b: int) -> int:
-        """tau R(a, b) = A[a][a] + A[b][b] - 2 A[a][b], a and b vertices
-        of the graph given."""
-        a, b, adj = self.at[a], self.at[b], self.adj
-        return adj[a][a] + adj[b][b] - 2 * adj[a][b]
+        """tau R(a, b) = A[a][a] + A[b][b] - 2 A[a][b]."""
+        return self.adj[a][a] + self.adj[b][b] - 2 * self.adj[a][b]
 
 
-def _grounded_adjugate(g: Graph | UnicyclicRepr | Adjugate) -> Adjugate:
+def _grounded_adjugate(g: Graph | Adjugate) -> Adjugate:
     """g's grounded adjugate, from one Bareiss elimination (g itself if it
     is one already)."""
     if isinstance(g, Adjugate):
         return g
-    g, at = g.to_graph() if isinstance(g, UnicyclicRepr) else (g, range(g.n))
     adj: list[list[int]] = []
     tau = det_bareiss(_grounded_laplacian(g), adj)
     if tau == 0:
         raise NotConnectedError(f"graph on {g.n} vertices is not connected")
-    return Adjugate(g, tau, [[0] * g.n] + [[0, *row] for row in adj], at)
+    return Adjugate(g, tau, [[0] * g.n] + [[0, *row] for row in adj])
 
 
-def _vertices(g: Graph | UnicyclicRepr | Adjugate) -> Mapping[int, int] | range:
+def _vertices(g: Graph | UnicyclicRepr | Adjugate) -> Mapping[int, tuple[int, int]] | range:
     """The vertex labels g answers for, without an elimination."""
-    return (g.position if isinstance(g, UnicyclicRepr)
-            else g.at if isinstance(g, Adjugate) else range(g.n))
+    return g.position if isinstance(g, UnicyclicRepr) else range(g.n)
 
 
 def engine_input(
@@ -191,7 +186,8 @@ def engine_input(
     which a decomposition or an adjugate passes through unchanged. A graph
     with n - 1 or n edges goes to the structural engine untested: its
     decomposition raises NotConnectedError if it is not connected, within
-    the passes it makes anyway.
+    the passes it makes anyway. The oracle reads a graph or an adjugate,
+    and raises EngineMismatchError on a decomposition.
     """
     if engine not in ("auto", "oracle", "structural"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -207,6 +203,8 @@ def engine_input(
             return UnicyclicRepr([0], [(order, parent)])
         if engine == "structural":
             raise EngineMismatchError("structural engine needs a tree or unicyclic graph")
+    if isinstance(g, UnicyclicRepr):
+        raise EngineMismatchError("oracle engine needs a graph, not a decomposition")
     return _grounded_adjugate(g)
 
 
@@ -256,7 +254,7 @@ def kirchhoff_index(g: Graph | UnicyclicRepr | Adjugate) -> Fraction:
     u = engine_input(g)
     if isinstance(u, UnicyclicRepr):
         return kf_from_stats(u.l, u.tree_stats)
-    _, tau, adj, _ = u  # Kf = (n tr A - 1'A1) / tau
+    _, tau, adj = u  # Kf = (n tr A - 1'A1) / tau
     return Fraction(sum(len(adj) * row[i] - sum(row) for i, row in enumerate(adj)), tau)
 
 
@@ -287,8 +285,7 @@ def kf_vertex(g: Graph | UnicyclicRepr | Adjugate, v: int) -> Fraction:
             k = parent[k]
         cross = sum(s * abs(i - j) * (u.l - abs(i - j)) for j, (s, _, _) in enumerate(u.tree_stats))
         return Fraction(total * u.l + cross, u.l)
-    _, tau, adj, at = u
-    v = at[v]
+    _, tau, adj = u
     trace = sum(row[i] for i, row in enumerate(adj))
     return Fraction(len(adj) * adj[v][v] + trace - 2 * sum(adj[v]), tau)
 

@@ -55,7 +55,9 @@ def _extreme_trees(n: int, delta: int | None, exact: bool, top: int,
     trees as children: a child swapped for a better one of its size, a hub
     if it was the tree's only one, would leave a better tree. So the
     multisets of extreme children are searched, pruned by the DP's best
-    rest, for every tree reaching each extreme, ties included.
+    rest, for every tree reaching each extreme, ties included; while a hub
+    tree's chosen children hold no hub, its best rest holds a hub or
+    saturates the root.
     """
     planted_max, root_max = (top, top) if delta is None else (delta - 1, delta - 2)
     hubbed = delta is not None and exact
@@ -70,10 +72,11 @@ def _extreme_trees(n: int, delta: int | None, exact: bool, top: int,
     items: list[tuple[int, bytes, int, bool]] = []
     best: list[int | None] = [None] * top
     best_hub: list[int | None] = [None] * top
-    # [j][s]: the least sum of best values of exactly j, and of at most j,
-    # planted children on s vertices in all
+    # [j][s]: the least sum of best values of exactly j, of at most j, and
+    # of at most j one of which is a hub, planted children on s vertices
     exactly = [[0] + [None] * (top - 1)] + [[None] * top for _ in range(widest)]
     most = [[0] + [None] * (top - 1) for _ in range(widest + 1)]
+    most_hub = [[None] * top for _ in range(widest + 1)]
 
     def extreme(children: int, s: int, hub: bool) -> tuple[int | None, dict]:
         """The best sign * term of the trees on s + 1 vertices whose
@@ -83,31 +86,36 @@ def _extreme_trees(n: int, delta: int | None, exact: bool, top: int,
             return None, {}
         if not hub:
             target = most[min(children, widest)][s]
-        else:  # the root saturated, or one hub child beside the best rest
-            rest = most[min(children - 1, widest)] if children else [None] * top
-            target = least([exactly[children][s] if children <= widest else None] + [
-                v + rest[s - k] for k, v in enumerate(best_hub[:s + 1])
-                if v is not None and rest[s - k] is not None])
+        else:  # the root saturated, or a hub child beside the best rest
+            target = least([exactly[children][s] if children <= widest else None,
+                            most_hub[min(children, widest)][s]])
         trees: dict[bytes, tuple[int, bool]] = {}
         chosen: list[tuple[int, bytes, int, bool]] = []
 
-        def walk(i: int, left: int, total: int) -> None:
+        def walk(i: int, left: int, total: int, need: bool) -> None:
+            # need: a hub search whose chosen children hold no hub
             if not left:
                 is_hub = hubbed and (len(chosen) == children or any(c[3] for c in chosen))
                 if total == target and (is_hub or not hub):
                     trees[b"(" + b"".join(sorted(c[1] for c in chosen)) + b")"] = (total, is_hub)
                 return
-            room = min(children - len(chosen) - 1, widest)
+            free = children - len(chosen) - 1  # the children still open after one more
+            room = min(free, widest)
             for x in range(i, len(items) if room >= 0 else 0):
-                k, _, v, _ = items[x]
-                bound = most[room][left - k] if k <= left else None
+                k, _, v, h = items[x]
+                if k > left:
+                    break
+                bound = most[room][left - k]
+                if need and not h:  # the rest must hold a hub or saturate the root
+                    bound = least([most_hub[room][left - k],
+                                   exactly[free][left - k] if free <= widest else None])
                 if bound is not None and total + v + bound <= target:
                     chosen.append(items[x])
-                    walk(x, left - k, total + v)
+                    walk(x, left - k, total + v, need and not h)
                     chosen.pop()
 
         if target is not None:
-            walk(0, s, 0)
+            walk(0, s, 0, hub)
         return target, trees
 
     for k in range(1, top + 1):
@@ -128,6 +136,9 @@ def _extreme_trees(n: int, delta: int | None, exact: bool, top: int,
             exactly[j][k] = least(exactly[j - 1][k - c] + best[c] for c in range(1, k + 1)
                                   if best[c] is not None and exactly[j - 1][k - c] is not None)
             most[j][k] = least([most[j - 1][k], exactly[j][k]])
+            if hubbed:
+                most_hub[j][k] = least(best_hub[c] + most[j - 1][k - c] for c in range(1, k + 1)
+                                       if best_hub[c] is not None and most[j - 1][k - c] is not None)
     return found
 
 
@@ -378,9 +389,10 @@ def unicyclic_rows(
     connected unicyclic graphs on n vertices (max degree exactly `delta`
     when given, or at most `delta` with exact=False), one work unit's rows
     at a time, in unit order and unsorted; the shapes are the class's
-    canonical tuple, and `unicyclic_from_shapes` builds its graph. A run
-    past `cap`, as `class_count` rules, raises CapExceededError before any
-    catalog is built, and one within it builds its catalog once."""
+    canonical tuple, and `unicyclic.graph_from_shapes` builds its graph.
+    A run past `cap`, as `class_count` rules, raises CapExceededError
+    before any catalog is built, and one within it builds its catalog
+    once."""
     class_count(n, delta, exact, l_filter, cap)
     ls = _cycle_lengths(n, delta, exact, l_filter)
     if not ls:

@@ -23,9 +23,10 @@ shallow one.
 
 A unicyclic graph is a `UnicyclicRepr`: its cycle and, per cycle vertex,
 the hanging tree in that positional form, each tree folded once by
-`tree_stats`. `decompose_unicyclic` builds it from `orient`'s output and
-`unicyclic_from_shapes` from `code_parents`'. A tree is the l = 1 case,
-its whole graph hanging from one vertex.
+`tree_stats`. `decompose_unicyclic` builds it from a graph, by `orient`,
+and is the one way to a decomposition. `graph_from_shapes` goes from a
+tuple of shapes to its graph, by `code_parents`. A tree is the l = 1
+case, its whole graph hanging from one vertex.
 
 Canonical codes are ASCII byte strings: equal codes iff isomorphic
 (within the tree / unicyclic class handled), totally ordered, stable
@@ -264,23 +265,6 @@ class UnicyclicRepr:
     def tree_sizes(self) -> tuple[int, ...]:
         return tuple(map(len, self.tree_nodes))
 
-    def to_graph(self) -> tuple[Graph, dict[int, int]]:
-        """Reassemble with standard numbering; returns (graph, old->new map).
-
-        Cycle vertices become 0..l-1 in cycle order, then each tree's other
-        vertices follow in the order `tree_nodes` lists them: preorder for
-        `unicyclic_from_shapes`, whose numbering is thus the identity, and
-        `orient`'s breadth-first order for `decompose_unicyclic`. No result
-        depends on that order.
-        """
-        relabel = {root: i for i, root in enumerate(self.cycle)}
-        edges = [(i, (i + 1) % self.l) for i in range(self.l)] if self.l > 1 else []
-        for nodes, parent in zip(self.tree_nodes, self.tree_parents):
-            for k in range(1, len(nodes)):
-                relabel[nodes[k]] = len(relabel)
-                edges.append((relabel[nodes[parent[k]]], relabel[nodes[k]]))
-        return Graph(self.n, edges), relabel
-
     def __repr__(self) -> str:
         return f"UnicyclicRepr(l={self.l}, tree_sizes={self.tree_sizes})"
 
@@ -331,15 +315,18 @@ def decompose_unicyclic(g: Graph) -> UnicyclicRepr:
     return UnicyclicRepr(cycle, trees)
 
 
-def unicyclic_from_shapes(l: int, shapes: Sequence[Shape]) -> UnicyclicRepr:
-    """Build the standard-numbered representative for an l-tuple of shapes."""
-    trees = []
+def graph_from_shapes(l: int, shapes: Sequence[Shape]) -> Graph:
+    """The standard-numbered graph of an l-tuple of shapes: cycle vertices
+    0..l-1 in cycle order, then each tree's other vertices in preorder.
+    With l = 1 it is the tree of the one shape, rooted at vertex 0."""
+    edges = [(i, (i + 1) % l) for i in range(l)] if l > 1 else []
     nxt = l
     for i, shape in enumerate(shapes):
         parent = code_parents(shape)
-        trees.append(([i, *range(nxt, nxt + len(parent) - 1)], parent))
+        vertex = [i, *range(nxt, nxt + len(parent) - 1)]
+        edges += [(vertex[p], vertex[k]) for k, p in enumerate(parent) if k]
         nxt += len(parent) - 1
-    return UnicyclicRepr(range(l), trees)
+    return Graph(nxt, edges)
 
 
 def _least_rotation(s: list) -> int:

@@ -13,10 +13,10 @@ from kfx.unicyclic import (
     canonical_code,
     code_parents,
     decompose_unicyclic,
+    graph_from_shapes,
     rooted_shapes,
     shape_record,
     tree_canonical_code,
-    unicyclic_from_shapes,
 )
 
 # A000081: rooted trees on k = 0..20 vertices
@@ -58,7 +58,7 @@ def tree_classes(n: int, delta: int | None = None, exact: bool = True) -> dict[b
         deg = max(root, inner)
         if delta is not None and (deg != delta if exact else deg > delta):
             continue
-        g, _ = unicyclic_from_shapes(1, [shape]).to_graph()
+        g = graph_from_shapes(1, [shape])
         code = tree_canonical_code(g)
         if code not in found:
             found[code] = g

@@ -671,7 +671,7 @@ def test_dump_all_kf_is_the_kirchhoff_index_of_each_class(capsys):
     from oracles import unicyclic_classes
 
     from kfx.metrics import kirchhoff_index
-    from kfx.unicyclic import unicyclic_from_shapes
+    from kfx.unicyclic import graph_from_shapes
 
     code, out, _ = run(capsys, "search", "--n", "9", "--dump-all")
     rows = [line.split(",") for line in out.splitlines()[1:]]
@@ -679,5 +679,5 @@ def test_dump_all_kf_is_the_kirchhoff_index_of_each_class(capsys):
     assert code == 0 and len(rows) == len(classes) == 240
     for text, l, kf in rows:
         cycle, shapes = classes[text.encode("ascii")]
-        g, _ = unicyclic_from_shapes(cycle, shapes).to_graph()
+        g = graph_from_shapes(cycle, shapes)
         assert (int(l), kf) == (cycle, rational_str(kirchhoff_index(g))), text

@@ -18,7 +18,7 @@ from kfx.metrics import (
     wiener_index,
 )
 from kfx.suites import random_unicyclic
-from kfx.unicyclic import UnicyclicRepr, decompose_unicyclic, unicyclic_from_shapes
+from kfx.unicyclic import UnicyclicRepr, decompose_unicyclic, graph_from_shapes
 from oracles import tree_classes, unicyclic_classes
 
 F = Fraction
@@ -133,17 +133,20 @@ def test_resistance_oracle_rejects_disconnected():
         resistance(g, 0, 2)
 
 
-# a triangle 3, 4, 5 with the path 2, 1, 0 hanging from 3: `to_graph`
-# renumbers the vertices of its decomposition
+# a triangle 3, 4, 5 with the path 2, 1, 0 hanging from 3: its
+# decomposition lists the vertices in an order other than their numbers
 TADPOLE = Graph(6, [(5, 4), (4, 3), (3, 5), (3, 2), (2, 1), (1, 0)])
 
 
-def test_resistance_oracle_reads_a_decomposition_by_its_labels():
-    """`to_graph` renumbers a decomposition's vertices; the oracle must map
-    the labels it is given through the adjugate's `at`."""
+def test_the_oracle_refuses_a_decomposition():
+    """The oracle reads a graph by its own vertex numbers: handed a
+    decomposition, it raises; handed the graph, it answers for the labels
+    the decomposition answers for."""
     u = decompose_unicyclic(TADPOLE)
-    assert u.to_graph()[1] != dict(zip(range(6), range(6)))
-    oracle = engine_input(u, "oracle")
+    assert u.cycle == (3, 4, 5)
+    with pytest.raises(EngineMismatchError, match="^oracle engine needs a graph, not a decomposition$"):
+        engine_input(u, "oracle")
+    oracle = engine_input(TADPOLE, "oracle")
     for a, b in permutations(range(6), 2):
         assert resistance(oracle, a, b) == resistance(u, a, b)
     assert resistance(oracle, 0, 1) == 1
@@ -214,11 +217,11 @@ def test_tree_degeneration_resistance_equals_distance():
 def test_engine_equivalence_small_exhaustive():
     """Every quantity reads the same value from either engine's input: on
     every unicyclic class with n <= 7, every tree with n <= 8, and the
-    tadpole whose labels `to_graph` renumbers."""
-    graphs = [unicyclic_from_shapes(l, shapes).to_graph()[0]
+    tadpole whose decomposition lists its vertices out of number order."""
+    graphs = [graph_from_shapes(l, shapes)
               for n in range(3, 8) for l, shapes in unicyclic_classes(n).values()]
     graphs += [t for n in range(1, 9) for t in tree_classes(n).values()]
-    graphs.append(decompose_unicyclic(TADPOLE))
+    graphs.append(TADPOLE)
     assert len(graphs) == 1 + 2 + 5 + 13 + 33 + 1 + 1 + 1 + 2 + 3 + 6 + 11 + 23 + 1
     quantities = {
         "kirchhoff_index": lambda g, vs: kirchhoff_index(g),
@@ -379,9 +382,12 @@ def test_engine_names_are_validated_and_honoured(monkeypatch):
     import kfx.metrics
 
     c5 = make_cycle(5)
-    # labels other than 0..n-1: a triangle with a two-vertex tail at 10
+    # labels other than 0..n-1: a triangle with a two-vertex tail at 10,
+    # and its graph, with label 10 (v + 1) as vertex v
     u = UnicyclicRepr((10, 20, 30), [([10, 40, 50], [-1, 0, 1]), ([20], [-1]), ([30], [-1])])
-    oracle = engine_input(u, "oracle")
+    oracle = engine_input(Graph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)]), "oracle")
+    with pytest.raises(EngineMismatchError, match="^oracle engine needs a graph"):
+        engine_input(u, "oracle")
     for g in (c5, u, make_path(4), oracle):
         with pytest.raises(ValueError, match="^unknown engine 'bogus'$"):
             engine_input(g, "bogus")
@@ -390,7 +396,7 @@ def test_engine_names_are_validated_and_honoured(monkeypatch):
     assert engine_input(oracle) is oracle and engine_input(oracle, "oracle") is oracle
     expected_kf = kirchhoff_index(u)
     expected_v = kf_vertex(u, 50)
-    expected_table = resistance_table(u)
+    expected_table = {(a // 10 - 1, b // 10 - 1): r for (a, b), r in resistance_table(u).items()}
     # trees have a structural table of plain distances
     assert resistance_table(engine_input(make_path(4), "structural"))[0, 3] == 3
 
@@ -400,7 +406,7 @@ def test_engine_names_are_validated_and_honoured(monkeypatch):
     for name in ("decompose_unicyclic", "resistance_numerator", "kf_from_stats", "orient"):
         monkeypatch.setattr(kfx.metrics, name, structural_engine_called)
     assert kirchhoff_index(oracle) == expected_kf == F(44, 3)
-    assert kf_vertex(oracle, 50) == expected_v
+    assert kf_vertex(oracle, 4) == expected_v
     assert resistance_table(oracle) == expected_table
     assert kf_vertex(engine_input(c5, "oracle"), 0) == 4
     assert kf_vertex(engine_input(make_path(4), "oracle"), 0) == 6
@@ -454,7 +460,6 @@ def test_wiener_index_matches_bfs_on_trees():
         structural = engine_input(t, "structural")
         assert wiener_index(t) == wiener_index(structural) == wiener(t)
         assert oracle_wiener(t) == wiener(t)
-        assert oracle_wiener(structural) == wiener(t)  # l = 1 to_graph
         # the l = 1 representation: transmissions and resistances are distances
         dist = [t.bfs_distances(v) for v in range(n)]
         for v in range(n):
@@ -474,7 +479,6 @@ def test_wiener_index_matches_bfs_on_unicyclic_graphs():
         expected = wiener(g)
         assert wiener_index(g) == wiener_index(engine_input(g, "structural")) == expected
         assert wiener_index(u) == expected
-        assert oracle_wiener(u) == expected
         assert oracle_wiener(g) == expected
     for l in range(3, 12):
         cycle = make_cycle(l)
@@ -496,7 +500,7 @@ def test_transmissions_and_tables_equal_one_adjugate_near_n_200():
     graphs = [random_unicyclic(200, rng), random_unicyclic_with_cycle(199, 60, rng)]
     for g in graphs:
         u = decompose_unicyclic(g)
-        _, tau, adj, _ = _grounded_adjugate(g)
+        _, tau, adj = _grounded_adjugate(g)
         trace = sum(row[i] for i, row in enumerate(adj))
         for v in range(g.n):
             oracle = F(g.n * adj[v][v] + trace - 2 * sum(adj[v]), tau)

@@ -49,9 +49,9 @@ def test_degree_filters():
     exact = unicyclic_classes(6, delta=3, exact=True)
     assert set(exact) < set(at_most)
     for l, shapes in exact.values():
-        from kfx.unicyclic import unicyclic_from_shapes
+        from kfx.unicyclic import graph_from_shapes
 
-        g, _ = unicyclic_from_shapes(l, shapes).to_graph()
+        g = graph_from_shapes(l, shapes)
         assert max_degree(g) == 3
 
 
@@ -65,13 +65,12 @@ def test_l_filter():
 
 
 def test_enumeration_soundness():
-    from kfx.unicyclic import unicyclic_from_shapes
+    from kfx.unicyclic import graph_from_shapes
 
-    for l, shapes in unicyclic_classes(7).values():
-        u = unicyclic_from_shapes(l, shapes)
-        g, _ = u.to_graph()
+    for code, (l, shapes) in unicyclic_classes(7).items():
+        g = graph_from_shapes(l, shapes)
         assert is_unicyclic(g)
-        assert canonical_code(decompose_unicyclic(g)) == canonical_code(u)
+        assert canonical_code(decompose_unicyclic(g)) == code
 
 
 def test_determinism_and_worker_independence():
@@ -373,21 +372,21 @@ def test_cap_counts_the_classes_of_the_degree_filter():
 
 
 def test_no_class_of_max_degree_delta_has_a_longer_cycle_than_n_minus_delta_plus_2():
-    from kfx.unicyclic import unicyclic_from_shapes
+    from kfx.unicyclic import graph_from_shapes
 
     for n in range(4, 13):
         for code, (l, shapes) in unicyclic_classes(n).items():
-            assert l <= n - max_degree(unicyclic_from_shapes(l, shapes).to_graph()[0]) + 2, code
+            assert l <= n - max_degree(graph_from_shapes(l, shapes)) + 2, code
         for delta in range(3, n):
             assert all(l <= n - delta + 2 for l, _ in unicyclic_classes(n, delta).values())
 
 
 def test_degree_filters_match_max_degree_of_every_class():
-    from kfx.unicyclic import unicyclic_from_shapes
+    from kfx.unicyclic import graph_from_shapes
 
     for n in range(3, 12):
         degree = {
-            code: max_degree(unicyclic_from_shapes(l, shapes).to_graph()[0])
+            code: max_degree(graph_from_shapes(l, shapes))
             for code, (l, shapes) in unicyclic_classes(n).items()
         }
         for delta in range(2, n):
@@ -398,12 +397,12 @@ def test_degree_filters_match_max_degree_of_every_class():
 
 
 def test_representatives_are_canonical_tuples():
-    from kfx.unicyclic import unicyclic_from_shapes
+    from kfx.unicyclic import graph_from_shapes
 
     for args in [(n,) for n in range(3, 11)] + [(11, 4), (12, 3, 5)]:
         for code, (l, shapes) in unicyclic_classes(*args).items():
             assert code == b"%d:" % l + b"".join(shapes)
-            assert canonical_code(unicyclic_from_shapes(l, shapes)) == code
+            assert canonical_code(decompose_unicyclic(graph_from_shapes(l, shapes))) == code
 
 
 def test_worker_count_keeps_filtered_items():
@@ -449,13 +448,13 @@ def test_unit_reductions_match_materialized_classes():
     import time
 
     from kfx.search import unicyclic_extremes
-    from kfx.unicyclic import unicyclic_from_shapes
+    from kfx.unicyclic import graph_from_shapes
 
     start = time.monotonic()
     for n in range(3, 13):
         classes = unicyclic_classes(n)
         degree = {
-            code: max_degree(unicyclic_from_shapes(l, shapes).to_graph()[0])
+            code: max_degree(graph_from_shapes(l, shapes))
             for code, (l, shapes) in classes.items()
         }
         filters = [(None, True)] + [(d, e) for d in range(0, n + 2) for e in (True, False)]
@@ -703,6 +702,41 @@ def test_the_extremal_alphabet_is_the_catalog_trees_of_extreme_term():
                     assert got[4] == [terms[r] for r in expected], case
                     assert got[2] == (None if hubs is None else
                                       {i for i, r in enumerate(expected) if r in hubs}), case
+
+
+def test_the_hub_search_prunes_by_hubs():
+    """While a hub tree's chosen children hold no hub, the search bounds the
+    rest by a completion that holds one or saturates the root: at n = 40,
+    delta = 30 the greatest-Kf alphabet takes 347 walk calls, where a bound
+    blind to hubs took 966,686."""
+    import sys
+
+    from kfx.search import _alphabet, _cycle_lengths
+
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "walk":
+            calls += 1
+
+    top = 40 - _cycle_lengths(40, 30, True, None)[0] + 1
+    sys.setprofile(count)
+    try:
+        _alphabet(40, 30, True, top, "max")
+    finally:
+        sys.setprofile(None)
+    assert 0 < calls <= 2000
+
+
+def test_the_theorem_is_enumerated_at_a_large_delta():
+    import time
+
+    # 0.2 s on a 2-core x86-64 host; a hub search blind to hubs took 93 s
+    t = time.perf_counter()
+    rep = verify_theorem(60, 50, cap=None)
+    assert (rep.mode, rep.verdict) == ("enumerated", "match")
+    assert time.perf_counter() - t < 10
 
 
 @pytest.mark.parametrize("args, low, low_codes, high, high_codes", [

@@ -13,6 +13,7 @@ from kfx.unicyclic import (
     canonical_code,
     code_parents,
     decompose_unicyclic,
+    graph_from_shapes,
     orient,
     path_shape,
     rooted_shapes,
@@ -21,7 +22,6 @@ from kfx.unicyclic import (
     tree_code,
     tree_stats,
     UnicyclicRepr,
-    unicyclic_from_shapes,
 )
 from oracles import A000081, unicyclic_classes
 
@@ -96,22 +96,37 @@ def test_code_constant_under_random_relabeling():
         assert code_of(g.relabel(perm)) == expected
 
 
-def test_reassembly_roundtrip_n_le_8():
-    for n in range(3, 9):
+def preorder(g: Graph, l: int, root: int) -> list[int]:
+    """The vertices of the tree hanging from cycle vertex `root` of a
+    standard-numbered graph, depth first with lesser children first: a
+    vertex's children are its neighbours above it and off the cycle."""
+    order, stack = [], [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack += [w for w in reversed(g.adj[v]) if w > v and w >= l]
+    return order
+
+
+def test_graph_from_shapes_numbers_the_cycle_then_each_tree_in_preorder():
+    for n in range(3, 11):
         for code, (l, shapes) in unicyclic_classes(n).items():
-            u = unicyclic_from_shapes(l, shapes)
-            g, relabel = u.to_graph()
-            assert g.n == n and g.m == n
-            assert sorted(relabel.values()) == list(range(n))
-            assert code_of(g) == code
-
-
-def test_to_graph_is_the_identity_on_shape_representatives():
-    for n in range(3, 9):
-        for l, shapes in unicyclic_classes(n).values():
-            u = unicyclic_from_shapes(l, shapes)
-            g, relabel = u.to_graph()
-            assert relabel == {v: v for v in range(n)}
+            g = graph_from_shapes(l, shapes)
+            u = decompose_unicyclic(g)
+            assert (g.n, g.m, u.cycle) == (n, n, tuple(range(l)))
+            assert [tree_code(p) for p in u.tree_parents] == list(shapes)
+            assert canonical_code(u) == code
+            first = l
+            for i, shape in enumerate(shapes):
+                k = len(shape) // 2
+                assert preorder(g, l, i) == [i, *range(first, first + k - 1)]
+                first += k - 1
+    for k in range(1, 11):
+        for shape in rooted_shapes(k):
+            t = graph_from_shapes(1, [shape])
+            assert (t.n, t.m) == (k, k - 1)
+            assert tree_code(orient(t.adj, 0, [False] * k)[1]) == shape
+            assert preorder(t, 1, 0) == list(range(k))
 
 
 def dihedral_min(codes):
@@ -129,7 +144,7 @@ def test_canonical_code_is_the_dihedral_minimum():
             turned = shapes[k:] + shapes[:k]
             if rng.random() < 0.5:
                 turned = turned[::-1]
-            u = unicyclic_from_shapes(l, turned)
+            u = decompose_unicyclic(graph_from_shapes(l, turned))
             codes = [tree_code(p) for p in u.tree_parents]
             assert canonical_code(u) == b"%d:" % l + b"".join(dihedral_min(codes)) == code
             checked += 1
@@ -206,7 +221,7 @@ def test_catalog_records_match_labeled_trees():
     for k in range(1, 11):
         for code, record in rooted_shapes(k).items():
             assert record[:3] == tree_stats(code_parents(code))
-            t, _ = unicyclic_from_shapes(1, [code]).to_graph()
+            t = graph_from_shapes(1, [code])
             inner = max((t.degree(v) for v in range(1, t.n)), default=0)
             assert record[3:] == (t.degree(0), inner)
 
@@ -215,7 +230,7 @@ def test_catalog_wiener_matches_bfs():
     # the lemma suite's Wiener-broom check reads W from these records
     for k in range(1, 12):
         for code, record in rooted_shapes(k).items():
-            assert record[2] == wiener(unicyclic_from_shapes(1, [code]).to_graph()[0])
+            assert record[2] == wiener(graph_from_shapes(1, [code]))
 
 
 def test_shape_stats_and_degrees():
@@ -299,7 +314,7 @@ def test_tree_code_equals_the_joined_code():
     for k in range(1, 13):
         for shape in rooted_shapes(k):
             # relabel, then list the vertices breadth first from the root
-            t, _ = unicyclic_from_shapes(1, [shape]).to_graph()
+            t = graph_from_shapes(1, [shape])
             perm = list(range(1, k))
             rng.shuffle(perm)
             g = t.relabel([0] + perm)

@@ -13,38 +13,37 @@ holds:
 
 * `cli`: per command, the median wall time (interpreter start-up
   included) and the median peak RSS of its process tree, as `wait4`
-  reports it for the command's process. The commands are the six
-  enumerate operations of `perfbench/` (`ENUMERATE`) and larger runs
-  (`LARGE`): the two largest degree-bounded conjectures at n = 18, the
-  largest run the default cap admits at n = 19, the unfiltered n = 16
-  and n = 18, two large-delta runs whose catalogs dwarf their classes,
-  two long cycles, the theorem suite to n = 16, and two row runs, the
-  listing at n = 16 and the lemma suite to n = 16; and `verify --suite
-  all` (`VERIFY_ALL`).
-* `in_process`: per (n, delta, exact, objective), the median seconds of
-  one cold `search._alphabet` call building the alphabet an extremes run
-  reads, and of one walk of every work unit through `search._unit` over
-  it, which reduces the classes' Kf without keeping rows. Where `_unit`
-  takes the alphabet and a `keep`, the walk passes a `keep` that reduces
-  each unit to its extreme as `unicyclic_extremes` does; where it takes
-  one packed tuple, it reads a cached alphabet and reduces in place. The
-  alphabet is the objective's extreme-term trees where `_alphabet` takes
-  an `objective`, and the extreme-term trees of both objectives where it
-  takes `rows` (whose units reduce to both extremes); rows from before
-  either, over the whole tree catalog, were written by earlier versions
-  of this script. `classes` is the run's class count
-  (`search.class_count`), `alphabet_trees` the number of trees in that
-  alphabet and `tuples_walked` the number of tuples the units kept, each
-  one call of a `keep`, counted in a second, untimed walk under
-  `sys.setprofile`.
+  reports it for the command's process, each beside its lower and upper
+  quartiles (`*_quartiles`, inclusive method), so that a change can be
+  told from run-to-run spread. The commands are the six enumerate
+  operations of `perfbench/` (`ENUMERATE`) and larger runs (`LARGE`):
+  the two largest degree-bounded conjectures at n = 18, the largest run
+  the default cap admits at n = 19, the unfiltered n = 16 and n = 18, two
+  large-delta runs whose catalogs dwarf their classes, two larger ones
+  past the default cap whose time is the hub trees' search, two long
+  cycles, the theorem suite to n = 16, and two row runs, the listing at
+  n = 16 and the lemma suite to n = 16; and `verify --suite all`
+  (`VERIFY_ALL`).
+* `in_process`: per (n, delta, exact, objective), the median seconds,
+  with quartiles, of one cold `search._alphabet` call building the
+  alphabet an extremes run reads, and of one walk of every work unit
+  through `search._unit` over it, passing a `keep` that reduces each unit
+  to its extreme as `unicyclic_extremes` does. `classes` is the run's
+  class count (`search.class_count`), `alphabet_trees` the number of
+  trees in that alphabet and `tuples_walked` the number of tuples the
+  units kept, each one call of a `keep`, counted in a second, untimed
+  walk under `sys.setprofile`.
 * `check_lemma_properties_8_s`: the median seconds of one cold
   `suites.check_lemma_properties(8)` call, with the modules the suite
   runs imported beforehand, untimed, as `kfx.suites` once imported them.
 
-Earlier rows also hold one- and two-worker row runs (`two_workers_faster`,
-and keys ending in `(pool minimum 0)`), from checkouts whose row runs
-could start a process pool; rows with a pool on every two-worker run and
-the number of pools a verify pass started are in `BENCH_pool_reuse.json`.
+Earlier rows, written by earlier versions of this script, also hold
+one- and two-worker row runs (`two_workers_faster`, and keys ending in
+`(pool minimum 0)`), from checkouts whose row runs could start a process
+pool, and in-process walks over other alphabets: the extreme-term trees
+of both objectives, or the whole tree catalog. Rows with a pool on every
+two-worker run and the number of pools a verify pass started are in
+`BENCH_pool_reuse.json`.
 """
 from __future__ import annotations
 
@@ -73,6 +72,8 @@ LARGE = [
     ["search", "--n", "18"],
     ["search", "--n", "19", "--delta", "10"],
     ["search", "--n", "20", "--delta", "6"],
+    ["search", "--n", "40", "--delta", "30", "--cap", "100000000000000000000"],
+    ["search", "--n", "50", "--delta", "40", "--cap", "100000000000000000000000"],
     ["search", "--n", "200", "--l", "196"],
     ["search", "--n", "1200", "--l", "1198"],
     ["verify", "--suite", "theorem", "--n-max", "16"],
@@ -83,7 +84,8 @@ VERIFY_ALL = ["verify", "--suite", "all", "--seed", "501"]
 COMMANDS = ENUMERATE + LARGE + [VERIFY_ALL]
 # (n, delta, exact, objective) as the operation of that run asks for it
 LAYERS = [(14, None, True, "max"), (14, 4, True, "min"), (14, 4, False, "max"),
-          (16, None, True, "max"), (18, 3, True, "min"), (19, 4, True, "min")]
+          (16, None, True, "max"), (18, 3, True, "min"), (19, 4, True, "min"),
+          (40, 30, True, "max")]
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_enumerate.json"
 
 # Times one cold `_alphabet` and one walk of every unit for the extremes
@@ -91,11 +93,10 @@ OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_enumerate.json"
 # cycle lengths and with the alphabet that run uses, counts the tuples a
 # second walk keeps, and prints them as JSON.
 TIME_LAYERS = """
-import inspect, json, sys, time
+import json, sys, time
 from kfx import search
 n, delta, exact = int(sys.argv[1]), None if sys.argv[2] == "-" else int(sys.argv[2]), sys.argv[3] == "1"
-# the objective, or rows=False where `_alphabet` serves both objectives at once
-which = sys.argv[4] if "objective" in inspect.signature(search._alphabet).parameters else False
+which = sys.argv[4]
 ls = search._cycle_lengths(n, delta, exact, None)
 top = n - ls[0] + 1
 units = search._units(n, ls)
@@ -113,18 +114,13 @@ def keep(a, num):  # one unit's extreme N and the tuples reaching it, as `unicyc
 def walk(alphabet):
     global best, reaching
     for l, first in units:
-        if alphabet is None:  # `_unit` takes packed arguments and reads a cached alphabet
-            search._unit((n, l, first, delta, exact, top, which))
-        else:
-            best, reaching = None, []
-            search._unit(n, l, first, alphabet, keep)
+        best, reaching = None, []
+        search._unit(n, l, first, alphabet, keep)
 
 
 t = time.perf_counter()
 alphabet = search._alphabet(n, delta, exact, top, which)
 alphabet_s = time.perf_counter() - t
-if "keep" not in inspect.signature(search._unit).parameters:
-    alphabet = None
 t = time.perf_counter()
 walk(alphabet)
 walk_s = time.perf_counter() - t
@@ -138,8 +134,7 @@ def count(frame, event, arg):
 sys.setprofile(count)
 walk(alphabet)
 sys.setprofile(None)
-trees = len(search._alphabet(n, delta, exact, top, which)[0])
-print(json.dumps({"alphabet_s": alphabet_s, "units_s": walk_s, "alphabet_trees": trees,
+print(json.dumps({"alphabet_s": alphabet_s, "units_s": walk_s, "alphabet_trees": len(alphabet[0]),
                   "tuples_walked": walked, "classes": search.class_count(n, delta, exact)}))
 """
 TIME_LEMMAS = """
@@ -183,6 +178,13 @@ def _median(values: list[float], digits: int) -> float:
     return round(statistics.median(values), digits)
 
 
+def _spread(name: str, values: list[float], digits: int) -> dict:
+    """`name`: the median of the values; `name_quartiles`: their lower and
+    upper quartiles (one value is its own quartiles)."""
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if values[1:] else values * 3
+    return {name: _median(values, digits), f"{name}_quartiles": [round(q1, digits), round(q3, digits)]}
+
+
 def main(argv: list[str]) -> int:
     repeat, change = 5, None
     while argv[:1] in (["--repeat"], ["--change"]):
@@ -222,8 +224,8 @@ def main(argv: list[str]) -> int:
             "change": change,
             "repeat": repeat,
             "label": label,
-            "cli": {c: {"wall_s": _median([w for w, _ in runs[c]], 3),
-                        "peak_rss_mib": _median([m for _, m in runs[c]], 1)} for c in commands},
+            "cli": {c: {**_spread("wall_s", [w for w, _ in runs[c]], 3),
+                        **_spread("peak_rss_mib", [m for _, m in runs[c]], 1)} for c in commands},
             "enumerate_pass_s": round(sum(statistics.median(w for w, _ in runs[" ".join(a)])
                                           for a in ENUMERATE), 3),
             "in_process": [{
@@ -231,8 +233,8 @@ def main(argv: list[str]) -> int:
                 "classes": samples[0]["classes"],
                 "alphabet_trees": samples[0]["alphabet_trees"],
                 "tuples_walked": samples[0]["tuples_walked"],
-                "alphabet_s": _median([s["alphabet_s"] for s in samples], 4),
-                "units_s": _median([s["units_s"] for s in samples], 4),
+                **_spread("alphabet_s", [s["alphabet_s"] for s in samples], 4),
+                **_spread("units_s", [s["units_s"] for s in samples], 4),
             } for (n, delta, exact, objective), samples in layers[label].items()],
             "check_lemma_properties_8_s": _median(lemmas[label], 4),
         })
