@@ -14,17 +14,17 @@ import io
 import json
 import sys
 from fractions import Fraction
-from itertools import islice
 from math import gcd
-from typing import Iterable, Iterator
 
 from . import __version__
 from .errors import DEFAULT_CAP, CapExceededError, GraphParseError, KfxError, ParameterError
 
 # `families`, `formulas`, `graph`, `metrics`, `search` and `suites` are
-# imported in the commands that use them, `csv` where CSV is written and
-# `decimal` where decimals are, so `compute` loads no enumeration and
-# `search` loads no suite, no family builder, no graph and no Kf engine.
+# imported in the commands that use them, `csv` where a record is written
+# as CSV and `decimal` where decimals are, so `compute` loads no
+# enumeration and `search` loads no suite, no family builder, no graph and
+# no Kf engine. `fractions` still imports `decimal` on every command under
+# Python 3.11.
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -39,11 +39,11 @@ def rational_str(value: Fraction | int) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _lowest_terms(num: int, den: int) -> str:
-    """num/den for den > 0 as `rational_str` writes it, with one gcd and
-    no Fraction."""
+def _lowest_terms(num: int, den: int) -> bytes:
+    """num/den for den > 0 as `rational_str` writes it, in ASCII bytes,
+    with one gcd and no Fraction."""
     g = gcd(num, den)
-    return f"{num // g}/{den // g}"
+    return b"%d/%d" % (num // g, den // g)
 
 
 def display_rational(value: Fraction | int, mixed: bool = False) -> str:
@@ -75,14 +75,15 @@ def dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write(args, text: str | Iterable[str]) -> None:
-    """Write the text, or each of its chunks, to --output or stdout."""
-    chunks = [text] if isinstance(text, str) else text
+def _write(args, text: str | list[bytes]) -> None:
+    """Write the text, or its lines of ASCII bytes, to --output or stdout."""
+    lines = [text.encode()] if isinstance(text, str) else text
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.writelines(chunks)
+        with open(args.output, "wb") as fh:
+            fh.writelines(lines)
     else:
-        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(lines)
 
 
 def _read_graph(path: str):
@@ -94,16 +95,13 @@ def _read_graph(path: str):
         return parse_edge_list(fh.read())
 
 
-def _csv(header: list[str], rows: Iterable) -> Iterator[str]:
-    """The header and rows as CSV text, 10,000 rows a chunk."""
+def _csv(header: list[str], row: list) -> str:
+    """The header and one row as CSV text."""
     import csv
 
-    rows, chunk = iter(rows), [header]
-    while chunk:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(chunk)
-        yield buf.getvalue()
-        chunk = list(islice(rows, 10_000))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, row])
+    return buf.getvalue()
 
 
 def _emit_record(args, record: dict, field_order: list[str]) -> None:
@@ -111,7 +109,7 @@ def _emit_record(args, record: dict, field_order: list[str]) -> None:
     if args.format == "json":
         _write(args, dump_json(record))
     elif args.format == "csv":
-        _write(args, _csv(field_order, [[record[k] for k in field_order]]))
+        _write(args, _csv(field_order, [record[k] for k in field_order]))
     else:
         width = max(len(k) for k in field_order)
         lines = [f"{k:<{width}}  {record[k]}" for k in field_order]
@@ -189,11 +187,13 @@ def cmd_search(args) -> int:
         raise ParameterError(f"--n must be >= 3, got {args.n}")  # no unicyclic graph is smaller
     enum = (args.n, args.delta, args.l, not args.at_most, args.cap)
     if args.dump_all:
-        rows = sorted((code, l, num) for code, l, _, num in unicyclic_rows(*enum))
-        if rows:
-            _write(args, _csv(["canonical_code", "cycle_length", "kf"],
-                              ([code.decode("ascii"), l, _lowest_terms(num, l)]
-                               for code, l, num in rows)))
+        # no code is a prefix of another (codes of one cycle length have one
+        # length, and the "l:" prefixes of two lengths differ), so the lines
+        # sort as their codes do
+        lines = sorted(b"%s,%d,%s\n" % (code, l, _lowest_terms(num, l))
+                       for code, l, _, num in unicyclic_rows(*enum))
+        if lines:
+            _write(args, [b"canonical_code,cycle_length,kf\n", *lines])
             return EXIT_OK
         count, pick, arg = 0, None, []  # no class: the JSON report below
     else:

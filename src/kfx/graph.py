@@ -3,11 +3,18 @@
 Vertices are integers 0..n-1. Edges are unordered pairs; loops and
 parallel edges are rejected at construction. Connectivity is a
 precondition of individual operations, not an invariant of the container.
+
+`orient` is kfx's one breadth-first walk over a graph's reach.
+`Graph.is_connected` reads its reach from vertex 0; `kfx.unicyclic`
+reads the trees it orients (the hanging trees of a decomposition, and a
+free tree's longest path and centers), and `kfx.metrics` a tree input's.
+`Graph.bfs_distances` keeps its own loop: distances rebuilt from the
+walk's parents measured slower in `wiener`.
 """
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphParseError, NotConnectedError
 
@@ -35,20 +42,7 @@ class Graph:
         return len(self.adj[v])
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for w in self.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == self.n
+        return len(orient(self.adj, 0, [False] * self.n)[0]) == self.n
 
     def require_connected(self) -> None:
         if not self.is_connected():
@@ -79,6 +73,28 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def orient(
+    adj: Sequence[Sequence[int]], root: int, seen: list[bool]
+) -> tuple[list[int], list[int]]:
+    """Orient the tree around `root` away from it, breadth first.
+
+    Descent stops at vertices already marked in `seen`; every vertex
+    reached is marked. Returns the vertices in parents-first order and, for
+    each position, the position of its parent (-1 for the root). On a graph
+    with cycles it orients a spanning tree of root's component.
+    """
+    seen[root] = True
+    order = [root]
+    parent = [-1]
+    for k, v in enumerate(order):
+        for w in adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                order.append(w)
+                parent.append(k)
+    return order, parent
 
 
 def _checked_edges(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

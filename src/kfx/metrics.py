@@ -52,8 +52,8 @@ from itertools import accumulate
 from typing import Mapping, NamedTuple
 
 from .errors import EngineMismatchError, NotConnectedError, ParameterError
-from .graph import Graph, wiener
-from .unicyclic import UnicyclicRepr, decompose_unicyclic, orient
+from .graph import Graph, orient, wiener
+from .unicyclic import UnicyclicRepr, decompose_unicyclic
 
 __all__ = [
     "Adjugate",

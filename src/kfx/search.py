@@ -278,7 +278,6 @@ def _unit(n: int, l: int, first: int, alphabet, keep) -> None:
     """
     codes, by_size, hubs, hubs_by_size, terms = alphabet
     one = len(codes) - 1  # the rank of b"()"
-    ones = [one] * l
     # with one-vertex trees at positions t..l-1: their part of the first
     # sum (prefix sums n - v, v < m = l - t) and of sum_i i s_i
     fill_num = [l * m * (m - 1) * (3 * n - 2 * m + 1) // 6
@@ -295,7 +294,7 @@ def _unit(n: int, l: int, first: int, alphabet, keep) -> None:
     rest = n - first
     c = l * first * rest
     if rest == l - 1:  # the unit's own fill
-        a[1:] = ones[1:]
+        a[1:] = [one] * (l - 1)
         c += fill_num[1] + fill_s1[1] ** 2
         for r in by_size[first] if hubs is None else hubs_by_size[first]:
             a[0] = r
@@ -354,7 +353,7 @@ def _unit(n: int, l: int, first: int, alphabet, keep) -> None:
         least = _reversal_bound(a, t, m, one)
         if least is None:
             continue
-        a[t + 1:] = ones[t + 1:]
+        a[t + 1:] = [one] * m
         c = (num + l * (n - m) * m - n * t * t * fill + fill_num[t + 1]
              + (s1 + t * fill + fill_s1[t + 1]) ** 2)
         if ranks[i] == low_rank:

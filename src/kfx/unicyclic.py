@@ -12,9 +12,10 @@ enumeration reads them from there (`shape_record`), and applies any other
 bound, such as a hanging tree's root bound, as a filter on those records.
 
 Labeled trees (the hanging trees of an input graph, or a whole input
-tree) never enter the catalog. `orient` turns one into a parents-first
-list of parent positions, and `tree_stats` and `tree_code` fold that list
-bottom-up into the same numbers and codes the catalog holds for its shape;
+tree) never enter the catalog. `orient`, the breadth-first walk that
+lives in `kfx.graph`, turns one into a parents-first list of parent
+positions, and `tree_stats` and `tree_code` fold that list bottom-up
+into the same numbers and codes the catalog holds for its shape;
 `code_parents` goes back from a code to parent positions. No step
 recurses over a tree, so tree depth is not limited by the interpreter
 stack, and `tree_code` orders subtrees by integer keys and writes each
@@ -32,7 +33,9 @@ Canonical codes are ASCII byte strings: equal codes iff isomorphic
 (within the tree / unicyclic class handled), totally ordered, stable
 across runs. A unicyclic graph's code is its cycle length and the least
 of the l rotations and l reflections of its trees' codes, found as two
-least rotations (`_least_rotation`) in O(l) comparisons.
+least rotations (`_least_rotation`) in O(l) comparisons. A free tree's
+code (`tree_canonical_code`) is its tree code at its center or centers,
+which two `orient` walks find.
 """
 from __future__ import annotations
 
@@ -43,7 +46,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import NotConnectedError, NotUnicyclicError
-from .graph import Graph
+from .graph import Graph, orient
 
 Shape = bytes  # AHU code of a rooted tree
 # (size, root depth sum, Wiener index, root child count,
@@ -116,27 +119,6 @@ def rooted_shapes(n: int, children: int | None = None) -> Mapping[Shape, ShapeRe
 def shape_record(shape: Shape) -> ShapeRecord:
     """The catalog record of a shape (its size is half its code length)."""
     return rooted_shapes(len(shape) // 2)[shape]
-
-
-def orient(
-    adj: Sequence[Sequence[int]], root: int, seen: list[bool]
-) -> tuple[list[int], list[int]]:
-    """Orient the tree around `root` away from it, breadth first.
-
-    Descent stops at vertices already marked in `seen`; every vertex
-    reached is marked. Returns the vertices in parents-first order and, for
-    each position, the position of its parent (-1 for the root).
-    """
-    seen[root] = True
-    order = [root]
-    parent = [-1]
-    for k, v in enumerate(order):
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                order.append(w)
-                parent.append(k)
-    return order, parent
 
 
 def tree_stats(parent: Sequence[int]) -> tuple[int, int, int]:
@@ -363,36 +345,32 @@ def canonical_code(u: UnicyclicRepr) -> bytes:
     return b"%d:" % u.l + b"".join(min(best))
 
 
-def tree_centers(g: Graph) -> list[int]:
-    if g.n <= 2:
-        return list(range(g.n))
-    deg = [len(a) for a in g.adj]
-    leaves = [v for v in range(g.n) if deg[v] == 1]
-    remaining = g.n
-    while remaining > 2:
-        remaining -= len(leaves)
-        nxt = []
-        for v in leaves:
-            deg[v] = 0
-            for w in g.adj[v]:
-                if deg[w] > 0:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        leaves = nxt
-    return sorted(leaves)
-
-
 def tree_canonical_code(g: Graph) -> bytes:
-    """Canonical code for a free (unrooted) tree, via its center(s)."""
+    """Canonical code for a free (unrooted) tree: "T1:" and its code rooted
+    at its center, or "T2:" and the two codes of its halves, split at its
+    central edge, in byte order.
+
+    The centers are the middle of a longest path, found by two `orient`
+    walks. The last vertex the walk from vertex 0 reaches is an end of a
+    longest path, and the walk from that end reaches the other end last;
+    its parents lead back along the path. A walk that misses a vertex
+    raises NotConnectedError.
+    """
     if g.m != g.n - 1:
         raise ValueError("not a tree")
-    g.require_connected()
-    centers = tree_centers(g)
+    order = orient(g.adj, 0, [False] * g.n)[0]
+    if len(order) != g.n:
+        raise NotConnectedError(f"graph on {g.n} vertices is not connected")
+    order, parent = orient(g.adj, order[-1], [False] * g.n)
+    path = [g.n - 1]  # positions, from the far end back to the walk's root at 0
+    for k in path:
+        if k:
+            path.append(parent[k])
+    a, b = order[path[len(path) // 2]], order[path[(len(path) - 1) // 2]]
+    del order, parent, path  # else each collection during tree_code walks them
     seen = [False] * g.n
-    if len(centers) == 1:
-        return b"T1:" + tree_code(orient(g.adj, centers[0], seen)[1])
-    a, b = centers
+    if a == b:
+        return b"T1:" + tree_code(orient(g.adj, a, seen)[1])
     seen[b] = True  # split the tree at its central edge
     ca = tree_code(orient(g.adj, a, seen)[1])
     cb = tree_code(orient(g.adj, b, seen)[1])

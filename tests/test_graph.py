@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from kfx.errors import GraphParseError, NotConnectedError
@@ -84,6 +87,21 @@ def test_relabel_preserves_structure():
     g = make_cycle(4)
     h = g.relabel([2, 3, 0, 1])
     assert h.m == 4 and max_degree(h) == 2
+
+
+def test_is_connected_is_reachability_from_vertex_0():
+    graphs = [Graph(1, []), Graph(3, []), Graph(4, [(0, 1), (2, 3)]), Graph(4, [(0, 1), (1, 2), (0, 2)])]
+    rng = random.Random(9)
+    for _ in range(400):
+        n = rng.randrange(1, 16)
+        pairs = list(combinations(range(n), 2))
+        graphs.append(Graph(n, rng.sample(pairs, rng.randrange(min(len(pairs), 2 * n) + 1))))
+    answers = []
+    for g in graphs:
+        answers.append(g.is_connected())
+        assert answers[-1] == (-1 not in g.bfs_distances(0))
+    assert answers[:4] == [True, False, False, False]
+    assert 100 < sum(answers) < 300  # both answers are common
 
 
 def test_bfs_distances_on_cycle():

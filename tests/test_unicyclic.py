@@ -5,7 +5,7 @@ import pytest
 
 from kfx.errors import NotConnectedError, NotUnicyclicError
 from kfx.families import make_cycle, make_p_n_l, make_s_n_l
-from kfx.graph import Graph, wiener
+from kfx.graph import Graph, orient, wiener
 from kfx.metrics import resistance
 from kfx.search import _tree_counts
 from kfx.suites import random_unicyclic
@@ -14,7 +14,6 @@ from kfx.unicyclic import (
     code_parents,
     decompose_unicyclic,
     graph_from_shapes,
-    orient,
     path_shape,
     rooted_shapes,
     shape_record,
@@ -260,6 +259,46 @@ def test_tree_canonical_code_invariance():
         perm = list(range(5))
         rng.shuffle(perm)
         assert tree_canonical_code(path.relabel(perm)) == expected
+
+
+def reference_tree_code(g: Graph) -> bytes:
+    """The free tree's code at its vertices of least eccentricity."""
+    ecc = [max(g.bfs_distances(v)) for v in range(g.n)]
+    centers = [v for v in range(g.n) if ecc[v] == min(ecc)]
+    seen = [False] * g.n
+    if len(centers) == 1:
+        return b"T1:" + tree_code(orient(g.adj, centers[0], seen)[1])
+    a, b = centers
+    seen[b] = True
+    halves = [tree_code(orient(g.adj, c, seen)[1]) for c in (a, b)]
+    return b"T2:" + b"".join(sorted(halves))
+
+
+def test_tree_canonical_code_roots_at_the_least_eccentric_vertices():
+    """Every tree on at most 10 vertices, once per rooted shape, and
+    seeded random labeled trees up to 80 vertices, paths among them."""
+    shaped = [graph_from_shapes(1, [s]) for k in range(1, 11) for s in rooted_shapes(k)]
+    rng = random.Random(5)
+    trees = []
+    for _ in range(200):
+        n = rng.randrange(1, 81)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        # each vertex hangs off an earlier one, nearby ones making long paths
+        reach = rng.choice([1, 3, n])
+        edges = [(perm[rng.randrange(max(0, v - reach), v)], perm[v]) for v in range(1, n)]
+        trees.append(Graph(n, edges))
+    for g in shaped + trees:
+        assert tree_canonical_code(g) == reference_tree_code(g)
+    # the 1,205 rooted shapes make the 201 free trees on at most 10 vertices
+    assert len({tree_canonical_code(g) for g in shaped}) == 201
+
+
+def test_tree_canonical_code_refuses_non_trees():
+    with pytest.raises(ValueError, match="not a tree"):
+        tree_canonical_code(make_cycle(5))
+    with pytest.raises(NotConnectedError, match="^graph on 4 vertices is not connected$"):
+        tree_canonical_code(Graph(4, [(0, 1), (1, 2), (0, 2)]))  # a triangle and a vertex
 
 
 def test_tree_distance_within_repr():

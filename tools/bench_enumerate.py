@@ -1,4 +1,5 @@
-"""Before/after rows for the enumeration: CLI runs and in-process layers.
+"""Before/after rows for the enumeration, CLI runs and in-process layers,
+and for the graph walks.
 
 Usage:
     python tools/bench_enumerate.py [--repeat R] --change TEXT LABEL=SRC_DIR [LABEL=SRC_DIR ...]
@@ -36,6 +37,12 @@ holds:
 * `check_lemma_properties_8_s`: the median seconds of one cold
   `suites.check_lemma_properties(8)` call, with the modules the suite
   runs imported beforehand, untimed, as `kfx.suites` once imported them.
+* `walks`: per graph walk, the median seconds, with quartiles, of one
+  call in a fresh interpreter after its graph is built untimed:
+  `unicyclic.tree_canonical_code` on the path on 200,000 vertices and on
+  the broom `families.make_t_n_delta(200000, 1000)`, and
+  `Graph.is_connected` on `families.make_p3_extremal(200000, 5)`
+  (`WALKS`). Rows written before the walks were measured have no such key.
 
 Earlier rows, written by earlier versions of this script, also hold
 one- and two-worker row runs (`two_workers_faster`, and keys ending in
@@ -86,6 +93,15 @@ COMMANDS = ENUMERATE + LARGE + [VERIFY_ALL]
 LAYERS = [(14, None, True, "max"), (14, 4, True, "min"), (14, 4, False, "max"),
           (16, None, True, "max"), (18, 3, True, "min"), (19, 4, True, "min"),
           (40, 30, True, "max")]
+# walk -> (its graph, built untimed; the call timed)
+WALKS = {
+    "tree_canonical_code path(200000)":
+        ("families.make_path(200000)", "unicyclic.tree_canonical_code(g)"),
+    "tree_canonical_code broom(200000, 1000)":
+        ("families.make_t_n_delta(200000, 1000)", "unicyclic.tree_canonical_code(g)"),
+    "is_connected p3(200000, 5)":
+        ("families.make_p3_extremal(200000, 5)", "g.is_connected()"),
+}
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_enumerate.json"
 
 # Times one cold `_alphabet` and one walk of every unit for the extremes
@@ -136,6 +152,14 @@ walk(alphabet)
 sys.setprofile(None)
 print(json.dumps({"alphabet_s": alphabet_s, "units_s": walk_s, "alphabet_trees": len(alphabet[0]),
                   "tuples_walked": walked, "classes": search.class_count(n, delta, exact)}))
+"""
+TIME_WALK = """
+import sys, time
+from kfx import families, unicyclic
+g = eval(sys.argv[1])
+t = time.perf_counter()
+eval(sys.argv[2])
+print(time.perf_counter() - t)
 """
 TIME_LEMMAS = """
 import time
@@ -209,6 +233,7 @@ def main(argv: list[str]) -> int:
     cli = {label: {c: [] for c in commands} for label in checkouts}
     layers = {label: {run: [] for run in LAYERS} for label in checkouts}
     lemmas = {label: [] for label in checkouts}
+    walks = {label: {name: [] for name in WALKS} for label in checkouts}
     for round_ in range(repeat):
         order = list(checkouts.items())
         for label, src in order[::-1] if round_ % 2 else order:
@@ -217,6 +242,8 @@ def main(argv: list[str]) -> int:
             for run in LAYERS:
                 layers[label][run].append(_layers(src, *run))
             lemmas[label].append(float(_python(src, TIME_LEMMAS)))
+            for name, (build, call) in WALKS.items():
+                walks[label][name].append(float(_python(src, TIME_WALK, [build, call])))
     rows = []
     for label in checkouts:
         runs = cli[label]
@@ -237,6 +264,7 @@ def main(argv: list[str]) -> int:
                 **_spread("units_s", [s["units_s"] for s in samples], 4),
             } for (n, delta, exact, objective), samples in layers[label].items()],
             "check_lemma_properties_8_s": _median(lemmas[label], 4),
+            "walks": {name: _spread("s", values, 4) for name, values in walks[label].items()},
         })
     report["rows"] += rows
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
