@@ -21,7 +21,7 @@ decomposition or one elimination.
   from the shape catalog's records. `kf_vertex` reroots the same numbers
   at one vertex in O(n) (Klein & Randic, "Resistance distance", 1993).
   `resistance_numerator` answers single pairs as the integer l R(a, b)
-  from the positions and depths the representation holds.
+  from their (tree, position) pairs, by climbing parent positions.
   A tree is the representation's l = 1 case, one tree rooted at vertex 0:
   every cross-tree term is zero, and resistance is distance.
 
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .errors import EngineMismatchError, NotConnectedError, ParameterError
 from .graph import Graph, orient, wiener
@@ -169,9 +169,16 @@ def _grounded_adjugate(g: Graph | Adjugate) -> Adjugate:
     return Adjugate(g, tau, [[0] * g.n] + [[0, *row] for row in adj])
 
 
-def _vertices(g: Graph | UnicyclicRepr | Adjugate) -> Mapping[int, tuple[int, int]] | range:
-    """The vertex labels g answers for, without an elimination."""
-    return g.position if isinstance(g, UnicyclicRepr) else range(g.n)
+def _position(g: Graph | UnicyclicRepr | Adjugate, v: int) -> tuple[int, int] | None:
+    """Vertex v's (tree, position) in a decomposition, by scanning its trees;
+    None in a graph or an adjugate. ParameterError if g has no vertex v."""
+    if isinstance(g, UnicyclicRepr):
+        for i, nodes in enumerate(g.tree_nodes):
+            if v in nodes:
+                return i, nodes.index(v)
+    elif v in range(g.n):
+        return None
+    raise ParameterError(f"vertex {v} not in graph")
 
 
 def engine_input(
@@ -186,8 +193,9 @@ def engine_input(
     which a decomposition or an adjugate passes through unchanged. A graph
     with n - 1 or n edges goes to the structural engine untested: its
     decomposition raises NotConnectedError if it is not connected, within
-    the passes it makes anyway. The oracle reads a graph or an adjugate,
-    and raises EngineMismatchError on a decomposition.
+    the passes it makes anyway. A disconnected graph the structural engine
+    refuses raises NotConnectedError too. The oracle reads a graph or an
+    adjugate, and raises EngineMismatchError on a decomposition.
     """
     if engine not in ("auto", "oracle", "structural"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -202,29 +210,33 @@ def engine_input(
                 raise NotConnectedError(f"graph on {g.n} vertices is not connected")
             return UnicyclicRepr([0], [(order, parent)])
         if engine == "structural":
+            if isinstance(g, Graph):
+                g.require_connected()
             raise EngineMismatchError("structural engine needs a tree or unicyclic graph")
     if isinstance(g, UnicyclicRepr):
         raise EngineMismatchError("oracle engine needs a graph, not a decomposition")
     return _grounded_adjugate(g)
 
 
-def resistance_numerator(u: UnicyclicRepr, a: int, b: int) -> int:
+def resistance_numerator(u: UnicyclicRepr, a: tuple[int, int], b: tuple[int, int]) -> int:
     """l R(a, b), the structural resistance of two vertices of u over its
-    cycle length l, as an integer.
+    cycle length l, as an integer; a and b are (tree, position) pairs.
 
     Trees contribute plain distances (cut vertices put them in series);
     two cycle vertices at cycle-distance d contribute d(l-d)/l from the
     parallel arcs. On a tree, l = 1 and this is the distance.
     """
-    (i, ka), (j, kb) = u.position[a], u.position[b]
-    if i != j:  # d (l - d) is the same either way round the cycle
-        d = abs(i - j)
-        return u.l * (u.tree_depths[i][ka] + u.tree_depths[j][kb]) + d * (u.l - d)
-    # climb from the deeper one until the two meet
-    parent, depth = u.tree_parents[i], u.tree_depths[i]
+    (i, ka), (j, kb) = a, b
     dist = 0
+    if i != j:  # each climbs to its root; d (l - d) is the same either way round the cycle
+        for parent, k in ((u.tree_parents[i], ka), (u.tree_parents[j], kb)):
+            while k:
+                k = parent[k]
+                dist += 1
+        return u.l * dist + abs(i - j) * (u.l - abs(i - j))
+    parent = u.tree_parents[i]  # the later one steps up, as an ancestor comes earlier
     while ka != kb:
-        if depth[ka] < depth[kb]:
+        if ka < kb:
             ka, kb = kb, ka
         ka = parent[ka]
         dist += 1
@@ -238,13 +250,11 @@ def resistance(g: Graph | UnicyclicRepr | Adjugate, a: int, b: int) -> Fraction:
     adjugate."""
     if a == b:
         raise ValueError("resistance requires two distinct vertices")
-    vertices = _vertices(g)
-    for v in (a, b):
-        if v not in vertices:
-            raise ValueError(f"vertex {v} not in graph")
+    where = [_position(g, v) for v in (a, b)]
     u = engine_input(g)
     if isinstance(u, UnicyclicRepr):
-        return Fraction(resistance_numerator(u, a, b), u.l)
+        pa, pb = (w or _position(u, v) for w, v in zip(where, (a, b)))
+        return Fraction(resistance_numerator(u, pa, pb), u.l)
     return Fraction(u.numerator(a, b), u.tau)
 
 
@@ -267,21 +277,21 @@ def kf_vertex(g: Graph | UnicyclicRepr | Adjugate, v: int) -> Fraction:
     T(v) = D_i + h s_i - 2 sum sub(u) + (n - s_i) h + sum_{j != i} [D_j + s_j d (l - d) / l],
     summed over the vertices u on the path from the root to v, root
     excluded: a step down to u brings s_i - sub(u) vertices of tree i one
-    nearer and sub(u) one farther. It is one O(n) pass, exact over l.
+    nearer and sub(u) one farther; the climb from v counts h. It is one
+    O(n) pass, exact over l.
     """
-    if v not in _vertices(g):
-        raise ParameterError(f"vertex {v} not in graph")
+    where = _position(g, v)
     u = engine_input(g)
     if isinstance(u, UnicyclicRepr):
-        i, k = u.position[v]
+        i, k = where or _position(u, v)
         parent = u.tree_parents[i]
         sub = [1] * len(parent)
         for c in range(len(parent) - 1, 0, -1):
             sub[parent[c]] += sub[c]
         # h s_i + (n - s_i) h = h n, and D_i joins the other D_j
-        total = u.tree_depths[i][k] * u.n + sum(d_j for _, d_j, _ in u.tree_stats)
-        while k > 0:
-            total -= 2 * sub[k]
+        total = sum(d_j for _, d_j, _ in u.tree_stats)
+        while k:
+            total += u.n - 2 * sub[k]
             k = parent[k]
         cross = sum(s * abs(i - j) * (u.l - abs(i - j)) for j, (s, _, _) in enumerate(u.tree_stats))
         return Fraction(total * u.l + cross, u.l)

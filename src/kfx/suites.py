@@ -252,16 +252,16 @@ def check_lemma_properties(
     """
     from .families import make_t_n_delta
     from .formulas import wiener_broom_formula
+    from .graph import orient
     from .metrics import kirchhoff_index
     from .unicyclic import (
         canonical_code,
         decompose_unicyclic,
-        graph_from_shapes,
         hanging_degree,
         path_shape,
         rooted_shapes,
         shape_record,
-        tree_canonical_code,
+        tree_code,
     )
 
     path: dict = {"checked": 0, "violations": [], "non_strict_changes": 0}
@@ -319,8 +319,8 @@ def check_lemma_properties(
 
     # among trees with max degree exactly delta, Wiener is uniquely
     # maximized by the broom; a rooted tree's W and max degree do not depend
-    # on its root, so the catalog's rooted trees reach the free trees' maximum,
-    # and only the rooted trees reaching it are canonicalized
+    # on its root, so the rooted trees reaching the free trees' greatest W
+    # are the broom's rootings iff the broom alone reaches it
     broom: dict = {"checked": 0, "violations": []}
     for n in range(4, tree_n_max + 1):
         top: dict[int, tuple[int, list[Shape]]] = {}  # max degree -> (greatest W, shapes)
@@ -330,14 +330,12 @@ def check_lemma_properties(
                 top[deg] = (wien, [shape])
             elif wien == top[deg][0]:
                 top[deg][1].append(shape)
-        for delta in range(3, n):
-            if delta not in top:
-                continue
+        for delta in (d for d in range(3, n) if d in top):
             wien, shapes = top[delta]
-            argmax = {tree_canonical_code(graph_from_shapes(1, [s])) for s in shapes}
+            g = make_t_n_delta(n, delta)
+            rootings = {tree_code(orient(g.adj, v, [False] * n)[1]) for v in range(n)}
             broom["checked"] += 1
-            if (wien != wiener_broom_formula(n, delta)
-                    or argmax != {tree_canonical_code(make_t_n_delta(n, delta))}):
+            if wien != wiener_broom_formula(n, delta) or set(shapes) != rootings:
                 broom["violations"].append(f"n={n} delta={delta}")
 
     report = {
@@ -379,10 +377,11 @@ def engine_equivalence_suite(n_max: int, samples: int, seed: int, cap: int = DEF
         oracle = engine_input(g, "oracle")
         total = 0
         ok = True
-        for a, b in combinations(range(g.n), 2):
+        at = [((i, k), v) for i, nodes in enumerate(u.tree_nodes) for k, v in enumerate(nodes)]
+        for (pa, a), (pb, b) in combinations(at, 2):
             ro = oracle.numerator(a, b)
             checked_pairs += 1
-            if resistance_numerator(u, a, b) * oracle.tau != ro * u.l:
+            if resistance_numerator(u, pa, pb) * oracle.tau != ro * u.l:
                 ok = False
             total += ro
         if kirchhoff_index(u) * oracle.tau != total:

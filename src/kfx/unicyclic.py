@@ -211,11 +211,11 @@ class UnicyclicRepr:
     structural sum is then zero, so the sums serve trees unchanged.
     Vertex labels are arbitrary integers (whatever the source graph used).
     Tree i is rooted at `cycle[i]` and held by position: `tree_nodes[i]`
-    lists its vertices parents first, root first, `tree_parents[i]` the
-    position of each one's parent (-1 for the root) and `tree_depths[i]`
-    its depth. `tree_stats[i]` is the tree's (size, root depth sum, Wiener
-    index), folded once here; every structural quantity reads it.
-    `position` maps each label to its (tree, position).
+    lists its vertices parents first, root first, and `tree_parents[i]` the
+    position of each one's parent (-1 for the root). No table maps a label
+    to its (tree, position), and no depth is stored. `tree_stats[i]` is the
+    tree's (size, root depth sum, Wiener index), folded once here; every
+    structural quantity reads it.
     """
 
     def __init__(self, cycle: Sequence[int], trees: Sequence[tuple[Sequence[int], Sequence[int]]]):
@@ -227,19 +227,10 @@ class UnicyclicRepr:
         self.cycle = tuple(cycle)
         self.tree_nodes = tuple(nodes for nodes, _ in trees)
         self.tree_parents = tuple(parent for _, parent in trees)
-        self.position: dict[int, tuple[int, int]] = {}
-        depths = []
-        for i, (root, nodes, parent) in enumerate(zip(self.cycle, self.tree_nodes, self.tree_parents)):
-            if nodes[0] != root:
-                raise ValueError(f"tree {i} must list its cycle vertex first")
-            self.position.update((v, (i, k)) for k, v in enumerate(nodes))
-            depth = [0] * len(parent)
-            for k in range(1, len(parent)):
-                depth[k] = depth[parent[k]] + 1
-            depths.append(depth)
-        self.tree_depths = tuple(depths)
+        if any(nodes[0] != root for root, nodes in zip(self.cycle, self.tree_nodes)):
+            raise ValueError("each tree must list its cycle vertex first")
         self.n = sum(map(len, self.tree_nodes))
-        if len(self.position) != self.n:
+        if len(set().union(*self.tree_nodes)) != self.n:
             raise ValueError("trees are not vertex-disjoint")
         self.tree_stats = tuple(map(tree_stats, self.tree_parents))
 

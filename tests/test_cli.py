@@ -390,6 +390,23 @@ def test_compute_eliminates_once_per_graph(capsys, tmp_path, monkeypatch, engine
     assert (record["kf"], record["kf_v7"]) == (rational_str(kf), rational_str(kf_v))
 
 
+@pytest.mark.parametrize("engine", ["auto", "structural", "oracle"])
+@pytest.mark.parametrize("text", [
+    "6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n",  # two triangles
+    "4 3\n0 1\n1 2\n0 2\n",  # a triangle and a vertex
+    "7 8\n0 1\n0 2\n0 3\n1 2\n1 3\n4 5\n4 6\n5 6\n",  # two cycles beside a triangle
+], ids=["m=n", "m=n-1", "m>n"])
+def test_compute_reports_a_disconnected_graph_under_every_engine(capsys, tmp_path, engine, text):
+    """The engine's own pass finds it: the decomposition, the tree's walk,
+    the elimination, or the structural engine's check before it refuses a
+    graph that is neither a tree nor unicyclic."""
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    code, out, err = run(capsys, "compute", "--input", str(path), "--engine", engine)
+    assert (code, out) == (3, "")
+    assert err == f"error: graph on {text.split()[0]} vertices is not connected\n"
+
+
 @pytest.mark.parametrize("extra", [["--vertex", "5"], ["--vertex", "-1", "--engine", "oracle"]])
 def test_compute_vertex_out_of_range_is_invalid_input(capsys, tmp_path, extra):
     path = tmp_path / "c5.edges"

@@ -17,10 +17,10 @@ import pytest
 from kfx import unicyclic
 from kfx.cli import main
 from kfx.errors import CapExceededError
-from kfx.families import make_cycle, make_p3_extremal, make_path
+from kfx.families import make_cycle, make_p3_extremal, make_path, make_t_n_delta
 from kfx.formulas import theorem_bound
 from kfx.graph import format_edge_list
-from kfx.metrics import kf_vertex, kirchhoff_index, wiener_index
+from kfx.metrics import engine_input, kf_vertex, kirchhoff_index, wiener_index
 from kfx.search import unicyclic_extremes
 from kfx.suites import verify_theorem
 from kfx.unicyclic import canonical_code, decompose_unicyclic, tree_canonical_code
@@ -101,10 +101,30 @@ def test_kf_vertex_at_the_end_of_a_100000_vertex_tail():
     u = decompose_unicyclic(g)
     before = cache_sizes()
     v = n - 1  # the far end of the pendant path
-    i, _ = u.position[v]
+    i = next(i for i, nodes in enumerate(u.tree_nodes) if v in nodes)
     # on a triangle each cross-tree pair is 2/3 where its distance counts 1
     assert kf_vertex(u, v) == sum(g.bfs_distances(v)) - Fraction(n - u.tree_sizes[i], 3)
     assert cache_sizes() == before
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_p3_extremal(20_000, 5), lambda: make_path(20_000), lambda: make_t_n_delta(20_000, 100),
+], ids=["p3", "path", "broom"])
+def test_a_decomposition_keeps_under_100_bytes_a_vertex(build):
+    """A decomposition holds each tree's labels and parent positions and
+    its folded stats, and no table per label: the bytes still allocated
+    after `engine_input` stay under 100 a vertex (about 45 on these
+    graphs; a label -> (tree, position) dict and a depth table per tree
+    would add about 150)."""
+    g = build()
+    tracemalloc.start()
+    try:
+        u = engine_input(g)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert u.n == g.n == 20_000
+    assert kept <= 100 * g.n, kept / g.n
 
 
 def test_cli_verify_theorem_n_100000(capsys):

@@ -13,12 +13,17 @@ from kfx.metrics import (
     engine_input,
     kf_vertex,
     kirchhoff_index,
-    _vertices,
     resistance,
     wiener_index,
 )
 from kfx.suites import random_unicyclic
-from kfx.unicyclic import UnicyclicRepr, decompose_unicyclic, graph_from_shapes
+from kfx.unicyclic import (
+    UnicyclicRepr,
+    code_parents,
+    decompose_unicyclic,
+    graph_from_shapes,
+    rooted_shapes,
+)
 from oracles import tree_classes, unicyclic_classes
 
 F = Fraction
@@ -109,7 +114,11 @@ def test_bareiss_adjugate_through_row_swaps():
 def resistance_table(g):
     """{(a, b): R(a, b)} for every pair a < b, from g's one engine input."""
     u = engine_input(g)
-    return {(a, b): resistance(u, a, b) for a, b in combinations(sorted(_vertices(u)), 2)}
+    if isinstance(u, Adjugate):
+        vertices = range(u.n)
+    else:  # a decomposition's labels, scanned from its trees
+        vertices = sorted(v for nodes in u.tree_nodes for v in nodes)
+    return {(a, b): resistance(u, a, b) for a, b in combinations(vertices, 2)}
 
 
 def test_spanning_tree_counts():
@@ -233,9 +242,36 @@ def test_engine_equivalence_small_exhaustive():
     for g in graphs:
         structural, oracle = engine_input(g, "structural"), engine_input(g, "oracle")
         assert isinstance(structural, UnicyclicRepr) and isinstance(oracle, Adjugate)
-        vs = sorted(structural.position)
+        vs = sorted(v for nodes in structural.tree_nodes for v in nodes)
         for name, quantity in quantities.items():
             assert quantity(structural, vs) == quantity(oracle, vs), (name, g)
+
+
+def test_structural_engine_reads_trees_listed_in_preorder():
+    """`decompose_unicyclic` and `engine_input` list every tree breadth
+    first. A decomposition built from `code_parents` lists each tree in
+    preorder, another parents-first order, with the labels
+    `graph_from_shapes` gives; its every resistance and transmission
+    equals the oracle's on that graph, trees (l = 1) included."""
+    rng = random.Random(35)
+    not_breadth_first = 0
+    for _ in range(60):
+        l = rng.choice([1, 1, 3, 4, 5])
+        shapes = [rng.choice(list(rooted_shapes(rng.randrange(1, 8)))) for _ in range(l)]
+        trees, nxt = [], l
+        for i, shape in enumerate(shapes):
+            parent = code_parents(shape)
+            trees.append(([i, *range(nxt, nxt + len(parent) - 1)], parent))
+            nxt += len(parent) - 1
+            not_breadth_first += any(a > b for a, b in zip(parent, parent[1:]))
+        u = UnicyclicRepr(range(l), trees)
+        oracle = engine_input(graph_from_shapes(l, shapes), "oracle")
+        assert u.n == oracle.n == nxt
+        for a, b in permutations(range(u.n), 2):
+            assert resistance(u, a, b) == resistance(oracle, a, b), (l, shapes, a, b)
+        for v in range(u.n):
+            assert kf_vertex(u, v) == kf_vertex(oracle, v), (l, shapes, v)
+    assert not_breadth_first >= 20
 
 
 def test_triangle_inequality_and_distance_bound():
@@ -364,6 +400,11 @@ def test_oracle_entry_points_reject_disconnected():
     ):
         with pytest.raises(NotConnectedError):
             fn()
+    # more than n edges: the structural engine refuses it as disconnected
+    # before it refuses it as neither a tree nor unicyclic
+    g = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (4, 5), (4, 6), (5, 6)])
+    with pytest.raises(NotConnectedError, match="^graph on 7 vertices is not connected$"):
+        engine_input(g, "structural")
     # n - 1 edges but not a tree: the structural engine finds vertex 3 unreached
     g = Graph(4, [(0, 1), (1, 2), (0, 2)])
     for fn in (
@@ -519,4 +560,5 @@ def test_transmissions_sum_to_twice_kf():
     assert sum(kf_vertex(u, v) for v in range(u.n)) == 2 * theorem_bound(1000, 5)
     for n, l in ((12, 12), (30, 7), (41, 40)):
         u = decompose_unicyclic(random_unicyclic_with_cycle(n, l, random.Random(n)))
-        assert sum(kf_vertex(u, v) for v in u.position) == 2 * kirchhoff_index(u)
+        labels = [v for nodes in u.tree_nodes for v in nodes]
+        assert sum(kf_vertex(u, v) for v in labels) == 2 * kirchhoff_index(u)

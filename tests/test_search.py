@@ -208,7 +208,8 @@ def _suite_with_one_wrong_class(monkeypatch, name, corrupt):
 
 def test_engine_suite_reports_one_wrong_pair(monkeypatch):
     label, violations = _suite_with_one_wrong_class(
-        monkeypatch, "resistance_numerator", lambda r, a, b: r + 1 if (a, b) == (0, 1) else r)
+        monkeypatch, "resistance_numerator",
+        lambda r, a, b: r + 1 if (a, b) == ((0, 0), (1, 0)) else r)  # (tree, position) pairs
     assert violations == [label]
 
 

@@ -40,9 +40,13 @@ holds:
 * `walks`: per graph walk, the median seconds, with quartiles, of one
   call in a fresh interpreter after its graph is built untimed:
   `unicyclic.tree_canonical_code` on the path on 200,000 vertices and on
-  the broom `families.make_t_n_delta(200000, 1000)`, and
-  `Graph.is_connected` on `families.make_p3_extremal(200000, 5)`
-  (`WALKS`). Rows written before the walks were measured have no such key.
+  the broom `families.make_t_n_delta(200000, 1000)`, and, on
+  `families.make_p3_extremal(200000, 5)`, `Graph.is_connected`, the
+  decomposition `metrics.engine_input` builds, and that decomposition
+  with the transmission of the tail's far end (`metrics.kf_vertex`);
+  and the engine suite `suites.engine_equivalence_suite(8, 200,
+  20240817)`, which builds no graph beforehand (`WALKS`). Rows written
+  before a walk was measured have no key for it.
 
 Earlier rows, written by earlier versions of this script, also hold
 one- and two-worker row runs (`two_workers_faster`, and keys ending in
@@ -101,6 +105,13 @@ WALKS = {
         ("families.make_t_n_delta(200000, 1000)", "unicyclic.tree_canonical_code(g)"),
     "is_connected p3(200000, 5)":
         ("families.make_p3_extremal(200000, 5)", "g.is_connected()"),
+    "engine_input p3(200000, 5)":
+        ("families.make_p3_extremal(200000, 5)", "metrics.engine_input(g)"),
+    "kf_vertex 199999 p3(200000, 5)":
+        ("families.make_p3_extremal(200000, 5)",
+         "metrics.kf_vertex(metrics.engine_input(g), 199999)"),
+    "engine_equivalence_suite(8, 200, 20240817)":
+        ("None", "suites.engine_equivalence_suite(8, 200, 20240817)"),
 }
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_enumerate.json"
 
@@ -155,7 +166,7 @@ print(json.dumps({"alphabet_s": alphabet_s, "units_s": walk_s, "alphabet_trees":
 """
 TIME_WALK = """
 import sys, time
-from kfx import families, unicyclic
+from kfx import families, metrics, suites, unicyclic
 g = eval(sys.argv[1])
 t = time.perf_counter()
 eval(sys.argv[2])
