@@ -87,12 +87,22 @@ def _write(args, text: str | list[bytes]) -> None:
 
 
 def _read_graph(path: str):
+    """The graph in the file at `path`, or on stdin for "-". Both are read
+    as bytes and decoded as strict UTF-8, whatever the locale."""
     from .graph import parse_edge_list
 
     if path == "-":
-        return parse_edge_list(sys.stdin.read())
-    with open(path) as fh:
-        return parse_edge_list(fh.read())
+        return parse_edge_list(_utf8(sys.stdin.buffer.read()))
+    with open(path, "rb") as fh:
+        return parse_edge_list(_utf8(fh.read()))
+
+
+def _utf8(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"input is not UTF-8: byte 0x{data[exc.start]:02x}"
+                              f" at offset {exc.start}") from None
 
 
 def _csv(header: list[str], row: list) -> str:

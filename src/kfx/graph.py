@@ -6,8 +6,8 @@ precondition of individual operations, not an invariant of the container.
 
 `orient` is kfx's one breadth-first walk over a graph's reach.
 `Graph.is_connected` reads its reach from vertex 0; `kfx.unicyclic`
-reads the trees it orients (the hanging trees of a decomposition, and a
-free tree's longest path and centers), and `kfx.metrics` a tree input's.
+reads the hanging trees it orients for a decomposition, and `kfx.metrics`
+a tree input's.
 `Graph.bfs_distances` keeps its own loop: distances rebuilt from the
 walk's parents measured slower in `wiener`.
 """
@@ -61,16 +61,6 @@ class Graph:
                     queue.append(w)
         return dist
 
-    def relabel(self, perm: dict[int, int] | list[int]) -> "Graph":
-        """New graph with vertex v renamed to perm[v]."""
-        return Graph(self.n, ((perm[u], perm[v]) for u, v in self.edges))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
@@ -117,14 +107,6 @@ def _checked_edges(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int,
 
 def max_degree(g: Graph) -> int:
     return max(len(a) for a in g.adj)
-
-
-def is_tree(g: Graph) -> bool:
-    return g.m == g.n - 1 and g.is_connected()
-
-
-def is_unicyclic(g: Graph) -> bool:
-    return g.m == g.n and g.is_connected()
 
 
 def wiener(g: Graph) -> int:

@@ -13,24 +13,26 @@ A unit is a walk: it computes every class's Kf as it is generated, as
 the exact integer N = l * Kf, and hands the tuple and N to the `keep` of
 its run, which owns what is kept. A run builds its alphabet once and
 walks its units in the calling process, one at a time as its reader
-asks. `unicyclic_rows` walks every allowed tree, from the shape catalog,
-and yields each unit's rows as it ends. `unicyclic_extremes` answers one
-objective, the least or the greatest Kf: it walks the trees of that
-objective's extreme term per size, which a DP builds with no catalog,
-since only their tuples can reach that extreme, and folds each unit's
-extreme N into one extreme.
+asks. One walk over child multisets builds every alphabet
+(`_hanging_trees`), with no tree catalog, so this module imports no
+other kfx layer than its errors. `unicyclic_rows` walks every allowed
+tree and yields each unit's rows as it ends. `unicyclic_extremes` answers
+one objective, the least or the greatest Kf: it walks only the trees of
+that objective's extreme term per size, since only their tuples can reach
+that extreme, and folds each unit's extreme N into one extreme.
 
 The enumeration cap counts classes, and `class_count` is where a run
-meets it, before any tree catalog is built: it returns the run's exact
-class count, from the dihedral cycle index, or raises CapExceededError as
-soon as it knows that the run passes the cap, either because its classes
-do or because its catalog would hold more trees of one size than the cap.
+meets it, before any alphabet is built: it returns the run's exact class
+count, from the dihedral cycle index, or raises CapExceededError as soon
+as it knows that the run passes the cap, either because its classes do or
+because a row run's alphabet would hold more trees of one size than the
+cap.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .errors import DEFAULT_CAP, CapExceededError, ParameterError
@@ -38,38 +40,49 @@ from .errors import DEFAULT_CAP, CapExceededError, ParameterError
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _extreme_trees(n: int, delta: int | None, exact: bool, top: int,
-                   sign: int) -> dict[bytes, tuple[int, bool]]:
-    """The hanging trees on 1..top vertices that a class of least Kf
-    (sign 1) or greatest Kf (sign -1) on n vertices can hold, built with no
-    catalog: code -> (term, whether it has a vertex of degree `delta`, a
-    hub).
+def _hanging_trees(n: int, delta: int | None, exact: bool, top: int,
+                   objective: str | None) -> dict[bytes, tuple[int, bool]]:
+    """The hanging trees on 1..top vertices allowed under `delta` that a run
+    on n vertices can use, built with no catalog: code -> (term, whether it
+    has a vertex of degree `delta`, a hub). With no `objective`, every
+    allowed tree; with "min" or "max", only the trees a class of least or
+    greatest Kf can hold.
 
     A tree's term W + (n - s) D is the sum, over its non-root vertices v,
     of s_v (n - s_v), s_v the size of v's subtree; so it is the sum, over
     the root's children c, of c's own term plus s_c (n - s_c). A vertex
     has at most delta - 1 children, delta - 2 at the root, and is a hub
-    with exactly that many. For each size, a DP over child multisets finds
-    the least sign * term of the admissible trees and, in an exactly-delta
-    run, of the hub trees. A tree reaching either has only such extreme
+    with exactly that many. A tree is a root over a multiset of planted
+    trees, which a walk takes in size order, so each tree comes once. For
+    each size, a DP over child multisets finds the least sign * term of
+    the admissible trees (sign -1 for "max", else 1) and, in an
+    exactly-delta run, of the hub trees; the walk takes a child only while
+    the DP can fill the rest of the root's vertices.
+
+    With an objective, a tree reaching either extreme has only such extreme
     trees as children: a child swapped for a better one of its size, a hub
-    if it was the tree's only one, would leave a better tree. So the
-    multisets of extreme children are searched, pruned by the DP's best
-    rest, for every tree reaching each extreme, ties included; while a hub
-    tree's chosen children hold no hub, its best rest holds a hub or
-    saturates the root.
+    if it was the tree's only one, would leave a better tree. So only the
+    extreme planted trees are children, and the multisets are pruned by the
+    DP's best rest, for every tree reaching each extreme, ties included;
+    while a hub tree's chosen children hold no hub, its best rest holds a
+    hub or saturates the root. With none, nothing is pruned by its term,
+    and every planted tree is a child.
     """
     planted_max, root_max = (top, top) if delta is None else (delta - 1, delta - 2)
+    every = objective is None
+    sign = -1 if objective == "max" else 1
     hubbed = delta is not None and exact
+    searches = (False, True) if hubbed and not every else (False,)  # without and with a hub
     widest = max(0, min(planted_max, top - 1))  # the most children a vertex can have here
 
     def least(values):
         return min((v for v in values if v is not None), default=None)
 
     found: dict[bytes, tuple[int, bool]] = {}
-    # the extreme planted trees as (size k, code, sign * (term + k (n - k)),
+    # the planted trees a child can be, as (size k, code, sign * (term + k (n - k)),
     # hub), and per k that value at its best and at its best over hubs
     items: list[tuple[int, bytes, int, bool]] = []
+    start = [0, 0]  # start[k]: the index of the first item on k or more vertices
     best: list[int | None] = [None] * top
     best_hub: list[int | None] = [None] * top
     # [j][s]: the least sum of best values of exactly j, of at most j, and
@@ -80,8 +93,10 @@ def _extreme_trees(n: int, delta: int | None, exact: bool, top: int,
 
     def extreme(children: int, s: int, hub: bool) -> tuple[int | None, dict]:
         """The best sign * term of the trees on s + 1 vertices whose
-        root has at most `children` children (hub trees with `hub`),
-        and code -> (sign * term, hub) of every tree reaching it."""
+        root has at most `children` children (hub trees with `hub`), and
+        code -> (sign * term, root child count, whether a child holds a
+        hub) of every tree reaching it, or of every tree with no
+        objective."""
         if children < 0:
             return None, {}
         if not hub:
@@ -89,48 +104,62 @@ def _extreme_trees(n: int, delta: int | None, exact: bool, top: int,
         else:  # the root saturated, or a hub child beside the best rest
             target = least([exactly[children][s] if children <= widest else None,
                             most_hub[min(children, widest)][s]])
-        trees: dict[bytes, tuple[int, bool]] = {}
-        chosen: list[tuple[int, bytes, int, bool]] = []
+        trees: dict[bytes, tuple[int, int, bool]] = {}
+        chosen: list[bytes] = []  # the codes of the children taken
 
-        def walk(i: int, left: int, total: int, need: bool) -> None:
-            # need: a hub search whose chosen children hold no hub
-            if not left:
-                is_hub = hubbed and (len(chosen) == children or any(c[3] for c in chosen))
-                if total == target and (is_hub or not hub):
-                    trees[b"(" + b"".join(sorted(c[1] for c in chosen)) + b")"] = (total, is_hub)
-                return
+        def walk(i: int, left: int, total: int, held: bool) -> None:
+            # held: a chosen child holds a hub
             free = children - len(chosen) - 1  # the children still open after one more
+            if free < 0:
+                return
             room = min(free, widest)
-            for x in range(i, len(items) if room >= 0 else 0):
-                k, _, v, h = items[x]
-                if k > left:
-                    break
-                bound = most[room][left - k]
+            need = hub and not held
+            # children come in size order, so each leaves no vertex or at
+            # least its own size: sizes up to left / 2, then size `left`
+            last = range(max(i, start[left]), start[left + 1])
+            for x in (*range(i, start[left // 2 + 1]), *last):
+                k, code, v, h = items[x]
+                rest = left - k
+                bound = most[room][rest]
                 if need and not h:  # the rest must hold a hub or saturate the root
-                    bound = least([most_hub[room][left - k],
-                                   exactly[free][left - k] if free <= widest else None])
-                if bound is not None and total + v + bound <= target:
-                    chosen.append(items[x])
-                    walk(x, left - k, total + v, need and not h)
+                    bound = least([most_hub[room][rest],
+                                   exactly[free][rest] if free <= widest else None])
+                if bound is None or not (every or total + v + bound <= target):
+                    continue
+                if rest:
+                    chosen.append(code)
+                    walk(x, rest, total + v, held or h)
                     chosen.pop()
+                elif (every or total + v == target) and (not need or h or not free):
+                    # the last child: the tree's code lists its children's in byte order
+                    trees[b"(" + b"".join(sorted([*chosen, code])) + b")"] = (
+                        total + v, len(chosen) + 1, held or h)
 
         if target is not None:
-            walk(0, s, 0, hub)
+            if s:
+                walk(0, s, 0, False)
+            else:  # the one-vertex tree
+                trees[b"()"] = (0, 0, False)
         return target, trees
 
     for k in range(1, top + 1):
-        for hub in (False, True) if hubbed else (False,):
-            trees = extreme(root_max, k - 1, hub)[1]
-            found.update((code, (sign * v, h)) for code, (v, h) in trees.items())
-        if k == top:
-            break
-        planted: dict[bytes, tuple[int, bool]] = {}
-        for hub in (False, True) if hubbed else (False,):
+        planted: dict[bytes, tuple[int, int, bool]] = {}
+        for hub in searches if k < top else ():
             target, trees = extreme(planted_max, k - 1, hub)
             if target is not None:
                 (best_hub if hub else best)[k] = target + sign * k * (n - k)
             planted.update(trees)
-        items += [(k, code, v + sign * k * (n - k), h) for code, (v, h) in sorted(planted.items())]
+        for hub in searches:
+            # with no objective, the hanging trees are the planted ones
+            # whose root has at most delta - 2 children
+            trees = planted if every and k < top else extreme(root_max, k - 1, hub)[1]
+            found.update((code, (sign * v, hubbed and (count == root_max or held)))
+                         for code, (v, count, held) in trees.items() if count <= root_max)
+        if k == top:
+            break
+        items += [(k, code, v + sign * k * (n - k), hubbed and (count == planted_max or held))
+                  for code, (v, count, held) in sorted(planted.items())]
+        start.append(len(items))
         # column k of the sums, now that the planted trees on k vertices are known
         for j in range(1, widest + 1):
             exactly[j][k] = least(exactly[j - 1][k - c] + best[c] for c in range(1, k + 1)
@@ -150,43 +179,28 @@ def _alphabet(n: int, delta: int | None, exact: bool, top: int, objective: str |
     vertices with Wiener index W and root depth sum D adds to Kf on n
     vertices, as in `kf_from_stats`).
 
-    With no `objective`, the alphabet of row runs, every allowed tree:
-    under `delta` the trees come from `rooted_shapes(k, delta - 1)`, whose
-    every vertex has at most delta - 1 children, less those whose root has
-    more than delta - 2, read from each record. With objective "min" or
+    `_hanging_trees` builds them, with no catalog: with no `objective`, the
+    alphabet of row runs, every tree whose vertices have at most delta - 1
+    children and whose root has at most delta - 2; with objective "min" or
     "max", the alphabet of an extremes run, only the trees of that
     objective's extreme term per size, and in an exactly-delta run the hub
-    trees of extreme term among hubs, ties included (`_extreme_trees`),
-    built with no catalog: mostly one tree per size. Each size comes in
-    byte order, and the sizes are merged, so rank order is code order and
-    comparing rank tuples compares code tuples. The last code is b"()",
+    trees of extreme term among hubs, ties included: mostly one tree per
+    size. The sizes are merged in byte order, so rank order is code order
+    and comparing rank tuples compares code tuples. The last code is b"()",
     the one-vertex tree, whose degree 2 is the least a hanging tree has,
     so it is allowed whenever any tree is. A run builds it once.
     """
-    hubbed = delta is not None and exact
-    if objective is None:
-        from .unicyclic import hanging_degree, rooted_shapes
-
-        bound, root_max = ((), top) if delta is None else ((delta - 1,), delta - 2)
-        catalogs = [rooted_shapes(k, *bound) for k in range(1, top + 1)]
-        codes = sorted(chain.from_iterable(  # merges the sorted per-size runs
-            [code for code, rec in catalog.items() if rec[3] <= root_max] for catalog in catalogs))
-        records = [catalogs[(len(code) >> 1) - 1][code] for code in codes]
-        terms = [w + (n - s) * d for s, d, w, _, _ in records]
-        is_hub = [hanging_degree(rec) == delta for rec in records] if hubbed else None
-    else:
-        trees = _extreme_trees(n, delta, exact, top, 1 if objective == "min" else -1)
-        codes = sorted(trees)
-        terms = [trees[code][0] for code in codes]
-        is_hub = [trees[code][1] for code in codes]
+    trees = _hanging_trees(n, delta, exact, top, objective)
+    codes = sorted(trees)
+    terms = [trees[code][0] for code in codes]
     by_size: list[list[int]] = [[] for _ in range(top + 1)]
     for rank, code in enumerate(codes):
         by_size[len(code) >> 1].append(rank)
     hubs = hubs_by_size = None
-    if hubbed:
+    if delta is not None and exact:
         # every admissible tree has degree <= delta, so a tuple's max degree
         # is exactly delta iff one of its trees reaches it
-        hubs = frozenset(r for r, hub in enumerate(is_hub) if hub)
+        hubs = frozenset(r for r, code in enumerate(codes) if trees[code][1])
         hubs_by_size = [[r for r in ranks if r in hubs] for ranks in by_size]
     return codes, by_size, hubs, hubs_by_size, terms
 
@@ -390,7 +404,7 @@ def unicyclic_rows(
     at a time, in unit order and unsorted; the shapes are the class's
     canonical tuple, and `unicyclic.graph_from_shapes` builds its graph.
     A run past `cap`, as `class_count` rules, raises CapExceededError
-    before any catalog is built, and one within it builds its catalog
+    before any alphabet is built, and one within it builds its alphabet
     once."""
     class_count(n, delta, exact, l_filter, cap)
     ls = _cycle_lengths(n, delta, exact, l_filter)
@@ -593,8 +607,9 @@ def class_count(
     path hung next to it; for exactly delta so is each planted tree on
     k <= top - delta + 2 vertices under a root with delta - 3 more leaves.
     An exactly-delta run is also refused when its hanging trees on a
-    larger k pass the cap, the catalog-size guard: its catalog would hold
-    them all, and its count could take series as long as its largest tree.
+    larger k pass the cap, the alphabet-size guard: its row-run alphabet
+    would hold them all, and its count could take series as long as its
+    largest tree.
     Each of those trees is a class without delta, so the run had more than
     `cap` classes by that count too.
     """

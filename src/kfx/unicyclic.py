@@ -4,12 +4,12 @@ A *shape* is the label-free form of a rooted tree, held as its AHU code
 (Aho, Hopcroft & Ullman): a vertex is "(" + its children's codes in
 sorted order + ")", so `b"()"` is a single vertex and a code on k vertices
 is 2k bytes long. `rooted_shapes(k)` is the catalog of all shapes on k
-vertices, in byte order of their codes, and `rooted_shapes(k, c)` the
-part of it whose every vertex has at most c children. It builds each
-shape by largest-child attachment, one concatenation of two smaller
-shapes' codes, and folds the shape's numbers from theirs as it goes; the
-enumeration reads them from there (`shape_record`), and applies any other
-bound, such as a hanging tree's root bound, as a filter on those records.
+vertices, in byte order of their codes. It builds each shape by
+largest-child attachment, one concatenation of two smaller shapes' codes,
+and folds the shape's numbers from theirs as it goes; the lemma suite
+reads them from there (`shape_record`), and its broom check reads the
+whole catalog. The enumeration builds its own trees (`kfx.search`) and
+loads no part of this module.
 
 Labeled trees (the hanging trees of an input graph, or a whole input
 tree) never enter the catalog. `orient`, the breadth-first walk that
@@ -33,9 +33,7 @@ Canonical codes are ASCII byte strings: equal codes iff isomorphic
 (within the tree / unicyclic class handled), totally ordered, stable
 across runs. A unicyclic graph's code is its cycle length and the least
 of the l rotations and l reflections of its trees' codes, found as two
-least rotations (`_least_rotation`) in O(l) comparisons. A free tree's
-code (`tree_canonical_code`) is its tree code at its center or centers,
-which two `orient` walks find.
+least rotations (`_least_rotation`) in O(l) comparisons.
 """
 from __future__ import annotations
 
@@ -74,15 +72,11 @@ def path_shape(k: int) -> Shape:
 
 
 @cache
-def rooted_shapes(n: int, children: int | None = None) -> Mapping[Shape, ShapeRecord]:
+def rooted_shapes(n: int) -> Mapping[Shape, ShapeRecord]:
     """All rooted trees on n vertices up to isomorphism, in byte order of
-    their codes: code -> record.
-
-    With `children`, only the trees whose every vertex, the root included,
-    has at most that many children. The trees hanging from a cycle vertex
-    of a graph with max degree at most delta are those of
-    `rooted_shapes(n, delta - 1)` whose root has at most delta - 2 children
-    (record field 3), the filter `search._alphabet` applies.
+    their codes: code -> record. The trees hanging from a cycle vertex of
+    a graph with max degree at most delta are those whose `hanging_degree`
+    is at most delta.
 
     A tree is built by largest-child attachment (Beyer & Hedetniemi): its
     first child T, the least code and so the largest subtree in their
@@ -94,19 +88,13 @@ def rooted_shapes(n: int, children: int | None = None) -> Mapping[Shape, ShapeRe
     folded from R's and T's. The mapping is read-only, since every caller
     shares it.
     """
-    c = n if children is None else children
-    if c < 0:
-        return MappingProxyType({})
-    if c >= n - 1 and children is not None:
-        return rooted_shapes(n)  # no bound binds on n vertices
     if n == 1:
         return MappingProxyType({b"()": (1, 0, 0, 0, 0)})
-    sub = () if children is None else (c,)
     runs = []
     for s in range(1, n):  # the size of T
-        rest = [item for item in rooted_shapes(n - s, *sub).items() if item[1][3] < c]
+        rest = list(rooted_shapes(n - s).items())
         codes = [code for code, _ in rest]
-        for first, (fs, fd, fw, froot, finner) in rooted_shapes(s, *sub).items():
+        for first, (fs, fd, fw, froot, finner) in rooted_shapes(s).items():
             head = b"(" + first
             deg = max(froot + 1, finner)
             runs += [(head + code[1:],
@@ -334,36 +322,3 @@ def canonical_code(u: UnicyclicRepr) -> bytes:
         k = _least_rotation(seq)
         best.append(seq[k:] + seq[:k])
     return b"%d:" % u.l + b"".join(min(best))
-
-
-def tree_canonical_code(g: Graph) -> bytes:
-    """Canonical code for a free (unrooted) tree: "T1:" and its code rooted
-    at its center, or "T2:" and the two codes of its halves, split at its
-    central edge, in byte order.
-
-    The centers are the middle of a longest path, found by two `orient`
-    walks. The last vertex the walk from vertex 0 reaches is an end of a
-    longest path, and the walk from that end reaches the other end last;
-    its parents lead back along the path. A walk that misses a vertex
-    raises NotConnectedError.
-    """
-    if g.m != g.n - 1:
-        raise ValueError("not a tree")
-    order = orient(g.adj, 0, [False] * g.n)[0]
-    if len(order) != g.n:
-        raise NotConnectedError(f"graph on {g.n} vertices is not connected")
-    order, parent = orient(g.adj, order[-1], [False] * g.n)
-    path = [g.n - 1]  # positions, from the far end back to the walk's root at 0
-    for k in path:
-        if k:
-            path.append(parent[k])
-    a, b = order[path[len(path) // 2]], order[path[(len(path) - 1) // 2]]
-    del order, parent, path  # else each collection during tree_code walks them
-    seen = [False] * g.n
-    if a == b:
-        return b"T1:" + tree_code(orient(g.adj, a, seen)[1])
-    seen[b] = True  # split the tree at its central edge
-    ca = tree_code(orient(g.adj, a, seen)[1])
-    cb = tree_code(orient(g.adj, b, seen)[1])
-    lo, hi = sorted([ca, cb])
-    return b"T2:" + lo + hi

@@ -2,11 +2,14 @@
 force that never walks shape tuples, a brute force over every tree tuple
 of one work unit, one representative per free-tree class, a code-keyed
 view of `unicyclic_rows`, a class's Kf from its shape tuple, and the
-rooted-tree counts as a literal table."""
+rooted-tree counts as a literal table. Beside them, the graph helpers
+only tests use: a free tree's canonical code, a relabeled copy, the tree
+and unicyclic tests, and a key that compares two labeled graphs."""
 from functools import cache
 from itertools import combinations, product
 
-from kfx.graph import Graph
+from kfx.errors import NotConnectedError
+from kfx.graph import Graph, orient
 from kfx.metrics import kf_from_stats
 from kfx.search import unicyclic_rows
 from kfx.unicyclic import (
@@ -16,12 +19,64 @@ from kfx.unicyclic import (
     graph_from_shapes,
     rooted_shapes,
     shape_record,
-    tree_canonical_code,
+    tree_code,
 )
 
 # A000081: rooted trees on k = 0..20 vertices
 A000081 = [0, 1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973, 87811,
            235381, 634847, 1721159, 4688676, 12826228]
+
+
+def graph_key(g: Graph) -> tuple:
+    """(n, sorted edges): equal for two graphs iff they are the same
+    labeled graph."""
+    return g.n, g.edges
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """A copy of g with vertex v renamed to perm[v]."""
+    return Graph(g.n, ((perm[u], perm[v]) for u, v in g.edges))
+
+
+def is_tree(g: Graph) -> bool:
+    return g.m == g.n - 1 and g.is_connected()
+
+
+def is_unicyclic(g: Graph) -> bool:
+    return g.m == g.n and g.is_connected()
+
+
+def tree_canonical_code(g: Graph) -> bytes:
+    """Canonical code for a free (unrooted) tree: "T1:" and its code rooted
+    at its center, or "T2:" and the two codes of its halves, split at its
+    central edge, in byte order.
+
+    The centers are the middle of a longest path, found by two `orient`
+    walks. The last vertex the walk from vertex 0 reaches is an end of a
+    longest path, and the walk from that end reaches the other end last;
+    its parents lead back along the path. A walk that misses a vertex
+    raises NotConnectedError.
+    """
+    if g.m != g.n - 1:
+        raise ValueError("not a tree")
+    order = orient(g.adj, 0, [False] * g.n)[0]
+    if len(order) != g.n:
+        raise NotConnectedError(f"graph on {g.n} vertices is not connected")
+    order, parent = orient(g.adj, order[-1], [False] * g.n)
+    path = [g.n - 1]  # positions, from the far end back to the walk's root at 0
+    for k in path:
+        if k:
+            path.append(parent[k])
+    a, b = order[path[len(path) // 2]], order[path[(len(path) - 1) // 2]]
+    del order, parent, path  # else each collection during tree_code walks them
+    seen = [False] * g.n
+    if a == b:
+        return b"T1:" + tree_code(orient(g.adj, a, seen)[1])
+    seen[b] = True  # split the tree at its central edge
+    ca = tree_code(orient(g.adj, a, seen)[1])
+    cb = tree_code(orient(g.adj, b, seen)[1])
+    lo, hi = sorted([ca, cb])
+    return b"T2:" + lo + hi
 
 
 def unicyclic_classes(*args, **kwargs) -> dict:

@@ -12,6 +12,7 @@ import pytest
 from kfx.cli import build_parser, decimal_str, display_rational, main, rational_str
 from kfx.families import make_p3_extremal
 from kfx.graph import format_edge_list, parse_edge_list
+from oracles import graph_key
 
 from fractions import Fraction
 
@@ -66,7 +67,7 @@ def test_family_pipe_to_compute(capsys, tmp_path):
         capsys, "family", "--name", "p3", "--n", "100", "--delta", "96"
     )
     assert code == 0
-    assert parse_edge_list(out) == make_p3_extremal(100, 96)
+    assert graph_key(parse_edge_list(out)) == graph_key(make_p3_extremal(100, 96))
     path = tmp_path / "g.edges"
     path.write_text(out)
     code, out, _ = run(
@@ -604,6 +605,12 @@ def test_compute_and_family_load_no_enumeration_stack(tmp_path):
     # an extremes run reads no catalog and builds no graph
     assert not added & {"kfx.families", "kfx.suites", "kfx.metrics", "kfx.unicyclic",
                         "kfx.graph", "csv"}
+    # nor does a row run: the multiset walk builds its alphabet too
+    for delta in ([], ["--delta", "4"], ["--at-most", "--delta", "5"]):
+        added = modules_added_by(["search", "--n", "10", "--dump-all", *delta], tmp_path)
+        assert "kfx.search" in added
+        assert not added & {"kfx.families", "kfx.suites", "kfx.metrics", "kfx.unicyclic",
+                            "kfx.graph", "csv"}
     added = modules_added_by(["family", "--name", "cycle", "--n", "5"], tmp_path)
     assert "kfx.families" in added
     assert not added & {"kfx.search", "kfx.suites", "kfx.metrics", "multiprocessing"}
@@ -618,6 +625,35 @@ def test_compute_and_family_load_no_enumeration_stack(tmp_path):
                              tmp_path)
     assert "kfx.metrics" in added  # formula-only folds the maximiser's Kf
     assert "kfx.families" not in added
+
+
+NOT_UTF8 = b"\xff\xfe 3\n"
+
+
+def compute_not_utf8(tmp_path, source: str, encoding: str | None):
+    """Exit code, stdout and stderr of `compute` in a fresh interpreter,
+    reading bytes that are not UTF-8 from a file or from stdin, with
+    PYTHONIOENCODING set to `encoding` and the C locale."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), LC_ALL="C")
+    env.pop("PYTHONIOENCODING", None)
+    if encoding is not None:
+        env["PYTHONIOENCODING"] = encoding
+    path = tmp_path / "input.edges"
+    path.write_bytes(NOT_UTF8)
+    argv = ["--input", str(path) if source == "file" else "-"]
+    proc = subprocess.run([sys.executable, "-m", "kfx.cli", "compute", *argv], env=env,
+                          input=NOT_UTF8 if source == "stdin" else b"", capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+NOT_UTF8_ERROR = b"error: input is not UTF-8: byte 0xff at offset 0\n"
+
+
+@pytest.mark.parametrize("encoding", [None, "utf-8:strict", "latin-1"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_an_input_that_is_not_utf8_exits_2(tmp_path, source, encoding):
+    # one decoding for both sources, whatever PYTHONIOENCODING and the locale say
+    assert compute_not_utf8(tmp_path, source, encoding) == (2, b"", NOT_UTF8_ERROR)
 
 
 def test_an_unknown_family_exits_3_and_lists_the_known_names(capsys):

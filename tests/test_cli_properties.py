@@ -116,7 +116,7 @@ def compute_exits_as_its_input_calls_for(case, engine, fmt, vertex, decimal):
     options += [] if decimal is None else ["--decimal", str(decimal)]
 
     def compute(eng):
-        with mock.patch("sys.stdin", io.StringIO(text)):
+        with mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode()))):
             return run("compute", "--input", "-", "--engine", eng, *options)
 
     code, out, err = compute(engine)

@@ -12,6 +12,7 @@ from kfx.graph import (
     parse_edge_list,
     wiener,
 )
+from oracles import graph_key, relabel
 
 
 def test_construction_rejects_bad_edges():
@@ -48,13 +49,13 @@ def test_wiener_requires_connected():
 def test_edge_list_roundtrip():
     g = make_s_n_l(6, 4)
     text = format_edge_list(g)
-    assert parse_edge_list(text) == g
+    assert graph_key(parse_edge_list(text)) == graph_key(g)
     assert text.endswith("\n")
 
 
 def test_parser_accepts_comments_and_blank_lines():
     g = parse_edge_list("# a triangle\n3 3\n\n0 1\n1 2  # last two\n0 2\n")
-    assert g == make_cycle(3)
+    assert graph_key(g) == graph_key(make_cycle(3))
 
 
 @pytest.mark.parametrize(
@@ -85,7 +86,7 @@ def test_parser_rejects_too_few_edges_to_connect(text):
 
 def test_relabel_preserves_structure():
     g = make_cycle(4)
-    h = g.relabel([2, 3, 0, 1])
+    h = relabel(g, [2, 3, 0, 1])
     assert h.m == 4 and max_degree(h) == 2
 
 

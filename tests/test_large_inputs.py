@@ -23,7 +23,8 @@ from kfx.graph import format_edge_list
 from kfx.metrics import engine_input, kf_vertex, kirchhoff_index, wiener_index
 from kfx.search import unicyclic_extremes
 from kfx.suites import verify_theorem
-from kfx.unicyclic import canonical_code, decompose_unicyclic, tree_canonical_code
+from kfx.unicyclic import canonical_code, decompose_unicyclic
+from oracles import relabel, tree_canonical_code
 
 N = 5000
 
@@ -41,7 +42,7 @@ def test_p3_extremal_with_long_tail():
     assert kirchhoff_index(g) == theorem_bound(N, 5)
     perm = list(range(N))
     random.Random(5000).shuffle(perm)
-    assert canonical_code(decompose_unicyclic(g.relabel(perm))) == code
+    assert canonical_code(decompose_unicyclic(relabel(g, perm))) == code
     assert cache_sizes() == before
 
 

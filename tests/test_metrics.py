@@ -24,7 +24,7 @@ from kfx.unicyclic import (
     graph_from_shapes,
     rooted_shapes,
 )
-from oracles import tree_classes, unicyclic_classes
+from oracles import relabel, tree_classes, unicyclic_classes
 
 F = Fraction
 
@@ -298,7 +298,7 @@ def test_cycle_sum_matches_pairwise_sum_at_large_l():
         edges += [(v, rng.randrange(v)) for v in range(l, n)]
         perm = list(range(n))
         rng.shuffle(perm)
-        g = Graph(n, edges).relabel(perm)
+        g = relabel(Graph(n, edges), perm)
         u = decompose_unicyclic(g)
         assert u.l == l
         pairwise = sum(
@@ -461,7 +461,7 @@ def random_tree(n, rng):
     the labels are shuffled."""
     perm = list(range(n))
     rng.shuffle(perm)
-    return Graph(n, [(v, rng.randrange(v)) for v in range(1, n)]).relabel(perm)
+    return relabel(Graph(n, [(v, rng.randrange(v)) for v in range(1, n)]), perm)
 
 
 def random_unicyclic_with_cycle(n, l, rng):
@@ -469,7 +469,7 @@ def random_unicyclic_with_cycle(n, l, rng):
     edges += [(v, rng.randrange(v)) for v in range(l, n)]
     perm = list(range(n))
     rng.shuffle(perm)
-    return Graph(n, edges).relabel(perm)
+    return relabel(Graph(n, edges), perm)
 
 
 def oracle_wiener(g):

@@ -7,7 +7,7 @@ import pytest
 from kfx.errors import DEFAULT_CAP, CapExceededError, ParameterError
 from kfx.families import make_cycle, make_t_n_delta
 from kfx.formulas import theorem_bound
-from kfx.graph import is_tree, is_unicyclic, max_degree
+from kfx.graph import max_degree
 from kfx.search import _tree_counts, class_count, unicyclic_extremes, unicyclic_rows
 from kfx.suites import (
     check_lemma_properties,
@@ -16,11 +16,15 @@ from kfx.suites import (
     random_unicyclic,
     verify_theorem,
 )
-from kfx.unicyclic import UnicyclicRepr, canonical_code, decompose_unicyclic, tree_canonical_code
+from kfx.unicyclic import UnicyclicRepr, canonical_code, decompose_unicyclic
 from oracles import (
     A000081,
     brute_force_unicyclic_codes,
     brute_force_unit,
+    graph_key,
+    is_tree,
+    is_unicyclic,
+    tree_canonical_code,
     tree_classes,
     unicyclic_classes,
 )
@@ -102,7 +106,8 @@ def test_random_unicyclic():
     for _ in range(30):
         g = random_unicyclic(rng.randrange(3, 12), rng)
         assert is_unicyclic(g)
-    assert random_unicyclic(8, random.Random(7)) == random_unicyclic(8, random.Random(7))
+    same_seed = [graph_key(random_unicyclic(8, random.Random(7))) for _ in range(2)]
+    assert same_seed[0] == same_seed[1]
     with pytest.raises(ParameterError):
         random_unicyclic(2, rng)
 
@@ -656,20 +661,24 @@ def test_a_long_cycle_is_counted_without_scanning_its_length():
 
 
 def test_alphabet_reads_the_bounded_catalog():
+    """The row-run alphabet the multiset walk builds is the full catalog
+    filtered by each record's hanging degree, with the records' terms and
+    hub marks, for every delta, None included, exactly and at most."""
     from kfx.search import _alphabet
     from kfx.unicyclic import hanging_degree, rooted_shapes, shape_record
 
-    for n, top in [(10, 8), (12, 10), (14, 12)]:
+    for n, top in [(5, 3), (8, 6), (10, 8), (12, 10), (14, 12)]:
         full = sorted(code for k in range(1, top + 1) for code in rooted_shapes(k))
-        for delta in range(0, top + 3):
+        for delta in (None, *range(0, top + 3)):
             for exact in (True, False):
                 codes, by_size, hubs, hubs_by_size, terms = _alphabet(n, delta, exact, top, None)
                 degree = [hanging_degree(shape_record(c)) for c in codes]
-                assert codes == [c for c in full if hanging_degree(shape_record(c)) <= delta]
+                assert codes == [c for c in full
+                                 if delta is None or hanging_degree(shape_record(c)) <= delta]
                 assert by_size == [[r for r, c in enumerate(codes) if len(c) == 2 * k]
                                    for k in range(top + 1)]
                 assert terms == [w + (n - s) * d for s, d, w, _, _ in map(shape_record, codes)]
-                if exact:
+                if exact and delta is not None:
                     assert hubs == {r for r, d in enumerate(degree) if d == delta}
                     assert hubs_by_size == [[r for r in ranks if r in hubs] for ranks in by_size]
                 else:
@@ -677,32 +686,41 @@ def test_alphabet_reads_the_bounded_catalog():
 
 
 def test_the_extremal_alphabet_is_the_catalog_trees_of_extreme_term():
-    """Each objective's DP alphabet holds, per size, exactly the catalog's
-    trees of that objective's extreme term, and in an exactly-delta run
-    also the hub trees of that extreme term among hubs, ties included,
-    with the catalog's terms and hub marks, for every top <= 14, delta and
+    """Each objective's DP alphabet holds, per size, exactly the full
+    catalog's trees, filtered by hanging degree, of that objective's
+    extreme term, and in an exactly-delta run also the hub trees of that
+    extreme term among hubs, ties included, with the terms and hub marks of
+    the catalog's records, for every top <= 14, delta, None included, and
     exactness."""
     from kfx.search import _alphabet
+    from kfx.unicyclic import hanging_degree, rooted_shapes
 
     for top in range(1, 15):
-        n = top + 2  # the catalog size of a run whose shortest cycle is a triangle
+        n = top + 2  # the alphabet's top size in a run whose shortest cycle is a triangle
+        degree = {code: hanging_degree(rec) for k in range(1, top + 1)
+                  for code, rec in rooted_shapes(k).items()}
+        term = {code: w + (n - s) * d for k in range(1, top + 1)
+                for code, (s, d, w, _, _) in rooted_shapes(k).items()}
         for delta in (None, *range(0, top + 3)):
+            allowed = [[c for c in rooted_shapes(k) if delta is None or degree[c] <= delta]
+                       for k in range(1, top + 1)]
             for exact in (True, False):
-                codes, by_size, hubs, _, terms = _alphabet(n, delta, exact, top, None)
+                hubbed = delta is not None and exact
+                hub = {c for size in allowed for c in size if hubbed and degree[c] == delta}
                 for objective, pick in (("min", min), ("max", max)):
                     kept = set()
-                    for ranks in by_size:
-                        for group in (ranks, [r for r in ranks if hubs is not None and r in hubs]):
+                    for size in allowed:
+                        for group in (size, [c for c in size if c in hub]):
                             if group:
-                                end = pick(terms[r] for r in group)
-                                kept.update(r for r in group if terms[r] == end)
+                                end = pick(term[c] for c in group)
+                                kept.update(c for c in group if term[c] == end)
                     expected = sorted(kept)
                     got = _alphabet(n, delta, exact, top, objective)
                     case = (n, delta, exact, objective)
-                    assert got[0] == [codes[r] for r in expected], case
-                    assert got[4] == [terms[r] for r in expected], case
-                    assert got[2] == (None if hubs is None else
-                                      {i for i, r in enumerate(expected) if r in hubs}), case
+                    assert got[0] == expected, case
+                    assert got[4] == [term[c] for c in expected], case
+                    assert got[2] == ({i for i, c in enumerate(expected) if c in hub}
+                                      if hubbed else None), case
 
 
 def test_the_hub_search_prunes_by_hubs():

@@ -7,22 +7,22 @@ from kfx.errors import NotConnectedError, NotUnicyclicError
 from kfx.families import make_cycle, make_p_n_l, make_s_n_l
 from kfx.graph import Graph, orient, wiener
 from kfx.metrics import resistance
-from kfx.search import _tree_counts
+from kfx.search import _alphabet, _tree_counts
 from kfx.suites import random_unicyclic
 from kfx.unicyclic import (
     canonical_code,
     code_parents,
     decompose_unicyclic,
     graph_from_shapes,
+    hanging_degree,
     path_shape,
     rooted_shapes,
     shape_record,
-    tree_canonical_code,
     tree_code,
     tree_stats,
     UnicyclicRepr,
 )
-from oracles import A000081, unicyclic_classes
+from oracles import A000081, relabel, tree_canonical_code, unicyclic_classes
 
 
 def code_of(g: Graph) -> bytes:
@@ -92,7 +92,7 @@ def test_code_constant_under_random_relabeling():
     for _ in range(100):
         perm = list(range(g.n))
         rng.shuffle(perm)
-        assert code_of(g.relabel(perm)) == expected
+        assert code_of(relabel(g, perm)) == expected
 
 
 def preorder(g: Graph, l: int, root: int) -> list[int]:
@@ -183,29 +183,40 @@ def test_rooted_shape_counts_to_15():
 
 
 def test_every_catalog_lists_its_codes_in_byte_order():
-    """Every catalog up to 14 vertices, under every child bound c (c = k is
-    no bound) and filtered as `_alphabet` does on every root bound r <= c,
-    is strictly increasing as bytes: `_alphabet` merges these lists into
-    rank order."""
-    try:
-        for k in range(1, 15):
-            for c in range(-1, k + 1):
-                catalog = rooted_shapes(k, c)
-                for r in range(-1, c + 1):
-                    codes = [code for code, rec in catalog.items() if rec[3] <= r]
-                    assert all(x < y for x, y in zip(codes, codes[1:])), (k, c, r)
-    finally:
-        rooted_shapes.cache_clear()  # release the bounded catalogs
+    """Every catalog up to 14 vertices is strictly increasing as bytes,
+    and so is each size of the walk's row-run alphabet up to 12 vertices,
+    and the whole alphabet, under every delta, None included, exactly and
+    at most: rank order is code order."""
+    def increasing(codes):
+        return all(x < y for x, y in zip(codes, codes[1:]))
+
+    for k in range(1, 15):
+        assert increasing(list(rooted_shapes(k))), k
+    for delta in (None, *range(0, 15)):
+        for exact in (True, False):
+            codes, by_size, _, _, _ = _alphabet(14, delta, exact, 12, None)
+            assert increasing(codes), (delta, exact)
+            for k, ranks in enumerate(by_size):
+                assert increasing([codes[r] for r in ranks]), (k, delta, exact)
 
 
 def test_tree_counts_are_the_bounded_catalog_sizes():
-    # the series `class_count` reads counts the trees `_alphabet` catalogs
+    """The series `class_count` reads counts the full catalog's trees
+    whose every vertex has at most delta - 1 children, and those of them
+    whose root has at most delta - 2, the trees that `_alphabet` hangs
+    from a cycle vertex; the walk's row-run alphabet holds as many."""
     for delta in (None, *range(1, 12)):
-        bound, root_max = ((), 11) if delta is None else ((delta - 1,), delta - 2)
-        catalogs = [rooted_shapes(k, *bound) for k in range(1, 12)]
-        expected = [(len(catalog), sum(rec[3] <= root_max for rec in catalog.values()))
-                    for catalog in catalogs]
+        expected = []
+        for k in range(1, 12):
+            records = rooted_shapes(k).values()
+            if delta is None:
+                expected.append((len(records), len(records)))
+            else:  # record fields 3 and 4: root children, largest non-root degree
+                expected.append((sum(r[3] <= delta - 1 and r[4] <= delta for r in records),
+                                 sum(hanging_degree(r) <= delta for r in records)))
         assert list(islice(_tree_counts(delta), 11)) == expected, delta
+        by_size = _alphabet(13, delta, False, 11, None)[1]
+        assert [len(ranks) for ranks in by_size[1:]] == [h for _, h in expected], delta
     assert [h for _, h in islice(_tree_counts(None), 20)] == A000081[1:]
 
 
@@ -258,7 +269,7 @@ def test_tree_canonical_code_invariance():
     for _ in range(50):
         perm = list(range(5))
         rng.shuffle(perm)
-        assert tree_canonical_code(path.relabel(perm)) == expected
+        assert tree_canonical_code(relabel(path, perm)) == expected
 
 
 def reference_tree_code(g: Graph) -> bytes:
@@ -319,20 +330,25 @@ def test_tree_distance_within_repr():
 
 
 def test_bounded_catalog_equals_the_filtered_catalog():
-    """`rooted_shapes(k, c)`, filtered as `_alphabet` does on a root bound
-    r, lists the trees of the full catalog whose non-root vertices have at
-    most c children (degree c + 1) and whose root has at most r, in the
-    same order and with the same records."""
-    try:
-        for k in range(1, 15):
-            full = list(rooted_shapes(k).items())
-            for delta in range(0, 17):
-                for c, r in ((delta - 1, delta - 2), (delta - 1, delta - 1)):
-                    expected = [(code, rec) for code, rec in full if rec[3] <= r and rec[4] <= c + 1]
-                    got = [(code, rec) for code, rec in rooted_shapes(k, c).items() if rec[3] <= r]
-                    assert got == expected, (k, c, r)
-    finally:
-        rooted_shapes.cache_clear()  # release the bounded catalogs
+    """Each size k <= 14 of the walk's row-run alphabet on n = 16, under
+    every delta, lists the trees of the full catalog whose root has at most
+    delta - 2 children and whose other vertices have degree at most delta,
+    in the catalog's order, with the terms W + (n - k) D of their records
+    and, exactly delta, their hub marks."""
+    n, top = 16, 14
+    for delta in range(0, 17):
+        for exact in (True, False):
+            codes, by_size, hubs, _, terms = _alphabet(n, delta, exact, top, None)
+            for k in range(1, top + 1):
+                expected = [(code, rec) for code, rec in rooted_shapes(k).items()
+                            if rec[3] <= delta - 2 and rec[4] <= delta]
+                case = (k, delta, exact)
+                assert [codes[r] for r in by_size[k]] == [code for code, _ in expected], case
+                assert [terms[r] for r in by_size[k]] == [
+                    w + (n - k) * d for _, (_, d, w, _, _) in expected], case
+                if exact:
+                    assert [r in hubs for r in by_size[k]] == [
+                        max(rec[3] + 2, rec[4]) == delta for _, rec in expected], case
 
 
 def join_tree_code(parent):
@@ -356,7 +372,7 @@ def test_tree_code_equals_the_joined_code():
             t = graph_from_shapes(1, [shape])
             perm = list(range(1, k))
             rng.shuffle(perm)
-            g = t.relabel([0] + perm)
+            g = relabel(t, [0] + perm)
             parent = orient(g.adj, 0, [False] * k)[1]
             assert tree_code(parent) == join_tree_code(parent) == shape
     for _ in range(2000):

@@ -22,31 +22,37 @@ holds:
   the default cap admits at n = 19, the unfiltered n = 16 and n = 18, two
   large-delta runs whose catalogs dwarf their classes, two larger ones
   past the default cap whose time is the hub trees' search, two long
-  cycles, the theorem suite to n = 16, and two row runs, the listing at
-  n = 16 and the lemma suite to n = 16; and `verify --suite all`
-  (`VERIFY_ALL`).
+  cycles, the theorem suite to n = 16, and three row runs, the listings
+  at n = 16 with no degree bound and with max degree exactly 4, and the
+  lemma suite to n = 16; and `verify --suite all` (`VERIFY_ALL`).
 * `in_process`: per (n, delta, exact, objective), the median seconds,
   with quartiles, of one cold `search._alphabet` call building the
-  alphabet an extremes run reads, and of one walk of every work unit
-  through `search._unit` over it, passing a `keep` that reduces each unit
-  to its extreme as `unicyclic_extremes` does. `classes` is the run's
-  class count (`search.class_count`), `alphabet_trees` the number of
-  trees in that alphabet and `tuples_walked` the number of tuples the
-  units kept, each one call of a `keep`, counted in a second, untimed
-  walk under `sys.setprofile`.
+  alphabet the run reads, and of a walk of every work unit through
+  `search._unit` over it. An extremes run (objective "min" or "max")
+  passes a `keep` that reduces each unit to its extreme as
+  `unicyclic_extremes` does; a row run (objective null, every allowed
+  tree, as `unicyclic_rows` reads them) passes a `keep` that counts the
+  classes. Each `units_s` sample is the median of `WALK_REPEAT` walks in
+  one process, so its quartiles show the walk's spread and not process
+  start-up. `classes` is the run's class count (`search.class_count`),
+  `alphabet_trees` the number of trees in that alphabet and
+  `tuples_walked` the number of tuples the units kept, each one call of
+  a `keep`, counted in one more, untimed walk under `sys.setprofile`.
 * `check_lemma_properties_8_s`: the median seconds of one cold
   `suites.check_lemma_properties(8)` call, with the modules the suite
   runs imported beforehand, untimed, as `kfx.suites` once imported them.
 * `walks`: per graph walk, the median seconds, with quartiles, of one
-  call in a fresh interpreter after its graph is built untimed:
-  `unicyclic.tree_canonical_code` on the path on 200,000 vertices and on
-  the broom `families.make_t_n_delta(200000, 1000)`, and, on
+  call in a fresh interpreter after its graph is built untimed: on
   `families.make_p3_extremal(200000, 5)`, `Graph.is_connected`, the
   decomposition `metrics.engine_input` builds, and that decomposition
   with the transmission of the tail's far end (`metrics.kf_vertex`);
   and the engine suite `suites.engine_equivalence_suite(8, 200,
   20240817)`, which builds no graph beforehand (`WALKS`). Rows written
-  before a walk was measured have no key for it.
+  before a walk was measured have no key for it. Rows written before
+  those of the change "one tree walk builds every alphabet" also time
+  `tree_canonical_code` on the path on 200,000 vertices and on
+  `families.make_t_n_delta(200000, 1000)`; that function now lives in
+  `tests/oracles.py`, and no command calls it.
 
 Earlier rows, written by earlier versions of this script, also hold
 one- and two-worker row runs (`two_workers_faster`, and keys ending in
@@ -89,20 +95,21 @@ LARGE = [
     ["search", "--n", "1200", "--l", "1198"],
     ["verify", "--suite", "theorem", "--n-max", "16"],
     ["search", "--n", "16", "--dump-all"],
+    ["search", "--n", "16", "--delta", "4", "--dump-all"],
     ["verify", "--suite", "lemmas", "--n-max", "16"],
 ]
 VERIFY_ALL = ["verify", "--suite", "all", "--seed", "501"]
 COMMANDS = ENUMERATE + LARGE + [VERIFY_ALL]
-# (n, delta, exact, objective) as the operation of that run asks for it
+# (n, delta, exact, objective) as the operation of that run asks for it;
+# objective None is a row run, which walks every allowed tree
 LAYERS = [(14, None, True, "max"), (14, 4, True, "min"), (14, 4, False, "max"),
           (16, None, True, "max"), (18, 3, True, "min"), (19, 4, True, "min"),
-          (40, 30, True, "max")]
+          (40, 30, True, "max"),
+          (14, None, True, None), (16, None, True, None), (16, 4, True, None),
+          (16, 5, False, None)]
+WALK_REPEAT = 5  # walks per `units_s` sample, in one process
 # walk -> (its graph, built untimed; the call timed)
 WALKS = {
-    "tree_canonical_code path(200000)":
-        ("families.make_path(200000)", "unicyclic.tree_canonical_code(g)"),
-    "tree_canonical_code broom(200000, 1000)":
-        ("families.make_t_n_delta(200000, 1000)", "unicyclic.tree_canonical_code(g)"),
     "is_connected p3(200000, 5)":
         ("families.make_p3_extremal(200000, 5)", "g.is_connected()"),
     "engine_input p3(200000, 5)":
@@ -115,19 +122,21 @@ WALKS = {
 }
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_enumerate.json"
 
-# Times one cold `_alphabet` and one walk of every unit for the extremes
-# run given as argv (n, delta or "-", exact as 0/1, objective), over the
-# cycle lengths and with the alphabet that run uses, counts the tuples a
-# second walk keeps, and prints them as JSON.
+# Times one cold `_alphabet` and the median of `repeat` walks of every
+# unit for the run given as argv (n, delta or "-", exact as 0/1, objective
+# or "rows", repeat), over the cycle lengths and with the alphabet that run
+# uses, counts the tuples one more walk keeps, and prints them as JSON.
 TIME_LAYERS = """
-import json, sys, time
+import json, statistics, sys, time
 from kfx import search
 n, delta, exact = int(sys.argv[1]), None if sys.argv[2] == "-" else int(sys.argv[2]), sys.argv[3] == "1"
-which = sys.argv[4]
+which = None if sys.argv[4] == "rows" else sys.argv[4]
+repeat = int(sys.argv[5])
 ls = search._cycle_lengths(n, delta, exact, None)
 top = n - ls[0] + 1
 units = search._units(n, ls)
 low = which == "min"
+rows = 0
 
 
 def keep(a, num):  # one unit's extreme N and the tuples reaching it, as `unicyclic_extremes` keeps them
@@ -138,27 +147,35 @@ def keep(a, num):  # one unit's extreme N and the tuples reaching it, as `unicyc
         best, reaching = num, [a[:]]
 
 
+def count(a, num):  # a row run's keep: it counts the classes
+    global rows
+    rows += 1
+
+
 def walk(alphabet):
     global best, reaching
     for l, first in units:
         best, reaching = None, []
-        search._unit(n, l, first, alphabet, keep)
+        search._unit(n, l, first, alphabet, keep if which else count)
 
 
 t = time.perf_counter()
 alphabet = search._alphabet(n, delta, exact, top, which)
 alphabet_s = time.perf_counter() - t
-t = time.perf_counter()
-walk(alphabet)
-walk_s = time.perf_counter() - t
+times = []
+for _ in range(repeat):
+    t = time.perf_counter()
+    walk(alphabet)
+    times.append(time.perf_counter() - t)
+walk_s = statistics.median(times)
 walked = 0
 
-def count(frame, event, arg):
+def calls(frame, event, arg):
     global walked
-    if event == "call" and frame.f_code.co_name == "keep":
+    if event == "call" and frame.f_code.co_name in ("keep", "count"):
         walked += 1
 
-sys.setprofile(count)
+sys.setprofile(calls)
 walk(alphabet)
 sys.setprofile(None)
 print(json.dumps({"alphabet_s": alphabet_s, "units_s": walk_s, "alphabet_trees": len(alphabet[0]),
@@ -166,7 +183,7 @@ print(json.dumps({"alphabet_s": alphabet_s, "units_s": walk_s, "alphabet_trees":
 """
 TIME_WALK = """
 import sys, time
-from kfx import families, metrics, suites, unicyclic
+from kfx import families, metrics, suites
 g = eval(sys.argv[1])
 t = time.perf_counter()
 eval(sys.argv[2])
@@ -204,8 +221,9 @@ def _python(src: str, code: str, argv: list[str] = ()) -> str:
                           capture_output=True, text=True).stdout
 
 
-def _layers(src: str, n: int, delta: int | None, exact: bool, objective: str) -> dict:
-    argv = [str(n), "-" if delta is None else str(delta), "1" if exact else "0", objective]
+def _layers(src: str, n: int, delta: int | None, exact: bool, objective: str | None) -> dict:
+    argv = [str(n), "-" if delta is None else str(delta), "1" if exact else "0",
+            objective or "rows", str(WALK_REPEAT)]
     return json.loads(_python(src, TIME_LAYERS, argv))
 
 
