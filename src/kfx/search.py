@@ -7,7 +7,11 @@ its cycle length l and the l-tuple of rooted-tree shapes (AHU codes from
 an alphabet of hanging trees) hanging from the cycle. Each class is
 generated once, as its canonical tuple, the least of the tuple's l
 rotations and l reflections, so nothing is deduplicated. The space
-partitions into disjoint work units by (l, size of the first tree).
+partitions into disjoint work units by (l, size of the first tree). A unit
+walks its tuples as run-length encoded blocks, each a tree of two vertices
+or more and the run of one-vertex trees after it (Sawada, "Generating
+bracelets in constant amortized time", SIAM J. Comput. 31, 2001), so a
+tuple costs its blocks, not l.
 
 A unit is a walk: it computes every class's Kf as it is generated, as
 the exact integer N = l * Kf, and hands the tuple and N to the `keep` of
@@ -105,7 +109,7 @@ def _hanging_trees(n: int, delta: int | None, exact: bool, top: int,
             target = least([exactly[children][s] if children <= widest else None,
                             most_hub[min(children, widest)][s]])
         trees: dict[bytes, tuple[int, int, bool]] = {}
-        chosen: list[bytes] = []  # the codes of the children taken
+        chosen: list[bytes] = []  # the codes of the children taken, in byte order
 
         def walk(i: int, left: int, total: int, held: bool) -> None:
             # held: a chosen child holds a hub
@@ -127,12 +131,14 @@ def _hanging_trees(n: int, delta: int | None, exact: bool, top: int,
                 if bound is None or not (every or total + v + bound <= target):
                     continue
                 if rest:
-                    chosen.append(code)
+                    at = bisect_right(chosen, code)
+                    chosen.insert(at, code)
                     walk(x, rest, total + v, held or h)
-                    chosen.pop()
+                    del chosen[at]
                 elif (every or total + v == target) and (not need or h or not free):
                     # the last child: the tree's code lists its children's in byte order
-                    trees[b"(" + b"".join(sorted([*chosen, code])) + b")"] = (
+                    at = bisect_right(chosen, code)
+                    trees[b"(" + b"".join(chosen[:at]) + code + b"".join(chosen[at:]) + b")"] = (
                         total + v, len(chosen) + 1, held or h)
 
         if target is not None:
@@ -208,37 +214,31 @@ def _alphabet(n: int, delta: int | None, exact: bool, top: int, objective: str |
 Row = tuple[bytes, int, tuple[bytes, ...], int]  # code, l, shapes, N = l * Kf
 
 
-def _reversal_bound(a: list[int], t: int, m: int, one: int) -> int | None:
-    """The least rank r for which no rotation of the reversal of
-    a[:t] + [r] + [one] * m that starts at a copy of a[0] in a[:t] is less
-    than that tuple, for a[0] <= r < one when m >= 1, or any r >= a[0] at
-    the last position, m = 0; None when no r passes.
-
-    The rotation that starts at the copy a[j] reads a[j], ..., a[0], then m
-    ones, r, a[t - 1], ..., a[j + 1]. If a[:j + 1] is no palindrome, its
-    first mismatch decides for every r. Otherwise its m ones meet the
-    window a[j + 1:q], q = j + 1 + m, empty when m = 0: a rank there below
-    `one` passes every r, and so does r's place in that window (r < one)
-    or just past it (r meets r, then ones meet ones). Further on, r meets
-    v = a[q]: a greater r passes, a less one fails, and at r = v the rest
-    decides, a[t - 1], ..., a[q + 1] against a[q + 1:t], since v then meets
-    v and the window's ones meet ones. Each comparison is a slice, so a
-    long run of equal ranks costs no interpreted loop.
+def _reversal_order(words: list[int], back: list[int], known: int) -> int:
+    """How the rotations of a tuple's reversal that start at its first
+    `known` trees compare with the tuple: -1 if one is less, 0 if none is
+    and one is equal, else 1. The tuple is given as its words, keys
+    r * l + j of a tree r and the run of j ones after it, and as their
+    reversed keys, back[i] being tree i with the run before it: the
+    rotation that starts at tree i reads back[i], back[i - 1], ...,
+    back[0], back[-1], ..., back[i + 1]. With `known` below the number of
+    words, only back[:known] is read, so each rotation is read up to
+    back[0]. Only a rotation whose first key equals words[0] needs more
+    than its first key compared, as a slice of blocks.
     """
-    x = a[0]
-    least = x
-    j = 0
-    for _ in range(a[:t].count(x)):
-        j = a.index(x, j, t)
-        head, own = a[j::-1], a[:j + 1]
-        if head < own:
-            return None
-        q = j + 1 + m
-        if head == own and q < t and (not m or min(a[j + 1:q]) == one):
-            v = a[q]
-            least = max(least, v if a[t - 1:q:-1] >= a[q + 1:t] else v + 1)
-        j += 1
-    return least
+    x = words[0]
+    head = back[:known]
+    if min(head) < x:
+        return -1
+    order = 1
+    i = -1
+    for _ in range(head.count(x)):
+        i = head.index(x, i + 1)
+        read = head[i::-1] + head[:i:-1] if known == len(words) else head[i::-1]
+        if read < words[:len(read)]:
+            return -1
+        order = min(order, int(read != words[:len(read)]))
+    return order
 
 
 def _unit(n: int, l: int, first: int, alphabet, keep) -> None:
@@ -250,140 +250,135 @@ def _unit(n: int, l: int, first: int, alphabet, keep) -> None:
     The canonical tuple is the class's representative.
 
     A canonical tuple is the least of its l rotations and l reflections.
-    Tuples of ranks are grown as prenecklaces (Fredricksen, Kessler &
-    Maiorana): each a[t] >= a[t - p], where p is the period of a[:t], and a
-    larger a[t] makes the prefix aperiodic (p = t + 1). A full tuple is a
-    necklace, least of its rotations, iff p divides l; it is canonical if
-    also no rotation of its reversal is smaller (Sawada's bracelet test).
-    Each position takes at least one vertex, so sizes are pruned to leave
-    one for every position still open.
-
-    Fills, tuples whose later positions all take the one-vertex tree, are
-    resolved where they are generated, with no stack entry. The unit's own
-    fill, a tree on `first` = n - l + 1 vertices followed by ones, is
-    canonical as it stands: a rank below `one` is its only least rank, and
-    all ones is the cycle. Elsewhere an expansion at position t whose size
-    leaves one vertex for every later position evaluates those tuples in
-    place: a rank above the one a period back makes the tuple aperiodic,
-    as a[0] < `one`, so only the rank equal to it needs the period test,
-    and `_reversal_bound` settles the reversal test for every candidate at
-    once. When one position is left, its size is the vertices left, and
-    `_reversal_bound` with no ones settles it too, so the candidates are a
-    slice from its bound, or from just past the rank a period back when
-    that rank fails the period test. There a rank equal to a[0] adds no
-    rotation to test: a necklace whose last rank is its first has every
-    rank equal. That last tree is no less than a[1], since the reversal
-    read from a[0] meets it where a has a[1], so the expansion just before
-    it pushes only the sizes whose greatest tree reaches a[1].
+    The one-vertex tree has the greatest rank, `one`, and every other tree
+    has two vertices or more, so a tuple other than the cycle's is a
+    sequence of words, each a tree r < one followed by a run of j ones, at
+    most n - l of them. The walk grows tuples word by word, as run-length
+    encoded prenecklaces (Sawada, "Generating bracelets in constant
+    amortized time", SIAM J. Comput. 31, 2001): comparing two rotations
+    that start at trees compares their words by the key r * l + j, a
+    longer run of ones being the greater, and a rotation that starts at a
+    one is never the least, so a tuple is a necklace iff its word sequence
+    is one. The words are grown as prenecklaces (Fredricksen, Kessler &
+    Maiorana): each word's key is at least the key a period p back, an
+    equal key keeps p and a greater one makes the words aperiodic, and a
+    full sequence is a necklace iff p divides its length. The reversal,
+    read from a tree, pairs each tree with the run before it, so a
+    necklace is canonical iff no rotation of those reversed keys is less
+    (`_reversal_order`). That test reads the prefix once per last word's
+    place, and its last tree only where the prefix ties, or where the tree
+    is the one a period back; and since the reversal read from the first
+    tree meets the last run where the tuple has its first run, earlier
+    words leave the last word at least that run. A word takes its tree's vertices and one per
+    one; each later word needs a tree of two vertices or more, so the word
+    that takes the last extra vertex is the last, its run reaching the
+    end. That last word is evaluated where it is found, with no stack
+    entry; the unit's own tuple, a tree on `first` = n - l + 1 vertices
+    followed by ones, is such a last word, and so is the cycle's.
 
     Each tuple's Kf is the integer N = l * Kf that `kf_from_stats`
     folds. With sizes s_i and prefix sums P_k = s_0 + ... + s_k, the pairs
     i < j sum s_i s_j (j - i) to sum_k P_k (n - P_k), and s_i s_j (j - i)^2
     to n sum_i i^2 s_i - (sum_i i s_i)^2, so
     N = l (sum_i term_i + sum_k P_k (n - P_k)) - n sum_i i^2 s_i
-    + (sum_i i s_i)^2. Every stack entry carries the first part and
-    sum_i i s_i over its prefix, each placed tree adding its share, so a
-    tuple costs a few additions. The one-vertex trees of a fill have
-    no tree term, and their part of each sum is in closed form, as is a
-    last tree's beside its term. In exact-delta runs an entry also carries
-    whether its prefix holds a tree of degree delta (a hub): a prefix
-    without one takes only hubs once no later tree can be as large as the
-    least hub, which its fill or last tree always is.
+    + (sum_i i s_i)^2. Write s_i = 1 + e_i: the cycle alone gives each sum
+    a closed form, and a word whose tree at position t has e extra
+    vertices, Q of them up to it, and whose run is j adds l (term +
+    Q (j + 1) (n - Q - 2t - j - 2)) - n t^2 e to the first part and t e to
+    sum_i i s_i. Every stack entry carries both over its prefix, so a
+    tuple costs a few additions, whatever its runs. In exact-delta runs an
+    entry also carries whether its prefix holds a tree of degree delta (a
+    hub): a prefix without one takes only hubs once no later tree can be
+    as large as the least hub, which its last word always is.
     """
     codes, by_size, hubs, hubs_by_size, terms = alphabet
     one = len(codes) - 1  # the rank of b"()"
-    # with one-vertex trees at positions t..l-1: their part of the first
-    # sum (prefix sums n - v, v < m = l - t) and of sum_i i s_i
-    fill_num = [l * m * (m - 1) * (3 * n - 2 * m + 1) // 6
-                - n * ((l - 1) * l * (2 * l - 1) - (t - 1) * t * (2 * t - 1)) // 6
-                for t, m in ((t, l - t) for t in range(l))]
-    fill_s1 = [(l * (l - 1) - t * (t - 1)) // 2 for t in range(l)]
+    if first == 1 and n > l:  # a tuple that starts with a one is the cycle
+        return
     hub_size = 0 if hubs is None else next((k for k, rs in enumerate(hubs_by_size) if rs), n + 1)
-    greatest = [ranks[-1] if ranks else -1 for ranks in by_size]  # per size
-    a = [0] * l
+    a = [one] * l
+    # the words placed: their trees' positions, their keys and reversed keys
+    at: list[int] = []
+    words: list[int] = []
+    back: list[int] = []
 
-    # (position, rank, period of the tuple up to it, vertices left after it,
-    #  l * (sum of terms + sum_k P_k (n - P_k)) - n sum_i i^2 s_i and
-    #  sum_i i s_i up to it, whether it holds a tree of degree delta)
-    rest = n - first
-    c = l * first * rest
-    if rest == l - 1:  # the unit's own fill
-        a[1:] = [one] * (l - 1)
-        c += fill_num[1] + fill_s1[1] ** 2
-        for r in by_size[first] if hubs is None else hubs_by_size[first]:
-            a[0] = r
-            keep(a, c + l * terms[r])
-        stack = []
-    else:
-        stack = [(0, r, 1, rest, c + l * terms[r], 0, hubs is None or r in hubs)
-                 for r in by_size[first]]
+    # (word index, its tree's position, rank, run, period of the words up
+    #  to it, extra vertices left after it, l * (sum of terms + sum_k P_k
+    #  (n - P_k)) - n sum_i i^2 s_i and sum_i i s_i up to it, whether it
+    #  holds a tree of degree delta); the first entry is the empty prefix
+    stack = [(-1, 0, one, -1, 1, n - l,
+              l * (n * l * (l + 1) // 2 - l * (l + 1) * (2 * l + 1) // 6)
+              - n * (l - 1) * l * (2 * l - 1) // 6, l * (l - 1) // 2, hubs is None)]
     while stack:
-        t, rank, p, left, num, s1, hub = stack.pop()
-        a[t] = rank
-        t += 1
-        low_rank = a[t - p]
-        if t == l - 1:
-            # the last tree has `left` vertices and prefix sum n
-            s1 += t * left
-            base = num - n * t * t * left + s1 * s1
-            least = _reversal_bound(a, t, 0, one)
-            if least is None:
-                continue
-            ranks = by_size[left] if hub else hubs_by_size[left]
-            # low_rank keeps the period p, so it passes iff p divides l
-            for r in ranks[bisect_left(ranks, max(least, low_rank + (l % p > 0))):]:
-                a[t] = r
-                keep(a, base + l * terms[r])
-            continue
-        m = l - t - 1  # the positions after t, each left at least one vertex
-        fill = left - m  # the size at t that leaves exactly one for each
-        for k in range(1, fill):
-            rest = left - k
-            # a prefix without a hub needs one here when no later tree
-            # can be as large as the least hub
-            ranks = by_size[k] if hub or rest - m + 1 >= hub_size else hubs_by_size[k]
-            i = bisect_left(ranks, low_rank)
-            j = len(ranks)
-            if m == 1:  # the last tree, on `rest` vertices, is >= a[1]
-                if t > 1:
-                    if greatest[rest] < a[1]:
-                        continue
-                else:
-                    j = bisect_right(ranks, greatest[rest])
-            c = num + l * (n - rest) * rest - n * t * t * k
-            c1 = s1 + t * k
-            if i < j and ranks[i] == low_rank:
-                stack.append((t, low_rank, p, rest, c + l * terms[low_rank], c1,
-                              hub or low_rank in hubs))
-                i += 1
-            stack.extend([(t, r, t + 1, rest, c + l * terms[r], c1, hub or r in hubs)
-                          for r in ranks[i:j]])
-        # the fill: a tree on `fill` >= 2 vertices at t, then m ones, which
-        # are hubs only at delta = 2, where no expansion happens
-        ranks = by_size[fill] if hub else hubs_by_size[fill]
-        i = bisect_left(ranks, low_rank)
-        if i == len(ranks):
-            continue
-        least = _reversal_bound(a, t, m, one)
-        if least is None:
-            continue
-        a[t + 1:] = [one] * m
-        c = (num + l * (n - m) * m - n * t * t * fill + fill_num[t + 1]
-             + (s1 + t * fill + fill_s1[t + 1]) ** 2)
-        if ranks[i] == low_rank:
-            # r = low_rank keeps the period p, and so does the fill iff a
-            # period back from each filled place is a one; when p <= m, r
-            # itself is one of those places, so the tuple is aperiodic
-            if least <= low_rank and (p <= m or l % p == 0 or min(a[t + 1 - p:l - p]) < one):
-                a[t] = low_rank
-                # a rank equal to a[0] starts one more rotation of the
-                # reversal: a[t], ..., a[0], then the ones
-                if low_rank != a[0] or a[t::-1] >= a[:t + 1]:
-                    keep(a, c + l * terms[low_rank])
-            i += 1
-        for r in ranks[max(i, bisect_left(ranks, least)):]:
+        c, t, r, j, p, e, num, s1, hub = stack.pop()
+        if c >= 0:
+            for x in at[c + 1:]:  # the trees of the branch walked before
+                a[x] = one
+            del at[c:], words[c:], back[c:]
             a[t] = r
-            keep(a, c + l * terms[r])
+            at.append(t)
+            words.append(r * l + j)
+            back.append(r * l + words[c - 1] % l if c else 0)  # back[0] needs the last run
+        t += j + 1  # the next word's tree
+        c += 1
+        left = l - t  # the positions from it on
+        low = low_run = -1
+        need = 0
+        if c:
+            low, low_run = divmod(words[c - p], l)  # the key a period back
+            # the reversal read from the first tree meets the last run where
+            # the tuple has its first run, and where it has its second when
+            # the second tree is the first's, so the last run is no shorter
+            first_rank, need = divmod(words[0], l)
+            if c > 1 and words[1] // l == first_rank:
+                need = words[1] % l
+        for k in range(2, e + 2) if c else (first,):
+            last = k == e + 1  # the word that takes the last extra vertex
+            ranks = by_size[k] if hub or (not last and e - k + 2 >= hub_size) else hubs_by_size[k]
+            i = bisect_left(ranks, low)
+            if i == len(ranks):
+                continue
+            q = n - l - e + k - 1  # the extra vertices up to this word
+            cut = num - n * t * t * (k - 1)
+            c1 = s1 + t * (k - 1)
+            if last:
+                run = left - 1
+                base = cut - l * q * left * (t + 1) + c1 * c1
+                order = 1
+                if c:
+                    words.append(0)
+                    back.append(0)
+                    back[0] = words[0] - words[0] % l + run
+                    order = _reversal_order(words, back, c)
+                for r in ranks[i:] if order >= 0 else ():
+                    # past the key a period back, the words are aperiodic, and
+                    # with no tie in the reversal before the last tree, canonical
+                    if c and (r == low or not order):
+                        key = words[c] = r * l + run
+                        back[c] = r * l + words[c - 1] % l
+                        if key < words[c - p] or key == words[c - p] and (c + 1) % p \
+                                or _reversal_order(words, back, c + 1) < 0:
+                            continue
+                    a[t] = r
+                    keep(a, base + l * terms[r])
+                a[t] = one
+                if c:
+                    words.pop()
+                    back.pop()
+                continue
+            # each run leaves a position for a later word, and the last no fewer than `need`
+            cuts = [cut + l * q * (run + 1) * (n - q - 2 * t - run - 2)
+                    for run in range(left - 1 - need)]
+            # runs shorter than the one a period back take only greater trees
+            for run in range(low_run if ranks[-1] == low else 0, len(cuts)):
+                lo = i
+                if ranks[i] == low and run <= low_run:
+                    lo += 1
+                    if run == low_run:  # the key a period back keeps the period
+                        stack.append((c, t, low, run, p, e - k + 1, cuts[run] + l * terms[low], c1,
+                                      hub or low in hubs))
+                stack += [(c, t, r, run, c + 1, e - k + 1, cuts[run] + l * terms[r], c1, hub or r in hubs)
+                          for r in ranks[lo:]]
 
 
 def _units(n: int, ls: range) -> list[tuple[int, int]]:

@@ -481,6 +481,10 @@ SMALL_ADDRESS_SPACE = [
     (["verify", "--suite", "theorem", "--n", "20000000", "--delta", "5"], 0,
      _formula_only_p3(20000000), 30),
     (["search", "--n", "1200", "--l", "1198"], 0, _long_cycle, 30),  # about 0.17 s
+    # the walk keeps a list of l ranks and a few entries per word, so a
+    # long cycle's one class fits (about 1.9 s and 1.4 s)
+    (["search", "--n", "10000000", "--l", "9999999"], 0, _graph_count(1), 60),
+    (["search", "--n", "10000000", "--l", "10000000"], 0, _graph_count(1), 60),
     # extremes walk only tuples of term-extreme trees and build no catalog,
     # which would hold 2,466,051 trees for (20, 6) (about 0.7 s) and nearly
     # every rooted tree on up to 17 vertices for (19, 10) (about 0.16 s)

@@ -493,6 +493,33 @@ def test_class_rows_carry_exact_kf_numerators():
             assert num == l * kf_from_shapes(l, shapes), code
 
 
+@pytest.mark.parametrize("n, l, count", [(1003, 1000, 84337), (10002, 10000, 5002),
+                                         (100002, 100000, 50002)])
+def test_long_cycles_walk_every_class_and_both_extremes(n, l, count):
+    """The row walk of a long cycle, every allowed tree, keeps `class_count`
+    tuples, and the greatest and least N it keeps are what
+    `unicyclic_extremes` returns there, so two keeps cross-check one walk,
+    in well under 60 s each (about 2 s for (1003, 1000) on a 2-core x86-64
+    host)."""
+    import time
+
+    from kfx.search import _alphabet, _unit, _units
+
+    start = time.monotonic()
+    alphabet = _alphabet(n, None, True, n - l + 1, None)
+    nums = []
+
+    def keep(a, num):
+        nums.append(num)
+
+    for cycle, first in _units(n, range(l, l + 1)):
+        _unit(n, cycle, first, alphabet, keep)
+    assert len(nums) == class_count(n, None, True, l) == count
+    for objective, pick in (("max", max), ("min", min)):
+        assert unicyclic_extremes(n, None, l, objective=objective).value == Fraction(pick(nums), l)
+    assert time.monotonic() - start < 60
+
+
 def test_long_cycle_fill_keeps_counts():
     # as above: 2 + floor(1198/2) classes
     assert len(unicyclic_classes(1200, l_filter=1198)) == 601
@@ -854,58 +881,28 @@ def test_a_run_builds_its_alphabet_once(monkeypatch, run):
     assert len(calls) == 1
 
 
-def check_reversal_bound(ms):
-    """For every prefix over ranks 0..3, with 3 the one-vertex tree, every
-    number m in `ms` of ones after r, and every rank r >= a[0] (below 3 when
-    m > 0), `_reversal_bound` of the prefix accepts r iff no rotation of the
-    reversal of a[:t] + [r] + [3] * m that starts at a copy of a[0] in the
-    prefix is less than that tuple. When no rank of the prefix is below
-    a[0], as in a prenecklace, the other rotations start with a greater
-    rank or at r = a[0], so for r != a[0] this is the whole reversal test."""
+def test_block_reversal_test_against_every_rotation_and_reflection():
+    """Over ranks 0..2, with 2 the one-vertex tree, every tuple of length
+    up to 9 that starts with a tree, written as its words (a tree and the
+    run of ones after it, key r * l + j) and its reversed keys (each tree
+    with the run before it), counts as canonical, its words a necklace and
+    `_reversal_order` not negative, iff none of its rotations or reflections
+    is less than it."""
     from itertools import product
 
-    from kfx.search import _reversal_bound
+    from kfx.search import _reversal_order
 
-    one = 3
-    for t in range(1, 7):
-        for prefix in map(list, product(range(one + 1), repeat=t)):
-            if prefix[0] == one:
+    one = 2
+    for l in range(1, 10):
+        for a in map(list, product(range(one + 1), repeat=l)):
+            if a[0] == one:
                 continue
-            for m in ms:
-                # the zeros stand in for a[t:], which the bound must not read
-                least = _reversal_bound(prefix + [0] * (m + 1), t, m, one)
-                for r in range(prefix[0], one if m else one + 1):
-                    a = prefix + [r] + [one] * m
-                    b = a[::-1]
-                    l = len(a)
-                    starts = [l - 1 - j for j in range(t) if a[j] == a[0]]
-                    canonical = all(b[i:] + b[:i] >= a for i in starts)
-                    if r != a[0] and min(prefix) == a[0]:
-                        assert canonical == all(b[i:] + b[:i] >= a for i in range(l)), a
-                    assert (least is not None and r >= least) == canonical, (a, least)
-
-
-def test_last_tree_bounds_against_the_reversal_test():
-    """The last position is `_reversal_bound`'s m = 0 case: over every
-    prefix, and for every necklace over four ranks whose last rank is not
-    its first, the bound of its prefix accepts the last rank iff no
-    rotation of the reversal is less than the necklace."""
-    from itertools import product
-
-    from kfx.search import _reversal_bound
-
-    check_reversal_bound([0])
-    for l in range(3, 8):
-        for a in map(list, product(range(4), repeat=l)):
-            if a[-1] == a[0] or any(a[i:] + a[:i] < a for i in range(1, l)):
-                continue
+            at = [i for i, r in enumerate(a) if r != one]
+            runs = [b - i - 1 for i, b in zip(at, at[1:] + [l])]
+            words = [a[i] * l + j for i, j in zip(at, runs)]
+            back = [a[i] * l + j for i, j in zip(at, runs[-1:] + runs)]
+            k = len(words)
+            necklace = all(words[i:] + words[:i] >= words for i in range(k))
             b = a[::-1]
-            canonical = all(b[i:] + b[:i] >= a for i in range(l))
-            least = _reversal_bound(a, l - 1, 0, 3)
-            assert (least is not None and a[-1] >= least) == canonical, a
-
-
-def test_fill_bound_against_the_reversal_test():
-    """A fill is `_reversal_bound`'s m = 1..3 case: a rank r below the
-    one-vertex tree followed by m ones."""
-    check_reversal_bound([1, 2, 3])
+            canonical = all(min(s[i:] + s[:i] for i in range(l)) >= a for s in (a, b))
+            assert (necklace and _reversal_order(words, back, k) >= 0) == canonical, a

@@ -21,11 +21,11 @@ holds:
   the two largest degree-bounded conjectures at n = 18, the largest run
   the default cap admits at n = 19, the unfiltered n = 16 and n = 18, two
   large-delta runs whose catalogs dwarf their classes, two larger ones
-  past the default cap whose time is the hub trees' search, two long
+  past the default cap whose time is the hub trees' search, four long
   cycles, the theorem suite to n = 16, and three row runs, the listings
   at n = 16 with no degree bound and with max degree exactly 4, and the
   lemma suite to n = 16; and `verify --suite all` (`VERIFY_ALL`).
-* `in_process`: per (n, delta, exact, objective), the median seconds,
+* `in_process`: per (n, delta, exact, objective, l filter), the median seconds,
   with quartiles, of one cold `search._alphabet` call building the
   alphabet the run reads, and of a walk of every work unit through
   `search._unit` over it. An extremes run (objective "min" or "max")
@@ -93,6 +93,8 @@ LARGE = [
     ["search", "--n", "50", "--delta", "40", "--cap", "100000000000000000000000"],
     ["search", "--n", "200", "--l", "196"],
     ["search", "--n", "1200", "--l", "1198"],
+    ["search", "--n", "1000000", "--l", "999999"],
+    ["search", "--n", "10000000", "--l", "9999999"],
     ["verify", "--suite", "theorem", "--n-max", "16"],
     ["search", "--n", "16", "--dump-all"],
     ["search", "--n", "16", "--delta", "4", "--dump-all"],
@@ -100,13 +102,13 @@ LARGE = [
 ]
 VERIFY_ALL = ["verify", "--suite", "all", "--seed", "501"]
 COMMANDS = ENUMERATE + LARGE + [VERIFY_ALL]
-# (n, delta, exact, objective) as the operation of that run asks for it;
-# objective None is a row run, which walks every allowed tree
-LAYERS = [(14, None, True, "max"), (14, 4, True, "min"), (14, 4, False, "max"),
-          (16, None, True, "max"), (18, 3, True, "min"), (19, 4, True, "min"),
-          (40, 30, True, "max"),
-          (14, None, True, None), (16, None, True, None), (16, 4, True, None),
-          (16, 5, False, None)]
+# (n, delta, exact, objective, l filter) as the operation of that run asks
+# for it; objective None is a row run, which walks every allowed tree
+LAYERS = [(14, None, True, "max", None), (14, 4, True, "min", None), (14, 4, False, "max", None),
+          (16, None, True, "max", None), (18, 3, True, "min", None), (19, 4, True, "min", None),
+          (40, 30, True, "max", None), (200, None, True, "max", 196),
+          (14, None, True, None, None), (16, None, True, None, None), (16, 4, True, None, None),
+          (16, 5, False, None, None)]
 WALK_REPEAT = 5  # walks per `units_s` sample, in one process
 # walk -> (its graph, built untimed; the call timed)
 WALKS = {
@@ -124,7 +126,7 @@ OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_enumerate.json"
 
 # Times one cold `_alphabet` and the median of `repeat` walks of every
 # unit for the run given as argv (n, delta or "-", exact as 0/1, objective
-# or "rows", repeat), over the cycle lengths and with the alphabet that run
+# or "rows", repeat, l filter or "-"), over the cycle lengths and with the alphabet that run
 # uses, counts the tuples one more walk keeps, and prints them as JSON.
 TIME_LAYERS = """
 import json, statistics, sys, time
@@ -132,7 +134,8 @@ from kfx import search
 n, delta, exact = int(sys.argv[1]), None if sys.argv[2] == "-" else int(sys.argv[2]), sys.argv[3] == "1"
 which = None if sys.argv[4] == "rows" else sys.argv[4]
 repeat = int(sys.argv[5])
-ls = search._cycle_lengths(n, delta, exact, None)
+l_filter = None if sys.argv[6] == "-" else int(sys.argv[6])
+ls = search._cycle_lengths(n, delta, exact, l_filter)
 top = n - ls[0] + 1
 units = search._units(n, ls)
 low = which == "min"
@@ -179,7 +182,7 @@ sys.setprofile(calls)
 walk(alphabet)
 sys.setprofile(None)
 print(json.dumps({"alphabet_s": alphabet_s, "units_s": walk_s, "alphabet_trees": len(alphabet[0]),
-                  "tuples_walked": walked, "classes": search.class_count(n, delta, exact)}))
+                  "tuples_walked": walked, "classes": search.class_count(n, delta, exact, l_filter)}))
 """
 TIME_WALK = """
 import sys, time
@@ -221,9 +224,10 @@ def _python(src: str, code: str, argv: list[str] = ()) -> str:
                           capture_output=True, text=True).stdout
 
 
-def _layers(src: str, n: int, delta: int | None, exact: bool, objective: str | None) -> dict:
+def _layers(src: str, n: int, delta: int | None, exact: bool, objective: str | None,
+            l_filter: int | None) -> dict:
     argv = [str(n), "-" if delta is None else str(delta), "1" if exact else "0",
-            objective or "rows", str(WALK_REPEAT)]
+            objective or "rows", str(WALK_REPEAT), "-" if l_filter is None else str(l_filter)]
     return json.loads(_python(src, TIME_LAYERS, argv))
 
 
@@ -285,13 +289,13 @@ def main(argv: list[str]) -> int:
             "enumerate_pass_s": round(sum(statistics.median(w for w, _ in runs[" ".join(a)])
                                           for a in ENUMERATE), 3),
             "in_process": [{
-                "n": n, "delta": delta, "exact": exact, "objective": objective,
+                "n": n, "delta": delta, "exact": exact, "objective": objective, "l": l_filter,
                 "classes": samples[0]["classes"],
                 "alphabet_trees": samples[0]["alphabet_trees"],
                 "tuples_walked": samples[0]["tuples_walked"],
                 **_spread("alphabet_s", [s["alphabet_s"] for s in samples], 4),
                 **_spread("units_s", [s["units_s"] for s in samples], 4),
-            } for (n, delta, exact, objective), samples in layers[label].items()],
+            } for (n, delta, exact, objective, l_filter), samples in layers[label].items()],
             "check_lemma_properties_8_s": _median(lemmas[label], 4),
             "walks": {name: _spread("s", values, 4) for name, values in walks[label].items()},
         })
