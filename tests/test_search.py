@@ -881,13 +881,15 @@ def test_a_run_builds_its_alphabet_once(monkeypatch, run):
     assert len(calls) == 1
 
 
-def test_block_reversal_test_against_every_rotation_and_reflection():
+def check_block_reversal_test(ends_in_ones):
     """Over ranks 0..2, with 2 the one-vertex tree, every tuple of length
-    up to 9 that starts with a tree, written as its words (a tree and the
-    run of ones after it, key r * l + j) and its reversed keys (each tree
-    with the run before it), counts as canonical, its words a necklace and
-    `_reversal_order` not negative, iff none of its rotations or reflections
-    is less than it."""
+    up to 9 that starts with a tree, and ends in a one iff `ends_in_ones`,
+    written as its words (a tree and the run of ones after it, key
+    r * l + j) and its reversed keys (each tree with the run before it),
+    counts as canonical, its words a necklace and `_reversal_order` not
+    negative, iff none of its rotations or reflections is less than it.
+    Read from its first `known` trees only, `_reversal_order` says -1 of
+    no canonical tuple, so the walk may prune on a prefix of words."""
     from itertools import product
 
     from kfx.search import _reversal_order
@@ -895,7 +897,7 @@ def test_block_reversal_test_against_every_rotation_and_reflection():
     one = 2
     for l in range(1, 10):
         for a in map(list, product(range(one + 1), repeat=l)):
-            if a[0] == one:
+            if a[0] == one or (a[-1] == one) != ends_in_ones:
                 continue
             at = [i for i, r in enumerate(a) if r != one]
             runs = [b - i - 1 for i, b in zip(at, at[1:] + [l])]
@@ -906,3 +908,17 @@ def test_block_reversal_test_against_every_rotation_and_reflection():
             b = a[::-1]
             canonical = all(min(s[i:] + s[:i] for i in range(l)) >= a for s in (a, b))
             assert (necklace and _reversal_order(words, back, k) >= 0) == canonical, a
+            if canonical:
+                assert all(_reversal_order(words, back, known) >= 0 for known in range(1, k)), a
+
+
+def test_last_tree_bounds_against_the_reversal_test():
+    """Tuples whose last vertex hangs a tree of two vertices or more: their
+    last word has no run of ones."""
+    check_block_reversal_test(False)
+
+
+def test_fill_bound_against_the_reversal_test():
+    """Tuples that end in a fill, a tree followed by one or more one-vertex
+    trees: their last word carries the run."""
+    check_block_reversal_test(True)
